@@ -254,9 +254,26 @@ let print_table ?paper t =
 let csv_arg =
   Arg.(value & flag & info [ "csv" ] ~doc:"Emit comma-separated values instead of a rendered table.")
 
+(* A positional number restricted to [lo, hi]: anything else is a
+   cmdliner usage error with a nonzero exit, not an uncaught exception
+   from deep inside the experiment code. *)
+let number_in ~what lo hi =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo && n <= hi -> Ok n
+    | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "invalid %s number %S: expected %d-%d" what s lo hi))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let table_cmd =
   let n_arg =
-    Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Table number (1-14).")
+    Arg.(
+      required
+      & pos 0 (some (number_in ~what:"table" 1 14)) None
+      & info [] ~docv:"N" ~doc:"Table number (1-14).")
   in
   let run n csv r =
     let t = Tables.table r n in
@@ -269,7 +286,10 @@ let table_cmd =
 
 let figure_cmd =
   let n_arg =
-    Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Figure number (2-21).")
+    Arg.(
+      required
+      & pos 0 (some (number_in ~what:"figure" 2 21)) None
+      & info [] ~docv:"N" ~doc:"Figure number (2-21).")
   in
   let run n csv r =
     let t = Figures.figure r n in

@@ -35,28 +35,6 @@ let cell_flops = 60.0
 
 let relax = 0.7
 
-(* A reusable record of one traversal: the (cell, segment-length) pairs
-   in traversal order. Recording lets the straight-ray update make ONE
-   pass per ray and replay it for the backprojection, where the original
-   code traversed the grid twice (length pass + backprojection pass) —
-   the replay performs the identical float additions in the identical
-   order, so results are bit-equal while the grid stepping cost halves. *)
-type record_buf = {
-  mutable rb_cells : int array;
-  mutable rb_segs : float array;
-  mutable rb_len : int;
-}
-
-let record_buf ~hint = { rb_cells = Array.make hint 0; rb_segs = Array.make hint 0.0; rb_len = 0 }
-
-let rb_grow b =
-  let n = Array.length b.rb_cells in
-  let cells' = Array.make (2 * n) 0 and segs' = Array.make (2 * n) 0.0 in
-  Array.blit b.rb_cells 0 cells' 0 n;
-  Array.blit b.rb_segs 0 segs' 0 n;
-  b.rb_cells <- cells';
-  b.rb_segs <- segs'
-
 type trace_acc =
   | Time_only
   | Cell_fn of (int -> float -> unit)
@@ -121,70 +99,6 @@ let trace_ray_acc ~nx ~nz ~slowness ~x0 ~z0 ~x1 ~z1 acc =
 
 let trace_ray ~nx ~nz ~slowness ~x0 ~z0 ~x1 ~z1 ~cell =
   trace_ray_acc ~nx ~nz ~slowness ~x0 ~z0 ~x1 ~z1 (Cell_fn cell)
-
-(* Specialized copy of [trace_ray_acc] for the [Record] mode — the inner
-   loop of every simulated String task. Identical arithmetic in identical
-   order (results are bit-equal); the only difference is that the per-step
-   accumulator dispatch is gone. *)
-let trace_ray_record ~nx ~nz ~slowness ~x0 ~z0 ~x1 ~z1 b =
-  let dx = x1 -. x0 and dz = z1 -. z0 in
-  let len = sqrt ((dx *. dx) +. (dz *. dz)) in
-  if len <= 0.0 then 0.0
-  else begin
-    let clamp v lo hi = if v < lo then lo else if v > hi then hi else v in
-    let ix = ref (clamp (int_of_float (Float.floor x0)) 0 (nx - 1)) in
-    let iz = ref (clamp (int_of_float (Float.floor z0)) 0 (nz - 1)) in
-    let step_x = if dx > 0.0 then 1 else -1 in
-    let step_z = if dz > 0.0 then 1 else -1 in
-    let t_delta_x = if dx = 0.0 then infinity else Float.abs (1.0 /. dx) in
-    let t_delta_z = if dz = 0.0 then infinity else Float.abs (1.0 /. dz) in
-    let t_max_x =
-      if dx = 0.0 then infinity
-      else
-        let next = if dx > 0.0 then float_of_int (!ix + 1) else float_of_int !ix in
-        (next -. x0) /. dx
-    in
-    let t_max_z =
-      if dz = 0.0 then infinity
-      else
-        let next = if dz > 0.0 then float_of_int (!iz + 1) else float_of_int !iz in
-        (next -. z0) /. dz
-    in
-    let t_max_x = ref t_max_x and t_max_z = ref t_max_z in
-    let t = ref 0.0 in
-    let time = ref 0.0 in
-    let finished = ref false in
-    while not !finished do
-      let m = if !t_max_x < !t_max_z then !t_max_x else !t_max_z in
-      let t_next = if m < 1.0 then m else 1.0 in
-      let seg = (t_next -. !t) *. len in
-      if seg > 0.0 then begin
-        (* In-bounds by construction: [ix]/[iz] are clamped on entry and
-           the loop terminates before either steps outside the grid, so
-           [c] < nx * nz = length slowness; [rb_len] is checked against
-           capacity just above each store. *)
-        let c = !ix + (!iz * nx) in
-        if b.rb_len >= Array.length b.rb_cells then rb_grow b;
-        Array.unsafe_set b.rb_cells b.rb_len c;
-        Array.unsafe_set b.rb_segs b.rb_len seg;
-        b.rb_len <- b.rb_len + 1;
-        time := !time +. (seg *. Array.unsafe_get slowness c)
-      end;
-      t := t_next;
-      if t_next >= 1.0 then finished := true
-      else if !t_max_x <= !t_max_z then begin
-        t_max_x := !t_max_x +. t_delta_x;
-        ix := !ix + step_x;
-        if !ix < 0 || !ix >= nx then finished := true
-      end
-      else begin
-        t_max_z := !t_max_z +. t_delta_z;
-        iz := !iz + step_z;
-        if !iz < 0 || !iz >= nz then finished := true
-      end
-    done;
-    !time
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Bent rays: the production String bends rays through the velocity
@@ -351,54 +265,107 @@ let observed_times p =
    once per ray per problem size and every iteration of every simulated
    run replays the recorded pairs with a linear walk. The walk performs
    the identical float additions in the identical order as re-tracing,
-   so travel times, ray lengths and backprojections are bit-equal. Ray
-   [r]'s pairs live at [rp_off.(r), rp_off.(r + 1)); at the largest
-   shipped problem size the cache is ~80 MB, shared by all runs. *)
+   so travel times and backprojections are bit-equal, and each ray's
+   length (its segments summed in walk order) is stored beside it. Ray
+   [r]'s pairs live at [rp_off.(r), rp_off.(r + 1)).
+
+   The store is allocated once at its exact size: a counting pass runs
+   the same DDA without stores to get every ray's pair count, then one
+   allocation holds them all and a second pass fills it (no growth, no
+   trimming copy). At bench size, the largest store, that is 2,708,662
+   pairs: 43.3 MB, shared by all runs. *)
 type ray_paths = {
   rp_off : int array;
+  rp_len : float array;
   rp_cells : int array;
   rp_segs : float array;
 }
 
+(* [trace_ray_acc]'s traversal, returning the number of (cell, segment)
+   pairs ray [ray] records. With [~store:true] it also writes them into
+   [g] from [g.rp_off.(ray)] and their sum, in walk order, into
+   [g.rp_len.(ray)]; with [~store:false] it only counts, and reads
+   nothing of [g] but [rp_off.(ray)]. Both passes run this one function
+   on the same endpoints, so the filled pairs are exactly the counted
+   ones. *)
+let record_ray g ~store ~nx ~nz ~ray ~x0 ~z0 ~x1 ~z1 =
+  let at = g.rp_off.(ray) in
+  let k = ref at and total = ref 0.0 in
+  let dx = x1 -. x0 and dz = z1 -. z0 in
+  let len = sqrt ((dx *. dx) +. (dz *. dz)) in
+  if len > 0.0 then begin
+    let clamp v lo hi = if v < lo then lo else if v > hi then hi else v in
+    let ix = ref (clamp (int_of_float (Float.floor x0)) 0 (nx - 1)) in
+    let iz = ref (clamp (int_of_float (Float.floor z0)) 0 (nz - 1)) in
+    let step_x = if dx > 0.0 then 1 else -1 in
+    let step_z = if dz > 0.0 then 1 else -1 in
+    let t_delta_x = if dx = 0.0 then infinity else Float.abs (1.0 /. dx) in
+    let t_delta_z = if dz = 0.0 then infinity else Float.abs (1.0 /. dz) in
+    let t_max_x =
+      if dx = 0.0 then infinity
+      else
+        let next = if dx > 0.0 then float_of_int (!ix + 1) else float_of_int !ix in
+        (next -. x0) /. dx
+    in
+    let t_max_z =
+      if dz = 0.0 then infinity
+      else
+        let next = if dz > 0.0 then float_of_int (!iz + 1) else float_of_int !iz in
+        (next -. z0) /. dz
+    in
+    let t_max_x = ref t_max_x and t_max_z = ref t_max_z in
+    let t = ref 0.0 in
+    let finished = ref false in
+    while not !finished do
+      let m = if !t_max_x < !t_max_z then !t_max_x else !t_max_z in
+      let t_next = if m < 1.0 then m else 1.0 in
+      let seg = (t_next -. !t) *. len in
+      if seg > 0.0 then begin
+        if store then begin
+          g.rp_cells.(!k) <- !ix + (!iz * nx);
+          g.rp_segs.(!k) <- seg;
+          total := !total +. seg
+        end;
+        incr k
+      end;
+      t := t_next;
+      if t_next >= 1.0 then finished := true
+      else if !t_max_x <= !t_max_z then begin
+        t_max_x := !t_max_x +. t_delta_x;
+        ix := !ix + step_x;
+        if !ix < 0 || !ix >= nx then finished := true
+      end
+      else begin
+        t_max_z := !t_max_z +. t_delta_z;
+        iz := !iz + step_z;
+        if !iz < 0 || !iz >= nz then finished := true
+      end
+    done
+  end;
+  if store then g.rp_len.(ray) <- !total;
+  !k - at
+
 let ray_paths_uncached p =
-  let buf = record_buf ~hint:(p.nx + p.nz + 4) in
-  (* The traced time is discarded; a zero model keeps the traversal on
-     the exact code path the old per-run tracing used. *)
-  let zero = Array.make (cells p) 0.0 in
-  let ns = max 1 (int_of_float (sqrt (float_of_int p.nrays))) in
-  let nr = (p.nrays + ns - 1) / ns in
-  let fns = float_of_int ns and fnr = float_of_int nr in
-  let fnz = float_of_int p.nz in
-  let x0 = 0.01 and x1 = float_of_int p.nx -. 0.01 in
-  let off = Array.make (p.nrays + 1) 0 in
-  let cap = ref (p.nrays * 8) in
-  let cs = ref (Array.make !cap 0) and sg = ref (Array.make !cap 0.0) in
-  let n = ref 0 in
-  for r = 0 to p.nrays - 1 do
-    let si = r mod ns and ri = r / ns mod nr in
-    let z0 = (float_of_int si +. 0.5) /. fns *. fnz in
-    let z1 = (float_of_int ri +. 0.5) /. fnr *. fnz in
-    buf.rb_len <- 0;
-    ignore
-      (trace_ray_record ~nx:p.nx ~nz:p.nz ~slowness:zero ~x0 ~z0 ~x1 ~z1 buf);
-    while !n + buf.rb_len > !cap do
-      cap := 2 * !cap;
-      let cs' = Array.make !cap 0 and sg' = Array.make !cap 0.0 in
-      Array.blit !cs 0 cs' 0 !n;
-      Array.blit !sg 0 sg' 0 !n;
-      cs := cs';
-      sg := sg'
-    done;
-    Array.blit buf.rb_cells 0 !cs !n buf.rb_len;
-    Array.blit buf.rb_segs 0 !sg !n buf.rb_len;
-    n := !n + buf.rb_len;
-    off.(r + 1) <- !n
-  done;
-  {
-    rp_off = off;
-    rp_cells = Array.sub !cs 0 !n;
-    rp_segs = Array.sub !sg 0 !n;
-  }
+  let rp_off = Array.make (p.nrays + 1) 0 in
+  let pass g ~store =
+    for r = 0 to p.nrays - 1 do
+      let x0, z0, x1, z1 = ray_endpoints p r in
+      let n = record_ray g ~store ~nx:p.nx ~nz:p.nz ~ray:r ~x0 ~z0 ~x1 ~z1 in
+      if not store then rp_off.(r + 1) <- rp_off.(r) + n
+    done
+  in
+  pass { rp_off; rp_len = [||]; rp_cells = [||]; rp_segs = [||] } ~store:false;
+  let slots = rp_off.(p.nrays) in
+  let g =
+    {
+      rp_off;
+      rp_len = Array.make p.nrays 0.0;
+      rp_cells = Array.make slots 0;
+      rp_segs = Array.create_float slots;
+    }
+  in
+  pass g ~store:true;
+  g
 
 let ray_paths_cache : (params, ray_paths) Hashtbl.t = Hashtbl.create 4
 
@@ -435,13 +402,10 @@ let trace_block_straight p observed model acc ~lo ~hi =
         +. Array.unsafe_get g.rp_segs i
            *. Array.unsafe_get model (Array.unsafe_get g.rp_cells i)
     done;
-    let len = ref 0.0 in
-    for i = i0 to i1 - 1 do
-      len := !len +. Array.unsafe_get g.rp_segs i
-    done;
+    let len = g.rp_len.(r) in
     let delta = observed.(r) -. !time in
-    if !len > 0.0 then begin
-      let per_len = delta /. !len in
+    if len > 0.0 then begin
+      let per_len = delta /. len in
       for i = i0 to i1 - 1 do
         let c = Array.unsafe_get g.rp_cells i
         and seg = Array.unsafe_get g.rp_segs i in
@@ -591,3 +555,9 @@ let make p ~kind:_ ~placed:_ ~nprocs =
         }
   in
   (program, fun () -> Option.get !result)
+
+let ray_walk g r f =
+  for i = g.rp_off.(r) to g.rp_off.(r + 1) - 1 do
+    f g.rp_cells.(i) g.rp_segs.(i)
+  done;
+  g.rp_len.(r)

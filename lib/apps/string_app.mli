@@ -71,3 +71,22 @@ val trace_ray :
   z1:float ->
   cell:(int -> float -> unit) ->
   float
+
+(** {2 Straight-ray path store}
+
+    Every iteration of a [Straight] run walks each ray's (cell, segment)
+    pairs from a per-size store built once by the DDA. Exposed for tests. *)
+
+(** The store: every ray's pairs in walk order plus its length. *)
+type ray_paths
+
+(** [ray_endpoints p r] is ray [r]'s (x0, z0, x1, z1). *)
+val ray_endpoints : params -> int -> float * float * float * float
+
+(** [ray_paths_uncached p] traces every ray of [p] into a fresh store:
+    a counting pass sizes it exactly, a second pass fills it. *)
+val ray_paths_uncached : params -> ray_paths
+
+(** [ray_walk g r f] calls [f cell seg] on ray [r]'s stored pairs in walk
+    order and returns its stored length. *)
+val ray_walk : ray_paths -> int -> (int -> float -> unit) -> float

@@ -112,9 +112,40 @@ let init_velocities p =
 
 let site_pos state m s k = state.((m * mol_stride) + (s * 3) + k)
 
+(* The oxygen coordinates of every molecule, packed into three contiguous
+   arrays so the O(n^2) cutoff screen streams through 24 bytes per
+   molecule instead of striding over its 96-byte state record. *)
+let pack_oxygens p state =
+  let ox = Array.create_float p.n
+  and oy = Array.create_float p.n
+  and oz = Array.create_float p.n in
+  for m = 0 to p.n - 1 do
+    let b = m * mol_stride in
+    ox.(m) <- state.(b);
+    oy.(m) <- state.(b + 1);
+    oz.(m) <- state.(b + 2)
+  done;
+  (ox, oy, oz)
+
+(* Folded minimum-image distance along one axis: |d|, or [box - |d|] when
+   |d| > [half]. Its square is bit-equal to the square of the signed
+   minimum-image displacement (d - box or d + box): both are the same
+   correctly rounded difference up to sign. *)
+let[@inline] fold ~box ~half d =
+  let a = Float.abs d in
+  if a > half then box -. a else a
+
 (* Inter-molecular forces for molecules i = offset, offset + stride, ...
    against all j > i (gated by the O-O cutoff), accumulated into [f]
    (length n * 9).
+
+   Pairs are screened on the packed oxygens with folded distances: the
+   sum of squares is the same float, in the same association order, as
+   the one over signed displacements, so the cutoff test is unchanged.
+   A pair is dropped once its x distance alone reaches the cutoff
+   (rounding is monotone, so the full sum cannot fall back below rc2).
+   Only the surviving pairs recompute the signed displacements the force
+   scatter needs.
 
    [site_pos], [min_image] and [Float.max] are expanded by hand in this
    loop and in [pair_energy]: without flambda every such call boxes its
@@ -122,61 +153,70 @@ let site_pos state m s k = state.((m * mol_stride) + (s * 3) + k)
    simulator's minor-heap allocation. *)
 let pair_forces p state f ~stride ~offset =
   let rc2 = p.cutoff *. p.cutoff in
+  let cutoff = p.cutoff in
   let box = p.box in
   let half = box /. 2.0 in
+  let ox, oy, oz = pack_oxygens p state in
   let i = ref offset in
   while !i < p.n do
     let ib = !i * mol_stride in
+    let xi = ox.(!i) and yi = oy.(!i) and zi = oz.(!i) in
+    (* [j] ranges over (i, n) and the packed arrays have length n. *)
     for j = !i + 1 to p.n - 1 do
-      let jb = j * mol_stride in
-      let d = state.(ib) -. state.(jb) in
-      let dox = if d > half then d -. box else if d < -.half then d +. box else d in
-      let d = state.(ib + 1) -. state.(jb + 1) in
-      let doy = if d > half then d -. box else if d < -.half then d +. box else d in
-      let d = state.(ib + 2) -. state.(jb + 2) in
-      let doz = if d > half then d -. box else if d < -.half then d +. box else d in
-      let ro2 = (dox *. dox) +. (doy *. doy) +. (doz *. doz) in
-      if ro2 < rc2 then begin
-        (* Coulomb on all nine site pairs. Unsafe accesses: every index
-           is bounded by construction — sa/sb and fi/fj are at most
-           (n - 1) * 9 + 8 with [state] and [f] of length n * 9, and
-           a/b < sites = length charge. *)
-        for a = 0 to sites - 1 do
-          for b = 0 to sites - 1 do
-            let sa = ib + (a * 3) and sb = jb + (b * 3) in
-            let d = Array.unsafe_get state sa -. Array.unsafe_get state sb in
-            let dx = if d > half then d -. box else if d < -.half then d +. box else d in
-            let d = Array.unsafe_get state (sa + 1) -. Array.unsafe_get state (sb + 1) in
-            let dy = if d > half then d -. box else if d < -.half then d +. box else d in
-            let d = Array.unsafe_get state (sa + 2) -. Array.unsafe_get state (sb + 2) in
-            let dz = if d > half then d -. box else if d < -.half then d +. box else d in
-            let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-            let r2 = if r2 > min_r2 then r2 else min_r2 in
-            let r = sqrt r2 in
-            let coef =
-              Array.unsafe_get kq ((a * sites) + b) /. (r2 *. r)
-            in
-            let fi = ((!i * sites) + a) * 3 and fj = ((j * sites) + b) * 3 in
-            Array.unsafe_set f fi (Array.unsafe_get f fi +. (coef *. dx));
-            Array.unsafe_set f (fi + 1) (Array.unsafe_get f (fi + 1) +. (coef *. dy));
-            Array.unsafe_set f (fi + 2) (Array.unsafe_get f (fi + 2) +. (coef *. dz));
-            Array.unsafe_set f fj (Array.unsafe_get f fj -. (coef *. dx));
-            Array.unsafe_set f (fj + 1) (Array.unsafe_get f (fj + 1) -. (coef *. dy));
-            Array.unsafe_set f (fj + 2) (Array.unsafe_get f (fj + 2) -. (coef *. dz))
-          done
-        done;
-        (* Lennard-Jones on the O-O pair. *)
-        let r2 = if ro2 > min_r2 then ro2 else min_r2 in
-        let s2 = lj_sigma *. lj_sigma /. r2 in
-        let s6 = s2 *. s2 *. s2 in
-        let coef = 24.0 *. lj_epsilon /. r2 *. s6 *. ((2.0 *. s6) -. 1.0) in
-        let fi = !i * sites * 3 and fj = j * sites * 3 in
-        f.(fi) <- f.(fi) +. (coef *. dox);
-        f.(fi + 1) <- f.(fi + 1) +. (coef *. doy);
-        f.(fi + 2) <- f.(fi + 2) +. (coef *. doz);
-        f.(fj) <- f.(fj) -. (coef *. dox);
-        f.(fj + 1) <- f.(fj + 1) -. (coef *. doy);
-        f.(fj + 2) <- f.(fj + 2) -. (coef *. doz)
+      let ax = fold ~box ~half (xi -. Array.unsafe_get ox j) in
+      if ax < cutoff then begin
+        let ay = fold ~box ~half (yi -. Array.unsafe_get oy j) in
+        let az = fold ~box ~half (zi -. Array.unsafe_get oz j) in
+        let ro2 = (ax *. ax) +. (ay *. ay) +. (az *. az) in
+        if ro2 < rc2 then begin
+          let jb = j * mol_stride in
+          let d = xi -. Array.unsafe_get ox j in
+          let dox = if d > half then d -. box else if d < -.half then d +. box else d in
+          let d = yi -. Array.unsafe_get oy j in
+          let doy = if d > half then d -. box else if d < -.half then d +. box else d in
+          let d = zi -. Array.unsafe_get oz j in
+          let doz = if d > half then d -. box else if d < -.half then d +. box else d in
+          (* Coulomb on all nine site pairs. Unsafe accesses: every index
+             is bounded by construction — sa/sb and fi/fj are at most
+             (n - 1) * 9 + 8 with [state] and [f] of length n * 9, and
+             a/b < sites = length charge. *)
+          for a = 0 to sites - 1 do
+            for b = 0 to sites - 1 do
+              let sa = ib + (a * 3) and sb = jb + (b * 3) in
+              let d = Array.unsafe_get state sa -. Array.unsafe_get state sb in
+              let dx = if d > half then d -. box else if d < -.half then d +. box else d in
+              let d = Array.unsafe_get state (sa + 1) -. Array.unsafe_get state (sb + 1) in
+              let dy = if d > half then d -. box else if d < -.half then d +. box else d in
+              let d = Array.unsafe_get state (sa + 2) -. Array.unsafe_get state (sb + 2) in
+              let dz = if d > half then d -. box else if d < -.half then d +. box else d in
+              let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
+              let r2 = if r2 > min_r2 then r2 else min_r2 in
+              let r = sqrt r2 in
+              let coef =
+                Array.unsafe_get kq ((a * sites) + b) /. (r2 *. r)
+              in
+              let fi = ((!i * sites) + a) * 3 and fj = ((j * sites) + b) * 3 in
+              Array.unsafe_set f fi (Array.unsafe_get f fi +. (coef *. dx));
+              Array.unsafe_set f (fi + 1) (Array.unsafe_get f (fi + 1) +. (coef *. dy));
+              Array.unsafe_set f (fi + 2) (Array.unsafe_get f (fi + 2) +. (coef *. dz));
+              Array.unsafe_set f fj (Array.unsafe_get f fj -. (coef *. dx));
+              Array.unsafe_set f (fj + 1) (Array.unsafe_get f (fj + 1) -. (coef *. dy));
+              Array.unsafe_set f (fj + 2) (Array.unsafe_get f (fj + 2) -. (coef *. dz))
+            done
+          done;
+          (* Lennard-Jones on the O-O pair. *)
+          let r2 = if ro2 > min_r2 then ro2 else min_r2 in
+          let s2 = lj_sigma *. lj_sigma /. r2 in
+          let s6 = s2 *. s2 *. s2 in
+          let coef = 24.0 *. lj_epsilon /. r2 *. s6 *. ((2.0 *. s6) -. 1.0) in
+          let fi = !i * sites * 3 and fj = j * sites * 3 in
+          f.(fi) <- f.(fi) +. (coef *. dox);
+          f.(fi + 1) <- f.(fi + 1) +. (coef *. doy);
+          f.(fi + 2) <- f.(fi + 2) +. (coef *. doz);
+          f.(fj) <- f.(fj) -. (coef *. dox);
+          f.(fj + 1) <- f.(fj + 1) -. (coef *. doy);
+          f.(fj + 2) <- f.(fj + 2) -. (coef *. doz)
+        end
       end
     done;
     i := !i + stride
@@ -211,44 +251,47 @@ let intra_forces p state f ~stride ~offset =
    same striping. *)
 let pair_energy p state e ~stride ~offset =
   let rc2 = p.cutoff *. p.cutoff in
+  let cutoff = p.cutoff in
   let box = p.box in
   let half = box /. 2.0 in
+  let ox, oy, oz = pack_oxygens p state in
   let i = ref offset in
   while !i < p.n do
     let ib = !i * mol_stride in
+    let xi = ox.(!i) and yi = oy.(!i) and zi = oz.(!i) in
     for j = !i + 1 to p.n - 1 do
-      let jb = j * mol_stride in
-      let d = state.(ib) -. state.(jb) in
-      let dox = if d > half then d -. box else if d < -.half then d +. box else d in
-      let d = state.(ib + 1) -. state.(jb + 1) in
-      let doy = if d > half then d -. box else if d < -.half then d +. box else d in
-      let d = state.(ib + 2) -. state.(jb + 2) in
-      let doz = if d > half then d -. box else if d < -.half then d +. box else d in
-      let ro2 = (dox *. dox) +. (doy *. doy) +. (doz *. doz) in
-      if ro2 < rc2 then begin
-        (* Same bounded-index argument as in [pair_forces]. *)
-        let pot = ref 0.0 in
-        for a = 0 to sites - 1 do
-          for b = 0 to sites - 1 do
-            let sa = ib + (a * 3) and sb = jb + (b * 3) in
-            let d = Array.unsafe_get state sa -. Array.unsafe_get state sb in
-            let dx = if d > half then d -. box else if d < -.half then d +. box else d in
-            let d = Array.unsafe_get state (sa + 1) -. Array.unsafe_get state (sb + 1) in
-            let dy = if d > half then d -. box else if d < -.half then d +. box else d in
-            let d = Array.unsafe_get state (sa + 2) -. Array.unsafe_get state (sb + 2) in
-            let dz = if d > half then d -. box else if d < -.half then d +. box else d in
-            let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-            let r2 = if r2 > min_r2 then r2 else min_r2 in
-            pot :=
-              !pot +. (Array.unsafe_get kq ((a * sites) + b) /. sqrt r2)
-          done
-        done;
-        let r2 = if ro2 > min_r2 then ro2 else min_r2 in
-        let s2 = lj_sigma *. lj_sigma /. r2 in
-        let s6 = s2 *. s2 *. s2 in
-        pot := !pot +. (4.0 *. lj_epsilon *. s6 *. (s6 -. 1.0));
-        e.(!i) <- e.(!i) +. (!pot /. 2.0);
-        e.(j) <- e.(j) +. (!pot /. 2.0)
+      (* Same screen as [pair_forces]; the energy needs only [ro2]. *)
+      let ax = fold ~box ~half (xi -. Array.unsafe_get ox j) in
+      if ax < cutoff then begin
+        let ay = fold ~box ~half (yi -. Array.unsafe_get oy j) in
+        let az = fold ~box ~half (zi -. Array.unsafe_get oz j) in
+        let ro2 = (ax *. ax) +. (ay *. ay) +. (az *. az) in
+        if ro2 < rc2 then begin
+          let jb = j * mol_stride in
+          (* Same bounded-index argument as in [pair_forces]. *)
+          let pot = ref 0.0 in
+          for a = 0 to sites - 1 do
+            for b = 0 to sites - 1 do
+              let sa = ib + (a * 3) and sb = jb + (b * 3) in
+              let d = Array.unsafe_get state sa -. Array.unsafe_get state sb in
+              let dx = if d > half then d -. box else if d < -.half then d +. box else d in
+              let d = Array.unsafe_get state (sa + 1) -. Array.unsafe_get state (sb + 1) in
+              let dy = if d > half then d -. box else if d < -.half then d +. box else d in
+              let d = Array.unsafe_get state (sa + 2) -. Array.unsafe_get state (sb + 2) in
+              let dz = if d > half then d -. box else if d < -.half then d +. box else d in
+              let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
+              let r2 = if r2 > min_r2 then r2 else min_r2 in
+              pot :=
+                !pot +. (Array.unsafe_get kq ((a * sites) + b) /. sqrt r2)
+            done
+          done;
+          let r2 = if ro2 > min_r2 then ro2 else min_r2 in
+          let s2 = lj_sigma *. lj_sigma /. r2 in
+          let s6 = s2 *. s2 *. s2 in
+          pot := !pot +. (4.0 *. lj_epsilon *. s6 *. (s6 -. 1.0));
+          e.(!i) <- e.(!i) +. (!pot /. 2.0);
+          e.(j) <- e.(j) +. (!pot /. 2.0)
+        end
       end
     done;
     (* Intra-molecular potential, owned entirely by molecule i. *)

@@ -51,6 +51,21 @@ val serial_flops : params -> float
     and antisymmetric, so the components must sum to zero. *)
 val initial_forces : params -> float array
 
+(** [pair_forces p state f ~stride ~offset] adds the inter-molecular
+    (Coulomb + O-O Lennard-Jones) forces of molecules [offset],
+    [offset + stride], ... against every later molecule within the O-O
+    cutoff into [f] (length 9n). [state] is the molecule-state layout, 12
+    doubles per molecule. Exposed for tests. *)
+val pair_forces :
+  params -> float array -> float array -> stride:int -> offset:int -> unit
+
+(** [pair_energy p state e ~stride ~offset]: the matching per-molecule
+    potential energy (half of each pair term to either molecule, plus the
+    intra-molecular springs of each owned molecule) added into [e]
+    (length n). Exposed for tests. *)
+val pair_energy :
+  params -> float array -> float array -> stride:int -> offset:int -> unit
+
 (** Total declared flops of the Jade version (the "stripped" time is this
     divided by the machine's flop rate). *)
 val total_work : params -> nprocs:int -> float

@@ -103,8 +103,13 @@ let parallel_for t ~n job =
     else begin
       t.job <- job;
       t.njobs <- n;
-      Atomic.set t.next 0;
+      (* [completed] before [next]: a worker still leaving the previous
+         batch's [claim_loop] can claim item 0 as soon as [next] drops to
+         0, and its completion must land after the reset, not be wiped
+         by it (the coordinator would then wait forever for the last
+         item). *)
       Atomic.set t.completed 0;
+      Atomic.set t.next 0;
       Mutex.lock t.m;
       t.epoch <- t.epoch + 1;
       Condition.broadcast t.work_ready;

@@ -69,6 +69,186 @@ let test_water_deterministic () =
   in
   Alcotest.(check (float 0.0)) "bit-identical reruns" (mk ()) (mk ())
 
+(* Bit pins: the IEEE-754 bits of the serial results. A kernel change
+   must reproduce them exactly — the regenerated tables are digests of
+   these floats. *)
+let bits x = Int64.bits_of_float x
+
+let array_digest a =
+  let b = Buffer.create (8 * Array.length a) in
+  Array.iter (fun x -> Buffer.add_int64_le b (bits x)) a;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let check_bits name expected x = Alcotest.(check int64) name expected (bits x)
+
+let test_water_bit_pins () =
+  List.iter
+    (fun (size, p, energy, norm, positions, flops) ->
+      let r, fl = Water.serial p in
+      check_bits (size ^ " energy") energy r.Water.energy;
+      check_bits (size ^ " force norm") norm r.Water.force_norm;
+      check_bits (size ^ " flops") flops fl;
+      Alcotest.(check string) (size ^ " positions") positions
+        (array_digest r.Water.positions))
+    [
+      ( "test", Water.test_params, 0xbfdcd353fefbfda2L, 0x4013e212b75bd204L,
+        "89979364a2e87abd4d4fc655a7aed4b4", 0x4132d1e147ae147bL );
+      ( "regen", { Water.paper_params with Water.iters = 2 }, 0xc07ee4999db08631L,
+        0x4034c3c10c55baa1L, "236033b40724516bae6a474f95fedad5",
+        0x41d80574eb851eb9L );
+    ]
+
+(* The inter-molecular kernels as they were before the packed-oxygen
+   screen: every pair's signed minimum-image O-O displacement is computed
+   from the state and tested against the cutoff. The property below holds
+   the screened kernels to this loop bit for bit. *)
+module Brute = struct
+  let mol_stride = 12
+  let sites = 3
+  let charge = [| -0.82; 0.41; 0.41 |]
+  let kq = Array.init 9 (fun i -> 1.0 *. charge.(i / 3) *. charge.(i mod 3))
+  let min_r2 = 0.25
+  let lj_epsilon = 0.65
+  let lj_sigma = 1.0
+
+  let min_image ~box ~half d =
+    if d > half then d -. box else if d < -.half then d +. box else d
+
+  (* Calls [k i j ib jb dox doy doz ro2] on every screened-in pair, and
+     [after i] once molecule [i]'s pairs are done. *)
+  let pairs ?(after = ignore) (p : Water.params) state ~stride ~offset k =
+    let rc2 = p.cutoff *. p.cutoff and box = p.box in
+    let half = box /. 2.0 in
+    let i = ref offset in
+    while !i < p.n do
+      let ib = !i * mol_stride in
+      for j = !i + 1 to p.n - 1 do
+        let jb = j * mol_stride in
+        let dox = min_image ~box ~half (state.(ib) -. state.(jb)) in
+        let doy = min_image ~box ~half (state.(ib + 1) -. state.(jb + 1)) in
+        let doz = min_image ~box ~half (state.(ib + 2) -. state.(jb + 2)) in
+        let ro2 = (dox *. dox) +. (doy *. doy) +. (doz *. doz) in
+        if ro2 < rc2 then k !i j ib jb dox doy doz ro2
+      done;
+      after !i;
+      i := !i + stride
+    done
+
+  let site_d (p : Water.params) state sa sb =
+    let half = p.box /. 2.0 in
+    let d k = min_image ~box:p.box ~half (state.(sa + k) -. state.(sb + k)) in
+    let dx = d 0 and dy = d 1 and dz = d 2 in
+    let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
+    (dx, dy, dz, if r2 > min_r2 then r2 else min_r2)
+
+  let forces p state f ~stride ~offset =
+    pairs p state ~stride ~offset (fun i j ib jb dox doy doz ro2 ->
+        for a = 0 to sites - 1 do
+          for b = 0 to sites - 1 do
+            let dx, dy, dz, r2 = site_d p state (ib + (a * 3)) (jb + (b * 3)) in
+            let coef = kq.((a * sites) + b) /. (r2 *. sqrt r2) in
+            let fi = ((i * sites) + a) * 3 and fj = ((j * sites) + b) * 3 in
+            f.(fi) <- f.(fi) +. (coef *. dx);
+            f.(fi + 1) <- f.(fi + 1) +. (coef *. dy);
+            f.(fi + 2) <- f.(fi + 2) +. (coef *. dz);
+            f.(fj) <- f.(fj) -. (coef *. dx);
+            f.(fj + 1) <- f.(fj + 1) -. (coef *. dy);
+            f.(fj + 2) <- f.(fj + 2) -. (coef *. dz)
+          done
+        done;
+        let r2 = if ro2 > min_r2 then ro2 else min_r2 in
+        let s2 = lj_sigma *. lj_sigma /. r2 in
+        let s6 = s2 *. s2 *. s2 in
+        let coef = 24.0 *. lj_epsilon /. r2 *. s6 *. ((2.0 *. s6) -. 1.0) in
+        let fi = i * sites * 3 and fj = j * sites * 3 in
+        f.(fi) <- f.(fi) +. (coef *. dox);
+        f.(fi + 1) <- f.(fi + 1) +. (coef *. doy);
+        f.(fi + 2) <- f.(fi + 2) +. (coef *. doz);
+        f.(fj) <- f.(fj) -. (coef *. dox);
+        f.(fj + 1) <- f.(fj + 1) -. (coef *. doy);
+        f.(fj + 2) <- f.(fj + 2) -. (coef *. doz))
+
+  (* Intra-molecular springs of molecule [i], added after its pairs. *)
+  let springs state e i =
+    let spring a b k r0 =
+      let d c = state.((i * mol_stride) + (a * 3) + c) -. state.((i * mol_stride) + (b * 3) + c) in
+      let dx = d 0 and dy = d 1 and dz = d 2 in
+      let r = sqrt ((dx *. dx) +. (dy *. dy) +. (dz *. dz)) in
+      0.5 *. k *. (r -. r0) *. (r -. r0)
+    in
+    e.(i) <-
+      e.(i) +. spring 0 1 80.0 0.9572 +. spring 0 2 80.0 0.9572
+      +. spring 1 2 30.0 1.5139
+
+  let energy p state e ~stride ~offset =
+    pairs p state ~stride ~offset ~after:(springs state e)
+      (fun i j ib jb _ _ _ ro2 ->
+        let pot = ref 0.0 in
+        for a = 0 to sites - 1 do
+          for b = 0 to sites - 1 do
+            let _, _, _, r2 = site_d p state (ib + (a * 3)) (jb + (b * 3)) in
+            pot := !pot +. (kq.((a * sites) + b) /. sqrt r2)
+          done
+        done;
+        let r2 = if ro2 > min_r2 then ro2 else min_r2 in
+        let s2 = lj_sigma *. lj_sigma /. r2 in
+        let s6 = s2 *. s2 *. s2 in
+        pot := !pot +. (4.0 *. lj_epsilon *. s6 *. (s6 -. 1.0));
+        e.(i) <- e.(i) +. (!pot /. 2.0);
+        e.(j) <- e.(j) +. (!pot /. 2.0))
+end
+
+(* Random small states for the kernel property. Box edges are multiples
+   of 1/4 and molecule 0's oxygen sits on a 1/16 grid, so molecules
+   "planted" at exactly +-box/2 from it along some axes are exact; other
+   oxygens range slightly outside [0, box), as after an integration step. *)
+let gen_water_case =
+  let open QCheck.Gen in
+  let* n = int_range 2 12 in
+  let* k = int_range 16 160 in
+  let box = float_of_int k /. 4.0 in
+  let half = box /. 2.0 in
+  let* cutoff = float_range 0.5 (0.75 *. box) in
+  let* stride = int_range 1 3 in
+  let* offset = int_range 0 (stride - 1) in
+  let* o0 = array_repeat 3 (map (fun m -> float_of_int m /. 16.0) (int_range 0 ((4 * k) - 1))) in
+  let oxygen =
+    let* planted = bool in
+    if planted then
+      array_repeat 3 (oneofl [ 0.0; half; -.half ])
+      |> map (fun shift -> Array.mapi (fun a s -> o0.(a) +. s) shift)
+    else array_repeat 3 (float_range (-0.05 *. box) (1.05 *. box))
+  in
+  let* oxygens = array_repeat (n - 1) oxygen in
+  let* hs = array_repeat (6 * n) (float_range (-1.0) 1.0) in
+  let state = Array.make (n * 12) 0.0 in
+  Array.iteri
+    (fun m o ->
+      for a = 0 to 2 do
+        state.((m * 12) + a) <- o.(a);
+        state.((m * 12) + 3 + a) <- o.(a) +. hs.((6 * m) + a);
+        state.((m * 12) + 6 + a) <- o.(a) +. hs.((6 * m) + 3 + a)
+      done)
+    (Array.append [| o0 |] oxygens);
+  return ({ Water.test_params with Water.n; box; cutoff }, state, stride, offset)
+
+let prop_water_kernels_bit_equal =
+  let print (p, state, stride, offset) =
+    Printf.sprintf "n=%d box=%h cutoff=%h stride=%d offset=%d state=[%s]" p.Water.n
+      p.Water.box p.Water.cutoff stride offset
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") state)))
+  in
+  QCheck.Test.make ~name:"screened kernels = brute force, bit for bit" ~count:300
+    (QCheck.make ~print gen_water_case)
+    (fun (p, state, stride, offset) ->
+      let run kernel len =
+        let out = Array.make len 0.0 in
+        kernel p state out ~stride ~offset;
+        Array.map bits out
+      in
+      run Water.pair_forces (9 * p.Water.n) = run Brute.forces (9 * p.Water.n)
+      && run Water.pair_energy p.Water.n = run Brute.energy p.Water.n)
+
 (* ---------------- String ---------------- *)
 
 let test_string_ray_weights_sum () =
@@ -119,6 +299,52 @@ let test_string_inversion_converges () =
        r.String_app.misfit)
     true
     (r.String_app.misfit < 0.5 *. r.String_app.initial_misfit)
+
+let test_string_bit_pins () =
+  List.iter
+    (fun (size, p, misfit, initial, model, flops) ->
+      let r, fl = String_app.serial p in
+      check_bits (size ^ " misfit") misfit r.String_app.misfit;
+      check_bits (size ^ " initial misfit") initial r.String_app.initial_misfit;
+      check_bits (size ^ " flops") flops fl;
+      Alcotest.(check string) (size ^ " model") model (array_digest r.String_app.model))
+    [
+      ( "test", String_app.test_params, 0x3f227f51d2677263L, 0x3f4670725fabf0fbL,
+        "9d99d38fd0ffb3e4e8c2307a3385c9f4", 0x411dc0b333333334L );
+      ( "bench", String_app.bench_params, 0x3f516010fb9bf3e9L, 0x3f6dbd7c79d522c5L,
+        "29049c594f676805314fea5f0f0cf8b9", 0x41cccc7592000000L );
+    ]
+
+(* The ray-path store against a fresh DDA trace of every ray: the same
+   (cell, segment) pairs bit for bit, and the stored length equal to the
+   segments summed in walk order. *)
+let test_string_store size p () =
+  let g = String_app.ray_paths_uncached p in
+  let slowness = Array.make (p.String_app.nx * p.String_app.nz) 1.0 in
+  for r = 0 to p.String_app.nrays - 1 do
+    let x0, z0, x1, z1 = String_app.ray_endpoints p r in
+    let dda = ref [] in
+    ignore
+      (String_app.trace_ray ~nx:p.String_app.nx ~nz:p.String_app.nz ~slowness ~x0
+         ~z0 ~x1 ~z1 ~cell:(fun c seg -> dda := (c, bits seg) :: !dda));
+    let walk = ref [] and sum = ref 0.0 in
+    let len =
+      String_app.ray_walk g r (fun c seg ->
+          walk := (c, bits seg) :: !walk;
+          sum := !sum +. seg)
+    in
+    if !walk <> !dda then Alcotest.failf "%s ray %d: stored walk differs from the DDA" size r;
+    if bits len <> bits !sum then
+      Alcotest.failf "%s ray %d: stored length %h <> summed segments %h" size r len !sum
+  done
+
+(* Rays whose end points fall exactly on a z cell boundary (z1 = 24.0 for
+   receiver 11, 72.0 for receiver 34): rounding in the DDA's repeated
+   [t_max_z] additions can add a tiny last segment past the end cell, so
+   no count derived from the end cells alone holds for them. *)
+let boundary_params =
+  { String_app.nx = 48; nz = 96; nrays = 2048; iters = 6; seed = 11;
+    rays = String_app.Straight }
 
 (* ---------------- Ocean ---------------- *)
 
@@ -255,12 +481,23 @@ let () =
           Alcotest.test_case "matches serial" `Quick test_water_matches_serial;
           Alcotest.test_case "forces present" `Quick test_water_momentum_conserved;
           Alcotest.test_case "deterministic" `Quick test_water_deterministic;
+          Alcotest.test_case "bit pins" `Quick test_water_bit_pins;
+          QCheck_alcotest.to_alcotest prop_water_kernels_bit_equal;
         ] );
       ( "string",
         [
           Alcotest.test_case "ray weights" `Quick test_string_ray_weights_sum;
           Alcotest.test_case "matches serial" `Quick test_string_matches_serial;
           Alcotest.test_case "inversion converges" `Quick test_string_inversion_converges;
+          Alcotest.test_case "bit pins" `Quick test_string_bit_pins;
+          Alcotest.test_case "store at test size" `Quick
+            (test_string_store "test" String_app.test_params);
+          Alcotest.test_case "store at bench size" `Quick
+            (test_string_store "bench" String_app.bench_params);
+          Alcotest.test_case "store at paper size" `Quick
+            (test_string_store "paper" String_app.paper_params);
+          Alcotest.test_case "store with rays ending on cell boundaries" `Quick
+            (test_string_store "boundary" boundary_params);
         ] );
       ( "ocean",
         [

@@ -383,6 +383,44 @@ let test_poison_render_raises () =
    with Assert_failure _ -> tripped := true);
   Alcotest.(check bool) "poison assertion tripped" true !tripped
 
+(* The CLI rejects table and figure numbers outside the paper's ranges
+   with a cmdliner usage error (exit 124) naming the range. *)
+let repro_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/repro.exe"
+
+let run_repro args =
+  let err = Filename.temp_file "repro" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s --size test --jobs 1 > /dev/null 2> %s"
+         (Filename.quote repro_exe) args (Filename.quote err))
+  in
+  let text = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  (code, text)
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let test_cli_rejects_out_of_range () =
+  List.iter
+    (fun (args, range) ->
+      let code, err = run_repro args in
+      Alcotest.(check int) (args ^ ": usage-error exit") 124 code;
+      Alcotest.(check bool) (args ^ ": names the range") true (contains err range);
+      Alcotest.(check bool) (args ^ ": no uncaught exception") false
+        (contains err "exception"))
+    [
+      ("table 99", "expected 1-14");
+      ("table 0", "expected 1-14");
+      ("table x", "expected 1-14");
+      ("figure 1", "expected 2-21");
+      ("figure 22", "expected 2-21");
+    ];
+  Alcotest.(check int) "table 1 still runs" 0 (fst (run_repro "table 1"))
+
 let () =
   Alcotest.run "experiments"
     [
@@ -404,6 +442,8 @@ let () =
         [
           Alcotest.test_case "ranges" `Quick test_figures_cover_range;
           Alcotest.test_case "out of range" `Quick test_figure_out_of_range;
+          Alcotest.test_case "CLI rejects out-of-range numbers" `Quick
+            test_cli_rejects_out_of_range;
         ] );
       ( "paper data",
         [

@@ -297,6 +297,40 @@ let test_crash_parity () =
         (check_engines_agree ~fault prog ~machine ~nprocs:4 ~domains:4))
     [ ("dash", R.dash); ("ipsc", R.ipsc860); ("lan", R.lan) ]
 
+(* --- worker team ----------------------------------------------------- *)
+
+(* Regression for a lost wakeup in [Team.parallel_for]: a worker still
+   leaving one batch's claim loop could claim and complete item 0 of the
+   next batch before the coordinator reset the completion count, which
+   then never reached n and the coordinator slept forever. Back-to-back
+   tiny batches on a 2-worker team hit that window within a few thousand
+   batches; the batches run on their own domain so a hang fails the test
+   at the deadline instead of stalling the suite. *)
+let test_team_back_to_back () =
+  let batches = 20_000 and n = 3 in
+  let finished = Atomic.make false in
+  let runner =
+    Domain.spawn (fun () ->
+        let team = Jade_sim.Team.create ~workers:2 in
+        let sum = Atomic.make 0 in
+        for _ = 1 to batches do
+          Jade_sim.Team.parallel_for team ~n (fun i ->
+              ignore (Atomic.fetch_and_add sum (i + 1)))
+        done;
+        Jade_sim.Team.shutdown team;
+        Atomic.set finished true;
+        Atomic.get sum)
+  in
+  let deadline = Unix.gettimeofday () +. 60.0 in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  if not (Atomic.get finished) then
+    Alcotest.failf "parallel_for hung: %d back-to-back batches did not finish in 60 s"
+      batches;
+  Alcotest.(check int) "every item ran exactly once" (batches * n * (n + 1) / 2)
+    (Domain.join runner)
+
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -311,6 +345,8 @@ let () =
             test_lookahead_violation;
           Alcotest.test_case "same-shard inserts below horizon" `Quick
             test_same_shard_inserts_ok;
+          Alcotest.test_case "team survives back-to-back batches" `Quick
+            test_team_back_to_back;
         ] );
       ( "runtime parity",
         [
