@@ -17,7 +17,6 @@
 
    Run with:  dune exec bench/main.exe -- [--quick] [--jobs N] [--no-baseline]
                 [--size test|bench] [--baseline FILE]
-                [--engine seq|pdes] [--domains D]
                 [--replay on|off] [--cache-dir DIR] [--no-cache]
                 [--fault-seed S] [--drop-rate R] [--dup-rate R] [--jitter SEC]
    (--quick skips the Bechamel pass; --no-baseline skips the sequential
@@ -142,8 +141,8 @@ type regen_stats = {
   replayed_tasks : int;  (** task bodies replayed instead of executed *)
 }
 
-let regenerate ~size ~jobs ?fault ?engine ?cache_dir ?(replay = true) ~emit () =
-  let r = Rn.create ~jobs ?fault ?engine ?cache_dir ~replay size in
+let regenerate ~size ~jobs ?fault ?cache_dir ?(replay = true) ~emit () =
+  let r = Rn.create ~jobs ?fault ?cache_dir ~replay size in
   let kernel_ms = ref [] in
   let timed name f =
     let t0 = Unix.gettimeofday () in
@@ -237,68 +236,15 @@ let measure_occupancy () =
     (Jade.Runtime.run_with ~machine:Jade.Runtime.ipsc860 ~nprocs:8 prog
        ~inspect:(fun _ m -> Jade.Metrics.occupancy m))
 
-(* PDES scaling scenario: one app at 256 simulated processors, run on the
-   sequential engine and on the sharded engine at 1 and 4 worker domains.
-   The three metric summaries must agree structurally (the engines are
-   byte-identical by construction; [parity] records that they actually
-   were), and each run's wall clock and events/s go into BENCH_repro.json
-   — so multicore scaling, or on a 1-core host the honest lack of it, is
-   a recorded number rather than a claim. Test scale: this measures the
-   engine, not the app. *)
-type pdes_row = {
-  pr_engine : string;
-  pr_domains : int;
-  pr_wall_s : float;
-  pr_events : int;
-}
-
-type pdes_scale = {
-  ps_app : string;
-  ps_nprocs : int;
-  ps_parity : bool;
-  ps_rows : pdes_row list;
-}
-
-let measure_pdes_scale () =
-  let nprocs = 256 in
-  let run engine =
-    let prog, _ =
-      Jade_apps.Water.make Jade_apps.Water.test_params
-        ~kind:Jade_apps.App_common.Mp ~placed:false ~nprocs
-    in
-    let t0 = Unix.gettimeofday () in
-    let s =
-      Jade.Runtime.run
-        ~config:{ Jade.Config.default with Jade.Config.engine }
-        ~machine:Jade.Runtime.ipsc860 ~nprocs prog
-    in
-    (Unix.gettimeofday () -. t0, s)
-  in
-  let w_seq, s_seq = run Jade.Config.Seq in
-  let w_p1, s_p1 = run (Jade.Config.Pdes { domains = 1 }) in
-  let w_p4, s_p4 = run (Jade.Config.Pdes { domains = 4 }) in
-  let row e d w (s : Jade.Metrics.summary) =
-    { pr_engine = e; pr_domains = d; pr_wall_s = w;
-      pr_events = s.Jade.Metrics.event_count }
-  in
-  {
-    ps_app = "water/ipsc";
-    ps_nprocs = nprocs;
-    ps_parity = s_p1 = s_seq && s_p4 = s_seq;
-    ps_rows =
-      [ row "seq" 1 w_seq s_seq; row "pdes" 1 w_p1 s_p1;
-        row "pdes" 4 w_p4 s_p4 ];
-  }
-
 (* Task-graph transformation A/B scenario: every app on every machine at
    8 simulated processors, test scale, once per --graph-opt level. One
    runner per level — the level folds into each cell's cache key, each
    affected cell lifts the group's recorded op streams into the
-   [Jade_graph.Ir] DAG, runs the certified pass pipeline, and replays the
+   [Jade_graph.Ir] DAG, runs the certified cluster pass, and replays the
    transformed store through the unmodified runtime. The [Gr_none] runner
    must reproduce the plain runner's summaries structurally (recorded as
    [ga_parity]); the interesting number is how many (app, machine) cells
-   the full pipeline actually improves. *)
+   the cluster pass actually improves. *)
 type graph_cell = {
   gc_app : string;
   gc_machine : string;
@@ -309,7 +255,7 @@ type graph_cell = {
 
 type graph_ab = {
   ga_parity : bool;  (* Gr_none summaries = plain-runner summaries *)
-  ga_improved : int;  (* cells where Gr_all cut messages or simulated time *)
+  ga_improved : int;  (* cells where Gr_cluster cut messages or simulated time *)
   ga_cells : int;  (* (app x machine) pairs measured *)
   ga_rows : graph_cell list;
 }
@@ -331,9 +277,7 @@ let measure_graph_opt () =
   in
   let plain = sweep (Rn.create ~jobs:1 Rn.Test) in
   let levels =
-    [ (Jade.Config.Gr_none, "none"); (Jade.Config.Gr_fuse, "fuse");
-      (Jade.Config.Gr_split, "split"); (Jade.Config.Gr_cluster, "cluster");
-      (Jade.Config.Gr_all, "all") ]
+    [ (Jade.Config.Gr_none, "none"); (Jade.Config.Gr_cluster, "cluster") ]
   in
   let by_level =
     List.map
@@ -350,13 +294,13 @@ let measure_graph_opt () =
   let improved =
     List.fold_left2
       (fun n (_, _, (none : Jade.Metrics.summary))
-           (_, _, (all : Jade.Metrics.summary)) ->
+           (_, _, (cluster : Jade.Metrics.summary)) ->
         if
-          all.Jade.Metrics.msg_count < none.Jade.Metrics.msg_count
-          || all.Jade.Metrics.elapsed_s < none.Jade.Metrics.elapsed_s
+          cluster.Jade.Metrics.msg_count < none.Jade.Metrics.msg_count
+          || cluster.Jade.Metrics.elapsed_s < none.Jade.Metrics.elapsed_s
         then n + 1
         else n)
-      0 (cells_of "none") (cells_of "all")
+      0 (cells_of "none") (cells_of "cluster")
   in
   {
     ga_parity = parity;
@@ -444,11 +388,10 @@ let baseline_wall_from_file ~size_name path =
   end
   else json_number_field content "wall_s"
 
-let write_json path ~size_name ~jobs ~engine_name ~(par : regen_stats)
+let write_json path ~size_name ~jobs ~(par : regen_stats)
     ~(baseline : regen_stats option) ~(baseline_file_wall : float option)
     ~(warm_wall_s : float option) ~(recovery : recovery_stats)
-    ~(occupancy : Jade.Metrics.occupancy) ~(pdes : pdes_scale)
-    ~(graph : graph_ab) =
+    ~(occupancy : Jade.Metrics.occupancy) ~(graph : graph_ab) =
   let oc = open_out path in
   let opt_float = function
     | Some v -> Printf.sprintf "%.6f" v
@@ -484,12 +427,11 @@ let write_json path ~size_name ~jobs ~engine_name ~(par : regen_stats)
   Printf.fprintf oc "  \"bench\": \"repro_regeneration\",\n";
   Printf.fprintf oc "  \"size\": \"%s\",\n" size_name;
   Printf.fprintf oc "  \"jobs\": %d,\n" jobs;
-  (* Host parallelism actually available to the pdes engine and the jobs
-     pool: scaling numbers from this file are only comparable between
-     hosts with the same core count. *)
+  (* Host parallelism actually available to the jobs pool: scaling
+     numbers from this file are only comparable between hosts with the
+     same core count. *)
   Printf.fprintf oc "  \"cores_detected\": %d,\n"
     (Domain.recommended_domain_count ());
-  Printf.fprintf oc "  \"engine\": \"%s\",\n" (json_escape engine_name);
   Printf.fprintf oc "  \"wall_s\": %.6f,\n" par.wall_s;
   Printf.fprintf oc "  \"events\": %d,\n" par.events;
   Printf.fprintf oc "  \"events_per_sec\": %.1f,\n" events_per_sec;
@@ -551,23 +493,6 @@ let write_json path ~size_name ~jobs ~engine_name ~(par : regen_stats)
     occupancy.Jade.Metrics.pool_hwm occupancy.Jade.Metrics.msg_cells
     occupancy.Jade.Metrics.cal_hwm occupancy.Jade.Metrics.cal_rebuilds
     occupancy.Jade.Metrics.now_cap occupancy.Jade.Metrics.esc_hwm;
-  let pdes_rows =
-    List.map
-      (fun r ->
-        Printf.sprintf
-          "      {\"engine\": \"%s\", \"domains\": %d, \"wall_s\": %.6f, \
-           \"events\": %d, \"events_per_sec\": %.1f}"
-          r.pr_engine r.pr_domains r.pr_wall_s r.pr_events
-          (if r.pr_wall_s > 0.0 then
-             float_of_int r.pr_events /. r.pr_wall_s
-           else 0.0))
-      pdes.ps_rows
-  in
-  Printf.fprintf oc
-    "  \"pdes_scale\": {\"app\": \"%s\", \"simulated_procs\": %d, \
-     \"parity\": %b, \"rows\": [\n%s\n    ]},\n"
-    (json_escape pdes.ps_app) pdes.ps_nprocs pdes.ps_parity
-    (String.concat ",\n" pdes_rows);
   let graph_rows =
     List.map
       (fun c ->
@@ -659,39 +584,6 @@ let () =
     | Some v -> v
     | None -> true
   in
-  let engine =
-    let kind =
-      flag_value "--engine" (function
-        | "seq" -> Some `Seq
-        | "pdes" -> Some `Pdes
-        | _ -> None)
-    in
-    let domains =
-      match
-        flag_value "--domains" (fun s ->
-            match int_of_string_opt s with
-            | Some d when d >= 1 -> Some d
-            | _ -> None)
-      with
-      | Some d -> d
-      | None -> 1
-    in
-    match kind with
-    | None | Some `Seq ->
-        if domains <> 1 then
-          invalid_arg
-            (Printf.sprintf
-               "--domains %d is only meaningful with --engine pdes (the \
-                sequential engine always runs on one domain)"
-               domains);
-        None
-    | Some `Pdes -> Some (Jade.Config.Pdes { domains })
-  in
-  let engine_name =
-    match engine with
-    | None -> "seq"
-    | Some e -> Jade.Config.engine_to_string e
-  in
   (* The disk cache defaults to a fresh temporary directory: the main
      pass is cold by construction (so events/sec stays an honest
      simulator figure) and the warm pass right after it measures the
@@ -712,7 +604,7 @@ let () =
     | None -> ""
     | Some f -> Format.asprintf " under %a" Jade_net.Fault.pp_spec f);
   let par =
-    regenerate ~size ~jobs ?fault ?engine ?cache_dir ~replay ~emit:true ()
+    regenerate ~size ~jobs ?fault ?cache_dir ~replay ~emit:true ()
   in
   (* Warm pass: same work against the now-populated disk cache. *)
   let warm =
@@ -720,8 +612,7 @@ let () =
     | None -> None
     | Some _ ->
         Some
-          (regenerate ~size ~jobs ?fault ?engine ?cache_dir ~replay
-             ~emit:false ())
+          (regenerate ~size ~jobs ?fault ?cache_dir ~replay ~emit:false ())
   in
   (* Sequential reference for the speedup (and, when jobs > 1, for the
      per-event allocation figure, which needs single-domain GC counters).
@@ -730,7 +621,7 @@ let () =
     if jobs > 1 && not no_baseline then begin
       Printf.printf
         "Regenerating again with --jobs 1 for the speedup baseline...\n";
-      Some (regenerate ~size ~jobs:1 ?fault ?engine ~replay ~emit:false ())
+      Some (regenerate ~size ~jobs:1 ?fault ~replay ~emit:false ())
     end
     else None
   in
@@ -777,26 +668,13 @@ let () =
   let occupancy = measure_occupancy () in
   Printf.printf "Occupancy (water/ipsc/8p, test scale): %s\n"
     (Format.asprintf "%a" Jade.Metrics.pp_occupancy occupancy);
-  let pdes = measure_pdes_scale () in
-  Printf.printf
-    "PDES scaling (%s, %d simulated procs, %d host core(s)): parity=%b\n"
-    pdes.ps_app pdes.ps_nprocs
-    (Domain.recommended_domain_count ())
-    pdes.ps_parity;
-  List.iter
-    (fun r ->
-      Printf.printf "  %-4s domains=%d  %.3f s wall  %.0f events/s\n"
-        r.pr_engine r.pr_domains r.pr_wall_s
-        (if r.pr_wall_s > 0.0 then float_of_int r.pr_events /. r.pr_wall_s
-         else 0.0))
-    pdes.ps_rows;
   let graph = measure_graph_opt () in
   Printf.printf
     "Graph-opt A/B (%d apps x 3 machines, 8 procs): parity=%b, %d/%d cells \
-     improved by fuse+cluster+split\n"
+     improved by cluster\n"
     (List.length Rn.all_apps) graph.ga_parity graph.ga_improved graph.ga_cells;
-  write_json "BENCH_repro.json" ~size_name ~jobs ~engine_name ~par ~baseline
+  write_json "BENCH_repro.json" ~size_name ~jobs ~par ~baseline
     ~baseline_file_wall
     ~warm_wall_s:(Option.map (fun (w : regen_stats) -> w.wall_s) warm)
-    ~recovery ~occupancy ~pdes ~graph;
+    ~recovery ~occupancy ~graph;
   Printf.printf "Wrote BENCH_repro.json\n"

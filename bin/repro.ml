@@ -16,6 +16,26 @@ let size_arg =
     & info [ "size" ] ~docv:"SIZE"
         ~doc:"Problem scale: test, bench (default) or paper (full data sets).")
 
+(* Value converters that reject out-of-range input at parse time, so a
+   misuse is a cmdliner usage error (exit 124) naming the flag rather
+   than an uncaught [Invalid_argument] from deep inside a run. *)
+let checked_conv base ~expected ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected %s" s expected))
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let positive_int = checked_conv Arg.int ~expected:"a positive integer" (fun n -> n >= 1)
+
+let probability =
+  checked_conv Arg.float ~expected:"a probability in [0,1]" (fun r ->
+      r >= 0.0 && r <= 1.0)
+
+let non_negative =
+  checked_conv Arg.float ~expected:"a non-negative number" (fun x -> x >= 0.0)
+
 let jobs_arg =
   Arg.(
     value
@@ -41,25 +61,25 @@ let fault_term =
   in
   let drop_arg =
     Arg.(
-      value & opt float 0.0
+      value & opt probability 0.0
       & info [ "drop-rate" ] ~docv:"R"
           ~doc:"Probability in [0,1] that a fabric message is lost.")
   in
   let dup_arg =
     Arg.(
-      value & opt float 0.0
+      value & opt probability 0.0
       & info [ "dup-rate" ] ~docv:"R"
           ~doc:"Probability in [0,1] that a fabric message is duplicated.")
   in
   let jitter_arg =
     Arg.(
-      value & opt float 0.0
+      value & opt non_negative 0.0
       & info [ "jitter" ] ~docv:"SEC"
           ~doc:"Maximum extra delivery latency, in virtual seconds.")
   in
   let crash_rate_arg =
     Arg.(
-      value & opt float 0.0
+      value & opt probability 0.0
       & info [ "crash-rate" ] ~docv:"R"
           ~doc:
             "Probability in [0,1] that each non-root processor suffers a \
@@ -75,10 +95,18 @@ let fault_term =
           |> List.filter (fun e -> String.trim e <> "")
           |> List.map (fun entry ->
                  match String.split_on_char '@' (String.trim entry) with
-                 | [ p; t ] -> (int_of_string p, float_of_string t)
+                 | [ p; t ] ->
+                     let p = int_of_string p and t = float_of_string t in
+                     if p < 0 || not (t >= 0.0) then failwith "range";
+                     (p, t)
                  | _ -> failwith "syntax"))
       with _ ->
-        Error (`Msg (Printf.sprintf "invalid crash schedule %S: want P@T,P@T,..." s))
+        Error
+          (`Msg
+            (Printf.sprintf
+               "invalid crash schedule %S: want P@T,P@T,... with P and T \
+                non-negative"
+               s))
     in
     let print ppf l =
       Format.pp_print_string ppf
@@ -106,7 +134,7 @@ let fault_term =
   in
   let crash_restart_arg =
     Arg.(
-      value & opt float 0.0
+      value & opt non_negative 0.0
       & info [ "crash-restart" ] ~docv:"SEC"
           ~doc:
             "When positive, a crashed processor restarts (cold caches, \
@@ -125,49 +153,6 @@ let fault_term =
   Term.(
     const make $ seed_arg $ drop_arg $ dup_arg $ jitter_arg $ crash_rate_arg
     $ crash_at_arg $ crash_seed_arg $ crash_restart_arg)
-
-(* Engine selection: --engine pdes runs every simulation on the
-   conservatively time-windowed parallel engine (one event shard per
-   simulated processor); --domains picks how many worker domains commit
-   its windows. Outputs are byte-identical to the sequential engine by
-   construction — the CI parity matrix diffs the two. *)
-let engine_term =
-  let engine_arg =
-    Arg.(
-      value
-      & opt (some (enum [ ("seq", `Seq); ("pdes", `Pdes) ])) None
-      & info [ "engine" ] ~docv:"E"
-          ~doc:
-            "Discrete-event engine: $(b,seq) (default; one calendar queue) \
-             or $(b,pdes) (conservative time-windowed parallel engine with \
-             one event shard per simulated processor). Every rendered byte \
-             is identical across engines; only wall-clock time may differ.")
-  in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"D"
-          ~doc:
-            "Worker domains the pdes engine extracts windows across \
-             (meaningful only with $(b,--engine pdes); 1 = windowed but \
-             single-domain).")
-  in
-  let make engine domains =
-    match engine with
-    | Some `Pdes -> Some (Jade.Config.Pdes { domains = max 1 domains })
-    | (None | Some `Seq) when domains <> 1 ->
-        (* Silently ignoring --domains would let a user believe they
-           measured a 4-domain run on the sequential engine. *)
-        raise
-          (Invalid_argument
-             (Printf.sprintf
-                "--domains %d is only meaningful with --engine pdes (the \
-                 sequential engine always runs on one domain)"
-                domains))
-    | None -> None
-    | Some `Seq -> Some Jade.Config.Seq
-  in
-  Term.(const make $ engine_arg $ domains_arg)
 
 (* Replay and persistent-cache controls, shared by every Runner-backed
    subcommand. Both layers are output-preserving: toggling them can only
@@ -196,19 +181,13 @@ let cache_dir_arg =
            settings), so a later invocation with the same cache replays \
            results from disk without simulating.")
 
-(* The sixth optimization family: offline task-graph transformation
-   passes over the recorded op streams, replayed through the unmodified
+(* The sixth optimization family: an offline task-graph transformation
+   pass over the recorded op streams, replayed through the unmodified
    runtime. [none] is byte-identical to omitting the flag (the
    graph-parity CI job diffs the two). *)
 let graph_opt_conv =
   Arg.enum
-    [
-      ("none", Jade.Config.Gr_none);
-      ("fuse", Jade.Config.Gr_fuse);
-      ("split", Jade.Config.Gr_split);
-      ("cluster", Jade.Config.Gr_cluster);
-      ("all", Jade.Config.Gr_all);
-    ]
+    [ ("none", Jade.Config.Gr_none); ("cluster", Jade.Config.Gr_cluster) ]
 
 let graph_opt_arg =
   Arg.(
@@ -216,36 +195,28 @@ let graph_opt_arg =
     & opt (some graph_opt_conv) None
     & info [ "graph-opt" ] ~docv:"PASS"
         ~doc:
-          "Task-graph transformation passes applied to each run group's \
-           recorded op streams before replay: $(b,none) (byte-identical \
-           to omitting the flag), $(b,fuse) (pin small producer/consumer \
-           chains to one processor), $(b,split) (cut oversized tasks at \
-           release boundaries), $(b,cluster) (re-home tasks to the \
-           majority owner of their accesses) or $(b,all). Every pass is \
-           checked by a validity certificate; requires $(b,--replay on).")
+          "Task-graph transformation applied to each run group's recorded \
+           op streams before replay: $(b,none) (byte-identical to omitting \
+           the flag) or $(b,cluster) (re-home tasks to the majority owner \
+           of their accesses, checked by a validity certificate; requires \
+           $(b,--replay on)).")
 
-(* Closure-lane oracle: re-run every simulation with flat event
-   descriptors re-wrapped as closures (the pre-flat representation).
-   Byte-identical output by construction — the CI oracle-parity leg
-   diffs a digest across this flag. *)
-let oracle_arg =
-  Arg.(
-    value & flag
-    & info [ "oracle" ]
-        ~doc:
-          "Run the event engine in closure-lane oracle mode: flat event \
-           descriptors are re-wrapped as closures with identical (time, \
-           seq) commit order. Every rendered byte is identical to the \
-           default flat engine; only wall-clock time may differ.")
+(* [Runner.create] rejects option combinations it cannot honour (a graph
+   pass without replay); its message names the flags, and turning it into
+   a term error makes the misuse a usage error instead of a crash. *)
+let create_runner ~jobs ?fault ?graph_opt ?cache_dir ~replay size =
+  match Runner.create ~jobs ?fault ?graph_opt ?cache_dir ~replay size with
+  | r -> Ok r
+  | exception Invalid_argument msg -> Error (`Msg msg)
 
 let runner_term =
-  let make size jobs fault engine graph_opt oracle replay cache_dir =
-    Runner.create ~jobs ?fault ?engine ?graph_opt ~oracle ?cache_dir ~replay
-      size
+  let make size jobs fault graph_opt replay cache_dir =
+    create_runner ~jobs ?fault ?graph_opt ?cache_dir ~replay size
   in
-  Term.(
-    const make $ size_arg $ jobs_arg $ fault_term $ engine_term
-    $ graph_opt_arg $ oracle_arg $ replay_arg $ cache_dir_arg)
+  Term.term_result ~usage:true
+    Term.(
+      const make $ size_arg $ jobs_arg $ fault_term $ graph_opt_arg
+      $ replay_arg $ cache_dir_arg)
 
 let print_table ?paper t =
   print_string (Report.render_comparison ~ours:t ~paper);
@@ -336,15 +307,15 @@ let regen_cmd =
       & info [ "no-cache" ]
           ~doc:"Disable the persistent run cache for this regeneration.")
   in
-  let run size jobs fault engine graph_opt replay cache_dir no_cache =
+  let make size jobs fault graph_opt replay cache_dir no_cache =
     let cache_dir =
       if no_cache then None
       else Some (Option.value cache_dir ~default:(default_cache_dir ()))
     in
+    create_runner ~jobs ?fault ?graph_opt ?cache_dir ~replay size
+  in
+  let run r =
     let t0 = Unix.gettimeofday () in
-    let r =
-      Runner.create ~jobs ?fault ?engine ?graph_opt ?cache_dir ~replay size
-    in
     print_everything r;
     Runner.flush_cache_stats r;
     let wall = Unix.gettimeofday () -. t0 in
@@ -365,8 +336,10 @@ let regen_cmd =
           statistics on stderr. A second run against the same cache \
           simulates nothing.")
     Term.(
-      const run $ size_arg $ jobs_arg $ fault_term $ engine_term
-      $ graph_opt_arg $ replay_arg $ cache_dir_arg $ no_cache_arg)
+      const run
+      $ term_result ~usage:true
+          (const make $ size_arg $ jobs_arg $ fault_term $ graph_opt_arg
+          $ replay_arg $ cache_dir_arg $ no_cache_arg))
 
 let cache_cmd =
   let action_arg =
@@ -434,7 +407,9 @@ let run_cmd =
       & info [ "machine" ] ~docv:"M" ~doc:"dash, ipsc (default) or lan.")
   in
   let procs_arg =
-    Arg.(value & opt int 8 & info [ "procs"; "p" ] ~docv:"P" ~doc:"Processors.")
+    Arg.(
+      value & opt positive_int 8
+      & info [ "procs"; "p" ] ~docv:"P" ~doc:"Processors.")
   in
   let level_arg =
     Arg.(
@@ -454,7 +429,7 @@ let run_cmd =
   in
   let target_arg =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "target-tasks" ] ~docv:"T"
           ~doc:"Tasks the scheduler keeps per processor (2 = latency hiding).")
   in
@@ -477,8 +452,8 @@ let run_cmd =
              not carry them.")
   in
   let run app machine nprocs level no_bcast no_fetch no_repl target size trace
-      stats fault engine graph_opt =
-    let r = Runner.create ?fault ?engine ?graph_opt size in
+      stats fault graph_opt =
+    let r = Runner.create ?fault ?graph_opt size in
     let config =
       {
         (Runner.config_of_level level) with
@@ -544,7 +519,7 @@ let run_cmd =
     Term.(
       const run $ app_arg $ machine_arg $ procs_arg $ level_arg $ broadcast_arg
       $ fetch_arg $ replication_arg $ target_arg $ size_arg $ trace_arg
-      $ stats_arg $ fault_term $ engine_term $ graph_opt_arg)
+      $ stats_arg $ fault_term $ graph_opt_arg)
 
 (* One summary line per (app, level, nprocs) on a single machine backend.
    The output is deterministic and jobs-independent, so CI hashes it at
@@ -588,8 +563,8 @@ let digest_cmd =
     Term.(const run $ machine_arg $ runner_term)
 
 (* Inspect and transform the task-graph IR directly: lift one program's
-   recorded op streams into the DAG and dump, summarize or run the pass
-   pipeline over it, printing each pass's statistics and validity
+   recorded op streams into the DAG and dump, summarize or run the
+   cluster pass over it, printing its statistics and validity
    certificate. *)
 let graph_cmd =
   let action_arg =
@@ -604,8 +579,8 @@ let graph_cmd =
           ~doc:
             "$(b,dump) prints the serialized IR; $(b,stats) summarizes the \
              DAG (tasks, edges, objects, grain); $(b,transform) runs the \
-             pass pipeline and prints per-pass statistics and validity \
-             certificates.")
+             cluster pass and prints its statistics and validity \
+             certificate.")
   in
   let app_arg =
     Arg.(
@@ -620,7 +595,9 @@ let graph_cmd =
       & info [ "machine" ] ~docv:"M" ~doc:"dash, ipsc (default) or lan.")
   in
   let procs_arg =
-    Arg.(value & opt int 8 & info [ "procs"; "p" ] ~docv:"P" ~doc:"Processors.")
+    Arg.(
+      value & opt positive_int 8
+      & info [ "procs"; "p" ] ~docv:"P" ~doc:"Processors.")
   in
   let placed_arg =
     Arg.(
@@ -628,7 +605,7 @@ let graph_cmd =
       & info [ "placed" ]
           ~doc:"Use the program variant with explicit task placement.")
   in
-  let run action app machine nprocs placed size graph_opt =
+  let run action app machine nprocs placed size =
     let r = Runner.create ~jobs:1 size in
     match Runner.task_graph r ~app ~machine ~nprocs ~placed with
     | Error e ->
@@ -668,39 +645,20 @@ let graph_cmd =
             Format.printf "  tasks with mid-body releases: %d@." !releasers;
             Format.printf "  explicitly placed tasks: %d@." !placed_n
         | `Transform ->
-            let gopt = Option.value graph_opt ~default:Jade.Config.Gr_all in
-            let res = Jade_graph.Passes.run (Runner.passes_of gopt) g in
-            Format.printf "pipeline: %s@."
-              (Jade.Config.graph_opt_to_string gopt);
-            List.iter
-              (fun st ->
-                Format.printf "  pass %s: %d nodes edited (%s)@."
-                  st.Jade_graph.Passes.p_pass st.Jade_graph.Passes.p_changed
-                  st.Jade_graph.Passes.p_detail)
-              res.Jade_graph.Passes.stats;
-            List.iter
-              (fun c ->
-                Format.printf "  certificate %a@." Jade_graph.Verify.pp c)
-              res.Jade_graph.Passes.certs;
-            let before_placed =
+            let res = Jade_graph.Passes.cluster g in
+            Format.printf "  pass cluster: %d nodes edited (%s)@."
+              res.Jade_graph.Passes.changed res.Jade_graph.Passes.detail;
+            Format.printf "  certificate %a@." Jade_graph.Verify.pp
+              res.Jade_graph.Passes.cert;
+            let placed_count graph =
               Array.fold_left
                 (fun acc node ->
                   if node.Ir.n_placement <> None then acc + 1 else acc)
-                0 g.Ir.nodes
-            and after = res.Jade_graph.Passes.graph in
-            let after_placed =
-              Array.fold_left
-                (fun acc node ->
-                  if node.Ir.n_placement <> None then acc + 1 else acc)
-                0 after.Ir.nodes
-            and cuts =
-              Array.fold_left
-                (fun acc node -> acc + Array.length node.Ir.n_cuts)
-                0 after.Ir.nodes
+                0 graph.Ir.nodes
             in
-            Format.printf
-              "  result: %d of %d tasks placed (%d before), %d segment cuts@."
-              after_placed (Ir.node_count after) before_placed cuts)
+            let after = res.Jade_graph.Passes.graph in
+            Format.printf "  result: %d of %d tasks placed (%d before)@."
+              (placed_count after) (Ir.node_count after) (placed_count g))
   in
   Cmd.v
     (Cmd.info "graph"
@@ -709,7 +667,7 @@ let graph_cmd =
           dump, summarize or transform it.")
     Term.(
       const run $ action_arg $ app_arg $ machine_arg $ procs_arg $ placed_arg
-      $ size_arg $ graph_opt_arg)
+      $ size_arg)
 
 let factor_cmd =
   let matrix_arg =
@@ -720,7 +678,9 @@ let factor_cmd =
           ~doc:"Symmetric positive-definite matrix in MatrixMarket format.")
   in
   let procs_arg =
-    Arg.(value & opt int 8 & info [ "procs"; "p" ] ~docv:"P" ~doc:"Processors.")
+    Arg.(
+      value & opt positive_int 8
+      & info [ "procs"; "p" ] ~docv:"P" ~doc:"Processors.")
   in
   let width_arg =
     Arg.(value & opt int 8 & info [ "panel-width" ] ~docv:"W" ~doc:"Panel width.")

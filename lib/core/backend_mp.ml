@@ -246,7 +246,7 @@ let restart b p ~was_detected =
       end;
       Engine.spawn
         ~name:(Printf.sprintf "dispatcher-%d" p)
-        ~shard:p b.core.Backend.eng
+        b.core.Backend.eng
         (fun () -> dispatcher b p)
     end
     (* else: the crash was cancelled before the boundary — the dispatcher
@@ -278,16 +278,12 @@ let start b () =
   for p = 0 to b.core.Backend.nprocs - 1 do
     Fabric.set_handler b.fabric p (handler b p)
   done;
-  (* Shard affinity: the central scheduler lives on node 0's shard and
-     each dispatcher on its own node's, so on a sharded engine the only
-     cross-shard events are fabric deliveries — which carry at least one
-     hop of wire latency, the engine's lookahead. *)
-  Engine.spawn ~name:"mp-scheduler" ~shard:0 b.core.Backend.eng (fun () ->
+  Engine.spawn ~name:"mp-scheduler" b.core.Backend.eng (fun () ->
       scheduler_process b);
   for p = 0 to b.core.Backend.nprocs - 1 do
     Engine.spawn
       ~name:(Printf.sprintf "dispatcher-%d" p)
-      ~shard:p b.core.Backend.eng
+      b.core.Backend.eng
       (fun () -> dispatcher b p)
   done
 

@@ -151,7 +151,7 @@ let restart b p ~was_detected:_ =
     Scheduler_shm.mark_up b.sched p;
     Engine.spawn
       ~name:(Printf.sprintf "dispatcher-%d" p)
-      ~shard:p b.core.Backend.eng
+      b.core.Backend.eng
       (fun () -> dispatcher b p)
   end
 
@@ -172,12 +172,10 @@ let on_enable b (task : Taskrec.t) =
       wake_idle ~first:task.Taskrec.target b
 
 let start b () =
-  (* Each dispatcher is bound to its node's event shard, so a node's
-     delays and wakeups stay in its own far lane on a sharded engine. *)
   for p = 0 to b.core.Backend.nprocs - 1 do
     Engine.spawn
       ~name:(Printf.sprintf "dispatcher-%d" p)
-      ~shard:p b.core.Backend.eng
+      b.core.Backend.eng
       (fun () -> dispatcher b p)
   done
 

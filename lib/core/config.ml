@@ -1,8 +1,6 @@
 type locality_level = No_locality | Locality | Task_placement
 
-type engine_kind = Seq | Pdes of { domains : int }
-
-type graph_opt = Gr_none | Gr_fuse | Gr_split | Gr_cluster | Gr_all
+type graph_opt = Gr_none | Gr_cluster
 
 type t = {
   locality : locality_level;
@@ -13,9 +11,7 @@ type t = {
   work_free : bool;
   eager_transfer : bool;
   fault : Jade_net.Fault.spec option;
-  engine : engine_kind;
   graph_opt : graph_opt;
-  oracle : bool;
 }
 
 let default =
@@ -28,29 +24,8 @@ let default =
     work_free = false;
     eager_transfer = false;
     fault = None;
-    engine = Seq;
     graph_opt = Gr_none;
-    oracle = false;
   }
-
-let engine_to_string = function
-  | Seq -> "seq"
-  | Pdes { domains } -> Printf.sprintf "pdes:%d" domains
-
-let graph_opt_to_string = function
-  | Gr_none -> "none"
-  | Gr_fuse -> "fuse"
-  | Gr_split -> "split"
-  | Gr_cluster -> "cluster"
-  | Gr_all -> "all"
-
-let graph_opt_of_string = function
-  | "none" -> Some Gr_none
-  | "fuse" -> Some Gr_fuse
-  | "split" -> Some Gr_split
-  | "cluster" -> Some Gr_cluster
-  | "all" -> Some Gr_all
-  | _ -> None
 
 let locality_to_string = function
   | No_locality -> "no-locality"

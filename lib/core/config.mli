@@ -6,22 +6,9 @@ type locality_level =
   | Locality  (** the implementation's locality heuristic (§3.2.1 / §3.4.3) *)
   | Task_placement  (** honour the programmer's explicit task placement *)
 
-type engine_kind =
-  | Seq  (** the sequential event engine — the digest-parity oracle *)
-  | Pdes of { domains : int }
-      (** conservative time-windowed PDES: one event shard per simulated
-          processor, windows sized by the machine's cross-node latency
-          floor, window extraction parallelized over [domains] worker
-          domains (1 = sharded data structures, no host parallelism).
-          Bit-identical results to [Seq] at any domain count — the knob
-          trades host execution strategy, never simulation output. *)
-
 type graph_opt =
   | Gr_none  (** no graph transformation: byte-identical to the baseline *)
-  | Gr_fuse  (** pin small producer/consumer chains to one processor *)
-  | Gr_split  (** cut oversized tasks into segments at release boundaries *)
   | Gr_cluster  (** re-home tasks to the majority owner of their accesses *)
-  | Gr_all  (** fuse, then cluster, then split *)
 
 type t = {
   locality : locality_level;
@@ -48,28 +35,16 @@ type t = {
           that let the communicator survive it. [None] (and any plan with
           all rates zero) leaves the simulation bit-identical to the
           fault-free baseline. Only meaningful on message-passing machines. *)
-  engine : engine_kind;
-      (** which event-engine execution strategy drives the simulation.
-          Deliberately NOT printed by {!pp}: every rendered output
-          (digests, tables, figures) must be byte-identical across
-          engines, which is what the PDES-parity CI checks compare. *)
   graph_opt : graph_opt;
-      (** the sixth optimization family: offline task-graph transformation
-          passes ([Jade_graph.Passes]) applied to the recorded op streams
-          before replay. Interpreted by the experiment runner (the runtime
-          itself never reads it — transformed graphs arrive through the
-          replay handle); it rides the marshalled config into the memo and
-          disk-cache keys. Like [engine], deliberately NOT printed by
-          {!pp}: [Gr_none] output must be byte-identical to a config that
-          predates the field, which the graph-parity CI checks compare. *)
-  oracle : bool;
-      (** run the event engine in closure-lane oracle mode
-          ({!Jade_sim.Engine.create}): flat event descriptors are
-          re-wrapped as closures riding the escape slab — the
-          pre-flat-descriptor representation with identical (time, seq)
-          commit order. A verification knob (the CI oracle-parity leg
-          diffs digests across it); production runs leave it [false].
-          Like [engine], deliberately NOT printed by {!pp}. *)
+      (** the sixth optimization family: an offline task-graph
+          transformation pass ([Jade_graph.Passes]) applied to the
+          recorded op streams before replay. Interpreted by the experiment
+          runner (the runtime itself never reads it — transformed graphs
+          arrive through the replay handle); it rides the marshalled
+          config into the memo and disk-cache keys. Deliberately NOT
+          printed by {!pp}: [Gr_none] output must be byte-identical to a
+          config that predates the field, which the graph-parity CI checks
+          compare. *)
 }
 
 (** All optimizations on, no latency hiding ([target_tasks = 1]) — the
@@ -78,12 +53,5 @@ val default : t
 
 val locality_to_string : locality_level -> string
 
-val engine_to_string : engine_kind -> string
-
-val graph_opt_to_string : graph_opt -> string
-
-val graph_opt_of_string : string -> graph_opt option
-
-(** Renders every field except [engine], [graph_opt] and [oracle] — see
-    their docs above. *)
+(** Renders every field except [graph_opt] — see its doc above. *)
 val pp : Format.formatter -> t -> unit

@@ -56,9 +56,10 @@ type t = {
           deterministic re-execution *)
   (* Occupancy high-water marks — pool and queue sizing observability
      ([repro run --stats], BENCH_repro.json). Deliberately NOT part of
-     {!summary}: the parity checks (PDES scale, graph A/B) compare
-     summaries structurally, and peak occupancy legitimately differs
-     across execution strategies that produce identical trajectories. *)
+     {!summary}: the parity checks (replay, disk cache, graph A/B)
+     compare summaries structurally, and peak occupancy legitimately
+     differs across execution strategies that produce identical
+     trajectories. *)
   mutable occ_pool_hwm : int;
       (** peak protocol-message records simultaneously out of the pool *)
   mutable occ_msg_cells : int;

@@ -107,12 +107,6 @@ let placement_override h ~tid =
   if not h.store.st_transformed then None
   else match node h ~tid with Some n -> n.Ir.n_placement | None -> None
 
-let empty_cuts = [||]
-
-let cuts h ~tid =
-  if not h.store.st_transformed then empty_cuts
-  else match node h ~tid with Some n -> n.Ir.n_cuts | None -> empty_cuts
-
 let task_begin h ~tid =
   if h.t_mode = Record && not h.store.st_poisoned then
     Hashtbl.replace h.bufs tid (ref [])
@@ -153,7 +147,6 @@ let node_of_task (task : Taskrec.t) ~ran_on ops =
     n_ran_on = ran_on;
     n_accesses = accesses;
     n_ops = ops;
-    n_cuts = [||];
   }
 
 let task_end h ~task ~ran_on ~ok =

@@ -20,10 +20,9 @@
     typed task DAG ({!graph}) that the {!Jade_graph.Passes} pipeline can
     transform, and a transformed graph lowers back into a store
     ({!of_graph}) that replays through the unmodified runtime — the
-    transformed placements ride {!placement_override} and the splitting
-    pass's segment boundaries ride {!cuts}. An untransformed store never
-    overrides anything, so replay without passes stays byte-identical to
-    real execution.
+    transformed placements ride {!placement_override}. An untransformed
+    store never overrides anything, so replay without passes stays
+    byte-identical to real execution.
 
     A body that creates tasks or shared objects mid-execution cannot be
     replayed this way; recording detects this, warns once on stderr
@@ -71,11 +70,11 @@ val graph : store -> Jade_graph.Ir.t option
 
 (** [of_graph g] is a sealed store that replays the (typically
     pass-transformed) graph [g]: task placements in [g] surface through
-    {!placement_override} and segment boundaries through {!cuts}. *)
+    {!placement_override}. *)
 val of_graph : Jade_graph.Ir.t -> store
 
 (** Whether this store came from {!of_graph} — i.e. carries transformed
-    placements/cuts that override the program's own. *)
+    placements that override the program's own. *)
 val transformed : store -> bool
 
 type mode = Record | Replay
@@ -106,10 +105,6 @@ val trace : t -> tid:int -> op array option
     Always [None] on untransformed stores, so plain replay cannot
     perturb scheduling. *)
 val placement_override : t -> tid:int -> int option
-
-(** [cuts h ~tid] are the splitting pass's segment boundaries for task
-    [tid] (op indices), [[||]] when unsplit or untransformed. *)
-val cuts : t -> tid:int -> int array
 
 (** Record-mode: open the recording buffer for task [tid]. *)
 val task_begin : t -> tid:int -> unit

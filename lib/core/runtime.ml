@@ -115,32 +115,11 @@ let recovery_tuning machine =
         fun size ->
           c.Costs.msg_startup +. (float_of_int size /. c.Costs.bandwidth) )
 
-(* Conservative window width for the PDES engine: the machine's minimum
-   cross-node latency floor. On the message-passing machines every
-   cross-node delivery pays at least one hop of wire latency, so no event
-   scheduled inside a window can land on another shard before the window
-   ends. DASH has no fabric — nothing ever crosses shards, so any
-   positive width is conservative; the remote-miss service time is the
-   natural scale (it bounds how densely a node's activity is spaced). *)
-let lookahead_floor machine =
-  match machine with
-  | Dash c -> c.Costs.cycle *. float_of_int c.Costs.remote_cycles
-  | Ipsc c | Lan c -> c.Costs.hop_latency
-
 let make ?trace ?replay cfg machine nprocs =
   (* Event-queue population scales with the processor count (dispatchers,
      mailboxes, in-flight fabric messages): pre-size the heap so large
      runs never pay the growth-doubling cascade. *)
-  let shards, domains =
-    match cfg.Config.engine with
-    | Config.Seq -> (1, 1)
-    | Config.Pdes { domains } -> (nprocs, max 1 domains)
-  in
-  let eng =
-    Engine.create ~events_hint:(256 * nprocs) ~shards
-      ~lookahead:(lookahead_floor machine) ~domains
-      ~oracle:cfg.Config.oracle ()
-  in
+  let eng = Engine.create ~events_hint:(256 * nprocs) () in
   let nodes = Array.init nprocs (Mnode.create eng) in
   let metrics = Metrics.create () in
   (* The synchronizer notifies the backend (enable, write-commit) and the
@@ -296,23 +275,7 @@ let dispatch_body t body task proc =
       match Replay.trace h ~tid with
       | Some ops ->
           Replay.note_replayed h;
-          let cuts = Replay.cuts h ~tid in
-          if Array.length cuts = 0 then Array.iter (replay_op t task proc) ops
-          else begin
-            (* Splitting-pass segment boundaries: yield the processor to
-               the event engine between segments, so work the preceding
-               release enabled interleaves with the remaining stream
-               instead of queueing behind it. *)
-            let next = ref 0 in
-            Array.iteri
-              (fun i op ->
-                if !next < Array.length cuts && cuts.(!next) = i then begin
-                  incr next;
-                  Engine.delay t.core.Backend.eng 0.0
-                end;
-                replay_op t task proc op)
-              ops
-          end
+          Array.iter (replay_op t task proc) ops
       | None -> (
           match Replay.mode h with
           | Replay.Replay -> body { env_task = task; proc; env_rt = t }

@@ -95,16 +95,9 @@ type t = {
   fault : Jade_net.Fault.spec option;
       (** chaos plan folded into every run's config (before the memo key is
           built, so chaos results never alias fault-free ones) *)
-  engine : Jade.Config.engine_kind option;
-      (** event-engine selection folded into every run's config, like
-          [fault] — it participates in the memo and disk-cache keys *)
   graph_opt : Jade.Config.graph_opt option;
       (** task-graph transformation selection folded into every run's
-          config, like [engine] — it participates in both cache keys *)
-  oracle : bool;
-      (** closure-lane oracle mode folded into every run's config, like
-          [engine] — flat vs oracle results are cached separately so the
-          parity checks actually re-simulate *)
+          config, like [fault] — it participates in both cache keys *)
   use_replay : bool;  (** cross-configuration record/replay enabled *)
   disk : Runcache.t option;  (** persistent result cache, when configured *)
   lock : Mutex.t;  (** guards every mutable field below *)
@@ -115,9 +108,9 @@ type t = {
       (** thunks registered by {!run_custom} during a planning pass *)
   custom_results : (string, float) Hashtbl.t;
   stores : (group, Jade.Replay.store) Hashtbl.t;
-  tstores : (group * Jade.Config.graph_opt, Jade.Replay.store) Hashtbl.t;
-      (** pass-transformed stores, derived once per (group, graph-opt)
-          from the group's sealed base store *)
+  tstores : (group, Jade.Replay.store) Hashtbl.t;
+      (** cluster-transformed stores, derived once per group from the
+          group's sealed base store *)
   mutable plan : work list option;
       (** [Some acc] while a {!parallel} planning pass records the runs a
           computation needs (reversed); [None] during normal execution *)
@@ -127,8 +120,7 @@ type t = {
   mutable n_replayed_tasks : int;  (** task bodies replayed, not executed *)
 }
 
-let create ?jobs ?fault ?engine ?graph_opt ?(oracle = false) ?cache_dir
-    ?(replay = true) sz =
+let create ?jobs ?fault ?graph_opt ?cache_dir ?(replay = true) sz =
   let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
   (match graph_opt with
   | Some g when g <> Jade.Config.Gr_none && not replay ->
@@ -140,9 +132,7 @@ let create ?jobs ?fault ?engine ?graph_opt ?(oracle = false) ?cache_dir
     sz;
     jobs;
     fault;
-    engine;
     graph_opt;
-    oracle;
     use_replay = replay;
     disk = Option.map (fun dir -> Runcache.create ~dir) cache_dir;
     lock = Mutex.create ();
@@ -318,20 +308,11 @@ let simulate_base t key =
   s
 
 (* ------------------------------------------------------------------ *)
-(* Graph-transformed simulation. A cell whose config selects a graph
+(* Graph-transformed simulation. A cell whose config selects the graph
    optimization needs the group's op streams before it can run at all:
-   the passes rewrite the recorded graph and the run replays the
-   transformed store (placement overrides and segment boundaries ride
-   the replay handle into the unmodified runtime). *)
-
-let passes_of = function
-  | Jade.Config.Gr_none -> []
-  | Jade.Config.Gr_fuse -> [ Jade_graph.Passes.Fuse ]
-  | Jade.Config.Gr_split -> [ Jade_graph.Passes.Split ]
-  | Jade.Config.Gr_cluster -> [ Jade_graph.Passes.Cluster ]
-  | Jade.Config.Gr_all ->
-      [ Jade_graph.Passes.Fuse; Jade_graph.Passes.Cluster;
-        Jade_graph.Passes.Split ]
+   the pass rewrites the recorded graph and the run replays the
+   transformed store (placement overrides ride the replay handle into the
+   unmodified runtime). *)
 
 (* A sealed base store for the group, recording one (its summary is
    discarded, its events counted) if no prior run has. The warm-phase
@@ -362,13 +343,13 @@ let ensure_group_store t key =
   | `Record store -> record store
   | `Busy -> record (Jade.Replay.create_store ~label:(group_label t g) ())
 
-(* The pass-transformed store for (group, graph-opt), derived once from
-   the sealed base store under the runner lock (pass pipelines are
-   deterministic, so any domain deriving it produces the same store). *)
-let transformed_store t key gopt store =
+(* The cluster-transformed store for the group, derived once from the
+   sealed base store under the runner lock (the pass is deterministic, so
+   any domain deriving it produces the same store). *)
+let transformed_store t key store =
   let g = group_of key in
   locked t (fun () ->
-      match Hashtbl.find_opt t.tstores (g, gopt) with
+      match Hashtbl.find_opt t.tstores g with
       | Some ts -> ts
       | None ->
           let graph =
@@ -376,19 +357,19 @@ let transformed_store t key gopt store =
             | Some graph -> graph
             | None -> assert false (* caller checked the store is clean *)
           in
-          let res = Jade_graph.Passes.run (passes_of gopt) graph in
+          let res = Jade_graph.Passes.cluster graph in
           let ts = Jade.Replay.of_graph res.Jade_graph.Passes.graph in
-          Hashtbl.add t.tstores (g, gopt) ts;
+          Hashtbl.add t.tstores g ts;
           ts)
 
-let simulate_transformed t key gopt =
+let simulate_transformed t key =
   let store = ensure_group_store t key in
   if Jade.Replay.poisoned store then
     (* Some body created tasks or objects mid-run: the group has no
        liftable graph. Run untransformed — the store already warned. *)
     simulate_base t key
   else begin
-    let ts = transformed_store t key gopt store in
+    let ts = transformed_store t key store in
     let h = Jade.Replay.replayer ts in
     let s = run_sim t key (Some h) in
     locked t (fun () ->
@@ -397,14 +378,16 @@ let simulate_transformed t key gopt =
   end
 
 let simulate t key =
-  let gopt = key.k_config.Jade.Config.graph_opt in
-  if gopt = Jade.Config.Gr_none || key.k_config.Jade.Config.work_free then
-    simulate_base t key
+  let config = key.k_config in
+  if
+    config.Jade.Config.graph_opt = Jade.Config.Gr_none
+    || config.Jade.Config.work_free
+  then simulate_base t key
   else if not t.use_replay then
     invalid_arg
       "Runner: graph transformation (--graph-opt) replays transformed op \
        streams, so it requires record/replay (--replay on)"
-  else simulate_transformed t key gopt
+  else simulate_transformed t key
 
 (* Disk-aware computation: the boolean reports whether a simulation
    actually ran (a disk hit must not count engine events). *)
@@ -515,26 +498,18 @@ let record t w =
   | Some acc -> t.plan <- Some (w :: acc)
   | None -> assert false
 
-(* Fold the runner-wide fault plan and engine selection into a run's
-   config before the memo key is built — both change (or for the engine,
-   must provably not change) the computation, so both live in the key. *)
+(* Fold the runner-wide fault plan and graph-opt selection into a run's
+   config before the memo key is built — both change the computation, so
+   both live in the key. *)
 let with_overrides t (config : Jade.Config.t) =
   let config =
     match t.fault with
     | None -> config
     | Some f -> { config with Jade.Config.fault = Some f }
   in
-  let config =
-    match t.engine with
-    | None -> config
-    | Some e -> { config with Jade.Config.engine = e }
-  in
-  let config =
-    match t.graph_opt with
-    | None -> config
-    | Some g -> { config with Jade.Config.graph_opt = g }
-  in
-  if t.oracle then { config with Jade.Config.oracle = true } else config
+  match t.graph_opt with
+  | None -> config
+  | Some g -> { config with Jade.Config.graph_opt = g }
 
 let run t ~app ~machine ~nprocs ~config ~placed =
   let config = with_overrides t config in

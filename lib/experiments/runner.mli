@@ -49,37 +49,26 @@ val config_of_level : level -> Jade.Config.t
 
 type t
 
-(** [create ?jobs ?fault ?engine ?graph_opt ?cache_dir ?replay size]
-    makes a runner whose result cache is domain-safe. [jobs] (default
+(** [create ?jobs ?fault ?graph_opt ?cache_dir ?replay size] makes a
+    runner whose result cache is domain-safe. [jobs] (default
     {!Pool.default_jobs}, clamped to at least 1) is the number of domains
     {!parallel} fans uncached simulations out across. [fault], when
     given, is a deterministic chaos plan ({!Jade_net.Fault}) folded into
     the configuration of every run this runner executes — it participates
     in the memo key and the disk-cache key, so chaos results never alias
-    fault-free ones. [engine], when given, selects the event engine
-    ({!Jade.Config.engine_kind}) the same way: folded into every config
-    and into both cache keys, so sequential and PDES results are cached
-    separately (they must be byte-identical, and keeping them apart is
-    what lets the parity checks prove it). [graph_opt], when given,
-    selects the task-graph transformation passes the same way: each
-    affected cell lifts its group's recorded op streams into the
-    {!Jade_graph.Ir} DAG, runs the certified pass pipeline, and replays
-    the transformed store through the unmodified runtime ([Gr_none]
-    cells stay byte-identical to a runner with no [graph_opt]).
-    [Gr_none]-folding aside, [graph_opt] requires [replay]; the
-    combination with [~replay:false] raises [Invalid_argument].
-    [oracle] (default [false]) runs every simulation's event engine in
-    closure-lane oracle mode ({!Jade.Config.t.oracle}), folded into every
-    config and both cache keys like [engine] — the oracle-parity CI leg
-    diffs digests across it. [cache_dir] enables the persistent disk
-    cache. [replay] (default [true]) enables cross-configuration
-    record/replay. *)
+    fault-free ones. [graph_opt], when given, selects the task-graph
+    transformation the same way: each affected cell lifts its group's
+    recorded op streams into the {!Jade_graph.Ir} DAG, runs the certified
+    cluster pass, and replays the transformed store through the
+    unmodified runtime ([Gr_none] cells stay byte-identical to a runner
+    with no [graph_opt]). [Gr_cluster] requires [replay]; the combination
+    with [~replay:false] raises [Invalid_argument]. [cache_dir] enables
+    the persistent disk cache. [replay] (default [true]) enables
+    cross-configuration record/replay. *)
 val create :
   ?jobs:int ->
   ?fault:Jade_net.Fault.spec ->
-  ?engine:Jade.Config.engine_kind ->
   ?graph_opt:Jade.Config.graph_opt ->
-  ?oracle:bool ->
   ?cache_dir:string ->
   ?replay:bool ->
   size ->
@@ -191,10 +180,6 @@ val serial_time : t -> app:app -> machine:machine -> float
 (** Virtual execution time of the stripped program (Jade constructs
     removed): total declared work over the machine's rate. *)
 val stripped_time : t -> app:app -> machine:machine -> float
-
-(** The pass pipeline each [graph_opt] level denotes ([Gr_all] = fuse,
-    then cluster, then split). *)
-val passes_of : Jade.Config.graph_opt -> Jade_graph.Passes.kind list
 
 (** [task_graph t ~app ~machine ~nprocs ~placed] lifts the program's
     recorded execution into its task-graph IR: records the group's op

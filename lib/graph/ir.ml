@@ -20,7 +20,6 @@ type node = {
   n_ran_on : int;
   n_accesses : access array;
   n_ops : op array;
-  n_cuts : int array;
 }
 
 type t = {
@@ -99,9 +98,6 @@ let encode g =
           | Work f -> Buffer.add_string b (Printf.sprintf "w %h\n" f)
           | Release s -> Buffer.add_string b (Printf.sprintf "r %d\n" s))
         n.n_ops;
-      Array.iter
-        (fun c -> Buffer.add_string b (Printf.sprintf "c %d\n" c))
-        n.n_cuts;
       Buffer.add_string b "e\n")
     g.nodes;
   Buffer.contents b
@@ -112,7 +108,6 @@ type partial = {
   mutable p_node : node option;
   mutable p_accesses : access list;
   mutable p_ops : op list;
-  mutable p_cuts : int list;
 }
 
 let decode_nodes s =
@@ -124,9 +119,7 @@ let decode_nodes s =
       if String.trim first <> magic then
         Error (Printf.sprintf "bad header %S (want %S)" first magic)
       else begin
-        let cur =
-          { p_node = None; p_accesses = []; p_ops = []; p_cuts = [] }
-        in
+        let cur = { p_node = None; p_accesses = []; p_ops = [] } in
         let out = ref [] in
         let rec go lineno = function
           | [] ->
@@ -151,7 +144,6 @@ let decode_nodes s =
                             n_ran_on = ran;
                             n_accesses = [||];
                             n_ops = [||];
-                            n_cuts = [||];
                           })
                     with
                     | n ->
@@ -193,12 +185,6 @@ let decode_nodes s =
                       cur.p_ops <- Release s :: cur.p_ops;
                       go (lineno + 1) tl
                   | exception _ -> fail "malformed release line")
-              | 'c' -> (
-                  match Scanf.sscanf line "c %d" (fun c -> c) with
-                  | c ->
-                      cur.p_cuts <- c :: cur.p_cuts;
-                      go (lineno + 1) tl
-                  | exception _ -> fail "malformed cut line")
               | 'e' -> (
                   match cur.p_node with
                   | None -> fail "node end with no open node"
@@ -209,13 +195,11 @@ let decode_nodes s =
                           n_accesses =
                             Array.of_list (List.rev cur.p_accesses);
                           n_ops = Array.of_list (List.rev cur.p_ops);
-                          n_cuts = Array.of_list (List.rev cur.p_cuts);
                         }
                         :: !out;
                       cur.p_node <- None;
                       cur.p_accesses <- [];
                       cur.p_ops <- [];
-                      cur.p_cuts <- [];
                       go (lineno + 1) tl)
               | _ -> fail "unrecognized line")
         in

@@ -39,11 +39,8 @@ type access = {
   a_produces : int;
 }
 
-(** One task. [n_cuts] is written by the splitting pass: ascending op
-    indices at which the op stream is divided into segments (each cut
-    must fall immediately after a [Release]); [[||]] means unsplit.
-    [n_placement] is the explicit placement the program declared, or the
-    placement a pass assigned. [n_ran_on] is observed data-access
+(** One task. [n_placement] is the explicit placement the program
+    declared, or the placement a pass assigned. [n_ran_on] is observed data-access
     information: the processor the recording run actually executed the
     task on ([-1] if unknown) — on message-passing machines every object
     is allocated at processor 0, so the static homes say nothing about
@@ -57,7 +54,6 @@ type node = {
   n_ran_on : int;
   n_accesses : access array;  (** declaration order; entry 0 is the locality object *)
   n_ops : op array;
-  n_cuts : int array;
 }
 
 (** A built graph: nodes in ascending id order plus the derived

@@ -1,19 +1,16 @@
-type kind = Fuse | Split | Cluster
+type result = {
+  graph : Ir.t;
+  changed : int;
+  detail : string;
+  cert : Verify.cert;
+}
 
-type stat = { p_pass : string; p_changed : int; p_detail : string }
-
-type result = { graph : Ir.t; stats : stat list; certs : Verify.cert list }
-
-let kind_name = function
-  | Fuse -> "fuse"
-  | Split -> "split"
-  | Cluster -> "cluster"
-
-(* Rebuild a graph from edited nodes. Passes edit placement and cuts
-   only, so the derived edges come out identical — which the certificate
-   then independently confirms. *)
-let rebuild nodes = Build.make (Array.to_list nodes)
-
+(* The static locality projection: the processor each task is expected
+   to execute on, following explicit placement where declared, the
+   observed schedule where recorded, and the owner (last projected
+   writer, initially the allocation home) of the task's locality object
+   otherwise — a machine-independent approximation of the schedulers'
+   locality heuristic. *)
 let projected_placement g =
   let n = Array.length g.Ir.nodes in
   let proj = Array.make n 0 in
@@ -49,118 +46,6 @@ let projected_placement g =
     g.Ir.nodes;
   proj
 
-(* Mean charged work per task: the grain scale both fusion (small = at
-   most the mean) and splitting (oversized = more than twice the mean)
-   measure against. *)
-let mean_grain g =
-  let n = Array.length g.Ir.nodes in
-  if n = 0 then 0.0 else Ir.total_work g /. float_of_int n
-
-(* ------------------------------------------------------------------ *)
-(* Fusion. A chain link is a producer/consumer pair (a, b) where b is
-   a's only consumer, a is b's only producer, both are small, and the
-   locality projection already expects both on the same processor.
-   Union-find gathers links into maximal chains; every member of a
-   multi-task chain is pinned to the chain's projected processor, so the
-   scheduler can no longer scatter the chain's tail across processors
-   (load balancing, stealing) and the intermediate versions stay local —
-   one placement decision amortized over the whole chain, the way fusing
-   the tasks into one would, without editing the task set. *)
-
-let fuse g =
-  let n = Array.length g.Ir.nodes in
-  let proj = projected_placement g in
-  let grain = mean_grain g in
-  let small pos = Ir.trace_work g.Ir.nodes.(pos) <= grain in
-  let parent = Array.init n (fun i -> i) in
-  let rec find i = if parent.(i) = i then i else find parent.(i) in
-  let union a b =
-    let ra = find a and rb = find b in
-    (* keep the smaller position as root: the chain anchor *)
-    if ra < rb then parent.(rb) <- ra else if rb < ra then parent.(ra) <- rb
-  in
-  Array.iteri
-    (fun b preds ->
-      match preds with
-      | [ a ] when g.Ir.succs.(a) = [ b ] ->
-          if small a && small b && proj.(a) = proj.(b) then union a b
-      | _ -> ())
-    g.Ir.preds;
-  let members = Array.make n 0 in
-  Array.iteri (fun i _ -> members.(find i) <- members.(find i) + 1) parent;
-  let changed = ref 0 and chains = ref 0 and covered = ref 0 in
-  Array.iter
-    (fun m ->
-      if m > 1 then begin
-        incr chains;
-        covered := !covered + m
-      end)
-    members;
-  let nodes =
-    Array.mapi
-      (fun pos node ->
-        let r = find pos in
-        if members.(r) > 1 && node.Ir.n_placement <> Some proj.(r) then begin
-          incr changed;
-          { node with Ir.n_placement = Some proj.(r) }
-        end
-        else node)
-      g.Ir.nodes
-  in
-  ( rebuild nodes,
-    {
-      p_pass = "fuse";
-      p_changed = !changed;
-      p_detail =
-        Printf.sprintf "%d chains covering %d of %d tasks (grain <= %.3g flops)"
-          !chains !covered n grain;
-    } )
-
-(* ------------------------------------------------------------------ *)
-(* Splitting. An oversized task (charged work more than twice the mean
-   grain) whose op stream commits versions mid-body is cut into segments
-   immediately after each mid-body release: downstream consumers were
-   already enabled at the release, and the segment boundary additionally
-   yields the executing processor to the event engine, so enabled work
-   interleaves with the long tail instead of queueing behind it. *)
-
-let split g =
-  let grain = mean_grain g in
-  let changed = ref 0 and segments = ref 0 in
-  let nodes =
-    Array.map
-      (fun node ->
-        let len = Array.length node.Ir.n_ops in
-        if
-          Array.length node.Ir.n_cuts = 0
-          && len > 1
-          && Ir.trace_work node > 2.0 *. grain
-        then begin
-          let cuts = ref [] in
-          for i = len - 1 downto 1 do
-            match node.Ir.n_ops.(i - 1) with
-            | Ir.Release _ -> cuts := i :: !cuts
-            | Ir.Work _ -> ()
-          done;
-          match !cuts with
-          | [] -> node
-          | cuts ->
-              incr changed;
-              segments := !segments + List.length cuts + 1;
-              { node with Ir.n_cuts = Array.of_list cuts }
-        end
-        else node)
-      g.Ir.nodes
-  in
-  ( rebuild nodes,
-    {
-      p_pass = "split";
-      p_changed = !changed;
-      p_detail =
-        Printf.sprintf "%d oversized tasks cut into %d segments (grain > %.3g flops)"
-          !changed !segments (2.0 *. grain);
-    } )
-
 (* ------------------------------------------------------------------ *)
 (* Locality re-clustering. The schedulers' locality heuristic follows a
    single access — the task's first-declared (locality) object — and
@@ -185,9 +70,9 @@ let split g =
    forward in task-id order, so a re-homed producer's consumers vote for
    its new home. *)
 
-let cluster g =
-  let n = Array.length g.Ir.nodes in
-  let proj0 = projected_placement g in
+let cluster before =
+  let n = Array.length before.Ir.nodes in
+  let proj0 = projected_placement before in
   let owner = Hashtbl.create (max 16 n) in
   let votes = Hashtbl.create 8 in
   let changed = ref 0 and pinned = ref 0 in
@@ -250,31 +135,21 @@ let cluster g =
               Hashtbl.replace owner (a.Ir.a_obj, a.Ir.a_produces) p)
           node.Ir.n_accesses;
         node)
-      g.Ir.nodes
+      before.Ir.nodes
   in
-  ( rebuild nodes,
-    {
-      p_pass = "cluster";
-      p_changed = !changed;
-      p_detail =
-        Printf.sprintf
-          "pinned %d unplaced tasks, %d moved off the observed schedule"
-          !pinned !changed;
-    } )
-
-let apply = function Fuse -> fuse | Split -> split | Cluster -> cluster
-
-let run kinds g =
-  let graph, rev_stats, rev_certs =
-    List.fold_left
-      (fun (g, stats, certs) kind ->
-        let g', stat = apply kind g in
-        let cert = Verify.check ~pass:(kind_name kind) ~before:g ~after:g' in
-        if not (Verify.ok cert) then
-          invalid_arg
-            (Format.asprintf "Passes.run: dirty certificate: %a" Verify.pp
-               cert);
-        (g', stat :: stats, cert :: certs))
-      (g, [], []) kinds
-  in
-  { graph; stats = List.rev rev_stats; certs = List.rev rev_certs }
+  (* The derived edges come out identical — placement is all this pass
+     edits — which the certificate then independently confirms. *)
+  let after = Build.make (Array.to_list nodes) in
+  let cert = Verify.check ~pass:"cluster" ~before ~after in
+  if not (Verify.ok cert) then
+    invalid_arg
+      (Format.asprintf "Passes.cluster: dirty certificate: %a" Verify.pp cert);
+  {
+    graph = after;
+    changed = !changed;
+    detail =
+      Printf.sprintf
+        "pinned %d unplaced tasks, %d moved off the observed schedule" !pinned
+        !changed;
+    cert;
+  }

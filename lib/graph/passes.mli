@@ -1,56 +1,26 @@
-(** Task-graph optimization passes.
+(** Task-graph optimization pass over the {!Ir}, in the spirit of
+    task-graph transformation work (Eijkhout's latency-tolerance
+    transformations, MARS-style dataflow re-partitioning), composing with
+    — rather than replacing — the runtime's communication optimizations.
 
-    Three initial passes over the {!Ir}, in the spirit of task-graph
-    transformation work (Eijkhout's latency-tolerance transformations,
-    MARS-style dataflow re-partitioning), composing with — rather than
-    replacing — the runtime's communication optimizations:
+    {b Locality re-clustering} re-homes unplaced tasks to the size-weighted
+    majority owner of the object versions they access, replacing the
+    scheduler's single-locality-object heuristic with a whole-access-set
+    vote.
 
-    - {b Fusion} pins chains of small producer/consumer tasks that the
-      static locality projection already expects on the same processor,
-      so the whole chain executes there and the intermediate versions
-      never cross the network — amortizing per-message startup the way
-      explicit task aggregation would, without changing the task set.
-    - {b Splitting} cuts oversized op streams into segments at release
-      boundaries, bounding task grain so a long tail task cannot
-      serialize the machine (latency tolerance); segment boundaries
-      yield to the event engine at execution.
-    - {b Locality re-clustering} re-homes unplaced tasks to the
-      size-weighted majority owner of the object versions they access,
-      replacing the scheduler's single-locality-object heuristic with a
-      whole-access-set vote.
-
-    Placement and segmentation are the only degrees of freedom: a pass
-    never edits ids, names, access sets, op streams or declared work.
-    {!run} checks that via {!Verify.check} after every pass and raises
-    [Invalid_argument] on a dirty certificate, so a transformed graph
-    reaching the replay layer always carries a clean certificate
-    chain. *)
-
-type kind = Fuse | Split | Cluster
-
-(** What one pass did, for reporting. *)
-type stat = {
-  p_pass : string;
-  p_changed : int;  (** nodes whose placement or cuts the pass edited *)
-  p_detail : string;
-}
+    Placement is the only degree of freedom: the pass never edits ids,
+    names, access sets, op streams or declared work. {!cluster} checks
+    that via {!Verify.check} and raises [Invalid_argument] on a dirty
+    certificate, so a transformed graph reaching the replay layer always
+    carries a clean certificate. *)
 
 type result = {
   graph : Ir.t;
-  stats : stat list;  (** in pass order *)
-  certs : Verify.cert list;  (** in pass order, all valid *)
+  changed : int;  (** tasks the pass moved off the projected placement *)
+  detail : string;  (** what the pass did, for reporting *)
+  cert : Verify.cert;  (** always valid *)
 }
 
-val kind_name : kind -> string
-
-(** The static locality projection: the processor each task is expected
-    to execute on, following explicit placement where declared and the
-    owner (last projected writer, initially the allocation home) of the
-    task's locality object otherwise — a machine-independent
-    approximation of the schedulers' locality heuristic. Exposed for
-    stats and tests. *)
-val projected_placement : Ir.t -> int array
-
-(** Run the passes in order, certifying each. Raises [Invalid_argument]
-    if any certificate comes back dirty (a pass bug, never data). *)
-val run : kind list -> Ir.t -> result
+(** Run the re-clustering pass and certify it. Raises [Invalid_argument]
+    if the certificate comes back dirty (a pass bug, never data). *)
+val cluster : Ir.t -> result

@@ -1,7 +1,7 @@
 (* Pass validity certificates. Every transformation pass must preserve
    the program's synchronization-visible semantics; this module checks
    the preservation properties directly on the before/after graphs and
-   issues a certificate naming each property. The pass pipeline refuses
+   issues a certificate naming each property. [Passes.cluster] refuses
    to hand a graph to the replay layer unless its certificate is clean.
 
    The properties:
@@ -9,15 +9,13 @@
    - node set: same task ids, none added or removed (the recorded
      program still creates exactly these tasks);
    - access sets: every task's declared accesses — objects, modes and
-     resolved version chain positions — are untouched (placement and
-     segmentation are the only degrees of freedom a pass has);
+     resolved version chain positions — are untouched (placement is the
+     only degree of freedom a pass has);
    - release order: each task's mid-body release sequence, the work
      charged before each release, and the total charged work are
      unchanged (so the synchronizer observes the same commits at the
      same flop offsets);
-   - edges: the derived data-flow DAG is identical;
-   - cuts: segment boundaries fall only immediately after a [Release]
-     op (a segment break anywhere else would split a work charge). *)
+   - edges: the derived data-flow DAG is identical. *)
 
 type cert = {
   v_pass : string;
@@ -25,11 +23,10 @@ type cert = {
   v_accesses : bool;
   v_releases : bool;
   v_edges : bool;
-  v_cuts : bool;
   v_detail : string;
 }
 
-let ok c = c.v_nodes && c.v_accesses && c.v_releases && c.v_edges && c.v_cuts
+let ok c = c.v_nodes && c.v_accesses && c.v_releases && c.v_edges
 
 (* Release sequence of an op stream paired with the cumulative work
    charged before each release, plus the total work. *)
@@ -42,19 +39,6 @@ let release_profile ops =
       | Ir.Release s -> rels := (s, !acc) :: !rels)
     ops;
   (List.rev !rels, !acc)
-
-let cuts_valid n =
-  let len = Array.length n.Ir.n_ops in
-  let last = ref 0 in
-  Array.for_all
-    (fun c ->
-      let okc =
-        c > !last && c < len
-        && match n.Ir.n_ops.(c - 1) with Ir.Release _ -> true | Ir.Work _ -> false
-      in
-      last := c;
-      okc)
-    n.Ir.n_cuts
 
 let check ~pass ~before ~after =
   let fails = Buffer.create 64 in
@@ -87,21 +71,18 @@ let check ~pass ~before ~after =
   if nodes_ok && not releases_ok then note "release order or work changed";
   let edges_ok = nodes_ok && before.Ir.preds = after.Ir.preds in
   if nodes_ok && not edges_ok then note "data-flow edges changed";
-  let cuts_ok = Array.for_all cuts_valid after.Ir.nodes in
-  if not cuts_ok then note "cut off a release boundary";
   {
     v_pass = pass;
     v_nodes = nodes_ok;
     v_accesses = accesses_ok;
     v_releases = releases_ok;
     v_edges = edges_ok;
-    v_cuts = cuts_ok;
     v_detail =
       (if Buffer.length fails = 0 then "preserved" else Buffer.contents fails);
   }
 
 let pp fmt c =
   Format.fprintf fmt
-    "%s: %s [nodes=%b accesses=%b releases=%b edges=%b cuts=%b]" c.v_pass
+    "%s: %s [nodes=%b accesses=%b releases=%b edges=%b]" c.v_pass
     (if ok c then "valid" else "INVALID: " ^ c.v_detail)
-    c.v_nodes c.v_accesses c.v_releases c.v_edges c.v_cuts
+    c.v_nodes c.v_accesses c.v_releases c.v_edges

@@ -30,11 +30,6 @@ type 'a t = {
   hop_latency : float;
   bus : Mnode.t option;  (** shared medium all transfers serialize through *)
   fault : Fault.t option;  (** chaos plan for interrupt-context traffic *)
-  sharded : bool;
-      (** engine has one event shard per node: deliveries route to the
-          destination's shard so remote traffic is the only cross-shard
-          edge (and it carries at least one hop of latency — the
-          engine's lookahead) *)
   dummy : 'a;  (** inert body used to blank recycled cells *)
   clone : 'a -> 'a;
       (** copies a body for fault duplication, so the duplicate cannot
@@ -95,7 +90,6 @@ let create ?bus ?fault ?(clone = Fun.id) ?(release = ignore) eng ~dummy ~nodes
       hop_latency;
       bus;
       fault;
-      sharded = Engine.shards eng >= Array.length nodes && Engine.shards eng > 1;
       dummy;
       clone;
       release;
@@ -162,10 +156,7 @@ let deliver_at t time m =
   end
   else begin
     record t m;
-    if t.sharded then
-      Engine.schedule_op_at_shard t.eng ~shard:m.dst ~op:t.deliver_op
-        ~arg:m.slot time
-    else Engine.schedule_op_at t.eng ~op:t.deliver_op ~arg:m.slot time
+    Engine.schedule_op_at t.eng ~op:t.deliver_op ~arg:m.slot time
   end
 
 (* Faultable delivery: interrupt-context traffic and broadcast copies go

@@ -17,29 +17,6 @@ let no_process = Named ""
    [mutable clock : float] field in the mixed record below. *)
 type fl = { mutable clock : float; mutable pending : float }
 
-(* All-float window state for the sharded (PDES) engine: the bounds of
-   the current conservative window plus the tightest commit margins ever
-   observed against them — the evidence the lookahead-bound tests check. *)
-type wfl = {
-  mutable wstart : float;
-  mutable wend : float;
-  mutable floor_margin : float;  (** min over commits of (time - wstart) *)
-  mutable end_margin : float;  (** min over commits of (wend - time) *)
-}
-
-type window_stats = {
-  ws_shards : int;
-  ws_lookahead : float;
-  ws_windows : int;
-  ws_min_floor_margin : float;
-      (** +inf until a far event commits inside a window; never negative —
-          negative would mean an event committed before its window's floor *)
-  ws_min_end_margin : float;
-      (** +inf until a far event commits; always strictly positive — zero
-          or negative would mean an event committed at/after the window end
-          it was extracted under *)
-}
-
 (* --- flat event descriptors ---------------------------------------------
 
    A far-lane event is one immediate int word: [(arg lsl op_bits) lor op].
@@ -62,51 +39,8 @@ let op_mask = (1 lsl op_bits) - 1
 
 let max_ops = 1 lsl op_bits
 
-(* Per-shard staging buffers for the parallel extraction phase: at a
-   window boundary each worker domain drains its shards' calendar entries
-   below the window end into these sorted runs; the serial commit phase
-   then consumes staging and calendars through one merged head per
-   shard. Only allocated when the engine runs with worker domains.
-   Entries are flat descriptor words, so a drained run retains nothing. *)
-type stage = {
-  mutable st_times : float array;
-  mutable st_seqs : int array;
-  mutable st_words : int array;
-  mutable st_len : int;
-  mutable st_pos : int;
-}
-
 type t = {
-  events : Calendar.t;
-      (** shard 0's far lane — the only one on a sequential engine *)
-  cals : Calendar.t array;
-      (** per-shard far lanes, keyed by (time, seq); [cals.(0) == events] *)
-  nshards : int;
-  lookahead : float;  (** conservative window width; 0 on sequential engines *)
-  domains : int;
-  oracle : bool;
-      (** closure-lane oracle mode: flat ops route through the escape slab
-          as wrapper closures instead of packed words (see
-          {!schedule_op_at}) — same seq assignment, same commit order, the
-          representation the property tests compare against *)
-  mutable team : Team.t option;  (** live only inside a [run] with domains > 1 *)
-  mutable cur_shard : int;
-      (** shard of the code currently executing: far events carry the shard
-          they were scheduled into, process resumes restore their spawn
-          shard. Same-shard schedules route here, so a node's activity
-          stays in its own calendar. *)
-  (* Index heap over shards, keyed by each shard's head — the earliest
-     (time, seq) across its staging run and its calendar. The root is the
-     global earliest far event, so serial commit pops shards in exactly
-     the (time, seq) order a single-calendar engine would use: results
-     are independent of the shard and domain count by construction. *)
-  hp : int array;  (** heap slot -> shard *)
-  hpos : int array;  (** shard -> heap slot *)
-  key_t : float array;  (** shard -> head time; +inf when the shard is idle *)
-  key_s : int array;  (** shard -> head seq; max_int when idle *)
-  stages : stage array;  (** per-shard staging; [||] unless domains > 1 *)
-  wfl : wfl;
-  mutable windows : int;
+  events : Calendar.t;  (** the far lane, keyed by (time, seq) *)
   fl : fl;
   mutable seq : int;
   (* Flat-dispatch handler table, indexed by opcode. Slot 0 is the escape
@@ -138,13 +72,10 @@ type t = {
      (ivar fills, mailbox sends) schedule the waiter's resume function
      directly instead of allocating a [fun () -> resume v] wrapper per
      wakeup. Zero-delay flat events ride the same way: the handler from
-     [ops] is the fn and the immediate int operand the arg. Each entry
-     also records the shard of the code that pushed it, restored as
-     [cur_shard] when it fires. *)
+     [ops] is the fn and the immediate int operand the arg. *)
   mutable now_seqs : int array;
   mutable now_fns : Obj.t array;
   mutable now_args : Obj.t array;
-  mutable now_shards : int array;
   mutable now_head : int;
   mutable now_len : int;
   mutable live : int;
@@ -201,18 +132,15 @@ let grow_now t =
   let cap' = 2 * cap in
   let seqs = Array.make cap' 0 in
   let fns = Array.make cap' nop_fn and args = Array.make cap' unit_arg in
-  let shards = Array.make cap' 0 in
   for i = 0 to t.now_len - 1 do
     let j = (t.now_head + i) land (cap - 1) in
     seqs.(i) <- t.now_seqs.(j);
     fns.(i) <- t.now_fns.(j);
-    args.(i) <- t.now_args.(j);
-    shards.(i) <- t.now_shards.(j)
+    args.(i) <- t.now_args.(j)
   done;
   t.now_seqs <- seqs;
   t.now_fns <- fns;
   t.now_args <- args;
-  t.now_shards <- shards;
   t.now_head <- 0
 
 (* [push_call t f x] enqueues the application [f x]; [push_now t f] is
@@ -227,10 +155,14 @@ let push_call : 'a. t -> ('a -> unit) -> 'a -> unit =
   t.now_seqs.(i) <- t.seq;
   t.now_fns.(i) <- Obj.repr f;
   t.now_args.(i) <- Obj.repr x;
-  t.now_shards.(i) <- t.cur_shard;
   t.now_len <- t.now_len + 1
 
 let push_now t (f : unit -> unit) = push_call t f ()
+
+(* Far-lane push of a descriptor word at a time strictly after now. *)
+let push_far t time w =
+  t.seq <- t.seq + 1;
+  Calendar.push t.events ~time ~seq:t.seq w
 
 (* --- escape slab --- *)
 
@@ -267,128 +199,12 @@ let far_word t f = esc_put t f lsl op_bits
    [register_op] results or the escape path), so the reads are unsafe. *)
 let exec_word t w = (Array.unsafe_get t.ops (w land op_mask)) (w asr op_bits)
 
-(* --- shard-head index heap (sharded engines only) --- *)
-
-let heap_less t a b =
-  t.key_t.(a) < t.key_t.(b)
-  || (t.key_t.(a) = t.key_t.(b) && t.key_s.(a) < t.key_s.(b))
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    let si = t.hp.(i) and sp = t.hp.(p) in
-    if heap_less t si sp then begin
-      t.hp.(i) <- sp;
-      t.hp.(p) <- si;
-      t.hpos.(sp) <- i;
-      t.hpos.(si) <- p;
-      sift_up t p
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 in
-  if l < t.nshards then begin
-    let r = l + 1 in
-    let m = if r < t.nshards && heap_less t t.hp.(r) t.hp.(l) then r else l in
-    if heap_less t t.hp.(m) t.hp.(i) then begin
-      let a = t.hp.(i) and b = t.hp.(m) in
-      t.hp.(i) <- b;
-      t.hp.(m) <- a;
-      t.hpos.(b) <- i;
-      t.hpos.(a) <- m;
-      sift_down t m
-    end
-  end
-
-(* Recompute shard [s]'s head from its staging run and its calendar.
-   Seqs are globally unique, so the merged head is unambiguous. *)
-let refresh_key t s =
-  let cal = t.cals.(s) in
-  let ct, cs =
-    if Calendar.is_empty cal then (infinity, max_int)
-    else (Calendar.min_time cal, Calendar.min_seq cal)
-  in
-  if Array.length t.stages > 0 then begin
-    let st = t.stages.(s) in
-    if st.st_pos < st.st_len then begin
-      let pt = st.st_times.(st.st_pos) and ps = st.st_seqs.(st.st_pos) in
-      if pt < ct || (pt = ct && ps < cs) then begin
-        t.key_t.(s) <- pt;
-        t.key_s.(s) <- ps
-      end
-      else begin
-        t.key_t.(s) <- ct;
-        t.key_s.(s) <- cs
-      end
-    end
-    else begin
-      t.key_t.(s) <- ct;
-      t.key_s.(s) <- cs
-    end
-  end
-  else begin
-    t.key_t.(s) <- ct;
-    t.key_s.(s) <- cs
-  end
-
-(* Far-lane push into an explicit shard, maintaining its cached head.
-   A push can only lower its shard's key (seqs grow monotonically, so a
-   same-time push never wins the tie against an older head). *)
-let push_far t shard time w =
-  t.seq <- t.seq + 1;
-  Calendar.push t.cals.(shard) ~time ~seq:t.seq w;
-  if time < t.key_t.(shard) then begin
-    t.key_t.(shard) <- time;
-    t.key_s.(shard) <- t.seq;
-    sift_up t t.hpos.(shard)
-  end
-
-let create ?(events_hint = 16) ?(shards = 1) ?(lookahead = 0.0) ?(domains = 1)
-    ?(oracle = false) () =
-  if shards < 1 then invalid_arg "Engine.create: shards must be >= 1";
-  if shards > 1 && not (lookahead > 0.0) then
-    invalid_arg "Engine.create: a sharded engine needs a positive lookahead";
-  if domains < 1 then invalid_arg "Engine.create: domains must be >= 1";
-  let per_shard = max 16 (events_hint / shards) in
-  let cals = Array.init shards (fun _ -> Calendar.create ~capacity:per_shard ()) in
-  let stages =
-    if domains > 1 && shards > 1 then
-      Array.init shards (fun _ ->
-          {
-            st_times = Array.make 16 0.0;
-            st_seqs = Array.make 16 0;
-            st_words = Array.make 16 0;
-            st_len = 0;
-            st_pos = 0;
-          })
-    else [||]
-  in
+let create ?(events_hint = 16) () =
   let bl_cap = 16 in
   let esc_cap = 16 in
   let t =
     {
-      events = cals.(0);
-      cals;
-      nshards = shards;
-      lookahead;
-      domains;
-      oracle;
-      team = None;
-      cur_shard = 0;
-      hp = Array.init shards Fun.id;
-      hpos = Array.init shards Fun.id;
-      key_t = Array.make shards infinity;
-      key_s = Array.make shards max_int;
-      stages;
-      wfl =
-        {
-          wstart = neg_infinity;
-          wend = neg_infinity;
-          floor_margin = infinity;
-          end_margin = infinity;
-        };
-      windows = 0;
+      events = Calendar.create ~capacity:(max 16 events_hint) ();
       fl = { clock = 0.0; pending = 0.0 };
       seq = 0;
       ops = Array.make max_ops (fun (_ : int) -> ());
@@ -401,7 +217,6 @@ let create ?(events_hint = 16) ?(shards = 1) ?(lookahead = 0.0) ?(domains = 1)
       now_seqs = Array.make 64 0;
       now_fns = Array.make 64 nop_fn;
       now_args = Array.make 64 unit_arg;
-      now_shards = Array.make 64 0;
       now_head = 0;
       now_len = 0;
       live = 0;
@@ -435,29 +250,12 @@ let create ?(events_hint = 16) ?(shards = 1) ?(lookahead = 0.0) ?(domains = 1)
   t.reg_after <-
     (fun resume ->
       let w = far_word t resume in
-      if t.nshards = 1 then begin
-        t.seq <- t.seq + 1;
-        Calendar.push t.events ~time:(t.fl.clock +. t.fl.pending) ~seq:t.seq w
-      end
-      else push_far t t.cur_shard (t.fl.clock +. t.fl.pending) w);
+      push_far t (t.fl.clock +. t.fl.pending) w);
   t.eff_now <- Await t.reg_now;
   t.eff_after <- Await t.reg_after;
   t
 
 let now t = t.fl.clock
-
-let shards t = t.nshards
-
-let oracle t = t.oracle
-
-let window_stats t =
-  {
-    ws_shards = t.nshards;
-    ws_lookahead = t.lookahead;
-    ws_windows = t.windows;
-    ws_min_floor_margin = t.wfl.floor_margin;
-    ws_min_end_margin = t.wfl.end_margin;
-  }
 
 let register_op t f =
   if t.ops_n >= max_ops then
@@ -474,15 +272,7 @@ let schedule_call t f x = push_call t f x
 let schedule_after t delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   let time = t.fl.clock +. delay in
-  if time = t.fl.clock then push_now t f
-  else begin
-    let w = far_word t f in
-    if t.nshards = 1 then begin
-      t.seq <- t.seq + 1;
-      Calendar.push t.events ~time ~seq:t.seq w
-    end
-    else push_far t t.cur_shard time w
-  end
+  if time = t.fl.clock then push_now t f else push_far t time (far_word t f)
 
 let schedule t ?(delay = 0.0) f = schedule_after t delay f
 
@@ -495,102 +285,17 @@ let schedule_at t time f =
   let clock = t.fl.clock in
   let d = if time > clock then time -. clock else 0.0 in
   let tt = clock +. d in
-  if tt = clock then push_now t f
-  else begin
-    let w = far_word t f in
-    if t.nshards = 1 then begin
-      t.seq <- t.seq + 1;
-      Calendar.push t.events ~time:tt ~seq:t.seq w
-    end
-    else push_far t t.cur_shard tt w
-  end
+  if tt = clock then push_now t f else push_far t tt (far_word t f)
 
-(* Cross-shard scheduling (the fabric's remote deliveries). On a sharded
-   engine this is where the conservative-execution contract is enforced:
-   an event bound for another shard must land at or beyond the current
-   window's end, i.e. the caller's latency to that shard must be at
-   least the engine's lookahead. The machine models guarantee it by
-   construction (the lookahead is their minimum cross-node latency
-   floor), so a violation is a modelling bug worth failing loudly on —
-   the serial-order commit would still execute it correctly, but the
-   window extraction's parallelism claim would be false. *)
-let lookahead_violation t shard tt =
-  invalid_arg
-    (Printf.sprintf
-       "Engine.schedule_at_shard: lookahead violation — event for shard \
-        %d at t=%.9g lands inside the open window [%.9g, %.9g) (current \
-        shard %d, lookahead %.9g)"
-       shard tt t.wfl.wstart t.wfl.wend t.cur_shard t.lookahead)
-
-let schedule_at_shard t ~shard time f =
-  if shard < 0 || shard >= t.nshards then
-    invalid_arg "Engine.schedule_at_shard: shard out of range";
+(* The allocation-free counterpart of {!schedule_at} for events
+   registered as opcodes: same float arithmetic, same seq assignment,
+   same lane choice — only the payload is a packed word, not a closure. *)
+let schedule_op_at t ~op ~arg time =
   let clock = t.fl.clock in
   let d = if time > clock then time -. clock else 0.0 in
   let tt = clock +. d in
-  if tt = clock then push_now t f
-  else if t.nshards = 1 then begin
-    let w = far_word t f in
-    t.seq <- t.seq + 1;
-    Calendar.push t.events ~time:tt ~seq:t.seq w
-  end
-  else begin
-    if shard <> t.cur_shard && tt < t.wfl.wend then lookahead_violation t shard tt;
-    push_far t shard tt (far_word t f)
-  end
-
-(* --- flat scheduling ---------------------------------------------------
-
-   The allocation-free counterparts of {!schedule_at} / {!schedule_at_shard}
-   for events registered as opcodes. Same float arithmetic, same seq
-   assignment, same lane choice — only the payload representation
-   differs, so a flat engine and an oracle engine commit in exactly the
-   same (time, seq) order. In oracle mode the op is re-wrapped as a
-   closure riding the escape slab: the pre-flat representation, kept
-   reachable as the property-test oracle. *)
-
-let schedule_op_at t ~op ~arg time =
-  if t.oracle then begin
-    let f = Array.unsafe_get t.ops op in
-    schedule_at t time (fun () -> f arg)
-  end
-  else begin
-    let clock = t.fl.clock in
-    let d = if time > clock then time -. clock else 0.0 in
-    let tt = clock +. d in
-    if tt = clock then push_call t (Array.unsafe_get t.ops op) arg
-    else begin
-      let w = (arg lsl op_bits) lor op in
-      if t.nshards = 1 then begin
-        t.seq <- t.seq + 1;
-        Calendar.push t.events ~time:tt ~seq:t.seq w
-      end
-      else push_far t t.cur_shard tt w
-    end
-  end
-
-let schedule_op_at_shard t ~shard ~op ~arg time =
-  if shard < 0 || shard >= t.nshards then
-    invalid_arg "Engine.schedule_op_at_shard: shard out of range";
-  if t.oracle then begin
-    let f = Array.unsafe_get t.ops op in
-    schedule_at_shard t ~shard time (fun () -> f arg)
-  end
-  else begin
-    let clock = t.fl.clock in
-    let d = if time > clock then time -. clock else 0.0 in
-    let tt = clock +. d in
-    if tt = clock then push_call t (Array.unsafe_get t.ops op) arg
-    else if t.nshards = 1 then begin
-      t.seq <- t.seq + 1;
-      Calendar.push t.events ~time:tt ~seq:t.seq ((arg lsl op_bits) lor op)
-    end
-    else begin
-      if shard <> t.cur_shard && tt < t.wfl.wend then
-        lookahead_violation t shard tt;
-      push_far t shard tt ((arg lsl op_bits) lor op)
-    end
-  end
+  if tt = clock then push_call t (Array.unsafe_get t.ops op) arg
+  else push_far t tt ((arg lsl op_bits) lor op)
 
 (* --- blocked-waiter slab --- *)
 
@@ -656,28 +361,22 @@ type pcell = {
   mutable pc_slot : int;  (** blocked-waiter slot (Await_on) *)
 }
 
-let run_process t ~name ~shard f =
+let run_process t ~name f =
   let cell =
     { pc_k = unit_arg; pc_reg = unit_arg; pc_what = no_what; pc_slot = -1 }
   in
   let resume (v : Obj.t) =
-    (* Restore this process's identity — and its home shard — for the
-       span of its execution, so blocked-waiter registrations made while
-       it runs carry the right name and its schedules land in its own
-       shard's lane. A second resume raises [Continuation_already_resumed]
-       from [continue] itself. *)
+    (* Restore this process's identity for the span of its execution,
+       so blocked-waiter registrations made while it runs carry the right
+       name. A second resume raises [Continuation_already_resumed] from
+       [continue] itself. *)
     let k : (Obj.t, unit) continuation = Obj.magic cell.pc_k in
     let prev = t.current in
     t.current <- name;
-    let prev_shard = t.cur_shard in
-    t.cur_shard <- shard;
     match continue k v with
-    | () ->
-        t.current <- prev;
-        t.cur_shard <- prev_shard
+    | () -> t.current <- prev
     | exception e ->
         t.current <- prev;
-        t.cur_shard <- prev_shard;
         raise e
   in
   let resume_on (v : Obj.t) =
@@ -697,7 +396,6 @@ let run_process t ~name ~shard f =
   let some_handle_on = Obj.repr (Some handle_on) in
   let prev = t.current in
   t.current <- name;
-  t.cur_shard <- shard;
   match
     match_with f ()
       {
@@ -727,20 +425,11 @@ let run_process t ~name ~shard f =
       t.current <- prev;
       raise e
 
-let spawn ?name ?shard t f =
+let spawn ?name t f =
   t.live <- t.live + 1;
   t.spawned <- t.spawned + 1;
   let pn = match name with Some n -> Named n | None -> Anon t.spawned in
-  let sh =
-    match shard with
-    | Some _ when t.nshards = 1 -> 0  (* affinity hints collapse on seq *)
-    | Some s ->
-        if s < 0 || s >= t.nshards then
-          invalid_arg "Engine.spawn: shard out of range";
-        s
-    | None -> t.cur_shard
-  in
-  push_now t (fun () -> run_process t ~name:pn ~shard:sh f)
+  push_now t (fun () -> run_process t ~name:pn f)
 
 let current_name t = pname_string t.current
 
@@ -761,9 +450,9 @@ let delay t d =
     perform t.eff_after
   end
 
-(* --- sequential run loop (the digest oracle) --- *)
+(* --- run loop --- *)
 
-let run_seq t =
+let run t =
   let n0 = t.processed in
   let continue_run = ref true in
   while !continue_run do
@@ -801,160 +490,15 @@ let run_seq t =
   done;
   t.processed - n0
 
-(* --- windowed (PDES) run loop --- *)
-
-let grow_stage st =
-  let cap = Array.length st.st_times in
-  let cap' = 2 * cap in
-  let times = Array.make cap' 0.0 in
-  let seqs = Array.make cap' 0 in
-  let words = Array.make cap' 0 in
-  Array.blit st.st_times 0 times 0 st.st_len;
-  Array.blit st.st_seqs 0 seqs 0 st.st_len;
-  Array.blit st.st_words 0 words 0 st.st_len;
-  st.st_times <- times;
-  st.st_seqs <- seqs;
-  st.st_words <- words
-
-(* Drain shard [s]'s calendar entries strictly below [horizon] into its
-   staging run. Pure data-structure work on state owned by one shard —
-   the parallel phase: each shard is claimed by exactly one domain, and
-   no event executes while extraction is in flight. Pops come off the
-   calendar in (time, seq) order, so the run is sorted. The shard's
-   cached head is unchanged by construction: moving the head entry from
-   calendar to staging moves where it is stored, not what it is. *)
-let extract_shard t horizon s =
-  let st = t.stages.(s) in
-  st.st_pos <- 0;
-  st.st_len <- 0;
-  let cal = t.cals.(s) in
-  let continue = ref (not (Calendar.is_empty cal)) in
-  while !continue do
-    if Calendar.min_time cal < horizon then begin
-      let tm = Calendar.min_time cal and sq = Calendar.min_seq cal in
-      if st.st_len = Array.length st.st_times then grow_stage st;
-      let i = st.st_len in
-      st.st_times.(i) <- tm;
-      st.st_seqs.(i) <- sq;
-      st.st_words.(i) <- Calendar.pop_min_value cal;
-      st.st_len <- i + 1;
-      continue := not (Calendar.is_empty cal)
-    end
-    else continue := false
-  done
-
-(* Open the conservative window [time, time + lookahead). Every far
-   event committed before the next window opens falls inside it: events
-   at or beyond the end stay put, and cross-shard sends made inside the
-   window land at or beyond its end (asserted in [schedule_at_shard]),
-   while same-shard inserts are absorbed by the merged staging/calendar
-   heads. When worker domains are present, the shards' below-horizon
-   entries are extracted in parallel here — the only phase that runs on
-   multiple domains, which is safe precisely because the window bounds
-   what the serial commit can touch. *)
-let open_window t time =
-  t.wfl.wstart <- time;
-  t.wfl.wend <- time +. t.lookahead;
-  t.windows <- t.windows + 1;
-  match t.team with
-  | Some team ->
-      let horizon = t.wfl.wend in
-      Team.parallel_for team ~n:t.nshards (extract_shard t horizon)
-  | None -> ()
-
-(* Commit the root shard's head event: take it from staging or calendar
-   (whichever holds the head), refresh the shard's key, restore the heap,
-   then execute. The refresh happens before execution so pushes made by
-   the event compare against up-to-date keys. A consumed staging slot is
-   just an int and needs no clearing — a drained window pins nothing. *)
-let exec_far t s =
-  let w =
-    if
-      Array.length t.stages > 0
-      && t.stages.(s).st_pos < t.stages.(s).st_len
-      && t.stages.(s).st_seqs.(t.stages.(s).st_pos) = t.key_s.(s)
-    then begin
-      let st = t.stages.(s) in
-      let i = st.st_pos in
-      st.st_pos <- i + 1;
-      st.st_words.(i)
-    end
-    else Calendar.pop_min_value t.cals.(s)
-  in
-  t.cur_shard <- s;
-  refresh_key t s;
-  sift_down t 0;
-  exec_word t w
-
-let run_pdes t =
-  let n0 = t.processed in
-  let continue_run = ref true in
-  while !continue_run do
-    if t.now_len > 0 then begin
-      let root = t.hp.(0) in
-      let take_far =
-        t.key_t.(root) = t.fl.clock
-        && t.key_s.(root) < t.now_seqs.(t.now_head)
-      in
-      t.processed <- t.processed + 1;
-      if take_far then exec_far t root
-      else begin
-        let i = t.now_head in
-        let fn = t.now_fns.(i) and arg = t.now_args.(i) in
-        t.now_fns.(i) <- nop_fn;
-        t.now_args.(i) <- unit_arg;
-        t.cur_shard <- t.now_shards.(i);
-        t.now_head <- (i + 1) land (Array.length t.now_fns - 1);
-        t.now_len <- t.now_len - 1;
-        (Obj.obj fn : Obj.t -> unit) arg
-      end
-    end
-    else begin
-      let root = t.hp.(0) in
-      let time = t.key_t.(root) in
-      if time = infinity then continue_run := false
-      else begin
-        if time < t.fl.clock then
-          invalid_arg "Engine.run: time went backwards";
-        if time >= t.wfl.wend then open_window t time;
-        t.fl.clock <- time;
-        t.processed <- t.processed + 1;
-        let floor = time -. t.wfl.wstart in
-        if floor < t.wfl.floor_margin then t.wfl.floor_margin <- floor;
-        let head = t.wfl.wend -. time in
-        if head < t.wfl.end_margin then t.wfl.end_margin <- head;
-        exec_far t root
-      end
-    end
-  done;
-  t.processed - n0
-
-let run t =
-  if t.nshards = 1 then run_seq t
-  else if t.domains > 1 then begin
-    let team = Team.create ~workers:(t.domains - 1) in
-    t.team <- Some team;
-    Fun.protect
-      ~finally:(fun () ->
-        t.team <- None;
-        Team.shutdown team)
-      (fun () -> run_pdes t)
-  end
-  else run_pdes t
-
 let live_processes t = t.live
 
 let events_processed t = t.processed
 
 (* --- occupancy counters (observability) --- *)
 
-let calendar_high_water t =
-  let m = ref 0 in
-  Array.iter (fun c -> if Calendar.high_water c > !m then m := Calendar.high_water c) t.cals;
-  !m
+let calendar_high_water t = Calendar.high_water t.events
 
-let calendar_rebuilds t =
-  Array.fold_left (fun acc c -> acc + Calendar.rebuild_count c) 0 t.cals
+let calendar_rebuilds t = Calendar.rebuild_count t.events
 
 let now_lane_capacity t = Array.length t.now_fns
 

@@ -20,60 +20,8 @@ type t
     event queue (number of simultaneously scheduled events it can hold
     before growing); callers that know the simulation's fan-out — e.g. the
     Jade runtime, which scales it with the processor count — pass it to
-    skip the doubling cascade on large runs.
-
-    [shards] > 1 selects the conservative time-windowed PDES engine: each
-    shard owns a calendar far lane (one per simulated node in the Jade
-    runtime), and far events commit in global (time, seq) order through
-    an index heap over the shard heads — so results are bit-identical to
-    the [shards = 1] engine, at any shard or domain count, by
-    construction. [lookahead] (required positive when sharded) is the
-    conservative window width: the minimum cross-shard latency floor of
-    the machine model. [domains] > 1 runs the per-window extraction phase
-    — draining each shard's below-horizon calendar entries into sorted
-    staging runs — on a persistent {!Team} of worker domains; commits
-    stay serial, preserving determinism.
-
-    [oracle] selects the closure-lane oracle: flat events scheduled
-    through {!schedule_op_at} / {!schedule_op_at_shard} are re-wrapped as
-    closures riding the escape slab — the pre-flat-descriptor
-    representation — with identical seq assignment and therefore an
-    identical (time, seq) commit order. The property tests drive random
-    schedules through a flat and an oracle engine and assert the
-    trajectories match; production runs leave it [false]. *)
-val create :
-  ?events_hint:int ->
-  ?shards:int ->
-  ?lookahead:float ->
-  ?domains:int ->
-  ?oracle:bool ->
-  unit ->
-  t
-
-(** Number of event shards ([1] for a sequential engine). *)
-val shards : t -> int
-
-(** Whether this engine runs in closure-lane oracle mode. *)
-val oracle : t -> bool
-
-(** Conservative-window evidence of a sharded run, for tests and
-    diagnostics. On a sequential engine [ws_windows = 0] and both margins
-    are [+inf]. *)
-type window_stats = {
-  ws_shards : int;
-  ws_lookahead : float;
-  ws_windows : int;  (** windows opened so far *)
-  ws_min_floor_margin : float;
-      (** minimum over committed far events of (commit time - window
-          start); [>= 0] — an event never commits before its window's
-          floor *)
-  ws_min_end_margin : float;
-      (** minimum over committed far events of (window end - commit
-          time); [> 0] — an event never commits at or beyond the window
-          end it was extracted under *)
-}
-
-val window_stats : t -> window_stats
+    skip the doubling cascade on large runs. *)
+val create : ?events_hint:int -> unit -> t
 
 (** Current virtual time in seconds. *)
 val now : t -> float
@@ -90,10 +38,10 @@ val now : t -> float
 
 (** [register_op t handler] claims the next opcode and installs
     [handler] for it, returning the opcode for use with
-    {!schedule_op_at} / {!schedule_op_at_shard}. The table holds 63
-    client opcodes (opcode 0 is the internal escape hatch); registration
-    happens at construction time, never on the hot path. Raises
-    [Invalid_argument] when the table is full. *)
+    {!schedule_op_at}. The table holds 63 client opcodes (opcode 0 is the
+    internal escape hatch); registration happens at construction time,
+    never on the hot path. Raises [Invalid_argument] when the table is
+    full. *)
 val register_op : t -> (int -> unit) -> int
 
 (** [schedule_op_at t ~op ~arg time] runs the handler registered for
@@ -101,15 +49,9 @@ val register_op : t -> (int -> unit) -> int
     [time] is in the past) — {!schedule_at} without the closure: the
     event rides the calendar as one packed int word. [arg] must fit in
     57 bits (an index or a processor number; anything larger belongs in
-    a registry the handler indexes into). Allocation-free. *)
+    a registry the handler indexes into). Allocation-free; this is the
+    fabric's message-delivery path. *)
 val schedule_op_at : t -> op:int -> arg:int -> float -> unit
-
-(** [schedule_op_at_shard t ~shard ~op ~arg time] is {!schedule_op_at}
-    with an explicit destination shard — the flat counterpart of
-    {!schedule_at_shard}, with the same cross-shard lookahead contract
-    (and the same [Invalid_argument] on violation). This is the fabric's
-    message-delivery path. *)
-val schedule_op_at_shard : t -> shard:int -> op:int -> arg:int -> float -> unit
 
 (** [schedule t ?delay f] runs plain callback [f] at [now + delay]
     (default [0.]). [f] must not perform engine effects; use {!spawn} for
@@ -123,18 +65,6 @@ val schedule : t -> ?delay:float -> (unit -> unit) -> unit
     so callers holding a target instant (e.g. the network fabric's
     delivery times) need no arithmetic of their own. *)
 val schedule_at : t -> float -> (unit -> unit) -> unit
-
-(** [schedule_at_shard t ~shard time f] is {!schedule_at} with an explicit
-    destination shard — the cross-shard scheduling entry point for
-    closure-shaped events (recovery pings; message deliveries use
-    {!schedule_op_at_shard}). On a sequential engine it is exactly
-    [schedule_at]. On a sharded engine, an event bound for another shard
-    must land at or beyond the end of the currently open window;
-    violating that means the caller's cross-shard latency is below the
-    engine's lookahead, and raises [Invalid_argument] naming both (the
-    conservative-execution contract — commit order would still be
-    correct, but the window's parallel extraction claim would not). *)
-val schedule_at_shard : t -> shard:int -> float -> (unit -> unit) -> unit
 
 (** [schedule_now t f] is [schedule t f]: [f] fires at the current
     virtual time, after everything already scheduled for it. Zero-delay
@@ -151,15 +81,11 @@ val schedule_now : t -> (unit -> unit) -> unit
     time. *)
 val schedule_call : t -> ('a -> unit) -> 'a -> unit
 
-(** [spawn ?name ?shard t f] starts [f] as a simulation process at the
-    current time. [f] may perform {!delay} / {!await}. [name] identifies
-    the process in deadlock reports ({!blocked_report}); unnamed processes
-    get ["process-<n>"] in spawn order. [shard] binds the process to an
-    event shard: its delays and schedules land in that shard's far lane
-    (the Jade backends bind each node's dispatcher to the node's shard).
-    Defaults to the spawning context's shard; irrelevant (but accepted as
-    [0]) on a sequential engine. *)
-val spawn : ?name:string -> ?shard:int -> t -> (unit -> unit) -> unit
+(** [spawn ?name t f] starts [f] as a simulation process at the current
+    time. [f] may perform {!delay} / {!await}. [name] identifies the
+    process in deadlock reports ({!blocked_report}); unnamed processes
+    get ["process-<n>"] in spawn order. *)
+val spawn : ?name:string -> t -> (unit -> unit) -> unit
 
 (** Name of the currently executing process, or [""] outside any. *)
 val current_name : t -> string
@@ -212,10 +138,9 @@ val events_processed : t -> int
 (** {2 Occupancy counters}
 
     Lifetime high-water marks for observability ([repro --stats],
-    BENCH_repro.json): peak far-lane population (max over shards),
-    total calendar growth rebuilds (summed over shards), the now lane's
-    final ring capacity, and the escape slab's peak population of parked
-    closures. *)
+    BENCH_repro.json): peak far-lane population, calendar growth
+    rebuilds, the now lane's final ring capacity, and the escape slab's
+    peak population of parked closures. *)
 
 val calendar_high_water : t -> int
 

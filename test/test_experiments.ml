@@ -383,8 +383,11 @@ let test_poison_render_raises () =
    with Assert_failure _ -> tripped := true);
   Alcotest.(check bool) "poison assertion tripped" true !tripped
 
-(* The CLI rejects table and figure numbers outside the paper's ranges
-   with a cmdliner usage error (exit 124) naming the range. *)
+(* The CLI rejects table and figure numbers outside the paper's ranges,
+   out-of-range flag values, unsupported flag combinations and removed
+   flags with a cmdliner usage error (exit 124) naming the range or the
+   flag. Arguments pass verbatim: [run] takes no [--jobs], so appending
+   one would let a case pass on an unrelated unknown-option error. *)
 let repro_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/repro.exe"
 
@@ -392,8 +395,8 @@ let run_repro args =
   let err = Filename.temp_file "repro" ".err" in
   let code =
     Sys.command
-      (Printf.sprintf "%s %s --size test --jobs 1 > /dev/null 2> %s"
-         (Filename.quote repro_exe) args (Filename.quote err))
+      (Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote repro_exe) args
+         (Filename.quote err))
   in
   let text = In_channel.with_open_bin err In_channel.input_all in
   Sys.remove err;
@@ -404,22 +407,36 @@ let contains hay needle =
   let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
-let test_cli_rejects_out_of_range () =
-  List.iter
-    (fun (args, range) ->
-      let code, err = run_repro args in
-      Alcotest.(check int) (args ^ ": usage-error exit") 124 code;
-      Alcotest.(check bool) (args ^ ": names the range") true (contains err range);
-      Alcotest.(check bool) (args ^ ": no uncaught exception") false
-        (contains err "exception"))
-    [
-      ("table 99", "expected 1-14");
-      ("table 0", "expected 1-14");
-      ("table x", "expected 1-14");
-      ("figure 1", "expected 2-21");
-      ("figure 22", "expected 2-21");
-    ];
-  Alcotest.(check int) "table 1 still runs" 0 (fst (run_repro "table 1"))
+(* One test case per misuse, so a regression names the flag it broke. *)
+let cli_misuse_cases =
+  let run_app = "run --app water --size test" in
+  [
+      ("table 99 --size test", "expected 1-14");
+      ("table 0 --size test", "expected 1-14");
+      ("table x --size test", "expected 1-14");
+      ("figure 1 --size test", "expected 2-21");
+      ("figure 22 --size test", "expected 2-21");
+      (run_app ^ " --procs 0", "--procs");
+      (run_app ^ " --target-tasks 0", "--target-tasks");
+      (run_app ^ " --drop-rate 1.5", "--drop-rate");
+      (run_app ^ " --crash-rate 2", "--crash-rate");
+      (run_app ^ " --crash-at 2@-1", "--crash-at");
+      ("all --size test --graph-opt cluster --replay off", "--graph-opt");
+      (run_app ^ " --engine seq", "--engine");
+      (run_app ^ " --domains 2", "--domains");
+      (run_app ^ " --oracle", "--oracle");
+  ]
+
+let test_cli_rejects (args, named) () =
+  let code, err = run_repro args in
+  Alcotest.(check int) (args ^ ": usage-error exit") 124 code;
+  Alcotest.(check bool) (args ^ ": names " ^ named) true (contains err named);
+  Alcotest.(check bool) (args ^ ": no uncaught exception") false
+    (contains err "exception")
+
+let test_cli_in_range_runs () =
+  Alcotest.(check int) "table 1 still runs" 0
+    (fst (run_repro "table 1 --size test --jobs 1"))
 
 let () =
   Alcotest.run "experiments"
@@ -442,9 +459,13 @@ let () =
         [
           Alcotest.test_case "ranges" `Quick test_figures_cover_range;
           Alcotest.test_case "out of range" `Quick test_figure_out_of_range;
-          Alcotest.test_case "CLI rejects out-of-range numbers" `Quick
-            test_cli_rejects_out_of_range;
         ] );
+      ( "cli",
+        List.map
+          (fun ((args, _) as case) ->
+            Alcotest.test_case ("rejects " ^ args) `Quick (test_cli_rejects case))
+          cli_misuse_cases
+        @ [ Alcotest.test_case "in-range table runs" `Quick test_cli_in_range_runs ] );
       ( "paper data",
         [
           Alcotest.test_case "complete" `Quick test_paper_data_complete;

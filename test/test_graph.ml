@@ -5,13 +5,13 @@
    1. Serialization: for random well-formed node sets, build -> encode ->
       decode -> build is the identity (floats travel as hex literals, so
       the round-trip is bit-exact).
-   2. Identity pipeline: lifting a recorded random program into the IR,
-      running zero passes, lowering back and replaying produces exactly
-      the metric summary of the baseline run — on all three machines.
-   3. Transformation: the full fuse/cluster/split pipeline keeps every
-      certificate clean, and executing the random program for real with
-      the transformed placements still matches serial execution (the
-      passes relocate work; they must never change what it computes). *)
+   2. Identity: lifting a recorded random program into the IR, lowering
+      it straight back and replaying produces exactly the metric summary
+      of the baseline run — on all three machines.
+   3. Transformation: the cluster pass keeps its certificate clean, and
+      executing the random program for real with the transformed
+      placements still matches serial execution (the pass relocates
+      work; it must never change what it computes). *)
 
 module R = Jade.Runtime
 module Ir = Jade_graph.Ir
@@ -83,7 +83,6 @@ let gen_nodes g =
         n_ran_on = (if Sr.int g 5 = 0 then -1 else Sr.int g 8);
         n_accesses = accesses;
         n_ops = ops;
-        n_cuts = [||];
       })
 
 let roundtrip_prop =
@@ -96,6 +95,45 @@ let roundtrip_prop =
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e
       | Ok nodes' -> Ir.equal graph (Build.make nodes'))
 
+(* Decoder robustness: arbitrary strings (bare, and behind a valid
+   header so the line parser sees them) and single-line mutations of a
+   valid encoding — a line dropped, duplicated, truncated or replaced by
+   junk — decode to [Ok] or [Error], never an exception. *)
+let decode_never_raises_prop =
+  QCheck.Test.make ~name:"decode never raises on mutated input" ~count:500
+    QCheck.(pair small_int string)
+    (fun (seed, junk) ->
+      let g = Sr.create seed in
+      let lines =
+        Array.of_list
+          (String.split_on_char '\n' (Ir.encode (Build.make (gen_nodes g))))
+      in
+      let i = Sr.int g (Array.length lines) in
+      let mutated =
+        List.concat
+          (List.mapi
+             (fun k line ->
+               if k <> i then [ line ]
+               else
+                 match Sr.int g 4 with
+                 | 0 -> []
+                 | 1 -> [ line; line ]
+                 | 2 ->
+                     [ String.sub line 0 (Sr.int g (String.length line + 1)) ]
+                 | _ -> [ junk ])
+             (Array.to_list lines))
+      in
+      let total s =
+        match Ir.decode_nodes s with
+        | Ok _ | Error _ -> true
+        | exception e ->
+            QCheck.Test.fail_reportf "decode raised %s on %S"
+              (Printexc.to_string e) s
+      in
+      total junk
+      && total ("jade-graph 1\n" ^ junk)
+      && total (String.concat "\n" mutated))
+
 let test_decode_rejects_garbage () =
   let bad s =
     match Ir.decode_nodes s with Ok _ -> false | Error _ -> true
@@ -106,6 +144,13 @@ let test_decode_rejects_garbage () =
     (bad "jade-graph 1\nn 1 0x1p0 -1 0 \"t\"\n");
   Alcotest.(check bool) "junk line" true
     (bad "jade-graph 1\nzzz\n");
+  (* The [c] segment-cut lines of older encodings are no longer part of
+     the format: a stale one is rejected by name, not skipped. *)
+  Alcotest.(check (option string))
+    "stale cut line" (Some "line 3: unrecognized line")
+    (match Ir.decode_nodes "jade-graph 1\nn 1 0x1p0 -1 0 \"t\"\nc 3\ne\n" with
+    | Ok _ -> None
+    | Error e -> Some e);
   Alcotest.(check bool) "access outside node still builds nodes" true
     (match Ir.decode_nodes "jade-graph 1\nn 1 0x1p0 -1 0 \"t\"\ne\n" with
     | Ok [ n ] -> n.Ir.n_id = 1 && n.Ir.n_placement = None
@@ -132,7 +177,6 @@ let test_build_rejects_inconsistent () =
           };
         |];
       n_ops = [||];
-      n_cuts = [||];
     }
   in
   let invalid nodes =
@@ -246,7 +290,8 @@ let jade_program ?placement_of prog ~nprocs rt =
         (fun env ->
           (* Mid-body work charges bracket the early releases so the
              recorded op streams contain [Work; Release...; Work] — the
-             shape the splitting pass cuts. *)
+             shape whose release order and flop offsets the certificate
+             checks. *)
           R.work env (float_of_int (50 + (op.op_id * 7 mod 200)));
           let arrays =
             Array.init prog.nobjs (fun i ->
@@ -299,10 +344,7 @@ let identity_prop (mname, machine) =
       match Jade.Replay.graph store with
       | None -> QCheck.Test.fail_reportf "store unexpectedly poisoned"
       | Some graph ->
-          let res = Passes.run [] graph in
-          if not (Ir.equal res.Passes.graph graph) then
-            QCheck.Test.fail_reportf "empty pipeline edited the graph";
-          let store' = Jade.Replay.of_graph res.Passes.graph in
+          let store' = Jade.Replay.of_graph graph in
           let s1 =
             R.run
               ~replay:(Jade.Replay.replayer store')
@@ -325,16 +367,11 @@ let transform_prop (mname, machine) =
       match Jade.Replay.graph store with
       | None -> QCheck.Test.fail_reportf "store unexpectedly poisoned"
       | Some graph ->
-          (* Certificates are checked inside [Passes.run]; a dirty one
-             raises. *)
-          let res =
-            Passes.run [ Passes.Fuse; Passes.Cluster; Passes.Split ] graph
-          in
-          List.iter
-            (fun c ->
-              if not (Verify.ok c) then
-                QCheck.Test.fail_reportf "dirty certificate escaped")
-            res.Passes.certs;
+          (* The certificate is checked inside [Passes.cluster]; a dirty
+             one raises. *)
+          let res = Passes.cluster graph in
+          if not (Verify.ok res.Passes.cert) then
+            QCheck.Test.fail_reportf "dirty certificate escaped";
           (* Replaying the transformed store must complete (drain) and
              replay every recorded task. *)
           let h = Jade.Replay.replayer (Jade.Replay.of_graph res.Passes.graph) in
@@ -361,63 +398,6 @@ let transform_prop (mname, machine) =
           in
           equal_states expected !got)
 
-(* The splitting pass must find something to split when a long task
-   commits versions mid-body; the cuts must all sit right after a
-   release. *)
-let test_split_cuts_after_releases () =
-  let prog =
-    {
-      nobjs = 3;
-      ops =
-        List.init 6 (fun op_id ->
-            {
-              op_id;
-              reads = [];
-              writes = [];
-              updates = [ 0; 1; 2 ];
-              placement = None;
-              early_release = [ 0; 1 ];
-            });
-    }
-  in
-  let store, _ = record_run prog ~machine:R.ipsc860 ~nprocs:4 in
-  match Jade.Replay.graph store with
-  | None -> Alcotest.fail "poisoned"
-  | Some graph ->
-      (* Inflate one task's work so it is oversized relative to the mean. *)
-      let nodes =
-        Array.to_list
-          (Array.map
-             (fun n ->
-               if n.Ir.n_id = 3 then
-                 {
-                   n with
-                   Ir.n_ops =
-                     Array.map
-                       (function
-                         | Ir.Work f -> Ir.Work (f *. 100.0)
-                         | Ir.Release s -> Ir.Release s)
-                       n.Ir.n_ops;
-                 }
-               else n)
-             graph.Ir.nodes)
-      in
-      let graph = Build.make nodes in
-      let res = Passes.run [ Passes.Split ] graph in
-      let cut = Ir.find res.Passes.graph ~id:3 in
-      (match cut with
-      | Some n when Array.length n.Ir.n_cuts > 0 ->
-          Array.iter
-            (fun c ->
-              Alcotest.(check bool) "cut follows a release" true
-                (match n.Ir.n_ops.(c - 1) with
-                | Ir.Release _ -> true
-                | Ir.Work _ -> false))
-            n.Ir.n_cuts
-      | _ -> Alcotest.fail "oversized releasing task was not cut");
-      Alcotest.(check bool) "certificate clean" true
-        (List.for_all Verify.ok res.Passes.certs)
-
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -426,6 +406,7 @@ let () =
       ( "serialization",
         [
           qcheck roundtrip_prop;
+          qcheck decode_never_raises_prop;
           Alcotest.test_case "decode rejects garbage" `Quick
             test_decode_rejects_garbage;
           Alcotest.test_case "build rejects inconsistent chains" `Quick
@@ -434,9 +415,5 @@ let () =
       ( "identity pipeline",
         List.map (fun m -> qcheck (identity_prop m)) machines );
       ( "transformation",
-        List.map (fun m -> qcheck (transform_prop m)) machines
-        @ [
-            Alcotest.test_case "split cuts sit after releases" `Quick
-              test_split_cuts_after_releases;
-          ] );
+        List.map (fun m -> qcheck (transform_prop m)) machines );
     ]

@@ -190,6 +190,93 @@ let test_simulation_deterministic () =
   Alcotest.(check int) "messages identical" m1 m2;
   Alcotest.(check bool) "state identical" true (equal_states r1 r2)
 
+(* The same guarantee under the failure models and at scale: seeded
+   message loss, duplication and jitter on the message-passing machines,
+   a processor crash mid-run, and 256 simulated processors. *)
+
+let chaos_config seed =
+  {
+    Jade.Config.default with
+    Jade.Config.fault =
+      Some
+        (Jade_net.Fault.spec ~seed ~drop_rate:0.15 ~dup_rate:0.1 ~jitter:1e-4
+           ());
+  }
+
+let run_summary prog ~machine ~nprocs ~config =
+  let result = ref [||] in
+  let s =
+    R.run ~config ~machine ~nprocs (fun rt ->
+        result := jade_program prog ~nprocs rt)
+  in
+  (s, !result)
+
+let chaos_equivalence_prop machine name =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "random programs under chaos match serial on %s" name)
+    ~count:30 QCheck.small_int
+    (fun seed ->
+      let g = Jade_sim.Srandom.create seed in
+      let nprocs = 1 + Jade_sim.Srandom.int g 8 in
+      let prog = gen_prog g ~nprocs in
+      let config = chaos_config (1 + Jade_sim.Srandom.int g 5) in
+      equal_states (serial_result prog) (run_one prog ~machine ~nprocs ~config))
+
+(* A chaos run is a function of the program and the fault seed alone:
+   two runs agree on every metric, and the plan really dropped
+   messages. *)
+let test_chaos_deterministic () =
+  let g = Jade_sim.Srandom.create 7 in
+  let prog = gen_prog g ~nprocs:8 in
+  let expected = serial_result prog in
+  let config = chaos_config 3 in
+  List.iter
+    (fun (mname, machine) ->
+      let s1, r1 = run_summary prog ~machine ~nprocs:8 ~config in
+      let s2, r2 = run_summary prog ~machine ~nprocs:8 ~config in
+      Alcotest.(check bool) (mname ^ ": summaries identical") true (s1 = s2);
+      Alcotest.(check bool) (mname ^ ": states identical") true
+        (equal_states r1 r2);
+      Alcotest.(check bool) (mname ^ ": matches serial") true
+        (equal_states expected r1);
+      Alcotest.(check bool) (mname ^ ": messages dropped") true
+        (s1.Jade.Metrics.dropped_count > 0))
+    [ ("ipsc", R.ipsc860); ("lan", R.lan) ]
+
+(* A single non-root crash mid-run: recovery re-executes what the crash
+   lost and the final state still matches serial execution. *)
+let test_crash_matches_serial () =
+  let g = Jade_sim.Srandom.create 11 in
+  let prog = gen_prog g ~nprocs:4 in
+  let expected = serial_result prog in
+  let config =
+    {
+      Jade.Config.default with
+      Jade.Config.fault = Some (Jade_net.Fault.spec ~crash_at:[ (2, 0.0001) ] ());
+    }
+  in
+  List.iter
+    (fun (mname, machine) ->
+      let s, got = run_summary prog ~machine ~nprocs:4 ~config in
+      Alcotest.(check int) (mname ^ ": one crash injected") 1
+        s.Jade.Metrics.crash_injected_count;
+      Alcotest.(check bool) (mname ^ ": matches serial") true
+        (equal_states expected got))
+    [ ("dash", R.dash); ("ipsc", R.ipsc860); ("lan", R.lan) ]
+
+(* Beyond-paper scale: 256 simulated processors (most stay idle; the
+   point is the machinery, not the load balance). *)
+let test_256_procs () =
+  let g = Jade_sim.Srandom.create 512 in
+  let prog = gen_prog g ~nprocs:256 in
+  let expected = serial_result prog in
+  List.iter
+    (fun (mname, machine) ->
+      Alcotest.(check bool) (mname ^ " p=256") true
+        (equal_states expected
+           (run_one prog ~machine ~nprocs:256 ~config:Jade.Config.default)))
+    [ ("dash", R.dash); ("ipsc", R.ipsc860); ("lan", R.lan) ]
+
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -202,5 +289,14 @@ let () =
           qcheck (serial_equivalence_prop Jade.Runtime.lan "workstation LAN");
           Alcotest.test_case "fixed program sweep" `Quick test_fixed_program_sweep;
           Alcotest.test_case "determinism" `Quick test_simulation_deterministic;
+        ] );
+      ( "faults and scale",
+        [
+          qcheck (chaos_equivalence_prop Jade.Runtime.ipsc860 "iPSC/860");
+          qcheck (chaos_equivalence_prop Jade.Runtime.lan "workstation LAN");
+          Alcotest.test_case "chaos determinism" `Quick test_chaos_deterministic;
+          Alcotest.test_case "crash matches serial" `Quick
+            test_crash_matches_serial;
+          Alcotest.test_case "256 processors" `Quick test_256_procs;
         ] );
     ]

@@ -90,6 +90,66 @@ let test_engine_two_lane_interleave () =
     (List.rev !log);
   Alcotest.(check (float 0.0)) "clock stayed put" 1.0 (Engine.now eng)
 
+(* A flat event aimed at an instant already past fires at the current
+   instant, behind the events already queued for it — the same clamp
+   [Engine.schedule_at] applies. *)
+let test_engine_flat_past_clamps () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let op =
+    Engine.register_op eng (fun arg -> log := (arg, Engine.now eng) :: !log)
+  in
+  Engine.spawn eng (fun () ->
+      Engine.delay eng 2.0;
+      Engine.schedule_op_at eng ~op ~arg:1 2.0;
+      Engine.schedule_op_at eng ~op ~arg:2 0.5;
+      Engine.schedule_op_at eng ~op ~arg:3 (-1.0);
+      Engine.schedule_op_at eng ~op ~arg:4 2.5);
+  ignore (Engine.run eng);
+  Alcotest.(check (list (pair int (float 0.0))))
+    "past times fire now, in scheduling order"
+    [ (1, 2.0); (2, 2.0); (3, 2.0); (4, 2.5) ]
+    (List.rev !log)
+
+(* The opcode table holds 63 client handlers (opcode 0 is the engine's
+   escape hatch); the 64th registration is refused by name. *)
+let test_engine_opcode_table_full () =
+  let eng = Engine.create () in
+  let ops = List.init 63 (fun _ -> Engine.register_op eng ignore) in
+  Alcotest.(check (list int)) "opcodes 1..63" (List.init 63 succ) ops;
+  Alcotest.check_raises "64th registration"
+    (Invalid_argument "Engine.register_op: opcode table full") (fun () ->
+      ignore (Engine.register_op eng ignore))
+
+(* Flat events scheduled before the run commit in (time, scheduling
+   order), exactly as the binary heap orders (time, seq) keys. Times are
+   multiples of 1/16 in [0, 1), so ties are common and time 0 rides the
+   now lane while the rest ride the calendar. *)
+let flat_heap_order_prop =
+  QCheck.Test.make ~name:"flat events commit in heap (time, seq) order"
+    ~count:200
+    QCheck.(list (int_bound 15))
+    (fun slots ->
+      let eng = Engine.create () in
+      let log = ref [] in
+      let op =
+        Engine.register_op eng (fun arg -> log := (arg, Engine.now eng) :: !log)
+      in
+      let heap = Heap.create ~dummy:(-1) () in
+      List.iteri
+        (fun i k ->
+          let time = float_of_int k /. 16.0 in
+          Engine.schedule_op_at eng ~op ~arg:i time;
+          Heap.push heap ~time ~seq:i i)
+        slots;
+      let events = Engine.run eng in
+      let expected =
+        List.init (List.length slots) (fun _ ->
+            let t, _, v = Heap.pop_min heap in
+            (v, t))
+      in
+      events = List.length slots && List.rev !log = expected)
+
 let test_engine_nested_spawn () =
   let eng = Engine.create () in
   let hits = ref 0 in
@@ -294,48 +354,43 @@ let engine_stress_prop =
       && Ivar.is_full root
       && List.length !completions >= 1)
 
-(* Flat-descriptor vs closure-oracle engine parity: the identical random
-   schedule — processes with random delays, flat ops via
-   [schedule_op_at], cross-shard flat ops via [schedule_op_at_shard],
-   plain closure events — must produce the identical (time, seq) commit
-   trajectory on the flat engine and on the closure-lane oracle
-   ([Engine.create ~oracle:true]), which re-wraps every flat descriptor
-   as a closure riding the escape slab. The log captures each commit's
-   (kind, operand, virtual time) in commit order, so any ordering or
-   timing divergence flips the comparison; event count and final clock
-   cover the run summary. Exercised sequentially and on the PDES sharded
-   engine (per-shard calendars, staging runs, index-heap commits). *)
-let flat_oracle_parity_prop =
-  QCheck.Test.make ~name:"flat engine matches closure-lane oracle" ~count:60
+(* Flat descriptors vs closure scheduling: the identical random schedule
+   — processes with random delays, flat events, plain closure events —
+   must commit the identical trajectory whether each flat event is
+   scheduled as a packed word ([schedule_op_at]) or as the equivalent
+   closure riding the escape slab ([schedule_at eng t (fun () -> handler
+   arg)]). The log captures each commit's (kind, operand, virtual time) in
+   commit order, so any ordering or timing divergence flips the
+   comparison; event count and final clock cover the run summary. *)
+let flat_closure_parity_prop =
+  QCheck.Test.make ~name:"flat descriptors match closure scheduling"
+    ~count:60
     QCheck.(pair small_int (int_range 1 4))
-    (fun (seed, shards) ->
-      let trajectory ~oracle =
-        let g = Srandom.create ((seed * 31) + shards) in
-        let eng =
-          if shards = 1 then Engine.create ~oracle ()
-          else Engine.create ~oracle ~shards ~lookahead:0.1 ~domains:1 ()
-        in
+    (fun (seed, procs) ->
+      let trajectory ~flat =
+        let g = Srandom.create ((seed * 31) + procs) in
+        let eng = Engine.create () in
         let log = ref [] in
         let commit kind arg = log := (kind, arg, Engine.now eng) :: !log in
-        let op_a = Engine.register_op eng (commit 0) in
-        let op_b = Engine.register_op eng (commit 1) in
-        for sh = 0 to shards - 1 do
-          Engine.spawn ~shard:sh eng (fun () ->
+        let handlers = [| commit 0; commit 1 |] in
+        let ops = Array.map (Engine.register_op eng) handlers in
+        let schedule k ~arg time =
+          if flat then Engine.schedule_op_at eng ~op:ops.(k) ~arg time
+          else Engine.schedule_at eng time (fun () -> handlers.(k) arg)
+        in
+        for p = 0 to procs - 1 do
+          Engine.spawn eng (fun () ->
               for i = 1 to 30 do
-                let d = Srandom.float g 0.05 in
-                let arg = (sh * 1000) + i in
+                (* dyadic delays sum exactly, so same-time ties — where
+                   only the seq order decides — are common *)
+                let d = float_of_int (Srandom.int g 4) /. 64.0 in
+                let arg = (p * 1000) + i in
                 match Srandom.int g 4 with
                 | 0 ->
-                    (* same-shard flat event, any delay (zero rides the
-                       now lane, positive the calendar) *)
-                    Engine.schedule_op_at eng ~op:op_a ~arg
-                      (Engine.now eng +. d)
-                | 1 ->
-                    (* cross-shard flat event: must clear the lookahead
-                       window, so keep it well beyond 0.1 out *)
-                    let dst = Srandom.int g shards in
-                    Engine.schedule_op_at_shard eng ~shard:dst ~op:op_b ~arg
-                      (Engine.now eng +. 0.2 +. d)
+                    (* any delay: zero rides the now lane, positive the
+                       calendar *)
+                    schedule 0 ~arg (Engine.now eng +. d)
+                | 1 -> schedule 1 ~arg (Engine.now eng +. 0.25 +. d)
                 | 2 ->
                     (* closure-shaped event riding the escape slab *)
                     Engine.schedule_at eng
@@ -347,7 +402,7 @@ let flat_oracle_parity_prop =
         let events = Engine.run eng in
         (List.rev !log, events, Engine.now eng)
       in
-      trajectory ~oracle:false = trajectory ~oracle:true)
+      trajectory ~flat:true = trajectory ~flat:false)
 
 let qcheck t = QCheck_alcotest.to_alcotest t
 
@@ -368,8 +423,13 @@ let () =
             test_engine_two_lane_interleave;
           Alcotest.test_case "nested spawn" `Quick test_engine_nested_spawn;
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay;
+          Alcotest.test_case "flat event in the past fires now" `Quick
+            test_engine_flat_past_clamps;
+          Alcotest.test_case "opcode table full" `Quick
+            test_engine_opcode_table_full;
           qcheck engine_stress_prop;
-          qcheck flat_oracle_parity_prop;
+          qcheck flat_closure_parity_prop;
+          qcheck flat_heap_order_prop;
         ] );
       ( "ivar",
         [
