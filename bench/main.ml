@@ -1,131 +1,25 @@
-(* Benchmark harness.
+(* Benchmark harness: regenerates every table, figure and analysis at
+   bench scale, printed next to the paper's reported numbers — the actual
+   reproduction output (same as `repro all`), timed per kernel and fanned
+   out across [--jobs] domains — and writes a machine-readable summary
+   (per-kernel ms, events/sec, allocation per event, speedup vs --jobs 1,
+   and the recovery, occupancy and graph-opt scenarios) to
+   BENCH_repro.json, the file CI's perf-smoke and graph-parity checks
+   read.
 
-   Two parts:
+   Run with:  dune exec bench/main.exe -- [--jobs N] [--size test|bench]
+                [--no-baseline]
 
-   1. Bechamel micro-benchmarks — one [Test.make] per paper table and
-      figure, each timing the simulation kernel that backs it (the
-      application running on the simulated machine at test scale, 8
-      processors). These measure the *host* cost of the reproduction
-      itself.
+   The main pass runs against a cold disk cache in a fresh temporary
+   directory and is followed by a warm pass against the same cache,
+   reported as warm_wall_s. With --jobs N > 1 a cache-free --jobs 1
+   regeneration follows for the speedup and allocation figures;
+   --no-baseline skips it. --size test runs the small problem sizes for
+   CI smoke checks. Replay-off, persistent-cache and chaos measurements
+   belong to `repro regen` and perfbench's regen_kernels and mp_chaos
+   workloads. *)
 
-   2. Regeneration of every table, figure and analysis at bench scale,
-      printed next to the paper's reported numbers — the actual
-      reproduction output (same as `repro all`), timed per kernel and
-      fanned out across [--jobs] domains. A machine-readable summary
-      (per-kernel ms, events/sec, allocation per event, speedup vs
-      --jobs 1) is written to BENCH_repro.json.
-
-   Run with:  dune exec bench/main.exe -- [--quick] [--jobs N] [--no-baseline]
-                [--size test|bench] [--baseline FILE]
-                [--replay on|off] [--cache-dir DIR] [--no-cache]
-                [--fault-seed S] [--drop-rate R] [--dup-rate R] [--jitter SEC]
-   (--quick skips the Bechamel pass; --no-baseline skips the sequential
-   reference regeneration used to compute the speedup; --size test runs the
-   small problem sizes for CI smoke checks; --baseline points at a previous
-   jobs=1 BENCH_repro.json to fill the speedup fields without re-running the
-   sequential reference; --replay toggles cross-configuration task
-   record/replay; the main pass runs against a cold disk cache — a fresh
-   temporary directory unless --cache-dir names one, or none at all with
-   --no-cache — and is followed by a warm pass against the same cache,
-   reported as warm_wall_s; the --fault-* flags regenerate under a
-   deterministic chaos plan — see Jade_net.Fault) *)
-
-open Bechamel
-open Toolkit
 module Rn = Jade_experiments.Runner
-
-(* One simulation at test scale: the kernel behind a table/figure. *)
-let sim ?(level = Rn.Loc) ?(broadcast = true) app machine () =
-  let r = Rn.create Rn.Test in
-  let config =
-    { (Rn.config_of_level level) with Jade.Config.adaptive_broadcast = broadcast }
-  in
-  ignore (Rn.run r ~app ~machine ~nprocs:8 ~config ~placed:(level = Rn.Tp))
-
-let serial_kernel machine () =
-  let r = Rn.create Rn.Test in
-  List.iter (fun app -> ignore (Rn.serial_time r ~app ~machine)) Rn.all_apps
-
-let mgmt_kernel app machine () =
-  let r = Rn.create Rn.Test in
-  ignore (Rn.task_management_pct r ~app ~machine ~nprocs:8 ~level:Rn.Tp)
-
-let table_tests =
-  let t n f = Test.make ~name:(Printf.sprintf "table%02d" n) (Staged.stage f) in
-  [
-    t 1 (serial_kernel Rn.Dash);
-    t 2 (sim Rn.Water Rn.Dash);
-    t 3 (sim Rn.String_ Rn.Dash);
-    t 4 (sim ~level:Rn.Tp Rn.Ocean Rn.Dash);
-    t 5 (sim ~level:Rn.Tp Rn.Cholesky Rn.Dash);
-    t 6 (serial_kernel Rn.Ipsc);
-    t 7 (sim Rn.Water Rn.Ipsc);
-    t 8 (sim Rn.String_ Rn.Ipsc);
-    t 9 (sim ~level:Rn.Tp Rn.Ocean Rn.Ipsc);
-    t 10 (sim ~level:Rn.Tp Rn.Cholesky Rn.Ipsc);
-    t 11 (sim ~broadcast:false Rn.Water Rn.Ipsc);
-    t 12 (sim ~broadcast:false Rn.String_ Rn.Ipsc);
-    t 13 (sim ~level:Rn.Tp ~broadcast:false Rn.Ocean Rn.Ipsc);
-    t 14 (sim ~level:Rn.Tp ~broadcast:false Rn.Cholesky Rn.Ipsc);
-  ]
-
-let figure_tests =
-  let f n k = Test.make ~name:(Printf.sprintf "figure%02d" n) (Staged.stage k) in
-  [
-    (* 2-5: task locality percentage on DASH *)
-    f 2 (sim Rn.Water Rn.Dash);
-    f 3 (sim Rn.String_ Rn.Dash);
-    f 4 (sim ~level:Rn.Tp Rn.Ocean Rn.Dash);
-    f 5 (sim ~level:Rn.Tp Rn.Cholesky Rn.Dash);
-    (* 6-9: total task execution time on DASH *)
-    f 6 (sim ~level:Rn.Noloc Rn.Water Rn.Dash);
-    f 7 (sim ~level:Rn.Noloc Rn.String_ Rn.Dash);
-    f 8 (sim ~level:Rn.Noloc Rn.Ocean Rn.Dash);
-    f 9 (sim ~level:Rn.Noloc Rn.Cholesky Rn.Dash);
-    (* 10-11: task-management percentage on DASH *)
-    f 10 (mgmt_kernel Rn.Ocean Rn.Dash);
-    f 11 (mgmt_kernel Rn.Cholesky Rn.Dash);
-    (* 12-15: task locality percentage on the iPSC/860 *)
-    f 12 (sim Rn.Water Rn.Ipsc);
-    f 13 (sim Rn.String_ Rn.Ipsc);
-    f 14 (sim ~level:Rn.Tp Rn.Ocean Rn.Ipsc);
-    f 15 (sim ~level:Rn.Tp Rn.Cholesky Rn.Ipsc);
-    (* 16-19: communication/computation ratio on the iPSC/860 *)
-    f 16 (sim ~level:Rn.Noloc Rn.Water Rn.Ipsc);
-    f 17 (sim ~level:Rn.Noloc Rn.String_ Rn.Ipsc);
-    f 18 (sim ~level:Rn.Noloc Rn.Ocean Rn.Ipsc);
-    f 19 (sim ~level:Rn.Noloc Rn.Cholesky Rn.Ipsc);
-    (* 20-21: task-management percentage on the iPSC/860 *)
-    f 20 (mgmt_kernel Rn.Ocean Rn.Ipsc);
-    f 21 (mgmt_kernel Rn.Cholesky Rn.Ipsc);
-  ]
-
-let run_bechamel () =
-  let tests =
-    Test.make_grouped ~name:"repro" ~fmt:"%s.%s" (table_tests @ figure_tests)
-  in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with Some (v :: _) -> v | _ -> nan
-        in
-        (name, ns) :: acc)
-      results []
-    |> List.sort compare
-  in
-  print_endline
-    "Bechamel: host cost of each table/figure kernel (test scale, 8 procs)";
-  List.iter
-    (fun (name, ns) -> Printf.printf "  %-18s %10.3f ms/run\n" name (ns /. 1e6))
-    rows;
-  print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* Regeneration pass: every kernel (table / figure / analysis) timed
@@ -141,8 +35,8 @@ type regen_stats = {
   replayed_tasks : int;  (** task bodies replayed instead of executed *)
 }
 
-let regenerate ~size ~jobs ?fault ?cache_dir ?(replay = true) ~emit () =
-  let r = Rn.create ~jobs ?fault ?cache_dir ~replay size in
+let regenerate ~size ~jobs ?cache_dir ~emit () =
+  let r = Rn.create ~jobs ?cache_dir size in
   let kernel_ms = ref [] in
   let timed name f =
     let t0 = Unix.gettimeofday () in
@@ -335,62 +229,9 @@ let json_escape s =
     s;
   Buffer.contents b
 
-(* Extract a top-level numeric field from a (previously written)
-   BENCH_repro.json — enough JSON for our own output, not a parser. *)
-let json_number_field content key =
-  let needle = Printf.sprintf "\"%s\":" key in
-  let nlen = String.length needle and clen = String.length content in
-  let rec find i =
-    if i + nlen > clen then None
-    else if String.sub content i nlen = needle then Some (i + nlen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-      let stop = ref start in
-      while
-        !stop < clen
-        && (match content.[!stop] with
-           | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' | ' ' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.trim (String.sub content start (!stop - start)))
-
-(* The --jobs 1 reference wall from a previous BENCH_repro.json, for
-   speedup when this run skips the in-process baseline regeneration.
-   Only a jobs=1 file of the same size is an acceptable reference. *)
-let baseline_wall_from_file ~size_name path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let content = really_input_string ic len in
-  close_in ic;
-  let jobs_ok =
-    match json_number_field content "jobs" with Some 1.0 -> true | _ -> false
-  in
-  let size_ok =
-    (* crude but sufficient: the size field we wrote ourselves *)
-    let needle = Printf.sprintf "\"size\": \"%s\"" size_name in
-    let nlen = String.length needle and clen = String.length content in
-    let rec find i =
-      if i + nlen > clen then false
-      else String.sub content i nlen = needle || find (i + 1)
-    in
-    find 0
-  in
-  if not (jobs_ok && size_ok) then begin
-    Printf.eprintf
-      "bench: --baseline %s ignored (not a jobs=1 %s-size BENCH_repro.json)\n"
-      path size_name;
-    None
-  end
-  else json_number_field content "wall_s"
-
 let write_json path ~size_name ~jobs ~(par : regen_stats)
-    ~(baseline : regen_stats option) ~(baseline_file_wall : float option)
-    ~(warm_wall_s : float option) ~(recovery : recovery_stats)
+    ~(baseline : regen_stats option) ~(warm : regen_stats)
+    ~(recovery : recovery_stats)
     ~(occupancy : Jade.Metrics.occupancy) ~(graph : graph_ab) =
   let oc = open_out path in
   let opt_float = function
@@ -409,14 +250,11 @@ let write_json path ~size_name ~jobs ~(par : regen_stats)
     | Some s when s.events > 0 -> Some (s.minor_words /. float_of_int s.events)
     | _ -> None
   in
-  (* A jobs=1 run is its own baseline; otherwise prefer the in-process
-     reference regeneration, falling back to a --baseline file. *)
+  (* A jobs=1 run is its own baseline; otherwise the in-process reference
+     regeneration is, when it ran. *)
   let baseline_jobs1_wall =
     if jobs = 1 then Some par.wall_s
-    else
-      match baseline with
-      | Some b -> Some b.wall_s
-      | None -> baseline_file_wall
+    else Option.map (fun (b : regen_stats) -> b.wall_s) baseline
   in
   let speedup =
     match baseline_jobs1_wall with
@@ -442,7 +280,7 @@ let write_json path ~size_name ~jobs ~(par : regen_stats)
      runs legible instead of looking like a mysteriously slow simulator. *)
   Printf.fprintf oc "  \"cache_hits\": %d,\n" par.cache_hits;
   Printf.fprintf oc "  \"replayed_tasks\": %d,\n" par.replayed_tasks;
-  Printf.fprintf oc "  \"warm_wall_s\": %s,\n" (opt_float warm_wall_s);
+  Printf.fprintf oc "  \"warm_wall_s\": %.6f,\n" warm.wall_s;
   Printf.fprintf oc "  \"baseline_jobs1_wall_s\": %s,\n"
     (opt_float baseline_jobs1_wall);
   Printf.fprintf oc "  \"speedup_vs_jobs1\": %s,\n" (opt_float speedup);
@@ -520,145 +358,72 @@ let write_json path ~size_name ~jobs ~(par : regen_stats)
   close_out oc
 
 let () =
-  let quick = Array.exists (( = ) "--quick") Sys.argv in
-  let no_baseline = Array.exists (( = ) "--no-baseline") Sys.argv in
-  let flag_value name of_string =
-    let rec find i =
-      if i >= Array.length Sys.argv - 1 then None
-      else if Sys.argv.(i) = name then
-        match of_string Sys.argv.(i + 1) with
-        | Some v -> Some v
-        | None -> failwith (Printf.sprintf "bench: bad value for %s" name)
-      else find (i + 1)
-    in
-    find 1
-  in
-  let jobs =
-    match
-      flag_value "--jobs" (fun s ->
-          match int_of_string_opt s with
-          | Some j when j >= 1 -> Some j
-          | _ -> None)
-    with
-    | Some j -> j
-    | None -> Jade_experiments.Pool.default_jobs ()
-  in
-  let size, size_name =
-    match
-      flag_value "--size" (function
-        | "test" -> Some (Rn.Test, "test")
-        | "bench" -> Some (Rn.Bench, "bench")
-        | _ -> None)
-    with
-    | Some s -> s
-    | None -> (Rn.Bench, "bench")
-  in
-  let baseline_file_wall =
-    match flag_value "--baseline" (fun s -> Some s) with
-    | None -> None
-    | Some path -> baseline_wall_from_file ~size_name path
-  in
-  let fault =
-    let seed = flag_value "--fault-seed" int_of_string_opt in
-    let rate name = flag_value name float_of_string_opt in
-    let drop_rate = rate "--drop-rate" and dup_rate = rate "--dup-rate" in
-    let jitter = rate "--jitter" in
-    if seed = None && drop_rate = None && dup_rate = None && jitter = None then
-      None
-    else
-      Some
-        (Jade_net.Fault.spec
-           ~seed:(Option.value seed ~default:1)
-           ~drop_rate:(Option.value drop_rate ~default:0.0)
-           ~dup_rate:(Option.value dup_rate ~default:0.0)
-           ~jitter:(Option.value jitter ~default:0.0)
-           ())
-  in
-  let replay =
-    match
-      flag_value "--replay" (function
-        | "on" -> Some true
-        | "off" -> Some false
-        | _ -> None)
-    with
-    | Some v -> v
-    | None -> true
-  in
-  (* The disk cache defaults to a fresh temporary directory: the main
-     pass is cold by construction (so events/sec stays an honest
-     simulator figure) and the warm pass right after it measures the
-     pure cache-replay wall time. --cache-dir reuses a directory across
-     invocations; --no-cache disables the layer. *)
-  let no_cache = Array.exists (( = ) "--no-cache") Sys.argv in
-  let cache_dir, cache_dir_is_temp =
-    if no_cache then (None, false)
-    else
-      match flag_value "--cache-dir" (fun s -> Some s) with
-      | Some d -> (Some d, false)
-      | None -> (Some (Filename.temp_dir "jade-bench-cache" ""), true)
-  in
-  if not quick then run_bechamel ();
-  Printf.printf "Regenerating all tables, figures and analyses (--jobs %d)%s\n\n"
-    jobs
-    (match fault with
-    | None -> ""
-    | Some f -> Format.asprintf " under %a" Jade_net.Fault.pp_spec f);
-  let par =
-    regenerate ~size ~jobs ?fault ?cache_dir ~replay ~emit:true ()
-  in
-  (* Warm pass: same work against the now-populated disk cache. *)
-  let warm =
-    match cache_dir with
-    | None -> None
-    | Some _ ->
-        Some
-          (regenerate ~size ~jobs ?fault ?cache_dir ~replay ~emit:false ())
-  in
+  let jobs = ref (Jade_experiments.Pool.default_jobs ()) in
+  let size = ref (Rn.Bench, "bench") in
+  let no_baseline = ref false in
+  Arg.parse
+    [
+      ( "--jobs",
+        Arg.Int
+          (fun j ->
+            if j < 1 then raise (Arg.Bad "--jobs: expected a positive integer");
+            jobs := j),
+        "N  worker domains (default: the recommended domain count)" );
+      ( "--size",
+        Arg.Symbol
+          ( [ "test"; "bench" ],
+            fun s -> size := ((if s = "test" then Rn.Test else Rn.Bench), s) ),
+        "  problem scale (default: bench)" );
+      ( "--no-baseline",
+        Arg.Set no_baseline,
+        " skip the --jobs 1 reference regeneration" );
+    ]
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    "Usage: main.exe [--jobs N] [--size test|bench] [--no-baseline]";
+  let jobs = !jobs and size, size_name = !size in
+  (* The main pass is cold by construction (so events/sec stays an honest
+     simulator figure); the warm pass right after it measures the pure
+     cache-replay wall time. *)
+  let cache_dir = Filename.temp_dir "jade-bench-cache" "" in
+  Printf.printf "Regenerating all tables, figures and analyses (--jobs %d)\n\n"
+    jobs;
+  let par = regenerate ~size ~jobs ~cache_dir ~emit:true () in
+  let warm = regenerate ~size ~jobs ~cache_dir ~emit:false () in
   (* Sequential reference for the speedup (and, when jobs > 1, for the
      per-event allocation figure, which needs single-domain GC counters).
      Cache-free: a disk-warm reference would measure nothing. *)
   let baseline =
-    if jobs > 1 && not no_baseline then begin
+    if jobs > 1 && not !no_baseline then begin
       Printf.printf
         "Regenerating again with --jobs 1 for the speedup baseline...\n";
-      Some (regenerate ~size ~jobs:1 ?fault ~replay ~emit:false ())
+      Some (regenerate ~size ~jobs:1 ~emit:false ())
     end
     else None
   in
-  (if cache_dir_is_temp then
-     match cache_dir with
-     | Some d ->
-         ignore
-           (Jade_experiments.Runcache.clear
-              (Jade_experiments.Runcache.create ~dir:d));
-         (try Unix.rmdir d with Unix.Unix_error _ -> ())
-     | None -> ());
+  ignore
+    (Jade_experiments.Runcache.clear
+       (Jade_experiments.Runcache.create ~dir:cache_dir));
+  (try Unix.rmdir cache_dir with Unix.Unix_error _ -> ());
   Printf.printf "\nRegeneration: %.2f s wall, %d simulated events (%.0f events/s)\n"
     par.wall_s par.events
     (if par.wall_s > 0.0 then float_of_int par.events /. par.wall_s else 0.0);
   if par.replayed_tasks > 0 then
     Printf.printf "Replay: %d task bodies replayed instead of re-executed\n"
       par.replayed_tasks;
-  (match warm with
-  | Some w ->
-      Printf.printf
-        "Warm regeneration (disk cache): %.3f s wall, %d events simulated, \
-         %d cache hits\n"
-        w.wall_s w.events w.cache_hits
-  | None -> ());
+  Printf.printf
+    "Warm regeneration (disk cache): %.3f s wall, %d events simulated, %d \
+     cache hits\n"
+    warm.wall_s warm.events warm.cache_hits;
   (match if jobs = 1 then Some par else baseline with
   | Some s when s.events > 0 ->
       Printf.printf "Minor allocation: %.1f words per simulated event (jobs=1)\n"
         (s.minor_words /. float_of_int s.events)
   | _ -> ());
-  (match (baseline, baseline_file_wall) with
-  | Some b, _ ->
+  (match baseline with
+  | Some b ->
       Printf.printf "Speedup vs --jobs 1: %.2fx (%.2f s -> %.2f s)\n"
         (b.wall_s /. par.wall_s) b.wall_s par.wall_s
-  | None, Some w when jobs > 1 ->
-      Printf.printf "Speedup vs --jobs 1 (--baseline file): %.2fx (%.2f s -> %.2f s)\n"
-        (w /. par.wall_s) w par.wall_s
-  | _ -> ());
+  | None -> ());
   let recovery = measure_recovery () in
   Printf.printf
     "Recovery scenario (1 crash, water/ipsc/4p): %.1f ms wall, %d task(s) \
@@ -673,8 +438,6 @@ let () =
     "Graph-opt A/B (%d apps x 3 machines, 8 procs): parity=%b, %d/%d cells \
      improved by cluster\n"
     (List.length Rn.all_apps) graph.ga_parity graph.ga_improved graph.ga_cells;
-  write_json "BENCH_repro.json" ~size_name ~jobs ~par ~baseline
-    ~baseline_file_wall
-    ~warm_wall_s:(Option.map (fun (w : regen_stats) -> w.wall_s) warm)
-    ~recovery ~occupancy ~graph;
+  write_json "BENCH_repro.json" ~size_name ~jobs ~par ~baseline ~warm ~recovery
+    ~occupancy ~graph;
   Printf.printf "Wrote BENCH_repro.json\n"

@@ -463,28 +463,24 @@ let run_cmd =
         Jade.Config.target_tasks = target;
       }
     in
+    let placed = level = Runner.Tp in
     let s, occ =
-      match trace with
-      | None when stats ->
-          let s, occ =
-            Runner.run_observed r ~app ~machine ~nprocs ~config
-              ~placed:(level = Runner.Tp)
-          in
-          (s, Some occ)
-      | None ->
-          ( Runner.run r ~app ~machine ~nprocs ~config
-              ~placed:(level = Runner.Tp),
-            None )
-      | Some path ->
-          let tr = Jade.Tracing.create () in
-          let s =
-            Runner.run_traced r ~trace:tr ~app ~machine ~nprocs ~config
-              ~placed:(level = Runner.Tp)
-          in
-          Jade.Tracing.write_chrome_json tr path;
-          Format.printf "wrote %d task events to %s@." (Jade.Tracing.count tr)
-            path;
-          s, None
+      if trace = None && not stats then
+        (Runner.run r ~app ~machine ~nprocs ~config ~placed, None)
+      else begin
+        let traced = Option.map (fun path -> (path, Jade.Tracing.create ())) trace in
+        let s, occ =
+          Runner.run_observed ?trace:(Option.map snd traced) r ~app ~machine
+            ~nprocs ~config ~placed
+        in
+        Option.iter
+          (fun (path, tr) ->
+            Jade.Tracing.write_chrome_json tr path;
+            Format.printf "wrote %d task events to %s@."
+              (Jade.Tracing.count tr) path)
+          traced;
+        (s, if stats then Some occ else None)
+      end
     in
     Format.printf "%s on %s, %d processors, %s@."
       (Runner.app_name app)

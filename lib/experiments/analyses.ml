@@ -136,39 +136,6 @@ let eager_transfer_seq r =
     unit_label = "seconds";
   }
 
-(* Record/replay for the bespoke-machine custom cells below, mirroring
-   the Runner's replay-group rule: within a fixed (program, nprocs,
-   placed) the task graph and every task's numeric op stream are
-   identical across machine and cost-record variants, so the first
-   simulated cell of a group records and the rest replay. Keyed by a
-   caller-chosen group string; a group whose first run is still
-   recording (concurrent pool workers) gets no handle and simply
-   executes for real, which is always correct. *)
-let custom_stores_lock = Mutex.create ()
-
-let custom_stores : (string, Jade.Replay.store) Hashtbl.t = Hashtbl.create 8
-
-let custom_replay group =
-  Mutex.protect custom_stores_lock (fun () ->
-      match Hashtbl.find_opt custom_stores group with
-      | Some store ->
-          if Jade.Replay.sealed store then Some (Jade.Replay.replayer store)
-          else None
-      | None ->
-          let store = Jade.Replay.create_store () in
-          Hashtbl.add custom_stores group store;
-          Some (Jade.Replay.recorder store))
-
-let custom_run r ~group ~machine ~nprocs program =
-  let handle = custom_replay group in
-  let s = Jade.Runtime.run ?replay:handle ~machine ~nprocs program in
-  (match handle with
-  | Some h when Jade.Replay.mode h = Jade.Replay.Record ->
-      Jade.Replay.seal (Jade.Replay.store_of h)
-  | _ -> ());
-  Runner.note_events r s.Jade.Metrics.event_count;
-  s
-
 (* Ablation of a reproduction design choice: the shared-memory balancer's
    steal patience (how long an idle processor waits before taking a task
    off its target processor). Longer patience widens the window in which
@@ -177,9 +144,10 @@ let custom_run r ~group ~machine ~nprocs program =
    the target processor the first wake-up, not from waiting.
 
    These runs use modified machine-cost records, so they bypass the
-   runner's (app x machine x config) memo; each cell is a
+   runner's (app x machine x config) grid; each cell is a
    {!Runner.run_custom} work unit instead — planned, fanned out and
-   disk-cached like any simulation — and rows are assembled in fixed grid
+   disk-cached like any simulation — that runs through {!Runner.simulate},
+   one replay group per processor count. Rows are assembled in fixed grid
    order. The cell keys carry the fixed paper-scale parameters, not the
    runner's size, because the computation does not depend on it. *)
 let ablation_steal_patience_seq r =
@@ -201,7 +169,7 @@ let ablation_steal_patience_seq r =
             ~placed:false ~nprocs
         in
         let s =
-          custom_run r
+          Runner.simulate r
             ~group:(Printf.sprintf "ablation-ocean-paper-iters30 n=%d" nprocs)
             ~machine ~nprocs program
         in
@@ -268,7 +236,7 @@ let portability_seq r =
            app_label machine_label nprocs)
       (fun () ->
         let s =
-          custom_run r
+          Runner.simulate r
             ~group:(Printf.sprintf "portability %s n=%d" app_label nprocs)
             ~machine ~nprocs (make nprocs)
         in

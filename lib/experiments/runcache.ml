@@ -53,9 +53,42 @@ let discard file reason =
     reason (Filename.basename file);
   try Sys.remove file with Sys_error _ -> ()
 
+(* The runtime shape of each [value] constructor, taken from a real
+   instance. [conforms p o]: [o] has [p]'s block structure down to the
+   leaves — same tags and sizes, immediates and boxed floats in the same
+   places — which is all a [value] is made of. *)
+let prototypes =
+  List.map Obj.repr
+    [ Summary (Jade.Metrics.summary (Jade.Metrics.create ())); Flops 0.0 ]
+
+let rec conforms p o =
+  if Obj.is_int p then Obj.is_int o
+  else
+    Obj.is_block o
+    && Obj.tag o = Obj.tag p
+    && Obj.size o = Obj.size p
+    && (Obj.tag p = Obj.double_tag
+       || List.for_all
+            (fun i -> conforms (Obj.field p i) (Obj.field o i))
+            (List.init (Obj.size p) Fun.id))
+
+(* [Some v] when [payload] is exactly one marshalled [value]. [Marshal]
+   raises on bytes it cannot parse, and a well-formed value of another
+   type would crash the program once matched on, so the decoded shape is
+   checked before the cast. *)
+let decode payload =
+  try
+    let o : Obj.t = Marshal.from_string payload 0 in
+    let size = Marshal.total_size (Bytes.unsafe_of_string payload) 0 in
+    if size = String.length payload && List.exists (fun p -> conforms p o) prototypes
+    then Some (Obj.obj o : value)
+    else None
+  with Failure _ | Invalid_argument _ -> None
+
 (* Entry layout: header line, 16 raw MD5 bytes of the payload, payload
-   (marshalled [value]). The digest is verified before unmarshalling, so
-   [Marshal.from_string] only ever sees bytes that round-tripped intact. *)
+   (marshalled [value]). The digest is verified before decoding, so
+   accidental damage never reaches [Marshal]; {!decode} turns away what
+   an intact digest cannot vouch for — bytes written by something else. *)
 let find t ~digest =
   let file = path t digest in
   if not (Sys.file_exists file) then None
@@ -81,7 +114,12 @@ let find t ~digest =
             discard file "corrupted";
             None
           end
-          else Some (Marshal.from_string payload 0 : value)
+          else
+            match decode payload with
+            | Some v -> Some v
+            | None ->
+                discard file "undecodable";
+                None
 
 let store t ~digest value =
   let payload = Marshal.to_string (value : value) [] in

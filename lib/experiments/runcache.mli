@@ -1,26 +1,33 @@
-(** Persistent on-disk run cache for experiment work units.
+(** Persistent on-disk run cache for experiment results.
 
-    Each {!Runner} work unit is content-addressed by a digest of its full
-    semantic identity — schema version, application, size parameters,
-    machine, processor count, and the complete [Jade.Config] including
+    Each {!Runner} result is content-addressed by {!digest_key} over its
+    full semantic identity: the runner's size parameters and the
+    result's marshalled id — for a simulation the application, machine,
+    processor count, placement and the complete [Jade.Config] including
     the fault-injection spec (a chaos run and a clean run of the same
     cell are different computations with different summaries, so the
-    fault spec must distinguish them). The digested value stored per key
-    is the unit's result: a [Jade.Metrics.summary] for a simulation, or a
-    float for a flop count. A warm invocation with the same cache
+    fault spec must distinguish them). The value stored per digest is
+    the result: a [Jade.Metrics.summary] for a simulation, or a float for
+    a flop count or custom cell. A warm invocation with the same cache
     directory therefore performs zero simulation.
 
     Entries are self-verifying: a version header plus an MD5 digest of
-    the payload bytes. A corrupted, truncated, or schema-stale entry is
-    removed with a warning on stderr and treated as a miss — the result
-    is recomputed, never a crash. Bumping {!schema_version} (required
-    whenever [Jade.Metrics.summary], [Jade.Config.t], or the simulation's
-    numeric behaviour changes) invalidates every existing entry the same
-    way. Writes are atomic (temp file + rename), so concurrent
-    regenerations sharing a directory cannot observe torn entries. *)
+    the payload bytes. A truncated, corrupted or schema-stale entry, or
+    one whose payload is not exactly one marshalled {!value} of the
+    right shape (bytes some other writer left behind a valid header and
+    digest), is removed with a named warning on stderr and treated as a
+    miss — the result is recomputed; {!find} never raises. Bumping
+    {!schema_version} (required whenever [Jade.Metrics.summary],
+    [Jade.Config.t], or the simulation's numeric behaviour changes)
+    invalidates every existing entry the same way. Writes are atomic
+    (temp file + rename), so concurrent regenerations sharing a
+    directory cannot observe torn entries. *)
 
 (** Bump on any change to the cached value types or to the simulation's
-    observable numbers. *)
+    observable numbers. A change in what the runner digests needs no
+    bump: entries under the old digests are never looked up again, so an
+    existing cache directory misses once and refills, while the entry
+    contents themselves stay valid. *)
 val schema_version : int
 
 type value =
@@ -37,7 +44,8 @@ val dir : t -> string
 (** Content digest (hex) of an ordered list of key components. *)
 val digest_key : string list -> string
 
-(** Look up an entry; removes and misses on corruption or stale schema. *)
+(** Look up an entry; removes it and misses when it is truncated,
+    corrupted, schema-stale or undecodable. Never raises. *)
 val find : t -> digest:string -> value option
 
 (** Atomically persist an entry. *)

@@ -1,9 +1,10 @@
 (** Experiment runner: executes (application x machine x processors x
-    configuration) combinations and caches the metric summaries, since the
+    configuration) combinations and memoizes their results, since the
     same run backs several tables and figures.
 
-    Two acceleration layers sit under the in-memory memo cache, both
-    output-preserving:
+    One memo holds every result — simulation summaries, serial and total
+    flop counts, and {!run_custom} cells — keyed by a structural id. Two
+    acceleration layers sit under it, both output-preserving:
 
     {ul
     {- {b Cross-configuration record/replay} (on by default): for a fixed
@@ -13,13 +14,17 @@
        communication differ. The first simulated run of such a group
        records each task body's op stream ({!Jade.Replay}); subsequent
        runs in the group replay the streams instead of re-executing the
-       float kernels. Byte-identical by construction; [~replay:false]
-       turns it off.}
-    {- {b Persistent disk cache} ([?cache_dir]): work units are
-       content-addressed by schema version, app, actual size parameters,
-       machine, nprocs and the full [Jade.Config] including the fault
-       spec ({!Runcache}); results persist across processes, so a warm
-       invocation performs zero simulation.}} *)
+       float kernels. One table holds every replay store by group label:
+       the grid's groups, their cluster-transformed derivatives, and the
+       groups of {!simulate}. Byte-identical by construction;
+       [~replay:false] turns it off for every cell.}
+    {- {b Persistent disk cache} ([?cache_dir]): a result's disk digest
+       is {!Runcache.digest_key} over the runner's size parameters
+       (marshalled once per runner) and the marshalled id — for a
+       simulation the app, machine, nprocs, placement and full
+       [Jade.Config] including the fault spec ({!Runcache}). Results
+       persist across processes, so a warm invocation performs zero
+       simulation. A digest is computed only on a memo miss.}} *)
 
 type app = Water | String_ | Ocean | Cholesky
 
@@ -74,47 +79,33 @@ val create :
   size ->
   t
 
-val size : t -> size
-
-(** Worker-domain count this runner uses for {!parallel} evaluation. *)
-val jobs : t -> int
-
 (** Total discrete-event engine events across every simulation this runner
-    has executed (cache misses and traced runs). Replayed runs count in
-    full — they process the same event stream, only skipping the numeric
-    kernels — while disk-cache hits simulate nothing and count zero. *)
+    has executed: memo misses, observed runs, group recordings and
+    {!simulate} calls. Replayed runs count in full — they process the same
+    event stream, only skipping the numeric kernels — while disk-cache
+    hits simulate nothing and count zero. *)
 val events_simulated : t -> int
-
-(** [note_events t n] adds [n] to the {!events_simulated} counter. The
-    runner counts its own [Sim] work units automatically, but a
-    {!run_custom} thunk that runs simulations is opaque to it — such
-    thunks report their summaries' event counts here so the bench
-    harness's events/sec denominator covers everything that was actually
-    simulated. Call it only from inside the thunk (a disk-cache hit skips
-    the thunk, and must count zero events). *)
-val note_events : t -> int -> unit
 
 type stats = {
   cache_lookups : int;  (** disk-cache probes (0 without [cache_dir]) *)
   cache_hits : int;  (** probes answered from disk, skipping simulation *)
-  replayed_tasks : int;  (** task bodies replayed instead of executed *)
+  replayed_tasks : int;
+      (** task bodies replayed instead of executed, {!simulate}'s included *)
 }
 
 val stats : t -> stats
-
-(** The configured disk-cache directory, if any. *)
-val cache_dir : t -> string option
 
 (** Persist this run's disk-cache hit statistics (for
     [repro cache stats]). No-op without [cache_dir]. *)
 val flush_cache_stats : t -> unit
 
-(** [parallel t f] evaluates [f ()] with its uncached simulations fanned
-    out across [jobs t] domains. Three passes: a planning pass records the
-    runs [f] needs (returning poisoned placeholders instead of
-    simulating — see {!Report.poison}), the recorded runs execute on a
-    {!Pool} and are merged into the cache keyed and deduplicated, and [f]
-    is replayed against the warm cache. The result is byte-for-byte
+(** [parallel t f] evaluates [f ()] with its unmemoized results fanned
+    out across the runner's [jobs] domains. Three passes: a planning pass
+    records each missing result's id with the computation that produces
+    it (returning poisoned placeholders instead of computing — see
+    {!Report.poison}), the recorded computations execute on a {!Pool} and
+    are merged into the memo keyed and deduplicated, and [f] is replayed
+    against the warm memo. The result is byte-for-byte
     identical to a plain sequential [f ()] whatever the jobs count or
     completion order. Nested calls are safe: inner [parallel]s inside a
     planning pass just keep recording. Collect tables inside [f]; render
@@ -134,11 +125,13 @@ val run :
   placed:bool ->
   Jade.Metrics.summary
 
-(** Like {!run} but uncached and unreplayed, returning the run's
+(** Like {!run} but unmemoized and unreplayed, returning the run's
     occupancy high-water marks ({!Jade.Metrics.occupancy}) alongside the
-    summary — the [repro run --stats] path (a cached summary cannot
-    carry pool/calendar/now-lane peaks). *)
+    summary, and collecting task-lifecycle events into [trace] when given
+    — the [repro run --stats] and [--trace] path (a cached summary
+    carries neither). *)
 val run_observed :
+  ?trace:Jade.Tracing.t ->
   t ->
   app:app ->
   machine:machine ->
@@ -146,18 +139,6 @@ val run_observed :
   config:Jade.Config.t ->
   placed:bool ->
   Jade.Metrics.summary * Jade.Metrics.occupancy
-
-(** Like {!run} but uncached, unreplayed, and collecting task-lifecycle
-    events into [trace]. *)
-val run_traced :
-  t ->
-  trace:Jade.Tracing.t ->
-  app:app ->
-  machine:machine ->
-  nprocs:int ->
-  config:Jade.Config.t ->
-  placed:bool ->
-  Jade.Metrics.summary
 
 (** [run_level t ~app ~machine ~nprocs ~level] — the standard §5.2 runs:
     placement follows the level. *)
@@ -168,10 +149,26 @@ val run_level :
     computation as a first-class work unit: planned, fanned out and
     disk-cached like a simulation. For experiment cells that bypass the
     (app x machine x config) grid — bespoke machine-cost records, ad-hoc
-    parameter sets. [key] is the unit's complete identity: it must encode
-    every input of the computation ([thunk] is looked up by it and only
-    by it). *)
+    parameter sets. [key] is the unit's complete identity at the
+    runner's size: it must encode every other input of the computation
+    (the memo and the disk cache know [thunk] only by it). *)
 val run_custom : t -> key:string -> (unit -> float) -> float
+
+(** [simulate t ~group ~machine ~nprocs program] runs [program] at the
+    default configuration on a bespoke machine, for {!run_custom} cells
+    whose machine-cost records are off the grid. Runs sharing a [group]
+    label must create the same task graph and numeric work: with replay
+    on, the group's first run records and the rest replay, and the
+    replayed bodies count in {!stats}; with [~replay:false] every body
+    executes. The label must not collide with the grid's own group labels
+    (["<App> p<N> placed|unplaced @<size>"]). *)
+val simulate :
+  t ->
+  group:string ->
+  machine:Jade.Runtime.machine ->
+  nprocs:int ->
+  (Jade.Runtime.t -> unit) ->
+  Jade.Metrics.summary
 
 (** Virtual execution time of the original serial program (its measured
     flop count over the machine's rate). *)

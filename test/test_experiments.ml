@@ -184,6 +184,20 @@ let test_analyses_render () =
         (List.length t.Report.rows > 0))
     (Analyses.all r)
 
+(* Replay off means off for every cell, the bespoke-machine custom cells
+   included; with replay on, their replayed bodies are counted like the
+   grid's. *)
+let test_custom_cells_replay () =
+  let off = Runner.create ~jobs:1 ~replay:false Runner.Test in
+  ignore (Analyses.all off);
+  Alcotest.(check int) "replay off: no body replays" 0
+    (Runner.stats off).Runner.replayed_tasks;
+  let on = Runner.create ~jobs:1 Runner.Test in
+  ignore (Analyses.ablation_steal_patience on);
+  ignore (Analyses.portability on);
+  Alcotest.(check bool) "replay on: custom cells' replays counted" true
+    ((Runner.stats on).Runner.replayed_tasks > 0)
+
 (* Regression: the regeneration output is a pure function of the inputs,
    whatever the worker-domain count, replay setting, or disk-cache state —
    the planning/warm/replay passes in [Runner.parallel], the
@@ -372,6 +386,75 @@ let test_runcache_roundtrip () =
   Alcotest.(check bool) "clear removes the stats" true
     (Runcache.read_last_run c = None)
 
+(* Decoder robustness: an entry holding arbitrary bytes — bare, behind the
+   entry header, or behind the header and a matching MD5 — or a
+   well-formed marshalled value of another type behind both is dropped
+   with a warning and misses; [find] never raises, and never hands back
+   a value of the wrong shape (matching on one can crash the program). *)
+let write_entry c ~digest bytes =
+  Out_channel.with_open_bin
+    (Filename.concat (Runcache.dir c) (digest ^ ".jrc"))
+    (fun oc -> output_string oc bytes)
+
+let entry_header = Printf.sprintf "jade-runcache %d\n" Runcache.schema_version
+
+let find_misses c entry =
+  let digest = Runcache.digest_key [ entry ] in
+  write_entry c ~digest entry;
+  match Runcache.find c ~digest with
+  | None ->
+      not (Sys.file_exists (Filename.concat (Runcache.dir c) (digest ^ ".jrc")))
+  | Some _ -> QCheck.Test.fail_reportf "decoded foreign bytes %S" entry
+  | exception e ->
+      QCheck.Test.fail_reportf "find raised %s on %S" (Printexc.to_string e)
+        entry
+
+(* Marshalled values whose shape matches no [Runcache.value]: a record
+   of the summary's arity but all ints, float arrays, strings, tuples. *)
+let foreign_marshalled =
+  let m v = Marshal.to_string v [] in
+  QCheck.Gen.(
+    oneof
+      [
+        map m string;
+        map m int;
+        map m float;
+        map m (list small_int);
+        map (fun (i, f) -> m (i, f)) (pair int float);
+        map (fun n -> m (Some (Array.make n 0))) (int_bound 40);
+        map (fun n -> m (Some (Array.make n 0.5))) (int_bound 40);
+        map (fun s -> m (Ok s : (string, float) result)) string;
+      ])
+
+let runcache_find_total_prop =
+  let dir = Filename.temp_dir "jade-test-runcache" "" in
+  QCheck.Test.make ~name:"find misses on foreign entry bytes" ~count:300
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(oneof [ string; foreign_marshalled ]))
+    (fun payload ->
+      let c = Runcache.create ~dir in
+      List.for_all (find_misses c)
+        [
+          payload;
+          entry_header ^ payload;
+          entry_header ^ Digest.string payload ^ payload;
+        ])
+
+let test_runcache_named_failures () =
+  let c = Runcache.create ~dir:(Filename.temp_dir "jade-test-runcache" "") in
+  List.iter
+    (fun (name, payload) ->
+      Alcotest.(check bool) name true
+        (find_misses c (entry_header ^ Digest.string payload ^ payload)))
+    [
+      ("garbage payload", "not a marshalled value");
+      ("empty payload", "");
+      ("marshalled string", Marshal.to_string "a string" []);
+      ( "valid value with trailing bytes",
+        Marshal.to_string (Runcache.Flops 1.0) [] ^ "x" );
+    ];
+  ignore (Runcache.clear c)
+
 (* Rendering a planning-pass placeholder is a bug; the poison assertion
    must trip instead of letting fabricated numbers into output. *)
 let test_poison_render_raises () =
@@ -392,15 +475,20 @@ let repro_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/repro.exe"
 
 let run_repro args =
+  let out = Filename.temp_file "repro" ".out" in
   let err = Filename.temp_file "repro" ".err" in
   let code =
     Sys.command
-      (Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote repro_exe) args
-         (Filename.quote err))
+      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote repro_exe) args
+         (Filename.quote out) (Filename.quote err))
   in
-  let text = In_channel.with_open_bin err In_channel.input_all in
-  Sys.remove err;
-  (code, text)
+  let read file =
+    let text = In_channel.with_open_bin file In_channel.input_all in
+    Sys.remove file;
+    text
+  in
+  let out = read out in
+  (code, out, read err)
 
 let contains hay needle =
   let n = String.length needle in
@@ -428,15 +516,37 @@ let cli_misuse_cases =
   ]
 
 let test_cli_rejects (args, named) () =
-  let code, err = run_repro args in
+  let code, _, err = run_repro args in
   Alcotest.(check int) (args ^ ": usage-error exit") 124 code;
   Alcotest.(check bool) (args ^ ": names " ^ named) true (contains err named);
   Alcotest.(check bool) (args ^ ": no uncaught exception") false
     (contains err "exception")
 
 let test_cli_in_range_runs () =
-  Alcotest.(check int) "table 1 still runs" 0
-    (fst (run_repro "table 1 --size test --jobs 1"))
+  let code, _, _ = run_repro "table 1 --size test --jobs 1" in
+  Alcotest.(check int) "table 1 still runs" 0 code
+
+(* [repro run] takes the memoized path plainly and the observed path with
+   --trace or --stats; all three print the same summary. *)
+let test_run_observed_paths () =
+  let run_app = "run --app water --size test" in
+  let summary args =
+    let code, out, _ = run_repro args in
+    Alcotest.(check int) (args ^ ": exit") 0 code;
+    List.filter
+      (fun l -> contains l "processors" || contains l "elapsed=")
+      (String.split_on_char '\n' out)
+  in
+  let plain = summary run_app in
+  Alcotest.(check int) "header and summary lines" 2 (List.length plain);
+  let trace = Filename.temp_file "repro" ".json" in
+  Alcotest.(check (list string)) "--trace prints the same summary" plain
+    (summary (run_app ^ " --trace " ^ Filename.quote trace));
+  Alcotest.(check bool) "trace file holds task events" true
+    (contains (In_channel.with_open_bin trace In_channel.input_all) "\"ph\"");
+  Sys.remove trace;
+  Alcotest.(check (list string)) "--stats prints the same summary" plain
+    (summary (run_app ^ " --stats"))
 
 let () =
   Alcotest.run "experiments"
@@ -465,7 +575,11 @@ let () =
           (fun ((args, _) as case) ->
             Alcotest.test_case ("rejects " ^ args) `Quick (test_cli_rejects case))
           cli_misuse_cases
-        @ [ Alcotest.test_case "in-range table runs" `Quick test_cli_in_range_runs ] );
+        @ [
+            Alcotest.test_case "in-range table runs" `Quick test_cli_in_range_runs;
+            Alcotest.test_case "run: trace and stats paths" `Quick
+              test_run_observed_paths;
+          ] );
       ( "paper data",
         [
           Alcotest.test_case "complete" `Quick test_paper_data_complete;
@@ -476,6 +590,8 @@ let () =
           Alcotest.test_case "render" `Quick test_render_contains_cells;
           Alcotest.test_case "csv export" `Quick test_csv_export;
           Alcotest.test_case "analyses render" `Quick test_analyses_render;
+          Alcotest.test_case "custom cells follow --replay" `Quick
+            test_custom_cells_replay;
         ] );
       ( "regression",
         [
@@ -493,6 +609,9 @@ let () =
           Alcotest.test_case "replay store poison" `Quick test_replay_poison;
           Alcotest.test_case "runcache entry format" `Quick
             test_runcache_roundtrip;
+          Alcotest.test_case "runcache named decode failures" `Quick
+            test_runcache_named_failures;
+          QCheck_alcotest.to_alcotest runcache_find_total_prop;
           Alcotest.test_case "poisoned render trips" `Quick
             test_poison_render_raises;
         ] );
