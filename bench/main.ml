@@ -3,9 +3,8 @@
    reproduction output (same as `repro all`), timed per kernel and fanned
    out across [--jobs] domains — and writes a machine-readable summary
    (per-kernel ms, events/sec, allocation per event, speedup vs --jobs 1,
-   and the recovery, occupancy and graph-opt scenarios) to
-   BENCH_repro.json, the file CI's perf-smoke and graph-parity checks
-   read.
+   and the recovery and occupancy scenarios) to BENCH_repro.json, the
+   file CI's perf-smoke checks read.
 
    Run with:  dune exec bench/main.exe -- [--jobs N] [--size test|bench]
                 [--no-baseline]
@@ -130,92 +129,6 @@ let measure_occupancy () =
     (Jade.Runtime.run_with ~machine:Jade.Runtime.ipsc860 ~nprocs:8 prog
        ~inspect:(fun _ m -> Jade.Metrics.occupancy m))
 
-(* Task-graph transformation A/B scenario: every app on every machine at
-   8 simulated processors, test scale, once per --graph-opt level. One
-   runner per level — the level folds into each cell's cache key, each
-   affected cell lifts the group's recorded op streams into the
-   [Jade_graph.Ir] DAG, runs the certified cluster pass, and replays the
-   transformed store through the unmodified runtime. The [Gr_none] runner
-   must reproduce the plain runner's summaries structurally (recorded as
-   [ga_parity]); the interesting number is how many (app, machine) cells
-   the cluster pass actually improves. *)
-type graph_cell = {
-  gc_app : string;
-  gc_machine : string;
-  gc_opt : string;
-  gc_elapsed_s : float;
-  gc_msgs : int;
-}
-
-type graph_ab = {
-  ga_parity : bool;  (* Gr_none summaries = plain-runner summaries *)
-  ga_improved : int;  (* cells where Gr_cluster cut messages or simulated time *)
-  ga_cells : int;  (* (app x machine) pairs measured *)
-  ga_rows : graph_cell list;
-}
-
-let measure_graph_opt () =
-  let apps = List.map (fun a -> (a, Rn.app_name a)) Rn.all_apps in
-  let machines = List.map (fun m -> (m, Rn.machine_name m)) [ Rn.Dash; Rn.Ipsc; Rn.Lan ] in
-  let nprocs = 8 in
-  let sweep r =
-    List.concat_map
-      (fun (app, an) ->
-        List.map
-          (fun (machine, mn) ->
-            ( an, mn,
-              Rn.run r ~app ~machine ~nprocs ~config:Jade.Config.default
-                ~placed:false ))
-          machines)
-      apps
-  in
-  let plain = sweep (Rn.create ~jobs:1 Rn.Test) in
-  let levels =
-    [ (Jade.Config.Gr_none, "none"); (Jade.Config.Gr_cluster, "cluster") ]
-  in
-  let by_level =
-    List.map
-      (fun (graph_opt, name) ->
-        (name, sweep (Rn.create ~jobs:1 ~graph_opt Rn.Test)))
-      levels
-  in
-  let cells_of name = List.assoc name by_level in
-  let parity =
-    List.for_all2
-      (fun (_, _, a) (_, _, (b : Jade.Metrics.summary)) -> a = b)
-      plain (cells_of "none")
-  in
-  let improved =
-    List.fold_left2
-      (fun n (_, _, (none : Jade.Metrics.summary))
-           (_, _, (cluster : Jade.Metrics.summary)) ->
-        if
-          cluster.Jade.Metrics.msg_count < none.Jade.Metrics.msg_count
-          || cluster.Jade.Metrics.elapsed_s < none.Jade.Metrics.elapsed_s
-        then n + 1
-        else n)
-      0 (cells_of "none") (cells_of "cluster")
-  in
-  {
-    ga_parity = parity;
-    ga_improved = improved;
-    ga_cells = List.length plain;
-    ga_rows =
-      List.concat_map
-        (fun (opt, cells) ->
-          List.map
-            (fun (an, mn, (s : Jade.Metrics.summary)) ->
-              {
-                gc_app = an;
-                gc_machine = mn;
-                gc_opt = opt;
-                gc_elapsed_s = s.Jade.Metrics.elapsed_s;
-                gc_msgs = s.Jade.Metrics.msg_count;
-              })
-            cells)
-        by_level;
-  }
-
 (* Minimal JSON writer (numbers, strings, null) — keeps the bench free of
    extra dependencies. *)
 let json_escape s =
@@ -232,7 +145,7 @@ let json_escape s =
 let write_json path ~size_name ~jobs ~(par : regen_stats)
     ~(baseline : regen_stats option) ~(warm : regen_stats)
     ~(recovery : recovery_stats)
-    ~(occupancy : Jade.Metrics.occupancy) ~(graph : graph_ab) =
+    ~(occupancy : Jade.Metrics.occupancy) =
   let oc = open_out path in
   let opt_float = function
     | Some v -> Printf.sprintf "%.6f" v
@@ -331,21 +244,6 @@ let write_json path ~size_name ~jobs ~(par : regen_stats)
     occupancy.Jade.Metrics.pool_hwm occupancy.Jade.Metrics.msg_cells
     occupancy.Jade.Metrics.cal_hwm occupancy.Jade.Metrics.cal_rebuilds
     occupancy.Jade.Metrics.now_cap occupancy.Jade.Metrics.esc_hwm;
-  let graph_rows =
-    List.map
-      (fun c ->
-        Printf.sprintf
-          "      {\"app\": \"%s\", \"machine\": \"%s\", \"opt\": \"%s\", \
-           \"elapsed_s\": %.9f, \"msgs\": %d}"
-          (json_escape c.gc_app) (json_escape c.gc_machine)
-          (json_escape c.gc_opt) c.gc_elapsed_s c.gc_msgs)
-      graph.ga_rows
-  in
-  Printf.fprintf oc
-    "  \"graph_opt\": {\"parity\": %b, \"improved_cells\": %d, \
-     \"cells\": %d, \"rows\": [\n%s\n    ]},\n"
-    graph.ga_parity graph.ga_improved graph.ga_cells
-    (String.concat ",\n" graph_rows);
   Printf.fprintf oc "  \"kernels\": [\n";
   let n = List.length par.kernel_ms in
   List.iteri
@@ -433,11 +331,6 @@ let () =
   let occupancy = measure_occupancy () in
   Printf.printf "Occupancy (water/ipsc/8p, test scale): %s\n"
     (Format.asprintf "%a" Jade.Metrics.pp_occupancy occupancy);
-  let graph = measure_graph_opt () in
-  Printf.printf
-    "Graph-opt A/B (%d apps x 3 machines, 8 procs): parity=%b, %d/%d cells \
-     improved by cluster\n"
-    (List.length Rn.all_apps) graph.ga_parity graph.ga_improved graph.ga_cells;
   write_json "BENCH_repro.json" ~size_name ~jobs ~par ~baseline ~warm ~recovery
-    ~occupancy ~graph;
+    ~occupancy;
   Printf.printf "Wrote BENCH_repro.json\n"

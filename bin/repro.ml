@@ -39,7 +39,7 @@ let non_negative =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Jade_experiments.Pool.default_jobs ())
+    & opt positive_int (Jade_experiments.Pool.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Worker domains to fan independent simulations across (default: \
@@ -122,7 +122,7 @@ let fault_term =
       & info [ "crash-at" ] ~docv:"P@T,..."
           ~doc:
             "Scripted crash-stop failures: processor P crashes at virtual \
-             time T (e.g. $(b,--crash-at 2\\@0.01)). Entries naming a \
+             time T (e.g. $(b,--crash-at 2@0.01)). Entries naming a \
              processor outside the run's range are dropped with a stderr \
              warning.")
   in
@@ -181,42 +181,12 @@ let cache_dir_arg =
            settings), so a later invocation with the same cache replays \
            results from disk without simulating.")
 
-(* The sixth optimization family: an offline task-graph transformation
-   pass over the recorded op streams, replayed through the unmodified
-   runtime. [none] is byte-identical to omitting the flag (the
-   graph-parity CI job diffs the two). *)
-let graph_opt_conv =
-  Arg.enum
-    [ ("none", Jade.Config.Gr_none); ("cluster", Jade.Config.Gr_cluster) ]
-
-let graph_opt_arg =
-  Arg.(
-    value
-    & opt (some graph_opt_conv) None
-    & info [ "graph-opt" ] ~docv:"PASS"
-        ~doc:
-          "Task-graph transformation applied to each run group's recorded \
-           op streams before replay: $(b,none) (byte-identical to omitting \
-           the flag) or $(b,cluster) (re-home tasks to the majority owner \
-           of their accesses, checked by a validity certificate; requires \
-           $(b,--replay on)).")
-
-(* [Runner.create] rejects option combinations it cannot honour (a graph
-   pass without replay); its message names the flags, and turning it into
-   a term error makes the misuse a usage error instead of a crash. *)
-let create_runner ~jobs ?fault ?graph_opt ?cache_dir ~replay size =
-  match Runner.create ~jobs ?fault ?graph_opt ?cache_dir ~replay size with
-  | r -> Ok r
-  | exception Invalid_argument msg -> Error (`Msg msg)
-
 let runner_term =
-  let make size jobs fault graph_opt replay cache_dir =
-    create_runner ~jobs ?fault ?graph_opt ?cache_dir ~replay size
+  let make size jobs fault replay cache_dir =
+    Runner.create ~jobs ?fault ?cache_dir ~replay size
   in
-  Term.term_result ~usage:true
-    Term.(
-      const make $ size_arg $ jobs_arg $ fault_term $ graph_opt_arg
-      $ replay_arg $ cache_dir_arg)
+  Term.(
+    const make $ size_arg $ jobs_arg $ fault_term $ replay_arg $ cache_dir_arg)
 
 let print_table ?paper t =
   print_string (Report.render_comparison ~ours:t ~paper);
@@ -307,12 +277,12 @@ let regen_cmd =
       & info [ "no-cache" ]
           ~doc:"Disable the persistent run cache for this regeneration.")
   in
-  let make size jobs fault graph_opt replay cache_dir no_cache =
+  let make size jobs fault replay cache_dir no_cache =
     let cache_dir =
       if no_cache then None
       else Some (Option.value cache_dir ~default:(default_cache_dir ()))
     in
-    create_runner ~jobs ?fault ?graph_opt ?cache_dir ~replay size
+    Runner.create ~jobs ?fault ?cache_dir ~replay size
   in
   let run r =
     let t0 = Unix.gettimeofday () in
@@ -337,9 +307,8 @@ let regen_cmd =
           simulates nothing.")
     Term.(
       const run
-      $ term_result ~usage:true
-          (const make $ size_arg $ jobs_arg $ fault_term $ graph_opt_arg
-          $ replay_arg $ cache_dir_arg $ no_cache_arg))
+      $ (const make $ size_arg $ jobs_arg $ fault_term $ replay_arg
+        $ cache_dir_arg $ no_cache_arg))
 
 let cache_cmd =
   let action_arg =
@@ -452,8 +421,8 @@ let run_cmd =
              not carry them.")
   in
   let run app machine nprocs level no_bcast no_fetch no_repl target size trace
-      stats fault graph_opt =
-    let r = Runner.create ?fault ?graph_opt size in
+      stats fault =
+    let r = Runner.create ?fault size in
     let config =
       {
         (Runner.config_of_level level) with
@@ -515,7 +484,7 @@ let run_cmd =
     Term.(
       const run $ app_arg $ machine_arg $ procs_arg $ level_arg $ broadcast_arg
       $ fetch_arg $ replication_arg $ target_arg $ size_arg $ trace_arg
-      $ stats_arg $ fault_term $ graph_opt_arg)
+      $ stats_arg $ fault_term)
 
 (* One summary line per (app, level, nprocs) on a single machine backend.
    The output is deterministic and jobs-independent, so CI hashes it at
@@ -558,25 +527,17 @@ let digest_cmd =
           locality level at 1-8 processors) for backend-parity checking.")
     Term.(const run $ machine_arg $ runner_term)
 
-(* Inspect and transform the task-graph IR directly: lift one program's
-   recorded op streams into the DAG and dump, summarize or run the
-   cluster pass over it, printing its statistics and validity
-   certificate. *)
+(* Inspect the task-graph IR directly: lift one program's recorded op
+   streams into the DAG and dump or summarize it. *)
 let graph_cmd =
   let action_arg =
     Arg.(
       required
-      & pos 0
-          (some
-             (enum
-                [ ("dump", `Dump); ("stats", `Stats); ("transform", `Transform) ]))
-          None
+      & pos 0 (some (enum [ ("dump", `Dump); ("stats", `Stats) ])) None
       & info [] ~docv:"ACTION"
           ~doc:
             "$(b,dump) prints the serialized IR; $(b,stats) summarizes the \
-             DAG (tasks, edges, objects, grain); $(b,transform) runs the \
-             cluster pass and prints its statistics and validity \
-             certificate.")
+             DAG (tasks, edges, objects, grain).")
   in
   let app_arg =
     Arg.(
@@ -639,28 +600,13 @@ let graph_cmd =
               (if n = 0 then 0.0 else total /. float_of_int n)
               !max_grain;
             Format.printf "  tasks with mid-body releases: %d@." !releasers;
-            Format.printf "  explicitly placed tasks: %d@." !placed_n
-        | `Transform ->
-            let res = Jade_graph.Passes.cluster g in
-            Format.printf "  pass cluster: %d nodes edited (%s)@."
-              res.Jade_graph.Passes.changed res.Jade_graph.Passes.detail;
-            Format.printf "  certificate %a@." Jade_graph.Verify.pp
-              res.Jade_graph.Passes.cert;
-            let placed_count graph =
-              Array.fold_left
-                (fun acc node ->
-                  if node.Ir.n_placement <> None then acc + 1 else acc)
-                0 graph.Ir.nodes
-            in
-            let after = res.Jade_graph.Passes.graph in
-            Format.printf "  result: %d of %d tasks placed (%d before)@."
-              (placed_count after) (Ir.node_count after) (placed_count g))
+            Format.printf "  explicitly placed tasks: %d@." !placed_n)
   in
   Cmd.v
     (Cmd.info "graph"
        ~doc:
          "Lift a program's recorded op streams into the task-graph IR and \
-          dump, summarize or transform it.")
+          dump or summarize it.")
     Term.(
       const run $ action_arg $ app_arg $ machine_arg $ procs_arg $ placed_arg
       $ size_arg)
@@ -679,7 +625,9 @@ let factor_cmd =
       & info [ "procs"; "p" ] ~docv:"P" ~doc:"Processors.")
   in
   let width_arg =
-    Arg.(value & opt int 8 & info [ "panel-width" ] ~docv:"W" ~doc:"Panel width.")
+    Arg.(
+      value & opt positive_int 8
+      & info [ "panel-width" ] ~docv:"W" ~doc:"Panel width.")
   in
   let machine_arg =
     Arg.(
@@ -688,15 +636,37 @@ let factor_cmd =
           Jade.Runtime.ipsc860
       & info [ "machine" ] ~docv:"M" ~doc:"ipsc (default) or lan.")
   in
+  (* A matrix the factorization cannot take — malformed, not square, not
+     symmetric, or not positive definite (found only when a panel's
+     pivot goes non-positive mid-run) — is a named error on the input
+     file, not an uncaught exception. *)
   let run path nprocs width machine =
-    let a = Jade_sparse.Matrix_market.read_file path in
+    let reject msg =
+      Printf.eprintf "factor: %s: %s\n%!" path msg;
+      exit 1
+    in
+    let a =
+      match Jade_sparse.Matrix_market.read_file path with
+      | a -> a
+      | exception (Jade_sparse.Matrix_market.Parse_error msg | Invalid_argument msg)
+        ->
+          reject msg
+    in
     Format.printf "read %s: n=%d, nnz=%d@." path a.Jade_sparse.Csc.n
       (Jade_sparse.Csc.nnz a);
     let program, result =
-      Jade_apps.Cholesky.factor_matrix a ~panel_width:width
-        ~kind:Jade_apps.App_common.Mp ~placed:false ~nprocs
+      match
+        Jade_apps.Cholesky.factor_matrix a ~panel_width:width
+          ~kind:Jade_apps.App_common.Mp ~placed:false ~nprocs
+      with
+      | pr -> pr
+      | exception Invalid_argument msg -> reject msg
     in
-    let s = Jade.Runtime.run ~machine ~nprocs program in
+    let s =
+      match Jade.Runtime.run ~machine ~nprocs program with
+      | s -> s
+      | exception Failure msg -> reject msg
+    in
     let r = result () in
     Format.printf "factored with %d tasks in %.4f virtual seconds@."
       r.Jade_apps.Cholesky.tasks s.Jade.Metrics.elapsed_s;

@@ -1,7 +1,5 @@
 type locality_level = No_locality | Locality | Task_placement
 
-type graph_opt = Gr_none | Gr_cluster
-
 type t = {
   locality : locality_level;
   adaptive_broadcast : bool;
@@ -11,7 +9,6 @@ type t = {
   work_free : bool;
   eager_transfer : bool;
   fault : Jade_net.Fault.spec option;
-  graph_opt : graph_opt;
 }
 
 let default =
@@ -24,7 +21,6 @@ let default =
     work_free = false;
     eager_transfer = false;
     fault = None;
-    graph_opt = Gr_none;
   }
 
 let locality_to_string = function

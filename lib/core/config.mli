@@ -6,10 +6,6 @@ type locality_level =
   | Locality  (** the implementation's locality heuristic (§3.2.1 / §3.4.3) *)
   | Task_placement  (** honour the programmer's explicit task placement *)
 
-type graph_opt =
-  | Gr_none  (** no graph transformation: byte-identical to the baseline *)
-  | Gr_cluster  (** re-home tasks to the majority owner of their accesses *)
-
 type t = {
   locality : locality_level;
   adaptive_broadcast : bool;  (** §3.4.2 *)
@@ -35,16 +31,6 @@ type t = {
           that let the communicator survive it. [None] (and any plan with
           all rates zero) leaves the simulation bit-identical to the
           fault-free baseline. Only meaningful on message-passing machines. *)
-  graph_opt : graph_opt;
-      (** the sixth optimization family: an offline task-graph
-          transformation pass ([Jade_graph.Passes]) applied to the
-          recorded op streams before replay. Interpreted by the experiment
-          runner (the runtime itself never reads it — transformed graphs
-          arrive through the replay handle); it rides the marshalled
-          config into the memo and disk-cache keys. Deliberately NOT
-          printed by {!pp}: [Gr_none] output must be byte-identical to a
-          config that predates the field, which the graph-parity CI checks
-          compare. *)
 }
 
 (** All optimizations on, no latency hiding ([target_tasks = 1]) — the
@@ -53,5 +39,4 @@ val default : t
 
 val locality_to_string : locality_level -> string
 
-(** Renders every field except [graph_opt] — see its doc above. *)
 val pp : Format.formatter -> t -> unit

@@ -5,7 +5,6 @@ type op = Ir.op = Work of float | Release of int
 type store = {
   nodes : (int, Ir.node) Hashtbl.t;
   st_label : string;
-  st_transformed : bool;
   mutable st_sealed : bool;
   mutable st_poisoned : bool;
   mutable st_warned : bool;  (** poisoning warning already printed *)
@@ -16,7 +15,6 @@ let create_store ?(label = "") () =
   {
     nodes = Hashtbl.create 256;
     st_label = label;
-    st_transformed = false;
     st_sealed = false;
     st_poisoned = false;
     st_warned = false;
@@ -48,21 +46,6 @@ let graph s =
         in
         s.st_graph <- Some g;
         Some g
-
-let of_graph (g : Ir.t) =
-  let nodes = Hashtbl.create (max 16 (Ir.node_count g)) in
-  Array.iter (fun n -> Hashtbl.replace nodes n.Ir.n_id n) g.Ir.nodes;
-  {
-    nodes;
-    st_label = "";
-    st_transformed = true;
-    st_sealed = true;
-    st_poisoned = false;
-    st_warned = false;
-    st_graph = Some g;
-  }
-
-let transformed s = s.st_transformed
 
 type mode = Record | Replay
 
@@ -102,10 +85,6 @@ let node h ~tid =
 
 let trace h ~tid =
   match node h ~tid with Some n -> Some n.Ir.n_ops | None -> None
-
-let placement_override h ~tid =
-  if not h.store.st_transformed then None
-  else match node h ~tid with Some n -> n.Ir.n_placement | None -> None
 
 let task_begin h ~tid =
   if h.t_mode = Record && not h.store.st_poisoned then

@@ -17,12 +17,7 @@
     (unused by the experiment harness), never the metrics.
 
     Because the store holds whole IR nodes, a sealed store lifts into a
-    typed task DAG ({!graph}) that the {!Jade_graph.Passes} pipeline can
-    transform, and a transformed graph lowers back into a store
-    ({!of_graph}) that replays through the unmodified runtime — the
-    transformed placements ride {!placement_override}. An untransformed
-    store never overrides anything, so replay without passes stays
-    byte-identical to real execution.
+    typed task DAG ({!graph}), which [repro graph] dumps and summarizes.
 
     A body that creates tasks or shared objects mid-execution cannot be
     replayed this way; recording detects this, warns once on stderr
@@ -64,18 +59,8 @@ val trace_count : store -> int
     is poisoned. Built on first use and cached; raises
     [Invalid_argument] if the recorded nodes violate the version-chain
     invariants ({!Jade_graph.Build.make}), which a completed recording
-    run never does. Not thread-safe with itself — callers serialize
-    (the runner builds under its lock). *)
+    run never does. Not thread-safe with itself. *)
 val graph : store -> Jade_graph.Ir.t option
-
-(** [of_graph g] is a sealed store that replays the (typically
-    pass-transformed) graph [g]: task placements in [g] surface through
-    {!placement_override}. *)
-val of_graph : Jade_graph.Ir.t -> store
-
-(** Whether this store came from {!of_graph} — i.e. carries transformed
-    placements that override the program's own. *)
-val transformed : store -> bool
 
 type mode = Record | Replay
 
@@ -83,7 +68,7 @@ type mode = Record | Replay
 type t
 
 (** A handle that records into [store]. Raises [Invalid_argument] if the
-    store is sealed (which includes every {!of_graph} store). *)
+    store is sealed. *)
 val recorder : store -> t
 
 (** A handle that replays from [store]. Raises [Invalid_argument] if the
@@ -98,13 +83,6 @@ val store_of : t -> store
     when the handle records, the store is poisoned, or the task has no
     trace (replay then falls back to executing the body). *)
 val trace : t -> tid:int -> op array option
-
-(** [placement_override h ~tid] is the placement a transformation pass
-    assigned to task [tid]: [Some _] only when the handle replays a
-    {!transformed} store whose node for [tid] carries a placement.
-    Always [None] on untransformed stores, so plain replay cannot
-    perturb scheduling. *)
-val placement_override : t -> tid:int -> int option
 
 (** Record-mode: open the recording buffer for task [tid]. *)
 val task_begin : t -> tid:int -> unit

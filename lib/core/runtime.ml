@@ -300,17 +300,6 @@ let withonly t ?placement ?(wait = false) ~name ~work ~accesses body =
   let spec = Spec.create () in
   accesses spec;
   t.task_counter <- t.task_counter + 1;
-  (* A transformed replay store re-homes tasks: its placement (assigned
-     by a graph pass) overrides the program's. Untransformed stores
-     never override, so plain replay cannot perturb scheduling. *)
-  let placement =
-    match t.replay with
-    | Some h -> (
-        match Replay.placement_override h ~tid:t.task_counter with
-        | Some p when p >= 0 && p < c.Backend.nprocs -> Some p
-        | Some _ | None -> placement)
-    | None -> placement
-  in
   let wrapped task proc = dispatch_body t body task proc in
   let task =
     Taskrec.create ~tid:t.task_counter ~tname:name ~spec:(Spec.entries spec)

@@ -1,6 +1,3 @@
-(* v6: Config lost its [engine] and [oracle] fields and [graph_opt]
-   shrank to none|cluster, so the Marshal'd Config in every cache key
-   changed shape. (v5 added [oracle], v4 [graph_opt], v3 [engine].) *)
 let schema_version = 6
 
 type value = Summary of Jade.Metrics.summary | Flops of float

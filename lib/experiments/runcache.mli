@@ -17,9 +17,9 @@
     right shape (bytes some other writer left behind a valid header and
     digest), is removed with a named warning on stderr and treated as a
     miss — the result is recomputed; {!find} never raises. Bumping
-    {!schema_version} (required whenever [Jade.Metrics.summary],
-    [Jade.Config.t], or the simulation's numeric behaviour changes)
-    invalidates every existing entry the same way. Writes are atomic
+    {!schema_version} (required whenever [Jade.Metrics.summary] or the
+    simulation's numeric behaviour changes) invalidates every existing
+    entry the same way. Writes are atomic
     (temp file + rename), so concurrent regenerations sharing a
     directory cannot observe torn entries. *)
 
@@ -27,7 +27,10 @@
     observable numbers. A change in what the runner digests needs no
     bump: entries under the old digests are never looked up again, so an
     existing cache directory misses once and refills, while the entry
-    contents themselves stay valid. *)
+    contents themselves stay valid. A change to the shape of
+    [Jade.Config.t] is such a change: the config is marshalled into every
+    simulation's digest and never into an entry. So removing its
+    graph-pass selection field left the schema at 6. *)
 val schema_version : int
 
 type value =

@@ -87,17 +87,14 @@ type t = {
   fault : Jade_net.Fault.spec option;
       (** chaos plan folded into every run's config (before the memo key is
           built, so chaos results never alias fault-free ones) *)
-  graph_opt : Jade.Config.graph_opt option;
-      (** task-graph transformation selection folded into every run's
-          config, like [fault] *)
   use_replay : bool;  (** cross-configuration record/replay enabled *)
   disk : Runcache.t option;  (** persistent result cache, when configured *)
   params : string;  (** the four apps' parameters at [sz], marshalled *)
   lock : Mutex.t;  (** guards every mutable field below *)
   results : (id, Runcache.value) Hashtbl.t;
   stores : (string, Jade.Replay.store) Hashtbl.t;
-      (** replay stores by group label: the grid's groups, their
-          cluster-transformed derivatives and {!simulate}'s groups *)
+      (** replay stores by group label: the grid's groups and
+          {!simulate}'s groups *)
   mutable plan : (id * (unit -> Runcache.value)) list option;
       (** [Some acc] while a {!parallel} planning pass records the results
           a computation needs (reversed); [None] during normal execution *)
@@ -107,19 +104,12 @@ type t = {
   mutable n_replayed_tasks : int;  (** task bodies replayed, not executed *)
 }
 
-let create ?jobs ?fault ?graph_opt ?cache_dir ?(replay = true) sz =
+let create ?jobs ?fault ?cache_dir ?(replay = true) sz =
   let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
-  (match graph_opt with
-  | Some g when g <> Jade.Config.Gr_none && not replay ->
-      invalid_arg
-        "Runner.create: graph transformation (--graph-opt) replays \
-         transformed op streams, so it requires record/replay (--replay on)"
-  | _ -> ());
   {
     sz;
     jobs;
     fault;
-    graph_opt;
     use_replay = replay;
     disk = Option.map (fun dir -> Runcache.create ~dir) cache_dir;
     params =
@@ -272,52 +262,13 @@ let group_store t key =
   if Jade.Replay.mode h = Jade.Replay.Record then ignore (run_key t key (Some h));
   Jade.Replay.store_of h
 
-(* The cluster-transformed store of [key]'s group, derived once from the
-   group's sealed store under the runner lock (the pass is deterministic,
-   so any domain deriving it produces the same store). [None] when some
-   body created tasks or objects mid-run: the group has no liftable graph,
-   and its store already warned. *)
-let transformed_store t key =
-  let base = group_store t key in
-  if Jade.Replay.poisoned base then None
-  else
-    let label = group_label t key ^ " +cluster" in
-    locked t (fun () ->
-        match Hashtbl.find_opt t.stores label with
-        | Some ts -> Some ts
-        | None ->
-            let graph = Option.get (Jade.Replay.graph base) in
-            let ts =
-              Jade.Replay.of_graph
-                (Jade_graph.Passes.cluster graph).Jade_graph.Passes.graph
-            in
-            Hashtbl.add t.stores label ts;
-            Some ts)
-
 (* One grid cell. Work-free bodies never execute, so they neither record
-   nor replay. A cell selecting the graph pass replays its group's
-   transformed store — placement overrides ride the replay handle into
-   the unmodified runtime. *)
+   nor replay. *)
 let simulate_key t key =
-  let config = key.k_config in
-  let plain () =
-    run_key t key
-      (if t.use_replay && not config.Jade.Config.work_free then
-         Some (claim t (group_label t key))
-       else None)
-  in
-  if
-    config.Jade.Config.graph_opt = Jade.Config.Gr_none
-    || config.Jade.Config.work_free
-  then plain ()
-  else if not t.use_replay then
-    invalid_arg
-      "Runner: graph transformation (--graph-opt) replays transformed op \
-       streams, so it requires record/replay (--replay on)"
-  else
-    match transformed_store t key with
-    | Some ts -> run_key t key (Some (Jade.Replay.replayer ts))
-    | None -> plain ()
+  run_key t key
+    (if t.use_replay && not key.k_config.Jade.Config.work_free then
+       Some (claim t (group_label t key))
+     else None)
 
 let simulate t ~group ~machine ~nprocs program =
   let replay = if t.use_replay then Some (claim t group) else None in
@@ -391,18 +342,12 @@ let flops_value = function
   | None -> Report.poison
   | Some (Runcache.Summary _) -> assert false
 
-(* Fold the runner-wide fault plan and graph-opt selection into a run's
-   config before the memo key is built — both change the computation, so
-   both live in the key. *)
+(* Fold the runner-wide fault plan into a run's config before the memo
+   key is built — it changes the computation, so it lives in the key. *)
 let with_overrides t (config : Jade.Config.t) =
-  let config =
-    match t.fault with
-    | None -> config
-    | Some f -> { config with Jade.Config.fault = Some f }
-  in
-  match t.graph_opt with
+  match t.fault with
   | None -> config
-  | Some g -> { config with Jade.Config.graph_opt = g }
+  | Some f -> { config with Jade.Config.fault = Some f }
 
 let run t ~app ~machine ~nprocs ~config ~placed =
   let key =
@@ -463,15 +408,9 @@ let run_custom t ~key thunk =
    the group's replay store, so a later [run] of the same group replays
    instead of re-recording. *)
 let task_graph t ~app ~machine ~nprocs ~placed =
-  let config =
-    {
-      (with_overrides t Jade.Config.default) with
-      Jade.Config.graph_opt = Jade.Config.Gr_none;
-    }
-  in
   let key =
-    { k_app = app; k_machine = machine; k_nprocs = nprocs; k_config = config;
-      k_placed = placed }
+    { k_app = app; k_machine = machine; k_nprocs = nprocs;
+      k_config = with_overrides t Jade.Config.default; k_placed = placed }
   in
   let store = group_store t key in
   if Jade.Replay.poisoned store then

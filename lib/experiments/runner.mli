@@ -15,8 +15,8 @@
        records each task body's op stream ({!Jade.Replay}); subsequent
        runs in the group replay the streams instead of re-executing the
        float kernels. One table holds every replay store by group label:
-       the grid's groups, their cluster-transformed derivatives, and the
-       groups of {!simulate}. Byte-identical by construction;
+       the grid's groups and the groups of {!simulate}. Byte-identical by
+       construction;
        [~replay:false] turns it off for every cell.}
     {- {b Persistent disk cache} ([?cache_dir]): a result's disk digest
        is {!Runcache.digest_key} over the runner's size parameters
@@ -54,26 +54,19 @@ val config_of_level : level -> Jade.Config.t
 
 type t
 
-(** [create ?jobs ?fault ?graph_opt ?cache_dir ?replay size] makes a
-    runner whose result cache is domain-safe. [jobs] (default
-    {!Pool.default_jobs}, clamped to at least 1) is the number of domains
-    {!parallel} fans uncached simulations out across. [fault], when
-    given, is a deterministic chaos plan ({!Jade_net.Fault}) folded into
-    the configuration of every run this runner executes — it participates
-    in the memo key and the disk-cache key, so chaos results never alias
-    fault-free ones. [graph_opt], when given, selects the task-graph
-    transformation the same way: each affected cell lifts its group's
-    recorded op streams into the {!Jade_graph.Ir} DAG, runs the certified
-    cluster pass, and replays the transformed store through the
-    unmodified runtime ([Gr_none] cells stay byte-identical to a runner
-    with no [graph_opt]). [Gr_cluster] requires [replay]; the combination
-    with [~replay:false] raises [Invalid_argument]. [cache_dir] enables
-    the persistent disk cache. [replay] (default [true]) enables
-    cross-configuration record/replay. *)
+(** [create ?jobs ?fault ?cache_dir ?replay size] makes a runner whose
+    result cache is domain-safe. [jobs] (default {!Pool.default_jobs},
+    clamped to at least 1) is the number of domains {!parallel} fans
+    uncached simulations out across. [fault], when given, is a
+    deterministic chaos plan ({!Jade_net.Fault}) folded into the
+    configuration of every run this runner executes — it participates in
+    the memo key and the disk-cache key, so chaos results never alias
+    fault-free ones. [cache_dir] enables the persistent disk cache.
+    [replay] (default [true]) enables cross-configuration record/replay.
+    Never raises. *)
 val create :
   ?jobs:int ->
   ?fault:Jade_net.Fault.spec ->
-  ?graph_opt:Jade.Config.graph_opt ->
   ?cache_dir:string ->
   ?replay:bool ->
   size ->

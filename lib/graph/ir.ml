@@ -49,11 +49,6 @@ let object_count g =
     g.nodes;
   Hashtbl.length seen
 
-let find g ~id =
-  match Hashtbl.find_opt g.index id with
-  | Some pos -> Some g.nodes.(pos)
-  | None -> None
-
 let trace_work n =
   if Array.length n.n_ops = 0 then n.n_work
   else

@@ -11,9 +11,8 @@
     requires a version A produces ({!Build.make}).
 
     The IR is deliberately dependency-free (ints, floats, strings): the
-    runtime records into it, the optimization passes ({!Passes}) rewrite
-    it, and the replay layer executes it, without any of those layers
-    seeing each other. *)
+    runtime records into it and the replay layer executes it without
+    either seeing the other, and [repro graph] dumps and summarizes it. *)
 
 (** Access mode of one spec entry, mirroring [Jade.Access.mode]. *)
 type mode = Rd | Wr | Rw
@@ -40,12 +39,11 @@ type access = {
 }
 
 (** One task. [n_placement] is the explicit placement the program
-    declared, or the placement a pass assigned. [n_ran_on] is observed data-access
-    information: the processor the recording run actually executed the
-    task on ([-1] if unknown) — on message-passing machines every object
-    is allocated at processor 0, so the static homes say nothing about
-    how work spreads, and the recorded schedule is what grounds the
-    passes' locality projections in reality. *)
+    declared. [n_ran_on] is observed data-access information: the
+    processor the recording run actually executed the task on ([-1] if
+    unknown) — on message-passing machines every object is allocated at
+    processor 0, so the static homes say nothing about how work spreads,
+    and the recorded schedule does. *)
 type node = {
   n_id : int;  (** deterministic task id (creation order, 1-based) *)
   n_name : string;
@@ -73,9 +71,6 @@ val edge_count : t -> int
 
 (** Distinct shared objects accessed anywhere in the graph. *)
 val object_count : t -> int
-
-(** [find g ~id] is the node with task id [id], if any. *)
-val find : t -> id:int -> node option
 
 (** The flops task [n] actually charged: the sum of its [Work] ops when
     the stream is non-empty, its declared [n_work] otherwise. *)

@@ -509,18 +509,65 @@ let cli_misuse_cases =
       (run_app ^ " --drop-rate 1.5", "--drop-rate");
       (run_app ^ " --crash-rate 2", "--crash-rate");
       (run_app ^ " --crash-at 2@-1", "--crash-at");
+      ("table 1 --size test --jobs 0", "--jobs");
+      ("table 1 --size test --jobs=-2", "--jobs");
       ("all --size test --graph-opt cluster --replay off", "--graph-opt");
+      (run_app ^ " --graph-opt cluster", "--graph-opt");
+      ("graph transform --app water --size test", "transform");
       (run_app ^ " --engine seq", "--engine");
       (run_app ^ " --domains 2", "--domains");
       (run_app ^ " --oracle", "--oracle");
   ]
 
-let test_cli_rejects (args, named) () =
+let check_rejected args ~want ~named =
   let code, _, err = run_repro args in
-  Alcotest.(check int) (args ^ ": usage-error exit") 124 code;
+  Alcotest.(check int) (args ^ ": exit") want code;
   Alcotest.(check bool) (args ^ ": names " ^ named) true (contains err named);
   Alcotest.(check bool) (args ^ ": no uncaught exception") false
     (contains err "exception")
+
+let test_cli_rejects (args, named) () = check_rejected args ~want:124 ~named
+
+(* [repro factor] on bad input. A bad [--panel-width] is a usage error
+   naming the flag; a matrix the factorization cannot take exits 1 with a
+   one-line error naming the file. Each case writes its fixture matrix to
+   a temporary file: (label, matrix, extra arguments, exit code, what
+   stderr names — [None] for the file). *)
+let factor_cases =
+  let header = "%%MatrixMarket matrix coordinate real " in
+  let spd = header ^ "symmetric\n2 2 3\n1 1 4.0\n2 1 1.0\n2 2 3.0\n" in
+  [
+    ("--panel-width 0", spd, "--panel-width 0", 124, Some "--panel-width");
+    ("--panel-width=-3", spd, "--panel-width=-3", 124, Some "--panel-width");
+    ("malformed matrix", header ^ "symmetric\n2 2 1\n1 1 x\n", "", 1, None);
+    ( "non-symmetric matrix",
+      header ^ "general\n2 2 2\n1 1 1.0\n1 2 1.0\n", "", 1, None );
+    ( "indefinite matrix",
+      header ^ "symmetric\n2 2 3\n1 1 1.0\n2 1 2.0\n2 2 1.0\n", "", 1, None );
+  ]
+
+let test_factor_rejects (_, matrix, extra, want, named) () =
+  let path = Filename.temp_file "repro-factor" ".mtx" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc matrix);
+  let args = Printf.sprintf "factor --matrix %s %s" (Filename.quote path) extra in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      check_rejected args ~want ~named:(Option.value named ~default:path))
+
+(* Every subcommand's help renders without a markup error on stderr. *)
+let test_help_clean () =
+  List.iter
+    (fun sub ->
+      let args = sub ^ " --help=plain" in
+      let code, out, err = run_repro args in
+      Alcotest.(check int) (args ^ ": exit") 0 code;
+      Alcotest.(check string) (args ^ ": stderr") "" err;
+      if sub = "run" then
+        Alcotest.(check bool) "run help shows the --crash-at example" true
+          (contains out "--crash-at 2@0.01"))
+    [ "table"; "figure"; "analyses"; "all"; "regen"; "cache"; "run"; "digest";
+      "graph"; "factor" ]
 
 let test_cli_in_range_runs () =
   let code, _, _ = run_repro "table 1 --size test --jobs 1" in
@@ -575,7 +622,13 @@ let () =
           (fun ((args, _) as case) ->
             Alcotest.test_case ("rejects " ^ args) `Quick (test_cli_rejects case))
           cli_misuse_cases
+        @ List.map
+            (fun ((label, _, _, _, _) as case) ->
+              Alcotest.test_case ("factor rejects " ^ label) `Quick
+                (test_factor_rejects case))
+            factor_cases
         @ [
+            Alcotest.test_case "help renders cleanly" `Quick test_help_clean;
             Alcotest.test_case "in-range table runs" `Quick test_cli_in_range_runs;
             Alcotest.test_case "run: trace and stats paths" `Quick
               test_run_observed_paths;

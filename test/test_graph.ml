@@ -1,23 +1,18 @@
-(* Tests of the task-graph IR and its transformation passes.
+(* Tests of the task-graph IR.
 
-   Three layers:
+   Two layers:
 
    1. Serialization: for random well-formed node sets, build -> encode ->
       decode -> build is the identity (floats travel as hex literals, so
       the round-trip is bit-exact).
-   2. Identity: lifting a recorded random program into the IR, lowering
-      it straight back and replaying produces exactly the metric summary
-      of the baseline run — on all three machines.
-   3. Transformation: the cluster pass keeps its certificate clean, and
-      executing the random program for real with the transformed
-      placements still matches serial execution (the pass relocates
-      work; it must never change what it computes). *)
+   2. Identity: a recorded random program lifts into the IR with one
+      node per task, and replaying the recorded store replays every task
+      and produces exactly the metric summary of the baseline run — on
+      all three machines. *)
 
 module R = Jade.Runtime
 module Ir = Jade_graph.Ir
 module Build = Jade_graph.Build
-module Passes = Jade_graph.Passes
-module Verify = Jade_graph.Verify
 module Sr = Jade_sim.Srandom
 
 (* ------------------------------------------------------------------ *)
@@ -254,15 +249,7 @@ let apply_op op (arrays : float array array) =
       arrays.(i).(1) <- arrays.(i).(1) +. 1.0)
     (op.writes @ op.updates)
 
-let serial_result prog =
-  let arrays = Array.init prog.nobjs (fun i -> [| float_of_int i; 0.0 |]) in
-  List.iter (fun op -> apply_op op arrays) prog.ops;
-  arrays
-
-(* [placement_of] lets the transformation tests re-run the program with
-   pass-assigned placements: task ids are creation order, 1-based, so op
-   [k] is task [k + 1]. *)
-let jade_program ?placement_of prog ~nprocs rt =
+let jade_program prog ~nprocs rt =
   let objs =
     Array.init prog.nobjs (fun i ->
         R.create_object rt ~home:(i mod nprocs)
@@ -273,12 +260,7 @@ let jade_program ?placement_of prog ~nprocs rt =
   List.iter
     (fun op ->
       let placement =
-        match placement_of with
-        | Some f -> f ~tid:(op.op_id + 1)
-        | None -> (
-            match op.placement with
-            | Some p when p < nprocs -> Some p
-            | _ -> None)
+        match op.placement with Some p when p < nprocs -> Some p | _ -> None
       in
       R.withonly rt ?placement
         ~name:(Printf.sprintf "op%d" op.op_id)
@@ -289,9 +271,7 @@ let jade_program ?placement_of prog ~nprocs rt =
           List.iter (fun i -> Jade.Spec.rw s objs.(i)) op.updates)
         (fun env ->
           (* Mid-body work charges bracket the early releases so the
-             recorded op streams contain [Work; Release...; Work] — the
-             shape whose release order and flop offsets the certificate
-             checks. *)
+             recorded op streams contain [Work; Release...; Work]. *)
           R.work env (float_of_int (50 + (op.op_id * 7 mod 200)));
           let arrays =
             Array.init prog.nobjs (fun i ->
@@ -304,13 +284,7 @@ let jade_program ?placement_of prog ~nprocs rt =
           List.iter (fun i -> R.release env objs.(i)) op.early_release;
           R.work env 3.0))
     prog.ops;
-  R.drain rt;
-  Array.map Jade.Shared.data objs
-
-let equal_states a b =
-  Array.for_all2
-    (fun (x : float array) (y : float array) -> x.(0) = y.(0) && x.(1) = y.(1))
-    a b
+  R.drain rt
 
 let machines =
   [ ("dash", R.dash); ("ipsc", R.ipsc860); ("lan", R.lan) ]
@@ -321,10 +295,7 @@ let machines =
 let record_run prog ~machine ~nprocs =
   let store = Jade.Replay.create_store ~label:"test_graph" () in
   let h = Jade.Replay.recorder store in
-  let s =
-    R.run ~replay:h ~machine ~nprocs (fun rt ->
-        ignore (jade_program prog ~nprocs rt))
-  in
+  let s = R.run ~replay:h ~machine ~nprocs (jade_program prog ~nprocs) in
   Jade.Replay.seal store;
   (store, s)
 
@@ -335,68 +306,23 @@ let identity_prop (mname, machine) =
       let g = Sr.create seed in
       let nprocs = 2 + Sr.int g 6 in
       let prog = gen_prog g ~nprocs in
-      let s0 =
-        R.run ~machine ~nprocs (fun rt -> ignore (jade_program prog ~nprocs rt))
-      in
+      let ntasks = List.length prog.ops in
+      let s0 = R.run ~machine ~nprocs (jade_program prog ~nprocs) in
       let store, s_rec = record_run prog ~machine ~nprocs in
       if s_rec <> s0 then
         QCheck.Test.fail_reportf "recording run diverged from baseline";
-      match Jade.Replay.graph store with
+      (match Jade.Replay.graph store with
       | None -> QCheck.Test.fail_reportf "store unexpectedly poisoned"
       | Some graph ->
-          let store' = Jade.Replay.of_graph graph in
-          let s1 =
-            R.run
-              ~replay:(Jade.Replay.replayer store')
-              ~machine ~nprocs
-              (fun rt -> ignore (jade_program prog ~nprocs rt))
-          in
-          s1 = s0)
-
-let transform_prop (mname, machine) =
-  QCheck.Test.make
-    ~name:
-      (Printf.sprintf
-         "transformed placements preserve serial equivalence on %s" mname)
-    ~count:25 QCheck.small_int (fun seed ->
-      let g = Sr.create seed in
-      let nprocs = 2 + Sr.int g 6 in
-      let prog = gen_prog g ~nprocs in
-      let expected = serial_result prog in
-      let store, _ = record_run prog ~machine ~nprocs in
-      match Jade.Replay.graph store with
-      | None -> QCheck.Test.fail_reportf "store unexpectedly poisoned"
-      | Some graph ->
-          (* The certificate is checked inside [Passes.cluster]; a dirty
-             one raises. *)
-          let res = Passes.cluster graph in
-          if not (Verify.ok res.Passes.cert) then
-            QCheck.Test.fail_reportf "dirty certificate escaped";
-          (* Replaying the transformed store must complete (drain) and
-             replay every recorded task. *)
-          let h = Jade.Replay.replayer (Jade.Replay.of_graph res.Passes.graph) in
-          let _ =
-            R.run ~replay:h ~machine ~nprocs (fun rt ->
-                ignore (jade_program prog ~nprocs rt))
-          in
-          if Jade.Replay.replayed h <> List.length prog.ops then
-            QCheck.Test.fail_reportf "transformed replay skipped tasks";
-          (* Executing for real with the pass-assigned placements must
-             still match serial execution exactly. *)
-          let placement_of ~tid =
-            match Ir.find res.Passes.graph ~id:tid with
-            | Some n -> (
-                match n.Ir.n_placement with
-                | Some p when p >= 0 && p < nprocs -> Some p
-                | _ -> None)
-            | None -> None
-          in
-          let got = ref [||] in
-          let _ =
-            R.run ~machine ~nprocs (fun rt ->
-                got := jade_program ~placement_of prog ~nprocs rt)
-          in
-          equal_states expected !got)
+          if Ir.node_count graph <> ntasks then
+            QCheck.Test.fail_reportf "lifted %d nodes from %d tasks"
+              (Ir.node_count graph) ntasks);
+      let h = Jade.Replay.replayer store in
+      let s1 = R.run ~replay:h ~machine ~nprocs (jade_program prog ~nprocs) in
+      if Jade.Replay.replayed h <> ntasks then
+        QCheck.Test.fail_reportf "replayed %d of %d tasks"
+          (Jade.Replay.replayed h) ntasks;
+      s1 = s0)
 
 let qcheck t = QCheck_alcotest.to_alcotest t
 
@@ -414,6 +340,4 @@ let () =
         ] );
       ( "identity pipeline",
         List.map (fun m -> qcheck (identity_prop m)) machines );
-      ( "transformation",
-        List.map (fun m -> qcheck (transform_prop m)) machines );
     ]
