@@ -14,9 +14,9 @@
    reported as warm_wall_s. With --jobs N > 1 a cache-free --jobs 1
    regeneration follows for the speedup and allocation figures;
    --no-baseline skips it. --size test runs the small problem sizes for
-   CI smoke checks. Replay-off, persistent-cache and chaos measurements
-   belong to `repro regen` and perfbench's regen_kernels and mp_chaos
-   workloads. *)
+   CI smoke checks. Every-kernel (--replay off), persistent-cache and
+   chaos measurements belong to `repro regen` and perfbench's
+   regen_kernels and mp_chaos workloads. *)
 
 module Rn = Jade_experiments.Runner
 
@@ -31,7 +31,7 @@ type regen_stats = {
   events : int;
   minor_words : float;  (** main-domain minor words; meaningful at jobs=1 *)
   cache_hits : int;  (** work units answered from the disk cache *)
-  replayed_tasks : int;  (** task bodies replayed instead of executed *)
+  replayed_tasks : int;  (** kernel bodies skipped instead of executed *)
 }
 
 let regenerate ~size ~jobs ?cache_dir ~emit () =
@@ -188,9 +188,10 @@ let write_json path ~size_name ~jobs ~(par : regen_stats)
   Printf.fprintf oc "  \"events_per_sec\": %.1f,\n" events_per_sec;
   Printf.fprintf oc "  \"minor_words_per_event\": %s,\n"
     (opt_float minor_words_per_event);
-  (* Caching/replay accounting: [events]/[events_per_sec] above count
-     only what was actually simulated, so these make warm or replayed
-     runs legible instead of looking like a mysteriously slow simulator. *)
+  (* Caching and kernel-skipping accounting: [events]/[events_per_sec]
+     above count only what was actually simulated, so these make warm
+     runs legible instead of looking like a mysteriously slow simulator.
+     [replayed_tasks] counts the kernel bodies skipped. *)
   Printf.fprintf oc "  \"cache_hits\": %d,\n" par.cache_hits;
   Printf.fprintf oc "  \"replayed_tasks\": %d,\n" par.replayed_tasks;
   Printf.fprintf oc "  \"warm_wall_s\": %.6f,\n" warm.wall_s;
@@ -306,7 +307,7 @@ let () =
     par.wall_s par.events
     (if par.wall_s > 0.0 then float_of_int par.events /. par.wall_s else 0.0);
   if par.replayed_tasks > 0 then
-    Printf.printf "Replay: %d task bodies replayed instead of re-executed\n"
+    Printf.printf "Kernels: %d task bodies skipped instead of executed\n"
       par.replayed_tasks;
   Printf.printf
     "Warm regeneration (disk cache): %.3f s wall, %d events simulated, %d \

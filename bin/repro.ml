@@ -154,20 +154,21 @@ let fault_term =
     const make $ seed_arg $ drop_arg $ dup_arg $ jitter_arg $ crash_rate_arg
     $ crash_at_arg $ crash_seed_arg $ crash_restart_arg)
 
-(* Replay and persistent-cache controls, shared by every Runner-backed
-   subcommand. Both layers are output-preserving: toggling them can only
-   change wall-clock time, never a rendered byte. *)
+(* Kernel-skipping and persistent-cache controls, shared by every
+   Runner-backed subcommand. Both layers are output-preserving: toggling
+   them can only change wall-clock time, never a rendered byte. *)
 let replay_arg =
   Arg.(
     value
     & opt (enum [ ("on", true); ("off", false) ]) true
     & info [ "replay" ] ~docv:"on|off"
         ~doc:
-          "Cross-configuration task record/replay (default on): within a \
-           fixed (app, size, processors, placement) group the first run \
-           records every task's numeric effects and the other \
-           machine/configuration cells replay them instead of re-executing \
-           the float kernels. Output is byte-identical either way.")
+          "Kernel skipping (default on): a task's simulated cost comes from \
+           its declared accesses and work, so memoized runs simulate the \
+           schedule without executing the applications' float kernels. \
+           $(b,off) executes every kernel in every run, which also checks \
+           that no kernel creates tasks or objects. Output is \
+           byte-identical either way.")
 
 let cache_dir_arg =
   Arg.(
@@ -302,9 +303,9 @@ let regen_cmd =
        ~doc:
          "Regenerate every table, figure and analysis with the persistent \
           run cache enabled (default directory: \
-          \\$XDG_CACHE_HOME/jade-repro), printing cache and replay \
-          statistics on stderr. A second run against the same cache \
-          simulates nothing.")
+          \\$XDG_CACHE_HOME/jade-repro), printing cache and \
+          kernel-skipping statistics on stderr. A second run against the \
+          same cache simulates nothing.")
     Term.(
       const run
       $ (const make $ size_arg $ jobs_arg $ fault_term $ replay_arg
@@ -417,8 +418,8 @@ let run_cmd =
             "Also print the run's occupancy high-water marks (protocol \
              message pool, fabric message cells, calendar size and \
              rebuilds, now-lane capacity, escape slab). Forces a real \
-             (uncached, unreplayed) simulation, since cached summaries do \
-             not carry them.")
+             (uncached, every kernel executed) simulation, since cached \
+             summaries do not carry them.")
   in
   let run app machine nprocs level no_bcast no_fetch no_repl target size trace
       stats fault =
@@ -500,7 +501,7 @@ let digest_cmd =
   let run machine r =
     (* Collect inside [parallel] (its planning pass evaluates the closure
        against placeholders, so side effects there would print twice and
-       print garbage); render outside, from the replayed results. *)
+       print garbage); render outside, from the warm memo. *)
     let lines =
       Runner.parallel r (fun () ->
           List.concat_map
@@ -527,8 +528,8 @@ let digest_cmd =
           locality level at 1-8 processors) for backend-parity checking.")
     Term.(const run $ machine_arg $ runner_term)
 
-(* Inspect the task-graph IR directly: lift one program's recorded op
-   streams into the DAG and dump or summarize it. *)
+(* Inspect the task-graph IR directly: lift one traced run of a program
+   into the DAG and dump or summarize it. *)
 let graph_cmd =
   let action_arg =
     Arg.(
@@ -564,49 +565,45 @@ let graph_cmd =
   in
   let run action app machine nprocs placed size =
     let r = Runner.create ~jobs:1 size in
-    match Runner.task_graph r ~app ~machine ~nprocs ~placed with
-    | Error e ->
-        Printf.eprintf "graph: %s\n%!" e;
-        exit 1
-    | Ok g -> (
-        let module Ir = Jade_graph.Ir in
-        match action with
-        | `Dump -> print_string (Ir.encode g)
-        | `Stats ->
-            let n = Ir.node_count g in
-            let total = Ir.total_work g in
-            let max_grain = ref 0.0 and releasers = ref 0 and placed_n = ref 0 in
-            Array.iter
-              (fun node ->
-                let w = Ir.trace_work node in
-                if w > !max_grain then max_grain := w;
-                if
-                  Array.exists
-                    (function Ir.Release _ -> true | Ir.Work _ -> false)
-                    node.Ir.n_ops
-                then incr releasers;
-                if node.Ir.n_placement <> None then incr placed_n)
-              g.Ir.nodes;
-            Format.printf "%s on %s, %d processors, %s@."
-              (Runner.app_name app)
-              (Runner.machine_name machine)
-              nprocs
-              (if placed then "placed" else "unplaced");
-            Format.printf "  tasks: %d@." n;
-            Format.printf "  data-flow edges: %d@." (Ir.edge_count g);
-            Format.printf "  shared objects: %d@." (Ir.object_count g);
-            Format.printf "  total work: %.6g flops@." total;
-            Format.printf "  mean grain: %.6g flops, max %.6g@."
-              (if n = 0 then 0.0 else total /. float_of_int n)
-              !max_grain;
-            Format.printf "  tasks with mid-body releases: %d@." !releasers;
-            Format.printf "  explicitly placed tasks: %d@." !placed_n)
+    let g = Runner.task_graph r ~app ~machine ~nprocs ~placed in
+    let module Ir = Jade_graph.Ir in
+    match action with
+    | `Dump -> print_string (Ir.encode g)
+    | `Stats ->
+        let n = Ir.node_count g in
+        let total = Ir.total_work g in
+        let max_grain = ref 0.0 and releasers = ref 0 and placed_n = ref 0 in
+        Array.iter
+          (fun node ->
+            let w = Ir.node_work node in
+            if w > !max_grain then max_grain := w;
+            if
+              Array.exists
+                (function Ir.Release _ -> true | Ir.Work _ -> false)
+                node.Ir.n_ops
+            then incr releasers;
+            if node.Ir.n_placement <> None then incr placed_n)
+          g.Ir.nodes;
+        Format.printf "%s on %s, %d processors, %s@."
+          (Runner.app_name app)
+          (Runner.machine_name machine)
+          nprocs
+          (if placed then "placed" else "unplaced");
+        Format.printf "  tasks: %d@." n;
+        Format.printf "  data-flow edges: %d@." (Ir.edge_count g);
+        Format.printf "  shared objects: %d@." (Ir.object_count g);
+        Format.printf "  total work: %.6g flops@." total;
+        Format.printf "  mean grain: %.6g flops, max %.6g@."
+          (if n = 0 then 0.0 else total /. float_of_int n)
+          !max_grain;
+        Format.printf "  tasks with mid-body releases: %d@." !releasers;
+        Format.printf "  explicitly placed tasks: %d@." !placed_n
   in
   Cmd.v
     (Cmd.info "graph"
        ~doc:
-         "Lift a program's recorded op streams into the task-graph IR and \
-          dump or summarize it.")
+         "Lift a traced run of a program into the task-graph IR and dump \
+          or summarize it.")
     Term.(
       const run $ action_arg $ app_arg $ machine_arg $ procs_arg $ placed_arg
       $ size_arg)
@@ -682,24 +679,44 @@ let factor_cmd =
        ~doc:"Factor a MatrixMarket SPD matrix with the Panel Cholesky task graph.")
     Term.(const run $ matrix_arg $ procs_arg $ width_arg $ machine_arg)
 
+(* Failures a correct program can meet at run time — a crash plan the
+   run cannot survive, a fault plan that starves it, a path it cannot
+   write — end in one named line and exit 1, not in cmdliner's
+   uncaught-exception report. Anything else is a bug and propagates. *)
+let failure_reason = function
+  | Jade.Runtime.Unrecoverable f -> Some (Jade.Recovery.failure_to_string f)
+  | Jade.Runtime.Deadlock d -> Some (Jade.Runtime.deadlock_to_string d)
+  | Sys_error msg -> Some msg
+  | Unix.Unix_error (err, fn, arg) ->
+      Some (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message err))
+  | _ -> None
+
 let () =
   let doc =
     "Reproduction of 'Communication Optimizations for Parallel Computing \
      Using Data Access Information' (Rinard, SC '95)"
   in
   let info = Cmd.info "jade-repro" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            table_cmd;
-            figure_cmd;
-            analyses_cmd;
-            all_cmd;
-            regen_cmd;
-            cache_cmd;
-            run_cmd;
-            digest_cmd;
-            graph_cmd;
-            factor_cmd;
-          ]))
+  let main =
+    Cmd.group info
+      [
+        table_cmd;
+        figure_cmd;
+        analyses_cmd;
+        all_cmd;
+        regen_cmd;
+        cache_cmd;
+        run_cmd;
+        digest_cmd;
+        graph_cmd;
+        factor_cmd;
+      ]
+  in
+  match Cmd.eval ~catch:false main with
+  | code -> exit code
+  | exception e -> (
+      match failure_reason e with
+      | Some reason ->
+          Printf.eprintf "repro: %s\n%!" reason;
+          exit 1
+      | None -> raise e)

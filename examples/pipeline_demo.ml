@@ -6,7 +6,8 @@
    writes its output object, releases it as soon as the data is ready,
    then spends the rest of its budget on stage-local post-processing. With
    [release] the stages overlap; without it every frame flows strictly
-   stage by stage.
+   stage by stage. The two stages that release are [withonly_staged]
+   tasks: only a staged body may charge work or release objects.
 
    Run with:  dune exec examples/pipeline_demo.exe *)
 
@@ -33,7 +34,7 @@ let program ~use_release results rt =
   let out = Array.init frames (handoff 2) in
   for f = 0 to frames - 1 do
     (* Stage 1: produce the frame. *)
-    R.withonly rt ~placement:(1 mod nprocs)
+    R.withonly_staged rt ~placement:(1 mod nprocs)
       ~name:(Printf.sprintf "produce.%d" f)
       ~work:stage_flops
       ~accesses:(fun s -> Jade.Spec.wr s h1.(f))
@@ -46,7 +47,7 @@ let program ~use_release results rt =
           R.release env h1.(f)
         end);
     (* Stage 2: transform. *)
-    R.withonly rt ~placement:(2 mod nprocs)
+    R.withonly_staged rt ~placement:(2 mod nprocs)
       ~name:(Printf.sprintf "transform.%d" f)
       ~work:stage_flops
       ~accesses:(fun s ->

@@ -12,7 +12,7 @@ let replicate rt ~name ~copies ~len =
   let nprocs = Jade.Runtime.nprocs rt in
   let make i =
     (* Deferred: zero-filling every copy on every run is a measurable
-       slice of replayed runs, which never read the data. *)
+       slice of runs that skip kernels, which never read the data. *)
     Jade.Runtime.create_object_deferred rt
       ~home:(rr ~nprocs i)
       ~name:(Printf.sprintf "%s.%d" name i)

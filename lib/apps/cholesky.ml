@@ -229,7 +229,7 @@ let make_of_plan plan ~kind ~placed ~nprocs =
     in
     let panel_objs =
       (* Deferred: [init_panel] scatters the CSC matrix into every panel
-         on every run; replayed runs never read the panels. *)
+         on every run; runs that skip kernels never read the panels. *)
       Array.init npanels (fun k ->
           R.create_object_deferred rt
             ~home:(App_common.home ~kind (proc_of k))

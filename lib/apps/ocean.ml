@@ -70,7 +70,7 @@ let make_blocks lay =
    touched indices lie in [off, off + n - 1] and each array's length is a
    multiple of [n] at least [off + n] by construction in [make_blocks].
    This stencil is the whole Ocean compute, so the bounds checks were a
-   measurable slice of a recording run. *)
+   measurable slice of a run that executes its kernels. *)
 let update_column n dst doff (left, loff) (right, roff) =
   for iz = 1 to n - 2 do
     Array.unsafe_set dst (doff + iz)
@@ -200,10 +200,11 @@ let make p ~kind ~placed ~nprocs =
   let program rt =
     assert (R.nprocs rt = nprocs);
     let lay = make_layout p ~nprocs in
-    (* Deferred payloads: replayed runs never read the block arrays, so
-       the whole grid build is skipped there. In recording and plain runs
-       the first object creation forces the lazy and all objects share
-       the one [blocks] record, exactly as the eager code did. *)
+    (* Deferred payloads: runs that skip kernels never read the block
+       arrays, so the whole grid build is skipped there. In runs that
+       execute kernels the first object creation forces the lazy and all
+       objects share the one [blocks] record, exactly as the eager code
+       did. *)
     let data = lazy (make_blocks lay) in
     let proc_of k =
       if placed then App_common.rr_skip_main ~nprocs k

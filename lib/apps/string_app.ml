@@ -500,7 +500,7 @@ let make p ~kind:_ ~placed:_ ~nprocs =
   let observed = observed_times p in
   let program rt =
     assert (R.nprocs rt = nprocs);
-    (* Deferred payloads: replayed runs never read them. *)
+    (* Deferred payloads: runs that skip kernels never read them. *)
     let model_obj =
       R.create_object_deferred rt ~name:"velocity-model"
         ~size:(8 * cells p)

@@ -431,8 +431,8 @@ let make p ~kind:_ ~placed:_ ~nprocs =
   let result = ref None in
   let program rt =
     assert (R.nprocs rt = nprocs);
-    (* Deferred payloads: replayed runs never read them, and the initial
-       state/velocity builds run per simulation otherwise. *)
+    (* Deferred payloads: runs that skip kernels never read them, and the
+       initial state/velocity builds run per simulation otherwise. *)
     let state_obj =
       R.create_object_deferred rt ~name:"molecule-state"
         ~size:(8 * mol_stride * p.n)

@@ -21,7 +21,6 @@ module Protocol = Protocol
 module Communicator = Communicator
 module Metrics = Metrics
 module Tracing = Tracing
-module Replay = Replay
 module Recovery = Recovery
 module Backend = Backend
 module Backend_shm = Backend_shm

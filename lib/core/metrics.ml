@@ -56,7 +56,7 @@ type t = {
           deterministic re-execution *)
   (* Occupancy high-water marks — pool and queue sizing observability
      ([repro run --stats], BENCH_repro.json). Deliberately NOT part of
-     {!summary}: the parity checks (replay, disk cache, graph A/B)
+     {!summary}: the parity checks (kernel skipping, disk cache)
      compare summaries structurally, and peak occupancy legitimately
      differs across execution strategies that produce identical
      trajectories. *)

@@ -5,8 +5,8 @@
     tractable: when a processor crash-stops, the supervisor can tell which
     object versions it held (from {!Meta} copy tables), which tasks were in
     flight on it (from the backend's assignment ledger), and what must be
-    re-fetched or re-executed (from the producer log fed by write commits
-    and, when available, the {!Replay} op streams).
+    re-fetched or re-executed (from the producer log fed by write
+    commits).
 
     The failure model is *crash-stop at a task boundary*: an injected crash
     dooms the processor; its dispatcher halts at the next boundary (before
@@ -35,7 +35,7 @@
     from survivors holding the committed version — reconstructing the
     version when none survives (initial contents regenerate from the
     program image; later versions re-execute the producing task, charging
-    its recorded or declared work) — and (3) leaves in-flight fetches to
+    its declared work) — and (3) leaves in-flight fetches to
     the communicator's retransmit machinery, which re-aims each retry at
     the object's *current* owner, so ownership transfer heals them.
 
@@ -123,14 +123,12 @@ type t = {
   suspect_since : float array;  (** watchdog: first observation of the halt *)
   producers : (int, producer) Hashtbl.t;  (** object id -> producing task *)
   mutable all_objects : unit -> Meta.t list;
-  mutable trace_work : int -> float option;
-      (** replay-store lookup: total recorded work of a task, if traced *)
   mutable should_stop : unit -> bool;
   mutable fatal : failure option;
 }
 
-let create ?(trace_work = fun _ -> None) ~spec ~nprocs ~period ~timeout
-    ~flop_rate ~copy_cost ~actions eng metrics =
+let create ~spec ~nprocs ~period ~timeout ~flop_rate ~copy_cost ~actions eng
+    metrics =
   if period <= 0.0 || timeout <= 0.0 then
     invalid_arg "Recovery.create: period and timeout must be positive";
   {
@@ -151,14 +149,11 @@ let create ?(trace_work = fun _ -> None) ~spec ~nprocs ~period ~timeout
     suspect_since = Array.make nprocs (-1.0);
     producers = Hashtbl.create 64;
     all_objects = (fun () -> []);
-    trace_work;
     should_stop = (fun () -> false);
     fatal = None;
   }
 
 let set_objects t f = t.all_objects <- f
-
-let set_trace_work t f = t.trace_work <- f
 
 let set_should_stop t f = t.should_stop <- f
 
@@ -221,9 +216,8 @@ let bump_reconstructed t =
 (* No survivor holds the committed version: rebuild it. Version 0 is the
    initial contents, regenerated from the program image at replica-copy
    cost. Later versions re-execute the producing task (once per task, even
-   if it wrote several lost objects), charging its recorded op-stream work
-   when the replay store has it, else its declared work. With no producer
-   on record the version is lost for good. *)
+   if it wrote several lost objects), charging its declared work. With no
+   producer on record the version is lost for good. *)
 let reconstruct t (m : Meta.t) ~lost ~reexecuted =
   if m.Meta.committed = 0 then begin
     let q = first_alive t in
@@ -237,12 +231,7 @@ let reconstruct t (m : Meta.t) ~lost ~reexecuted =
     | Some pr ->
         if not (Hashtbl.mem reexecuted pr.pr_tid) then begin
           Hashtbl.add reexecuted pr.pr_tid ();
-          let work =
-            match t.trace_work pr.pr_tid with
-            | Some w -> w
-            | None -> pr.pr_work
-          in
-          Engine.delay t.eng (work /. t.flop_rate);
+          Engine.delay t.eng (pr.pr_work /. t.flop_rate);
           t.metrics.Metrics.tasks_reexecuted <-
             t.metrics.Metrics.tasks_reexecuted + 1
         end;

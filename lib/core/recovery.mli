@@ -48,7 +48,6 @@ val failure_to_string : failure -> string
 type t
 
 val create :
-  ?trace_work:(int -> float option) ->
   spec:Jade_net.Fault.spec ->
   nprocs:int ->
   period:float ->
@@ -62,14 +61,11 @@ val create :
 (** [period]/[timeout] are the heartbeat interval and suspicion threshold,
     tuned by the caller from the machine's latency floors. [flop_rate] and
     [copy_cost] price re-execution and replica reconstruction in virtual
-    time. [trace_work tid] returns the task's total recorded work from the
-    replay store, when it has a trace. *)
+    time: a re-executed producer is charged its declared work. *)
 
 val set_objects : t -> (unit -> Meta.t list) -> unit
 (** Install the shared-object registry (every {!Meta.t} the run created,
     in creation order). *)
-
-val set_trace_work : t -> (int -> float option) -> unit
 
 val set_should_stop : t -> (unit -> bool) -> unit
 (** The supervisor polls this to exit once the run has finished. *)

@@ -57,22 +57,23 @@ let on_drain () = "drain"
 type t = {
   core : Backend.core;
   backend : Backend.ops;
-  replay : Replay.t option;
+  kernels : bool;  (** run [withonly] bodies (else skip them) *)
+  mutable in_kernel : bool;
+      (** a kernel body is executing; kernels never suspend, so nothing
+          else runs until it returns *)
+  mutable kernels_skipped : int;
   mutable obj_counter : int;
   mutable task_counter : int;
-  mutable body_tid : int;
-      (** task id whose body is executing synchronously right now, or
-          [-1]. Cleared (and restored) across the body's suspension
-          points, so anything the main program creates while a body sits
-          suspended on virtual time is never attributed to the body. *)
-  mutable body_created : bool;
-      (** the body named by [body_tid] created a task or shared object *)
   mutable objects : Meta.t list;
       (** shared-object registry, newest first; maintained only when a
           crash plan is active (the recovery supervisor walks it) *)
 }
 
-type env = { env_task : Taskrec.t; proc : int; env_rt : t }
+type kernel
+
+type staged
+
+type 'k env = { env_task : Taskrec.t; proc : int; env_rt : t }
 
 let nprocs t = t.core.Backend.nprocs
 
@@ -115,7 +116,7 @@ let recovery_tuning machine =
         fun size ->
           c.Costs.msg_startup +. (float_of_int size /. c.Costs.bandwidth) )
 
-let make ?trace ?replay cfg machine nprocs =
+let make ?trace ~kernels cfg machine nprocs =
   (* Event-queue population scales with the processor count (dispatchers,
      mailboxes, in-flight fabric messages): pre-size the heap so large
      runs never pay the growth-doubling cascade. *)
@@ -162,26 +163,9 @@ let make ?trace ?replay cfg machine nprocs =
   (match (cfg.Config.fault, backend.Backend.recovery_actions) with
   | Some spec, Some actions when Jade_net.Fault.crash_active spec ->
       let period, timeout, flop_rate, copy_cost = recovery_tuning machine in
-      let trace_work =
-        match replay with
-        | Some h ->
-            Some
-              (fun tid ->
-                match Replay.trace h ~tid with
-                | Some ops ->
-                    Some
-                      (Array.fold_left
-                         (fun acc op ->
-                           match op with
-                           | Replay.Work f -> acc +. f
-                           | Replay.Release _ -> acc)
-                         0.0 ops)
-                | None -> None)
-        | None -> None
-      in
       let r =
-        Recovery.create ?trace_work ~spec ~nprocs ~period ~timeout ~flop_rate
-          ~copy_cost ~actions eng metrics
+        Recovery.create ~spec ~nprocs ~period ~timeout ~flop_rate ~copy_cost
+          ~actions eng metrics
       in
       Recovery.set_should_stop r (fun () -> core.Backend.stopped);
       core.Backend.recovery <- Some r
@@ -199,11 +183,11 @@ let make ?trace ?replay cfg machine nprocs =
     {
       core;
       backend;
-      replay;
+      kernels;
+      in_kernel = false;
+      kernels_skipped = 0;
       obj_counter = 0;
       task_counter = 0;
-      body_tid = -1;
-      body_created = false;
       objects = [];
     }
   in
@@ -215,11 +199,22 @@ let make ?trace ?replay cfg machine nprocs =
 (* ------------------------------------------------------------------ *)
 (* Public program API *)
 
+(* Kernels run to completion between two engine events, so while
+   [in_kernel] is set nothing but the kernel itself can call in here. *)
+let not_in_kernel t fn =
+  if t.in_kernel then
+    invalid_arg
+      (Printf.sprintf
+         "Runtime.%s: called from a withonly body, which may only read \
+          and write its declared objects (create tasks and objects from a \
+          withonly_staged body)"
+         fn)
+
 let object_meta t ~home ~name ~size =
   let c = t.core in
+  not_in_kernel t "create_object";
   if home < 0 || home >= c.Backend.nprocs then
     invalid_arg "Runtime.create_object: home out of range";
-  if t.body_tid >= 0 then t.body_created <- true;
   t.obj_counter <- t.obj_counter + 1;
   let meta =
     Meta.create ~id:t.obj_counter ~name ~size ~home ~nprocs:c.Backend.nprocs
@@ -232,78 +227,30 @@ let object_meta t ~home ~name ~size =
 let create_object t ?(home = 0) ~name ~size data =
   Shared.make (object_meta t ~home ~name ~size) data
 
-(* Replayed runs never execute task bodies, so nothing reads the payload
-   and building the initial data is pure waste — a measurable slice of
-   every replayed run at bench scale. Everywhere else the thunk is forced
-   right here, on the run's own domain, so the deferred constructor is
+(* With kernels skipped only staged bodies can read a payload, so building
+   the initial data eagerly is mostly waste — a measurable slice of every
+   such run at bench scale. Everywhere else the thunk is forced right
+   here, on the run's own domain, so the deferred constructor is
    observationally identical to [create_object]. *)
 let create_object_deferred t ?(home = 0) ~name ~size thunk =
   let meta = object_meta t ~home ~name ~size in
-  let replaying =
-    match t.replay with Some h -> Replay.mode h = Replay.Replay | None -> false
-  in
-  if replaying then Shared.make_deferred meta thunk
-  else Shared.make meta (thunk ())
+  if t.kernels then Shared.make meta (thunk ())
+  else Shared.make_deferred meta thunk
 
-(* Apply one recorded body effect. Mirrors exactly what [work] and
-   [release] below do when the body runs for real, so a replayed task is
-   indistinguishable from an executed one to the simulation. *)
-let replay_op t task proc = function
-  | Replay.Work flops ->
-      if not t.core.Backend.cfg.Config.work_free then begin
-        task.Taskrec.fl.Taskrec.charged <-
-          task.Taskrec.fl.Taskrec.charged +. flops;
-        Mnode.occupy t.core.Backend.nodes.(proc)
-          (flops /. t.backend.Backend.flop_rate)
-      end
-  | Replay.Release slot ->
-      t.core.Backend.ctx_proc <- proc;
-      Synchronizer.release t.core.Backend.sync task
-        (fst task.Taskrec.spec.(slot))
-
-(* Execute a task body under the runtime's replay handle (if any).
-   Replay: a recorded trace substitutes for the body. Record: run the
-   body for real and capture its op stream; a body that creates tasks or
-   shared objects mid-execution is not replayable and poisons the store.
-   No handle, no trace (fallback), or record-into-poisoned-store all
-   execute the body unchanged. *)
-let dispatch_body t body task proc =
-  match t.replay with
-  | None -> body { env_task = task; proc; env_rt = t }
-  | Some h -> (
-      let tid = task.Taskrec.tid in
-      match Replay.trace h ~tid with
-      | Some ops ->
-          Replay.note_replayed h;
-          Array.iter (replay_op t task proc) ops
-      | None -> (
-          match Replay.mode h with
-          | Replay.Replay -> body { env_task = task; proc; env_rt = t }
-          | Replay.Record ->
-              Replay.task_begin h ~tid;
-              t.body_tid <- tid;
-              t.body_created <- false;
-              body { env_task = task; proc; env_rt = t };
-              let created = t.body_created in
-              t.body_tid <- -1;
-              t.body_created <- false;
-              Replay.task_end h ~task ~ran_on:proc ~ok:(not created)))
-
-let withonly t ?placement ?(wait = false) ~name ~work ~accesses body =
+let create_task t ?placement ~wait ~name ~work ~accesses body =
   let c = t.core in
+  not_in_kernel t "withonly";
   (match placement with
   | Some p when p < 0 || p >= c.Backend.nprocs ->
       invalid_arg "Runtime.withonly: placement out of range"
   | _ -> ());
-  if t.body_tid >= 0 then t.body_created <- true;
   Mnode.occupy c.Backend.nodes.(0) t.backend.Backend.task_create_cost;
   let spec = Spec.create () in
   accesses spec;
   t.task_counter <- t.task_counter + 1;
-  let wrapped task proc = dispatch_body t body task proc in
   let task =
     Taskrec.create ~tid:t.task_counter ~tname:name ~spec:(Spec.entries spec)
-      ~body:wrapped ~work ~placement ~now:(Engine.now c.Backend.eng)
+      ~body ~work ~placement ~now:(Engine.now c.Backend.eng)
   in
   c.Backend.outstanding <- c.Backend.outstanding + 1;
   c.Backend.metrics.Metrics.tasks_created <-
@@ -315,6 +262,20 @@ let withonly t ?placement ?(wait = false) ~name ~work ~accesses body =
     Ivar.read c.Backend.eng task.Taskrec.done_ivar;
     c.Backend.main_blocked <- false
   end
+
+let withonly t ?placement ?(wait = false) ~name ~work ~accesses body =
+  create_task t ?placement ~wait ~name ~work ~accesses (fun task proc ->
+      if t.kernels then begin
+        t.in_kernel <- true;
+        body { env_task = task; proc; env_rt = t };
+        t.in_kernel <- false
+      end
+      else t.kernels_skipped <- t.kernels_skipped + 1)
+
+let withonly_staged t ?placement ?(wait = false) ~name ~work ~accesses body =
+  create_task t ?placement ~wait ~name ~work ~accesses (fun task proc ->
+      task.Taskrec.ops <- [];
+      body { env_task = task; proc; env_rt = t })
 
 let rd env shared =
   if Taskrec.declares env.env_task (Shared.meta shared) ~write:false then
@@ -340,49 +301,26 @@ let env_proc env = env.proc
 
 let work env flops =
   if flops < 0.0 then invalid_arg "Runtime.work: negative flops";
-  let t = env.env_rt in
-  (match t.replay with
-  | Some h ->
-      Replay.record h ~tid:env.env_task.Taskrec.tid (Replay.Work flops)
-  | None -> ());
-  let c = t.core in
-  if not c.Backend.cfg.Config.work_free then begin
-    env.env_task.Taskrec.fl.Taskrec.charged <-
-      env.env_task.Taskrec.fl.Taskrec.charged +. flops;
-    (* The occupancy suspends this body on virtual time; clear the
-       body-attribution marker so whatever the main program creates in
-       the meantime is not blamed on this task. *)
-    let tid = t.body_tid and created = t.body_created in
-    t.body_tid <- -1;
-    Mnode.occupy c.Backend.nodes.(env.proc)
-      (flops /. t.backend.Backend.flop_rate);
-    t.body_tid <- tid;
-    t.body_created <- created
-  end
+  let t = env.env_rt and task = env.env_task in
+  task.Taskrec.ops <- Jade_graph.Ir.Work flops :: task.Taskrec.ops;
+  task.Taskrec.fl.Taskrec.charged <- task.Taskrec.fl.Taskrec.charged +. flops;
+  Mnode.occupy t.core.Backend.nodes.(env.proc)
+    (flops /. t.backend.Backend.flop_rate)
 
 let release env shared =
-  let t = env.env_rt in
-  (match t.replay with
-  | Some h -> (
-      match Taskrec.spec_slot env.env_task (Shared.meta shared) with
-      | slot ->
-          Replay.record h ~tid:env.env_task.Taskrec.tid (Replay.Release slot)
-      | exception Not_found -> ())
-  | None -> ());
-  let c = t.core in
+  let task = env.env_task and meta = Shared.meta shared in
+  (match Taskrec.spec_slot task meta with
+  | slot -> task.Taskrec.ops <- Jade_graph.Ir.Release slot :: task.Taskrec.ops
+  | exception Not_found -> ());
+  let c = env.env_rt.core in
   c.Backend.ctx_proc <- env.proc;
-  (* Releasing may enable downstream tasks, whose handling suspends this
-     body — same attribution dance as [work]. *)
-  let tid = t.body_tid and created = t.body_created in
-  t.body_tid <- -1;
-  Synchronizer.release c.Backend.sync env.env_task (Shared.meta shared);
-  t.body_tid <- tid;
-  t.body_created <- created
+  Synchronizer.release c.Backend.sync task meta
 
 let node_busy t p = Mnode.busy_time t.core.Backend.nodes.(p)
 
 let drain t =
   let c = t.core in
+  not_in_kernel t "drain";
   if c.Backend.outstanding > 0 then begin
     c.Backend.main_blocked <- true;
     Engine.await ~on:on_drain c.Backend.eng (fun resume ->
@@ -393,12 +331,12 @@ let drain t =
 (* ------------------------------------------------------------------ *)
 (* Top level *)
 
-let run_with ?(config = Config.default) ?trace ?replay ~machine ~nprocs main
-    ~inspect =
+let run_with ?(config = Config.default) ?trace ?(kernels = true) ~machine
+    ~nprocs main ~inspect =
   validate_machine ~machine ~nprocs;
   if config.Config.target_tasks < 1 then
     invalid_arg "Runtime.run: target_tasks must be >= 1";
-  let t = make ?trace ?replay config machine nprocs in
+  let t = make ?trace ~kernels config machine nprocs in
   let c = t.core in
   t.backend.Backend.start ();
   (match c.Backend.recovery with
@@ -448,7 +386,9 @@ let run_with ?(config = Config.default) ?trace ?replay ~machine ~nprocs main
   let extra = inspect t c.Backend.metrics in
   (Metrics.summary c.Backend.metrics, extra)
 
-let run ?config ?trace ?replay ~machine ~nprocs main =
+let run ?config ?trace ?kernels ~machine ~nprocs main =
   fst
-    (run_with ?config ?trace ?replay ~machine ~nprocs main
+    (run_with ?config ?trace ?kernels ~machine ~nprocs main
        ~inspect:(fun _ _ -> ()))
+
+let kernels_skipped t = t.kernels_skipped

@@ -10,7 +10,15 @@
     Task bodies access shared-object payloads through {!rd} / {!wr}, which
     check the access against the task's declaration and raise
     {!Access_violation} on undeclared accesses — the dynamic check the Jade
-    implementation performs. *)
+    implementation performs.
+
+    A task's simulated cost comes from its access declaration and its
+    declared [~work], never from what its body computes. The type of the
+    body's {!env} says whether the body can influence the simulation at
+    all: a {!withonly} body is a {e kernel} — it may only read and write
+    its declared objects — so {!run} [~kernels:false] can skip it without
+    changing a single metric; a {!withonly_staged} body may also charge
+    work and release objects mid-body, and always runs. *)
 
 type machine =
   | Dash of Jade_machines.Costs.shm
@@ -29,8 +37,16 @@ val lan : machine
 
 type t
 
+(** Phantom tag of a {!withonly} body's context: {!rd}, {!wr} and
+    {!env_proc} only. *)
+type kernel
+
+(** Phantom tag of a {!withonly_staged} body's context, which adds
+    {!work} and {!release}. *)
+type staged
+
 (** Execution context passed to task bodies. *)
-type env
+type 'k env
 
 exception Access_violation of string
 
@@ -64,20 +80,21 @@ exception Unrecoverable of Recovery.failure
     exception printer shows). *)
 val deadlock_to_string : deadlock_report -> string
 
-(** [run ?config ?trace ?replay ~machine ~nprocs main] executes the Jade
-    program [main]. Returns the metrics summary of the run. [trace], when
-    given, collects per-task lifecycle events (see {!Tracing}). [replay],
-    when given, records or replays task-body effects (see {!Replay}): a
-    recording handle captures each body's [work]/[release] op stream
-    keyed by task id; a replaying handle substitutes recorded streams for
-    body execution, skipping the numeric kernels. Raises {!Deadlock} if
-    the program hangs (some task can never be enabled, or — under an
-    unreliable chaos configuration — a message needed to make progress
-    was lost and never retransmitted). *)
+(** [run ?config ?trace ?kernels ~machine ~nprocs main] executes the
+    Jade program [main]. Returns the metrics summary of the run. [trace],
+    when given, collects per-task lifecycle events and IR nodes (see
+    {!Tracing}). [kernels] (default [true]) runs every {!withonly} body;
+    [~kernels:false] skips them (counted by {!kernels_skipped}) and leaves
+    {!create_object_deferred} payloads unbuilt, for callers that read only
+    the metrics: the summary is identical, but payloads hold whatever the
+    staged bodies alone made of them. {!withonly_staged} bodies always
+    run. Raises {!Deadlock} if the program hangs (some task can never be
+    enabled, or — under an unreliable chaos configuration — a message
+    needed to make progress was lost and never retransmitted). *)
 val run :
   ?config:Config.t ->
   ?trace:Tracing.t ->
-  ?replay:Replay.t ->
+  ?kernels:bool ->
   machine:machine ->
   nprocs:int ->
   (t -> unit) ->
@@ -88,12 +105,15 @@ val run :
 val run_with :
   ?config:Config.t ->
   ?trace:Tracing.t ->
-  ?replay:Replay.t ->
+  ?kernels:bool ->
   machine:machine ->
   nprocs:int ->
   (t -> unit) ->
   inspect:(t -> Metrics.t -> 'a) ->
   Metrics.summary * 'a
+
+(** Kernel bodies the run skipped ([0] unless run with [~kernels:false]). *)
+val kernels_skipped : t -> int
 
 val nprocs : t -> int
 
@@ -109,11 +129,10 @@ val create_object :
   t -> ?home:int -> name:string -> size:int -> 'a -> 'a Shared.t
 
 (** [create_object_deferred] is {!create_object} with the payload built by
-    a thunk. In replayed runs (where task bodies never execute, so the
-    payload is never read) the thunk is kept unevaluated; in recording and
-    plain runs it is forced immediately, making the two constructors
-    observationally identical there. Use it for initial data whose
-    construction is expensive at scale. *)
+    a thunk. When kernels are skipped the thunk is kept unevaluated until
+    something reads the payload; otherwise it is forced immediately,
+    making the two constructors observationally identical. Use it for
+    initial data whose construction is expensive at scale. *)
 val create_object_deferred :
   t -> ?home:int -> name:string -> size:int -> (unit -> 'a) -> 'a Shared.t
 
@@ -123,7 +142,11 @@ val create_object_deferred :
     the task executes. [work] is the task's computation in flops.
     [placement] pins the task to a processor (the paper's explicit task
     placement). [wait] blocks the caller until the task completes — used
-    for serial phases. *)
+    for serial phases.
+
+    [body] is a kernel: it runs to completion without suspending and may
+    not create tasks or objects — {!withonly}, {!create_object} and
+    {!drain} raise [Invalid_argument] when called from it. *)
 val withonly :
   t ->
   ?placement:int ->
@@ -131,30 +154,43 @@ val withonly :
   name:string ->
   work:float ->
   accesses:(Spec.t -> unit) ->
-  (env -> unit) ->
+  (kernel env -> unit) ->
+  unit
+
+(** {!withonly} for a body that uses {!work} or {!release}, or creates
+    tasks or objects. Such a body shapes the simulation, so it runs even
+    under [~kernels:false]. *)
+val withonly_staged :
+  t ->
+  ?placement:int ->
+  ?wait:bool ->
+  name:string ->
+  work:float ->
+  accesses:(Spec.t -> unit) ->
+  (staged env -> unit) ->
   unit
 
 (** Checked payload access for task bodies. *)
-val rd : env -> 'a Shared.t -> 'a
+val rd : _ env -> 'a Shared.t -> 'a
 
-val wr : env -> 'a Shared.t -> 'a
+val wr : _ env -> 'a Shared.t -> 'a
 
 (** Processor the task is executing on. *)
-val env_proc : env -> int
+val env_proc : _ env -> int
 
 (** [work env flops] charges part of the task's declared computation at
     the current point of the body, advancing virtual time. Anything not
     charged through [work] is charged when the body returns; use it
     together with {!release} to expose pipeline concurrency inside a
     task. *)
-val work : env -> float -> unit
+val work : staged env -> float -> unit
 
 (** [release env obj] — Jade's advanced access-specification statements
     (§2): the running task declares it will no longer access [obj]. Its
     write (if any) commits immediately and successor tasks may start
     before this task completes. Subsequent {!rd}/{!wr} of [obj] in this
     task raise {!Access_violation}. *)
-val release : env -> 'a Shared.t -> unit
+val release : staged env -> 'a Shared.t -> unit
 
 (** Wait until every task created so far has completed (a join point for
     examples; the paper's programs synchronize through data instead). *)

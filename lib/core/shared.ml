@@ -3,13 +3,14 @@
     one master copy is sound; replication on the message-passing machine is
     tracked as per-processor version metadata in {!Meta}. *)
 
-(* The payload may be deferred: replayed runs never execute task bodies,
-   so nothing reads the data, and materializing the initial arrays (which
-   at bench scale is a measurable slice of every run) can be skipped.
-   Forcing happens at most once and always from the single domain that
-   owns the run: recording and plain runs force at creation time
-   (see [Runtime.create_object_deferred]), and in replayed runs only a
-   late result getter can force, on the caller's domain after the run. *)
+(* The payload may be deferred: runs that skip kernel bodies never read
+   the data unless a staged body does, and materializing the initial
+   arrays (which at bench scale is a measurable slice of every run) can
+   be skipped. Forcing happens at most once and always from the single
+   domain that owns the run: runs that execute kernels force at creation
+   time (see [Runtime.create_object_deferred]); in runs that skip them
+   only a staged body, on the run's domain, or a late result getter, on
+   the caller's domain after the run, can force. *)
 type 'a payload = Forced of 'a | Deferred of (unit -> 'a)
 
 type 'a t = { meta : Meta.t; mutable payload : 'a payload }

@@ -9,8 +9,9 @@ val make : Meta.t -> 'a -> 'a t
 
 (** Like {!make}, but the payload is built on first {!data} access.
     Callers must guarantee the first access happens on a single domain;
-    [Runtime.create_object_deferred] forces at creation except in
-    replayed runs, where task bodies never read the data at all. *)
+    [Runtime.create_object_deferred] forces at creation except in runs
+    that skip kernel bodies, where only staged bodies can read the
+    data. *)
 val make_deferred : Meta.t -> (unit -> 'a) -> 'a t
 
 val meta : 'a t -> Meta.t

@@ -26,6 +26,9 @@ type t = {
   mutable released : bool array;
       (** spec entries the task released mid-execution (the advanced
           access-specification statements of §2) *)
+  mutable ops : Jade_graph.Ir.op list;
+      (** a staged body's [Runtime.work] charges and [Runtime.release]s,
+          newest first; [Tracing] lifts them into the task's IR node *)
   done_ivar : unit Jade_sim.Ivar.t;
 }
 
@@ -70,6 +73,7 @@ let create ~tid ~tname ~spec ~body ~work ~placement ~now =
         charged = 0.0;
       };
     released = Array.make n false;
+    ops = [];
     done_ivar = Jade_sim.Ivar.create ~name_fn:(fun () -> "done:" ^ tname) ();
   }
 

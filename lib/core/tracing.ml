@@ -21,16 +21,54 @@ type flow = {
   arrived_at : float;
 }
 
+module Ir = Jade_graph.Ir
+
 type t = {
   mutable rev_events : event list;
   mutable n : int;
   mutable rev_flows : flow list;
   mutable n_flows : int;
+  mutable nodes : Ir.node list;
 }
 
-let create () = { rev_events = []; n = 0; rev_flows = []; n_flows = 0 }
+let create () =
+  { rev_events = []; n = 0; rev_flows = []; n_flows = 0; nodes = [] }
+
+(* Lift one completed task into its IR node: identity, declared access
+   specification with the version chain the synchronizer resolved at
+   creation, declared work and placement, the processor it ran on, and
+   the op stream a staged body produced (empty for a kernel). *)
+let node_of_task (task : Taskrec.t) =
+  let accesses =
+    Array.mapi
+      (fun i (meta, amode) ->
+        {
+          Ir.a_obj = meta.Meta.id;
+          a_name = meta.Meta.name;
+          a_home = meta.Meta.home;
+          a_size = meta.Meta.size;
+          a_mode =
+            (match amode with
+            | Access.Read -> Ir.Rd
+            | Access.Write -> Ir.Wr
+            | Access.Read_write -> Ir.Rw);
+          a_required = task.Taskrec.required.(i);
+          a_produces = task.Taskrec.produces.(i);
+        })
+      task.Taskrec.spec
+  in
+  {
+    Ir.n_id = task.Taskrec.tid;
+    n_name = task.Taskrec.tname;
+    n_work = task.Taskrec.work;
+    n_placement = task.Taskrec.placement;
+    n_ran_on = task.Taskrec.ran_on;
+    n_accesses = accesses;
+    n_ops = Array.of_list (List.rev task.Taskrec.ops);
+  }
 
 let record t (task : Taskrec.t) =
+  t.nodes <- node_of_task task :: t.nodes;
   let open Taskrec in
   t.rev_events <-
     {
@@ -53,6 +91,8 @@ let record_flow t ~kind ~obj ~src ~dst ~sent_at ~arrived_at =
   t.n_flows <- t.n_flows + 1
 
 let events t = List.rev t.rev_events
+
+let graph t = Jade_graph.Build.make t.nodes
 
 let count t = t.n
 

@@ -1,7 +1,9 @@
 (** Task-lifecycle tracing: records per-task events during a run and
     exports them in the Chrome trace-event format (load the file at
     chrome://tracing or in Perfetto to see the schedule on a timeline,
-    one lane per simulated processor). *)
+    one lane per simulated processor). The same record lifts each
+    completed task into its task-graph IR node, so one traced run yields
+    both the schedule and the DAG ({!graph}). *)
 
 type event = {
   task_name : string;
@@ -33,7 +35,8 @@ type t
 
 val create : unit -> t
 
-(** Record one completed task (called by the runtime when tracing is on). *)
+(** Record one completed task and its IR node (called by the runtime when
+    tracing is on). *)
 val record : t -> Taskrec.t -> unit
 
 (** Record one object transfer (called by the communicator on arrival). *)
@@ -51,6 +54,14 @@ val events : t -> event list
 (** In completion order. *)
 
 val count : t -> int
+
+(** The recorded tasks lifted into a task DAG ({!Jade_graph.Build.make}):
+    one node per completed task, carrying its declared accesses with their
+    resolved version chains, declared work and placement, the processor it
+    ran on and a staged body's op stream. Raises [Invalid_argument] if the
+    nodes violate the version-chain invariants, which the tasks of a
+    completed run never do. *)
+val graph : t -> Jade_graph.Ir.t
 
 val flows : t -> flow list
 (** In arrival order. *)

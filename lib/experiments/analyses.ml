@@ -146,10 +146,10 @@ let eager_transfer_seq r =
    These runs use modified machine-cost records, so they bypass the
    runner's (app x machine x config) grid; each cell is a
    {!Runner.run_custom} work unit instead — planned, fanned out and
-   disk-cached like any simulation — that runs through {!Runner.simulate},
-   one replay group per processor count. Rows are assembled in fixed grid
-   order. The cell keys carry the fixed paper-scale parameters, not the
-   runner's size, because the computation does not depend on it. *)
+   disk-cached like any simulation — that runs through {!Runner.simulate}.
+   Rows are assembled in fixed grid order. The cell keys carry the fixed
+   paper-scale parameters, not the runner's size, because the computation
+   does not depend on it. *)
 let ablation_steal_patience_seq r =
   let patience_values = [ 0.0; 100e-6; 400e-6; 2e-3 ] in
   let cols = [ 4; 8; 16; 32 ] in
@@ -168,11 +168,7 @@ let ablation_steal_patience_seq r =
           Jade_apps.Ocean.make params ~kind:Jade_apps.App_common.Shm
             ~placed:false ~nprocs
         in
-        let s =
-          Runner.simulate r
-            ~group:(Printf.sprintf "ablation-ocean-paper-iters30 n=%d" nprocs)
-            ~machine ~nprocs program
-        in
+        let s = Runner.simulate r ~machine ~nprocs program in
         s.Jade.Metrics.locality_pct)
   in
   let rows =
@@ -235,11 +231,7 @@ let portability_seq r =
         (Printf.sprintf "portability fixed-params app=%s machine=%s n=%d"
            app_label machine_label nprocs)
       (fun () ->
-        let s =
-          Runner.simulate r
-            ~group:(Printf.sprintf "portability %s n=%d" app_label nprocs)
-            ~machine ~nprocs (make nprocs)
-        in
+        let s = Runner.simulate r ~machine ~nprocs (make nprocs) in
         s.Jade.Metrics.elapsed_s)
   in
   let rows =

@@ -1,4 +1,4 @@
-let schema_version = 6
+let schema_version = 7
 
 type value = Summary of Jade.Metrics.summary | Flops of float
 

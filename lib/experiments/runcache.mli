@@ -30,7 +30,13 @@
     contents themselves stay valid. A change to the shape of
     [Jade.Config.t] is such a change: the config is marshalled into every
     simulation's digest and never into an entry. So removing its
-    graph-pass selection field left the schema at 6. *)
+    graph-pass selection field left the schema at 6.
+
+    Version 7: crash-recovery summaries changed. A re-executed producer
+    is now always charged its declared work; under record/replay a
+    replayed cell charged the (empty) recorded op stream's 0 flops, so a
+    crash cell's [recovery_s] depended on which cell of its group ran
+    first. Entries cached by version 6 may hold those values. *)
 val schema_version : int
 
 type value =

@@ -87,21 +87,18 @@ type t = {
   fault : Jade_net.Fault.spec option;
       (** chaos plan folded into every run's config (before the memo key is
           built, so chaos results never alias fault-free ones) *)
-  use_replay : bool;  (** cross-configuration record/replay enabled *)
+  kernels : bool;  (** memoized runs execute kernel bodies ([--replay off]) *)
   disk : Runcache.t option;  (** persistent result cache, when configured *)
   params : string;  (** the four apps' parameters at [sz], marshalled *)
   lock : Mutex.t;  (** guards every mutable field below *)
   results : (id, Runcache.value) Hashtbl.t;
-  stores : (string, Jade.Replay.store) Hashtbl.t;
-      (** replay stores by group label: the grid's groups and
-          {!simulate}'s groups *)
   mutable plan : (id * (unit -> Runcache.value)) list option;
       (** [Some acc] while a {!parallel} planning pass records the results
           a computation needs (reversed); [None] during normal execution *)
   mutable events : int;  (** engine events across every simulation executed *)
   mutable n_cache_lookups : int;  (** disk-cache probes *)
   mutable n_cache_hits : int;  (** disk-cache probes that hit *)
-  mutable n_replayed_tasks : int;  (** task bodies replayed, not executed *)
+  mutable n_skipped : int;  (** kernel bodies skipped, not executed *)
 }
 
 let create ?jobs ?fault ?cache_dir ?(replay = true) sz =
@@ -110,7 +107,7 @@ let create ?jobs ?fault ?cache_dir ?(replay = true) sz =
     sz;
     jobs;
     fault;
-    use_replay = replay;
+    kernels = not replay;
     disk = Option.map (fun dir -> Runcache.create ~dir) cache_dir;
     params =
       Marshal.to_string
@@ -118,12 +115,11 @@ let create ?jobs ?fault ?cache_dir ?(replay = true) sz =
         [];
     lock = Mutex.create ();
     results = Hashtbl.create 64;
-    stores = Hashtbl.create 16;
     plan = None;
     events = 0;
     n_cache_lookups = 0;
     n_cache_hits = 0;
-    n_replayed_tasks = 0;
+    n_skipped = 0;
   }
 
 let locked t f = Mutex.protect t.lock f
@@ -135,7 +131,7 @@ let stats t =
       {
         cache_lookups = t.n_cache_lookups;
         cache_hits = t.n_cache_hits;
-        replayed_tasks = t.n_replayed_tasks;
+        replayed_tasks = t.n_skipped;
       })
 
 let flush_cache_stats t =
@@ -196,83 +192,33 @@ let resolve t id compute =
           v)
 
 (* ------------------------------------------------------------------ *)
-(* Simulation. Every run goes through [exec]; every replay store lives in
-   [t.stores] under its group's label. *)
+(* Simulation. Every run goes through [exec], which counts its engine
+   events and skipped kernel bodies. *)
 
-let size_name = function Test -> "test" | Bench -> "bench" | Paper -> "paper"
-
-(* The replay group of a grid cell: within a fixed (app, nprocs, placed)
-   — the runner fixes the size — every machine and optimization
-   configuration creates the identical task graph and numeric work, so
-   one recorded run's per-task op streams replay for all of them. *)
-let group_label t key =
-  Printf.sprintf "%s p%d %s @%s" (app_name key.k_app) key.k_nprocs
-    (if key.k_placed then "placed" else "unplaced")
-    (size_name t.sz)
-
-(* A handle on [label]'s store: a replayer once the store is sealed, else
-   a recorder — into a fresh store entered under [label], or, while
-   another domain is still recording that one, into a private store that
-   is then dropped (slower, never wrong). *)
-let claim t label =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.stores label with
-      | Some store when Jade.Replay.sealed store -> Jade.Replay.replayer store
-      | Some _ -> Jade.Replay.recorder (Jade.Replay.create_store ~label ())
-      | None ->
-          let store = Jade.Replay.create_store ~label () in
-          Hashtbl.add t.stores label store;
-          Jade.Replay.recorder store)
-
-(* Every simulation runs here. A store recorded through [replay] is
-   sealed when the run ends — poisoned or not: replayers of a poisoned
-   store execute every body, which is still correct. Engine events and
-   replayed bodies are counted. *)
-let exec t ?replay ?trace ~config ~machine ~nprocs program =
-  let s, occ =
-    Jade.Runtime.run_with ?replay ?trace ~config ~machine ~nprocs program
-      ~inspect:(fun _ m -> Jade.Metrics.occupancy m)
-  in
-  let replayed =
-    match replay with
-    | None -> 0
-    | Some h ->
-        if Jade.Replay.mode h = Jade.Replay.Record then
-          Jade.Replay.seal (Jade.Replay.store_of h);
-        Jade.Replay.replayed h
+let exec t ?trace ~kernels ~config ~machine ~nprocs program =
+  let s, (occ, skipped) =
+    Jade.Runtime.run_with ?trace ~kernels ~config ~machine ~nprocs program
+      ~inspect:(fun rt m ->
+        (Jade.Metrics.occupancy m, Jade.Runtime.kernels_skipped rt))
   in
   locked t (fun () ->
       t.events <- t.events + s.Jade.Metrics.event_count;
-      t.n_replayed_tasks <- t.n_replayed_tasks + replayed);
+      t.n_skipped <- t.n_skipped + skipped);
   (s, occ)
 
-let run_key t key replay =
+let run_key t key =
   let program =
     make_program t key.k_app ~kind:(kind_of key.k_machine)
       ~placed:key.k_placed ~nprocs:key.k_nprocs
   in
   fst
-    (exec t ?replay ~config:key.k_config ~machine:(jade_machine key.k_machine)
-       ~nprocs:key.k_nprocs program)
+    (exec t ~kernels:t.kernels ~config:key.k_config
+       ~machine:(jade_machine key.k_machine) ~nprocs:key.k_nprocs program)
 
-(* A sealed store for [key]'s group, recording one (its summary is
-   discarded, its events counted) if no prior run has. *)
-let group_store t key =
-  let h = claim t (group_label t key) in
-  if Jade.Replay.mode h = Jade.Replay.Record then ignore (run_key t key (Some h));
-  Jade.Replay.store_of h
-
-(* One grid cell. Work-free bodies never execute, so they neither record
-   nor replay. *)
-let simulate_key t key =
-  run_key t key
-    (if t.use_replay && not key.k_config.Jade.Config.work_free then
-       Some (claim t (group_label t key))
-     else None)
-
-let simulate t ~group ~machine ~nprocs program =
-  let replay = if t.use_replay then Some (claim t group) else None in
-  fst (exec t ?replay ~config:Jade.Config.default ~machine ~nprocs program)
+let simulate t ~machine ~nprocs program =
+  fst
+    (exec t ~kernels:t.kernels ~config:Jade.Config.default ~machine ~nprocs
+       program)
 
 (* ------------------------------------------------------------------ *)
 (* The memo (domain-safe: results computed off the main domain are merged
@@ -354,17 +300,17 @@ let run t ~app ~machine ~nprocs ~config ~placed =
     { k_app = app; k_machine = machine; k_nprocs = nprocs;
       k_config = with_overrides t config; k_placed = placed }
   in
-  match memo t (Sim key) (fun () -> Runcache.Summary (simulate_key t key)) with
+  match memo t (Sim key) (fun () -> Runcache.Summary (run_key t key)) with
   | Some (Runcache.Summary s) -> s
   | None -> planning_summary
   | Some (Runcache.Flops _) -> assert false
 
-(* An observed run bypasses the memo and replay: it wants a real
-   execution, plus what a cached summary cannot carry — the occupancy
-   high-water marks, and the task-lifecycle events when [trace] is
-   given. *)
+(* An observed run bypasses the memo and runs every kernel: it wants a
+   real execution, plus what a cached summary cannot carry — the
+   occupancy high-water marks, and the task-lifecycle events when [trace]
+   is given. *)
 let run_observed ?trace t ~app ~machine ~nprocs ~config ~placed =
-  exec t ?trace ~config:(with_overrides t config)
+  exec t ?trace ~kernels:true ~config:(with_overrides t config)
     ~machine:(jade_machine machine) ~nprocs
     (make_program t app ~kind:(kind_of machine) ~placed ~nprocs)
 
@@ -403,26 +349,16 @@ let stripped_time t ~app ~machine = total_flops t app /. flops_of machine
 let run_custom t ~key thunk =
   flops_value (memo t (Custom key) (fun () -> Runcache.Flops (thunk ())))
 
-(* Lift one program's recorded execution into its task-graph IR, for the
-   CLI's [graph] subcommand and the tests. Reuses (or records and seals)
-   the group's replay store, so a later [run] of the same group replays
-   instead of re-recording. *)
+(* Lift one traced run of a program into its task-graph IR, for the CLI's
+   [graph] subcommand and the tests. *)
 let task_graph t ~app ~machine ~nprocs ~placed =
-  let key =
-    { k_app = app; k_machine = machine; k_nprocs = nprocs;
-      k_config = with_overrides t Jade.Config.default; k_placed = placed }
-  in
-  let store = group_store t key in
-  if Jade.Replay.poisoned store then
-    Error
-      (Printf.sprintf "%s: a task created tasks or objects mid-execution; \
-                       the op streams do not lift into a static graph"
-         (group_label t key))
-  else
-    match Jade.Replay.graph store with
-    | Some g -> Ok g
-    | None -> Error "store poisoned during lifting"
-    | exception Invalid_argument e -> Error e
+  let trace = Jade.Tracing.create () in
+  ignore
+    (exec t ~trace ~kernels:t.kernels
+       ~config:(with_overrides t Jade.Config.default)
+       ~machine:(jade_machine machine) ~nprocs
+       (make_program t app ~kind:(kind_of machine) ~placed ~nprocs));
+  Jade.Tracing.graph trace
 
 let task_management_pct t ~app ~machine ~nprocs ~level =
   let placed = level = Tp in
@@ -441,30 +377,11 @@ let warm t plan =
   let plan =
     List.filter fresh (List.sort_uniq (fun (a, _) (b, _) -> compare a b) plan)
   in
-  (* Two phases: each replay group's representative must finish recording
-     (and seal its store) before the group's other configurations can
-     replay from it. Phase one holds one simulation per group plus all
-     ungroupable work; phase two holds the replayers. *)
-  let seen = Hashtbl.create 16 in
-  let leads = function
-    | Sim k, _ when t.use_replay && not k.k_config.Jade.Config.work_free ->
-        let g = group_label t k in
-        if Hashtbl.mem seen g then false
-        else begin
-          Hashtbl.add seen g ();
-          true
-        end
-    | _ -> true
+  let values =
+    Pool.run ~jobs:t.jobs
+      (List.map (fun (id, compute) () -> resolve t id compute) plan)
   in
-  let phase1, phase2 = List.partition leads plan in
-  List.iter
-    (fun phase ->
-      let values =
-        Pool.run ~jobs:t.jobs
-          (List.map (fun (id, compute) () -> resolve t id compute) phase)
-      in
-      List.iter2 (fun (id, _) v -> remember t id v) phase values)
-    [ phase1; phase2 ]
+  List.iter2 (fun (id, _) v -> remember t id v) plan values
 
 let parallel t f =
   match t.plan with

@@ -7,17 +7,13 @@
     acceleration layers sit under it, both output-preserving:
 
     {ul
-    {- {b Cross-configuration record/replay} (on by default): for a fixed
-       (app, size, nprocs, placed), the task graph and every task's
-       numeric effect are identical across the machine and
-       optimization-configuration axes — only scheduling and
-       communication differ. The first simulated run of such a group
-       records each task body's op stream ({!Jade.Replay}); subsequent
-       runs in the group replay the streams instead of re-executing the
-       float kernels. One table holds every replay store by group label:
-       the grid's groups and the groups of {!simulate}. Byte-identical by
-       construction;
-       [~replay:false] turns it off for every cell.}
+    {- {b Kernel skipping} (on by default): every body in the four apps
+       is a [Jade.Runtime.withonly] kernel, which the typechecker keeps
+       from charging work or releasing objects, so a run's metrics depend
+       only on the declared accesses and work. Memoized runs therefore
+       pass [~kernels:false] and never execute the float kernels, whose
+       results nothing here reads. Byte-identical by construction;
+       [~replay:false] runs every kernel in every cell.}
     {- {b Persistent disk cache} ([?cache_dir]): a result's disk digest
        is {!Runcache.digest_key} over the runner's size parameters
        (marshalled once per runner) and the marshalled id — for a
@@ -62,8 +58,9 @@ type t
     configuration of every run this runner executes — it participates in
     the memo key and the disk-cache key, so chaos results never alias
     fault-free ones. [cache_dir] enables the persistent disk cache.
-    [replay] (default [true]) enables cross-configuration record/replay.
-    Never raises. *)
+    [replay] (default [true]) skips kernel bodies in {!run},
+    {!simulate} and {!task_graph}; [false] executes them (the name
+    predates kernel skipping and is kept for callers). Never raises. *)
 val create :
   ?jobs:int ->
   ?fault:Jade_net.Fault.spec ->
@@ -73,17 +70,18 @@ val create :
   t
 
 (** Total discrete-event engine events across every simulation this runner
-    has executed: memo misses, observed runs, group recordings and
-    {!simulate} calls. Replayed runs count in full — they process the same
-    event stream, only skipping the numeric kernels — while disk-cache
-    hits simulate nothing and count zero. *)
+    has executed: memo misses, observed runs, {!task_graph} and
+    {!simulate} calls. Runs that skip kernels count in full — they process
+    the same event stream — while disk-cache hits simulate nothing and
+    count zero. *)
 val events_simulated : t -> int
 
 type stats = {
   cache_lookups : int;  (** disk-cache probes (0 without [cache_dir]) *)
   cache_hits : int;  (** probes answered from disk, skipping simulation *)
   replayed_tasks : int;
-      (** task bodies replayed instead of executed, {!simulate}'s included *)
+      (** kernel bodies skipped instead of executed, {!simulate}'s
+          included (the name predates kernel skipping) *)
 }
 
 val stats : t -> stats
@@ -118,7 +116,7 @@ val run :
   placed:bool ->
   Jade.Metrics.summary
 
-(** Like {!run} but unmemoized and unreplayed, returning the run's
+(** Like {!run} but unmemoized and running every kernel, returning the run's
     occupancy high-water marks ({!Jade.Metrics.occupancy}) alongside the
     summary, and collecting task-lifecycle events into [trace] when given
     — the [repro run --stats] and [--trace] path (a cached summary
@@ -147,17 +145,12 @@ val run_level :
     (the memo and the disk cache know [thunk] only by it). *)
 val run_custom : t -> key:string -> (unit -> float) -> float
 
-(** [simulate t ~group ~machine ~nprocs program] runs [program] at the
-    default configuration on a bespoke machine, for {!run_custom} cells
-    whose machine-cost records are off the grid. Runs sharing a [group]
-    label must create the same task graph and numeric work: with replay
-    on, the group's first run records and the rest replay, and the
-    replayed bodies count in {!stats}; with [~replay:false] every body
-    executes. The label must not collide with the grid's own group labels
-    (["<App> p<N> placed|unplaced @<size>"]). *)
+(** [simulate t ~machine ~nprocs program] runs [program] at the default
+    configuration on a bespoke machine, for {!run_custom} cells whose
+    machine-cost records are off the grid. Kernel bodies are skipped like
+    {!run}'s and count in {!stats}. *)
 val simulate :
   t ->
-  group:string ->
   machine:Jade.Runtime.machine ->
   nprocs:int ->
   (Jade.Runtime.t -> unit) ->
@@ -171,19 +164,16 @@ val serial_time : t -> app:app -> machine:machine -> float
     removed): total declared work over the machine's rate. *)
 val stripped_time : t -> app:app -> machine:machine -> float
 
-(** [task_graph t ~app ~machine ~nprocs ~placed] lifts the program's
-    recorded execution into its task-graph IR: records the group's op
-    streams if no prior run has (sealing the group store, so later runs
-    replay), then builds the DAG. [Error] when a task body created tasks
-    or objects mid-execution (the op streams do not lift into a static
-    graph). *)
+(** [task_graph t ~app ~machine ~nprocs ~placed] lifts one traced run of
+    the program at the default configuration into its task-graph IR
+    ({!Jade.Tracing.graph}). Unmemoized; skips kernels like {!run}. *)
 val task_graph :
   t ->
   app:app ->
   machine:machine ->
   nprocs:int ->
   placed:bool ->
-  (Jade_graph.Ir.t, string) result
+  Jade_graph.Ir.t
 
 (** Task-management percentage (§5.2.1): elapsed time of the work-free
     version over elapsed time of the original, x100, at the app's best

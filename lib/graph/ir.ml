@@ -49,14 +49,14 @@ let object_count g =
     g.nodes;
   Hashtbl.length seen
 
-let trace_work n =
+let node_work n =
   if Array.length n.n_ops = 0 then n.n_work
   else
     Array.fold_left
       (fun acc op -> match op with Work f -> acc +. f | Release _ -> acc)
       0.0 n.n_ops
 
-let total_work g = Array.fold_left (fun acc n -> acc +. trace_work n) 0.0 g.nodes
+let total_work g = Array.fold_left (fun acc n -> acc +. node_work n) 0.0 g.nodes
 
 (* Nodes are pure data (ints, floats, strings, arrays), so structural
    equality is exact; edges are derived from the nodes and need no

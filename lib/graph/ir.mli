@@ -1,24 +1,25 @@
 (** Task-graph intermediate representation.
 
-    A {!t} is the recorded execution of one Jade program lifted into a
-    typed DAG: one {!node} per task (keyed by the deterministic creation
-    id), carrying the task's declared access specification (with the
-    object versions the synchronizer resolved at creation time), its
-    declared work, any explicit placement, and the simulation-visible op
-    stream its body produced when it ran ([Work] charges and mid-body
-    [Release]s, in order). Edges are not stored — they are derived from
-    the access version chains: task B depends on task A exactly when B
-    requires a version A produces ({!Build.make}).
+    A {!t} is one traced execution of a Jade program lifted into a typed
+    DAG: one {!node} per task (keyed by the deterministic creation id),
+    carrying the task's declared access specification (with the object
+    versions the synchronizer resolved at creation time), its declared
+    work, any explicit placement, the processor it ran on, and the
+    simulation-visible op stream a staged body produced when it ran
+    ([Work] charges and mid-body [Release]s, in order; empty for a
+    kernel). Edges are not stored — they are derived from the access
+    version chains: task B depends on task A exactly when B requires a
+    version A produces ({!Build.make}).
 
     The IR is deliberately dependency-free (ints, floats, strings): the
-    runtime records into it and the replay layer executes it without
-    either seeing the other, and [repro graph] dumps and summarizes it. *)
+    runtime's tracer lifts completed tasks into it ([Jade.Tracing.graph])
+    and [repro graph] dumps and summarizes it. *)
 
 (** Access mode of one spec entry, mirroring [Jade.Access.mode]. *)
 type mode = Rd | Wr | Rw
 
-(** One simulation-visible effect of a task body, in execution order.
-    Mirrors [Jade.Replay.op]. *)
+(** One simulation-visible effect of a staged task body, in execution
+    order: a [Jade.Runtime.work] charge or a [Jade.Runtime.release]. *)
 type op =
   | Work of float  (** a mid-body work charge, in flops *)
   | Release of int  (** a mid-body release of the given spec slot *)
@@ -40,10 +41,10 @@ type access = {
 
 (** One task. [n_placement] is the explicit placement the program
     declared. [n_ran_on] is observed data-access information: the
-    processor the recording run actually executed the task on ([-1] if
+    processor the traced run actually executed the task on ([-1] if
     unknown) — on message-passing machines every object is allocated at
     processor 0, so the static homes say nothing about how work spreads,
-    and the recorded schedule does. *)
+    and the traced schedule does. *)
 type node = {
   n_id : int;  (** deterministic task id (creation order, 1-based) *)
   n_name : string;
@@ -74,9 +75,9 @@ val object_count : t -> int
 
 (** The flops task [n] actually charged: the sum of its [Work] ops when
     the stream is non-empty, its declared [n_work] otherwise. *)
-val trace_work : node -> float
+val node_work : node -> float
 
-(** Total {!trace_work} over the graph. *)
+(** Total {!node_work} over the graph. *)
 val total_work : t -> float
 
 (** Structural equality on the node array (edges are derived, so two

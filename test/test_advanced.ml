@@ -1,6 +1,7 @@
 (* Tests for the advanced runtime features: mid-task access release with
    progressive work charging (§2's advanced access specification
-   statements) and the eager update protocol (§6). *)
+   statements, available to [withonly_staged] bodies) and the eager update
+   protocol (§6). *)
 
 module R = Jade.Runtime
 
@@ -12,7 +13,7 @@ let flops_1s_ipsc = 8.0e6 (* one virtual second on the iPSC/860 model *)
    free to schedule the consumer the moment the release enables it. *)
 let pipeline_program ~use_release rt =
   let a = R.create_object rt ~home:1 ~name:"a" ~size:1000 (Array.make 4 0.0) in
-  R.withonly rt ~placement:1 ~name:"producer" ~work:(2.0 *. flops_1s_ipsc)
+  R.withonly_staged rt ~placement:1 ~name:"producer" ~work:(2.0 *. flops_1s_ipsc)
     ~accesses:(fun s -> Jade.Spec.wr s a)
     (fun env ->
       let arr = R.wr env a in
@@ -49,7 +50,7 @@ let test_release_commits_value () =
       ignore
         (R.run ~machine ~nprocs:2 (fun rt ->
              let a = R.create_object rt ~home:0 ~name:"a" ~size:100 (Array.make 1 0.0) in
-             R.withonly rt ~placement:0 ~name:"p" ~work:1.0e6
+             R.withonly_staged rt ~placement:0 ~name:"p" ~work:1.0e6
                ~accesses:(fun s -> Jade.Spec.wr s a)
                (fun env ->
                  (R.wr env a).(0) <- 7.0;
@@ -67,7 +68,7 @@ let test_access_after_release_raises () =
       ignore
         (R.run ~machine:R.dash ~nprocs:2 (fun rt ->
              let a = R.create_object rt ~home:0 ~name:"a" ~size:100 (Array.make 1 0.0) in
-             R.withonly rt ~wait:true ~name:"p" ~work:100.0
+             R.withonly_staged rt ~wait:true ~name:"p" ~work:100.0
                ~accesses:(fun s -> Jade.Spec.wr s a)
                (fun env ->
                  R.release env a;
@@ -79,7 +80,7 @@ let test_double_release_raises () =
       ignore
         (R.run ~machine:R.dash ~nprocs:2 (fun rt ->
              let a = R.create_object rt ~home:0 ~name:"a" ~size:100 (Array.make 1 0.0) in
-             R.withonly rt ~wait:true ~name:"p" ~work:100.0
+             R.withonly_staged rt ~wait:true ~name:"p" ~work:100.0
                ~accesses:(fun s -> Jade.Spec.rd s a)
                (fun env ->
                  R.release env a;
@@ -92,7 +93,7 @@ let test_release_undeclared_raises () =
         (R.run ~machine:R.dash ~nprocs:2 (fun rt ->
              let a = R.create_object rt ~home:0 ~name:"a" ~size:100 (Array.make 1 0.0) in
              let b = R.create_object rt ~home:0 ~name:"b" ~size:100 (Array.make 1 0.0) in
-             R.withonly rt ~wait:true ~name:"p" ~work:100.0
+             R.withonly_staged rt ~wait:true ~name:"p" ~work:100.0
                ~accesses:(fun s -> Jade.Spec.rd s a)
                (fun env -> R.release env b))))
 
@@ -103,7 +104,7 @@ let test_read_release_unblocks_writer () =
   ignore
     (R.run ~machine:R.dash ~nprocs:2 (fun rt ->
          let a = R.create_object rt ~home:0 ~name:"a" ~size:100 (Array.make 1 1.0) in
-         R.withonly rt ~placement:0 ~name:"reader" ~work:(2.0 *. 6.0e6)
+         R.withonly_staged rt ~placement:0 ~name:"reader" ~work:(2.0 *. 6.0e6)
            ~accesses:(fun s -> Jade.Spec.rd s a)
            (fun env ->
              ignore (R.rd env a);
@@ -128,7 +129,7 @@ let test_work_charging_totals () =
   let run charge_inside =
     (R.run ~machine:R.ipsc860 ~nprocs:1 (fun rt ->
          let a = R.create_object rt ~home:0 ~name:"a" ~size:100 (Array.make 1 0.0) in
-         R.withonly rt ~wait:true ~name:"t" ~work:(1.0 *. flops_1s_ipsc)
+         R.withonly_staged rt ~wait:true ~name:"t" ~work:(1.0 *. flops_1s_ipsc)
            ~accesses:(fun s -> Jade.Spec.rw s a)
            (fun env ->
              ignore (R.wr env a);
@@ -143,7 +144,7 @@ let test_overcharge_clamped () =
   let s =
     R.run ~machine:R.ipsc860 ~nprocs:1 (fun rt ->
         let a = R.create_object rt ~home:0 ~name:"a" ~size:100 (Array.make 1 0.0) in
-        R.withonly rt ~wait:true ~name:"t" ~work:1000.0
+        R.withonly_staged rt ~wait:true ~name:"t" ~work:1000.0
           ~accesses:(fun s -> Jade.Spec.rw s a)
           (fun env ->
             ignore (R.wr env a);

@@ -184,27 +184,66 @@ let test_analyses_render () =
         (List.length t.Report.rows > 0))
     (Analyses.all r)
 
-(* Replay off means off for every cell, the bespoke-machine custom cells
-   included; with replay on, their replayed bodies are counted like the
-   grid's. *)
+(* Replay off means every kernel runs in every cell, the bespoke-machine
+   custom cells included; with replay on, their skipped kernels are
+   counted like the grid's. *)
 let test_custom_cells_replay () =
   let off = Runner.create ~jobs:1 ~replay:false Runner.Test in
   ignore (Analyses.all off);
-  Alcotest.(check int) "replay off: no body replays" 0
+  Alcotest.(check int) "replay off: no kernel skipped" 0
     (Runner.stats off).Runner.replayed_tasks;
   let on = Runner.create ~jobs:1 Runner.Test in
   ignore (Analyses.ablation_steal_patience on);
   ignore (Analyses.portability on);
-  Alcotest.(check bool) "replay on: custom cells' replays counted" true
+  Alcotest.(check bool) "replay on: custom cells' skipped kernels counted" true
     ((Runner.stats on).Runner.replayed_tasks > 0)
+
+(* Crash recovery charges a re-executed producer its declared work
+   whether kernels run or not, so every summary field agrees between
+   replay on and off — [recovery_s] included, which the rendered digest
+   omits. Processor 2 crashes at 4 and 8 processors: 60 grid cells. The
+   DASH cells, where recovery re-executes producers, run after the
+   message-passing cells of the same (app, processors, placement). *)
+let test_crash_summaries_replay_parity () =
+  let fault = Jade_net.Fault.spec ~crash_at:[ (2, 0.01) ] () in
+  let summaries replay =
+    let r = Runner.create ~jobs:1 ~fault ~replay Runner.Test in
+    List.concat_map
+      (fun machine ->
+        List.concat_map
+          (fun app ->
+            List.concat_map
+              (fun level ->
+                List.map
+                  (fun nprocs ->
+                    ( Printf.sprintf "%s|%s|%s|p%d"
+                        (Runner.machine_name machine) (Runner.app_name app)
+                        (Runner.level_name level) nprocs,
+                      Runner.run_level r ~app ~machine ~nprocs ~level ))
+                  [ 4; 8 ])
+              (Runner.levels_for app))
+          Runner.all_apps)
+      [ Runner.Lan; Runner.Ipsc; Runner.Dash ]
+  in
+  let summary =
+    Alcotest.testable
+      (fun ppf s ->
+        Format.fprintf ppf "%a recovery_s=%.6f" Jade.Metrics.pp_summary s
+          s.Jade.Metrics.recovery_s)
+      ( = )
+  in
+  let on = summaries true and off = summaries false in
+  Alcotest.(check int) "cells" 60 (List.length on);
+  List.iter2
+    (fun (label, s_on) (_, s_off) -> Alcotest.check summary label s_off s_on)
+    on off
 
 (* Regression: the regeneration output is a pure function of the inputs,
    whatever the worker-domain count, replay setting, or disk-cache state —
-   the planning/warm/replay passes in [Runner.parallel], the
-   cross-configuration record/replay layer, and the persistent cache must
-   all be invisible in the bytes. Hash the full test-size repro output
-   (every table, figure and analysis) and compare digests, so any
-   divergence anywhere in the output fails.
+   the planning/warm/replay passes in [Runner.parallel], kernel skipping,
+   and the persistent cache must all be invisible in the bytes. Hash the
+   full test-size repro output (every table, figure and analysis) and
+   compare digests, so any divergence anywhere in the output fails.
 
    Tables are collected inside [Runner.parallel] and rendered outside:
    the planning pass evaluates the closure against poisoned placeholder
@@ -250,10 +289,10 @@ let check_parity name ?fault () =
   Alcotest.(check string) (name ^ ": replay off vs on") reference replay_on;
   Alcotest.(check string) (name ^ ": cold disk cache") reference cache_cold;
   Alcotest.(check string) (name ^ ": warm disk cache") reference cache_warm;
-  (* The cold run simulated and replayed; the warm run answered everything
-     from disk without simulating an event. *)
+  (* The cold run simulated and skipped kernels; the warm run answered
+     everything from disk without simulating an event. *)
   Alcotest.(check bool)
-    (name ^ ": cold run replayed task bodies")
+    (name ^ ": cold run skipped kernel bodies")
     true
     ((Runner.stats cold_r).Runner.replayed_tasks > 0);
   Alcotest.(check int) (name ^ ": warm run simulates nothing") 0
@@ -314,54 +353,6 @@ let test_cache_corruption_recovers () =
     ((Runner.stats warm_r).Runner.cache_hits
     < (Runner.stats warm_r).Runner.cache_lookups);
   ignore (Runcache.clear (Runcache.create ~dir))
-
-(* Unit tests of the record/replay store lifecycle. [task_end] closes a
-   recording with the task record itself (the store keeps whole IR
-   nodes); a bare record with an empty spec suffices here. *)
-let dummy_task ~tid =
-  Jade.Taskrec.create ~tid
-    ~tname:(Printf.sprintf "t%d" tid)
-    ~spec:[||]
-    ~body:(fun _ _ -> ())
-    ~work:0.0 ~placement:None ~now:0.0
-
-let test_replay_lifecycle () =
-  let store = Jade.Replay.create_store () in
-  let h = Jade.Replay.recorder store in
-  Jade.Replay.task_begin h ~tid:1;
-  Jade.Replay.record h ~tid:1 (Jade.Replay.Work 5.0);
-  Jade.Replay.record h ~tid:1 (Jade.Replay.Release 0);
-  Jade.Replay.task_end h ~task:(dummy_task ~tid:1) ~ran_on:0 ~ok:true;
-  Alcotest.(check int) "one trace recorded" 1 (Jade.Replay.trace_count store);
-  Alcotest.check_raises "replayer requires a sealed store"
-    (Invalid_argument "Replay.replayer: store is not sealed") (fun () ->
-      ignore (Jade.Replay.replayer store));
-  Jade.Replay.seal store;
-  let rp = Jade.Replay.replayer store in
-  (match Jade.Replay.trace rp ~tid:1 with
-  | Some ops ->
-      Alcotest.(check int) "both ops kept, in order" 2 (Array.length ops);
-      Alcotest.(check bool) "first is the work charge" true
-        (ops.(0) = Jade.Replay.Work 5.0)
-  | None -> Alcotest.fail "recorded trace missing");
-  Alcotest.(check bool) "unknown tid has no trace" true
-    (Jade.Replay.trace rp ~tid:2 = None)
-
-let test_replay_poison () =
-  let store = Jade.Replay.create_store () in
-  let h = Jade.Replay.recorder store in
-  Jade.Replay.task_begin h ~tid:1;
-  Jade.Replay.record h ~tid:1 (Jade.Replay.Work 5.0);
-  (* ok:false = the body did something non-replayable (created a task or
-     object): the whole store is poisoned, not just this trace (and the
-     store warns once on stderr, naming the task). *)
-  Jade.Replay.task_end h ~task:(dummy_task ~tid:1) ~ran_on:0 ~ok:false;
-  Alcotest.(check bool) "store poisoned" true (Jade.Replay.poisoned store);
-  Alcotest.(check int) "traces discarded" 0 (Jade.Replay.trace_count store);
-  Jade.Replay.seal store;
-  let rp = Jade.Replay.replayer store in
-  Alcotest.(check bool) "replay falls back to execution" true
-    (Jade.Replay.trace rp ~tid:1 = None)
 
 (* Unit tests of the on-disk entry format. *)
 let test_runcache_roundtrip () =
@@ -528,6 +519,25 @@ let check_rejected args ~want ~named =
 
 let test_cli_rejects (args, named) () = check_rejected args ~want:124 ~named
 
+(* Failures a well-formed command can meet at run time exit 1 with one
+   line naming the cause: a crash of the root processor, a fault plan
+   that drops every message, an unwritable trace path or cache
+   directory. *)
+let named_error_cases =
+  let run_app = "run --app water --size test" in
+  [
+    (run_app ^ " --crash-at 0@0.01", "repro: Unrecoverable");
+    ("all --size test --crash-at 0@0.01", "repro: Unrecoverable");
+    ("digest --size test --crash-at 0@0.01", "repro: Unrecoverable");
+    (run_app ^ " --drop-rate 1", "repro: Jade runtime: deadlock");
+    ( run_app ^ " --trace /nonexistent/dir/x.json",
+      "repro: /nonexistent/dir/x.json" );
+    ("regen --size test --cache-dir /proc/nope", "repro: mkdir /proc/nope");
+    ("cache clear --cache-dir /proc/nope", "repro: mkdir /proc/nope");
+  ]
+
+let test_named_error (args, named) () = check_rejected args ~want:1 ~named
+
 (* [repro factor] on bad input. A bad [--panel-width] is a usage error
    naming the flag; a matrix the factorization cannot take exits 1 with a
    one-line error naming the file. Each case writes its fixture matrix to
@@ -623,6 +633,11 @@ let () =
             Alcotest.test_case ("rejects " ^ args) `Quick (test_cli_rejects case))
           cli_misuse_cases
         @ List.map
+            (fun ((args, _) as case) ->
+              Alcotest.test_case ("named error " ^ args) `Quick
+                (test_named_error case))
+            named_error_cases
+        @ List.map
             (fun ((label, _, _, _, _) as case) ->
               Alcotest.test_case ("factor rejects " ^ label) `Quick
                 (test_factor_rejects case))
@@ -645,6 +660,8 @@ let () =
           Alcotest.test_case "analyses render" `Quick test_analyses_render;
           Alcotest.test_case "custom cells follow --replay" `Quick
             test_custom_cells_replay;
+          Alcotest.test_case "crash summaries equal with replay on and off"
+            `Quick test_crash_summaries_replay_parity;
         ] );
       ( "regression",
         [
@@ -657,9 +674,6 @@ let () =
           Alcotest.test_case "chaos" `Quick test_parity_chaos;
           Alcotest.test_case "corruption recovery" `Quick
             test_cache_corruption_recovers;
-          Alcotest.test_case "replay store lifecycle" `Quick
-            test_replay_lifecycle;
-          Alcotest.test_case "replay store poison" `Quick test_replay_poison;
           Alcotest.test_case "runcache entry format" `Quick
             test_runcache_roundtrip;
           Alcotest.test_case "runcache named decode failures" `Quick

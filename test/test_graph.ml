@@ -5,10 +5,10 @@
    1. Serialization: for random well-formed node sets, build -> encode ->
       decode -> build is the identity (floats travel as hex literals, so
       the round-trip is bit-exact).
-   2. Identity: a recorded random program lifts into the IR with one
-      node per task, and replaying the recorded store replays every task
-      and produces exactly the metric summary of the baseline run — on
-      all three machines. *)
+   2. Identity: a traced run of a random program lifts into the IR with
+      one node per task and the op stream each body produced, and neither
+      tracing nor [~kernels:false] moves the metric summary of the
+      baseline run — on all three machines. *)
 
 module R = Jade.Runtime
 module Ir = Jade_graph.Ir
@@ -262,7 +262,7 @@ let jade_program prog ~nprocs rt =
       let placement =
         match op.placement with Some p when p < nprocs -> Some p | _ -> None
       in
-      R.withonly rt ?placement
+      R.withonly_staged rt ?placement
         ~name:(Printf.sprintf "op%d" op.op_id)
         ~work:(float_of_int (100 + (op.op_id * 13 mod 500)))
         ~accesses:(fun s ->
@@ -271,7 +271,7 @@ let jade_program prog ~nprocs rt =
           List.iter (fun i -> Jade.Spec.rw s objs.(i)) op.updates)
         (fun env ->
           (* Mid-body work charges bracket the early releases so the
-             recorded op streams contain [Work; Release...; Work]. *)
+             traced op streams contain [Work; Release...; Work]. *)
           R.work env (float_of_int (50 + (op.op_id * 7 mod 200)));
           let arrays =
             Array.init prog.nobjs (fun i ->
@@ -289,40 +289,32 @@ let jade_program prog ~nprocs rt =
 let machines =
   [ ("dash", R.dash); ("ipsc", R.ipsc860); ("lan", R.lan) ]
 
-(* Record one run of [prog] into a fresh store; returns the sealed store
-   and the recording run's summary (which is a real execution and must
-   match the baseline byte for byte). *)
-let record_run prog ~machine ~nprocs =
-  let store = Jade.Replay.create_store ~label:"test_graph" () in
-  let h = Jade.Replay.recorder store in
-  let s = R.run ~replay:h ~machine ~nprocs (jade_program prog ~nprocs) in
-  Jade.Replay.seal store;
-  (store, s)
-
 let identity_prop (mname, machine) =
   QCheck.Test.make
-    ~name:(Printf.sprintf "identity pipeline replays byte-identically on %s" mname)
+    ~name:(Printf.sprintf "identity pipeline lifts a traced run on %s" mname)
     ~count:25 QCheck.small_int (fun seed ->
       let g = Sr.create seed in
       let nprocs = 2 + Sr.int g 6 in
       let prog = gen_prog g ~nprocs in
       let ntasks = List.length prog.ops in
       let s0 = R.run ~machine ~nprocs (jade_program prog ~nprocs) in
-      let store, s_rec = record_run prog ~machine ~nprocs in
-      if s_rec <> s0 then
-        QCheck.Test.fail_reportf "recording run diverged from baseline";
-      (match Jade.Replay.graph store with
-      | None -> QCheck.Test.fail_reportf "store unexpectedly poisoned"
-      | Some graph ->
-          if Ir.node_count graph <> ntasks then
-            QCheck.Test.fail_reportf "lifted %d nodes from %d tasks"
-              (Ir.node_count graph) ntasks);
-      let h = Jade.Replay.replayer store in
-      let s1 = R.run ~replay:h ~machine ~nprocs (jade_program prog ~nprocs) in
-      if Jade.Replay.replayed h <> ntasks then
-        QCheck.Test.fail_reportf "replayed %d of %d tasks"
-          (Jade.Replay.replayed h) ntasks;
-      s1 = s0)
+      let trace = Jade.Tracing.create () in
+      let s_traced = R.run ~trace ~machine ~nprocs (jade_program prog ~nprocs) in
+      if s_traced <> s0 then
+        QCheck.Test.fail_reportf "traced run diverged from baseline";
+      let graph = Jade.Tracing.graph trace in
+      if Ir.node_count graph <> ntasks then
+        QCheck.Test.fail_reportf "lifted %d nodes from %d tasks"
+          (Ir.node_count graph) ntasks;
+      (* Node i is task i + 1: two work charges plus its early releases. *)
+      List.iteri
+        (fun i op ->
+          let n = graph.Ir.nodes.(i) in
+          if Array.length n.Ir.n_ops <> List.length op.early_release + 2 then
+            QCheck.Test.fail_reportf "task %d lifted %d ops" n.Ir.n_id
+              (Array.length n.Ir.n_ops))
+        prog.ops;
+      R.run ~kernels:false ~machine ~nprocs (jade_program prog ~nprocs) = s0)
 
 let qcheck t = QCheck_alcotest.to_alcotest t
 

@@ -7,7 +7,9 @@
    tasks with random access specifications. Each task body reads its
    declared read-objects, then writes a deterministic function of what it
    read into its declared write-objects — so any violation of the
-   dependence order changes the final state. *)
+   dependence order changes the final state. A task that releases objects
+   early is a [withonly_staged] task; every other task is a [withonly]
+   kernel, so programs mix both kinds of body. *)
 
 module R = Jade.Runtime
 
@@ -87,23 +89,27 @@ let jade_program prog ~nprocs rt =
       let placement =
         match op.placement with Some p when p < nprocs -> Some p | _ -> None
       in
-      R.withonly rt ?placement
-        ~name:(Printf.sprintf "op%d" op.op_id)
-        ~work:(float_of_int (100 + (op.op_id * 13 mod 500)))
-        ~accesses:(fun s ->
-          List.iter (fun i -> Jade.Spec.rd s objs.(i)) op.reads;
-          List.iter (fun i -> Jade.Spec.wr s objs.(i)) op.writes;
-          List.iter (fun i -> Jade.Spec.rw s objs.(i)) op.updates)
-        (fun env ->
-          (* Checked accessors: reads and writes both verify the spec. *)
-          let arrays =
-            Array.init prog.nobjs (fun i ->
-                if List.mem i op.reads then R.rd env objs.(i)
-                else if List.mem i (op.writes @ op.updates) then R.wr env objs.(i)
-                else [| 0.0; 0.0 |])
-          in
-          apply_op op arrays;
-          List.iter (fun i -> R.release env objs.(i)) op.early_release))
+      let name = Printf.sprintf "op%d" op.op_id
+      and work = float_of_int (100 + (op.op_id * 13 mod 500))
+      and accesses s =
+        List.iter (fun i -> Jade.Spec.rd s objs.(i)) op.reads;
+        List.iter (fun i -> Jade.Spec.wr s objs.(i)) op.writes;
+        List.iter (fun i -> Jade.Spec.rw s objs.(i)) op.updates
+      in
+      (* Checked accessors: reads and writes both verify the spec. *)
+      let compute env =
+        apply_op op
+          (Array.init prog.nobjs (fun i ->
+               if List.mem i op.reads then R.rd env objs.(i)
+               else if List.mem i (op.writes @ op.updates) then R.wr env objs.(i)
+               else [| 0.0; 0.0 |]))
+      in
+      if op.early_release = [] then
+        R.withonly rt ?placement ~name ~work ~accesses compute
+      else
+        R.withonly_staged rt ?placement ~name ~work ~accesses (fun env ->
+            compute env;
+            List.iter (fun i -> R.release env objs.(i)) op.early_release))
     prog.ops;
   R.drain rt;
   Array.map Jade.Shared.data objs
@@ -277,6 +283,91 @@ let test_256_procs () =
            (run_one prog ~machine ~nprocs:256 ~config:Jade.Config.default)))
     [ ("dash", R.dash); ("ipsc", R.ipsc860); ("lan", R.lan) ]
 
+(* The kernel contract: a run that skips the [withonly] bodies computes
+   the same summary as one that executes them — on every machine, under
+   any configuration — and skips exactly the kernel tasks. *)
+let machines = [ ("dash", R.dash); ("ipsc", R.ipsc860); ("lan", R.lan) ]
+
+let kernels_skip_prop =
+  QCheck.Test.make ~name:"skipping kernels preserves the summary" ~count:60
+    QCheck.small_int (fun seed ->
+      let g = Jade_sim.Srandom.create seed in
+      let nprocs = 1 + Jade_sim.Srandom.int g 8 in
+      let prog = gen_prog g ~nprocs in
+      let config = List.nth configs (Jade_sim.Srandom.int g (List.length configs)) in
+      let kernel_tasks =
+        List.length (List.filter (fun op -> op.early_release = []) prog.ops)
+      in
+      List.for_all
+        (fun (mname, machine) ->
+          let run kernels =
+            R.run_with ~kernels ~config ~machine ~nprocs
+              (fun rt -> ignore (jade_program prog ~nprocs rt))
+              ~inspect:(fun rt _ -> R.kernels_skipped rt)
+          in
+          let s_on, skipped_on = run true and s_off, skipped_off = run false in
+          if s_on <> s_off then
+            QCheck.Test.fail_reportf "%s: summaries differ" mname;
+          if skipped_on <> 0 || skipped_off <> kernel_tasks then
+            QCheck.Test.fail_reportf "%s: skipped %d/%d of %d kernel tasks"
+              mname skipped_on skipped_off kernel_tasks;
+          true)
+        machines)
+
+(* A kernel runs to completion without suspending, so it may not create
+   tasks or objects: the runtime refuses, naming [withonly]. *)
+let test_kernel_cannot_create () =
+  let raises_naming_withonly create =
+    match
+      R.run ~machine:R.dash ~nprocs:2 (fun rt ->
+          R.withonly rt ~wait:true ~name:"k" ~work:10.0 ~accesses:ignore
+            (fun _ -> create rt))
+    with
+    | _ -> false
+    | exception Invalid_argument msg ->
+        let needle = "withonly" in
+        let n = String.length needle in
+        let rec has i =
+          i + n <= String.length msg && (String.sub msg i n = needle || has (i + 1))
+        in
+        has 0
+  in
+  Alcotest.(check bool) "withonly from a kernel" true
+    (raises_naming_withonly (fun rt ->
+         R.withonly rt ~name:"inner" ~work:1.0 ~accesses:ignore ignore));
+  Alcotest.(check bool) "create_object from a kernel" true
+    (raises_naming_withonly (fun rt ->
+         ignore (R.create_object rt ~name:"o" ~size:8 0)))
+
+(* A staged body may create tasks, and runs whether kernels do or not:
+   here it spawns a kernel that writes what the staged task read. *)
+let test_staged_creates_task () =
+  let program rt =
+    let a = R.create_object rt ~name:"a" ~size:64 [| 1.0 |] in
+    let b = R.create_object rt ~name:"b" ~size:64 [| 0.0 |] in
+    R.withonly_staged rt ~name:"spawner" ~work:500.0
+      ~accesses:(fun s -> Jade.Spec.rd s a)
+      (fun env ->
+        let v = (R.rd env a).(0) in
+        R.work env 100.0;
+        R.withonly rt ~name:"child" ~work:300.0
+          ~accesses:(fun s -> Jade.Spec.wr s b)
+          (fun env -> (R.wr env b).(0) <- v +. 1.0));
+    R.drain rt
+  in
+  List.iter
+    (fun (mname, machine) ->
+      let run kernels =
+        R.run_with ~kernels ~machine ~nprocs:3 program
+          ~inspect:(fun rt _ -> R.kernels_skipped rt)
+      in
+      let s_on, skipped_on = run true and s_off, skipped_off = run false in
+      Alcotest.(check bool) (mname ^ ": same summary") true (s_on = s_off);
+      Alcotest.(check int) (mname ^ ": two tasks") 2 s_on.Jade.Metrics.tasks;
+      Alcotest.(check (pair int int)) (mname ^ ": child kernel skipped once")
+        (0, 1) (skipped_on, skipped_off))
+    machines
+
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -298,5 +389,13 @@ let () =
           Alcotest.test_case "crash matches serial" `Quick
             test_crash_matches_serial;
           Alcotest.test_case "256 processors" `Quick test_256_procs;
+        ] );
+      ( "kernel contract",
+        [
+          qcheck kernels_skip_prop;
+          Alcotest.test_case "kernels cannot create" `Quick
+            test_kernel_cannot_create;
+          Alcotest.test_case "staged body creates a task" `Quick
+            test_staged_creates_task;
         ] );
     ]
