@@ -239,12 +239,11 @@ let write_json path ~size_name ~jobs ~(par : regen_stats)
     recovery.objects_reconstructed recovery.recovery_virtual_s;
   Printf.fprintf oc
     "  \"occupancy\": {\"scenario\": \"water/ipsc/8p/test\", \
-     \"pool_hwm\": %d, \"msg_cells\": %d, \"calendar_hwm\": %d, \
-     \"calendar_rebuilds\": %d, \"now_lane_capacity\": %d, \
-     \"escape_hwm\": %d},\n"
+     \"pool_hwm\": %d, \"msg_cells\": %d, \"far_lane_hwm\": %d, \
+     \"now_lane_capacity\": %d, \"escape_hwm\": %d},\n"
     occupancy.Jade.Metrics.pool_hwm occupancy.Jade.Metrics.msg_cells
-    occupancy.Jade.Metrics.cal_hwm occupancy.Jade.Metrics.cal_rebuilds
-    occupancy.Jade.Metrics.now_cap occupancy.Jade.Metrics.esc_hwm;
+    occupancy.Jade.Metrics.cal_hwm occupancy.Jade.Metrics.now_cap
+    occupancy.Jade.Metrics.esc_hwm;
   Printf.fprintf oc "  \"kernels\": [\n";
   let n = List.length par.kernel_ms in
   List.iteri

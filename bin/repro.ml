@@ -33,8 +33,17 @@ let probability =
   checked_conv Arg.float ~expected:"a probability in [0,1]" (fun r ->
       r >= 0.0 && r <= 1.0)
 
-let non_negative =
-  checked_conv Arg.float ~expected:"a non-negative number" (fun x -> x >= 0.0)
+(* Virtual-time flags must be finite: an infinite or NaN value is not a
+   time the simulation can reach. *)
+let finite_non_negative =
+  checked_conv Arg.float ~expected:"a finite non-negative number" (fun x ->
+      Float.is_finite x && x >= 0.0)
+
+(* --jitter is also capped, so that no sum of jittered delays can overflow
+   to an infinite virtual time. *)
+let jitter_conv =
+  checked_conv Arg.float ~expected:"a number of seconds in [0,1e9]" (fun x ->
+      x >= 0.0 && x <= 1e9)
 
 let jobs_arg =
   Arg.(
@@ -73,9 +82,11 @@ let fault_term =
   in
   let jitter_arg =
     Arg.(
-      value & opt non_negative 0.0
+      value & opt jitter_conv 0.0
       & info [ "jitter" ] ~docv:"SEC"
-          ~doc:"Maximum extra delivery latency, in virtual seconds.")
+          ~doc:
+            "Maximum extra delivery latency, in virtual seconds (at most \
+             1e9).")
   in
   let crash_rate_arg =
     Arg.(
@@ -97,15 +108,16 @@ let fault_term =
                  match String.split_on_char '@' (String.trim entry) with
                  | [ p; t ] ->
                      let p = int_of_string p and t = float_of_string t in
-                     if p < 0 || not (t >= 0.0) then failwith "range";
+                     if p < 0 || not (Float.is_finite t && t >= 0.0) then
+                       failwith "range";
                      (p, t)
                  | _ -> failwith "syntax"))
       with _ ->
         Error
           (`Msg
             (Printf.sprintf
-               "invalid crash schedule %S: want P@T,P@T,... with P and T \
-                non-negative"
+               "invalid crash schedule %S: want P@T,P@T,... with P a \
+                non-negative integer and T a finite non-negative time"
                s))
     in
     let print ppf l =
@@ -134,7 +146,7 @@ let fault_term =
   in
   let crash_restart_arg =
     Arg.(
-      value & opt non_negative 0.0
+      value & opt finite_non_negative 0.0
       & info [ "crash-restart" ] ~docv:"SEC"
           ~doc:
             "When positive, a crashed processor restarts (cold caches, \
@@ -416,8 +428,8 @@ let run_cmd =
       & info [ "stats" ]
           ~doc:
             "Also print the run's occupancy high-water marks (protocol \
-             message pool, fabric message cells, calendar size and \
-             rebuilds, now-lane capacity, escape slab). Forces a real \
+             message pool, fabric message cells, far-lane event heap, \
+             now-lane capacity, escape slab). Forces a real \
              (uncached, every kernel executed) simulation, since cached \
              summaries do not carry them.")
   in

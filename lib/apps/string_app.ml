@@ -115,7 +115,7 @@ let dijkstra_from ~nx ~nz ~slowness src =
   let dist = Array.make ncells infinity in
   let prev = Array.make ncells (-1) in
   let settled = Array.make ncells false in
-  let heap = Jade_sim.Heap.create ~dummy:0 () in
+  let heap = Jade_sim.Heap.create () in
   let seq = ref 0 in
   dist.(src) <- 0.0;
   Jade_sim.Heap.push heap ~time:0.0 ~seq:0 src;

@@ -64,8 +64,7 @@ type t = {
       (** peak protocol-message records simultaneously out of the pool *)
   mutable occ_msg_cells : int;
       (** fabric message cells ever allocated (= peak in flight) *)
-  mutable occ_cal_hwm : int;  (** peak calendar (far-lane) population *)
-  mutable occ_cal_rebuilds : int;  (** calendar growth rebuilds *)
+  mutable occ_cal_hwm : int;  (** peak far-lane (event heap) population *)
   mutable occ_now_cap : int;  (** final now-lane ring capacity *)
   mutable occ_esc_hwm : int;  (** peak escape-slab parked closures *)
 }
@@ -106,7 +105,6 @@ let create () =
     occ_pool_hwm = 0;
     occ_msg_cells = 0;
     occ_cal_hwm = 0;
-    occ_cal_rebuilds = 0;
     occ_now_cap = 0;
     occ_esc_hwm = 0;
   }
@@ -191,7 +189,12 @@ type occupancy = {
   pool_hwm : int;
   msg_cells : int;
   cal_hwm : int;
+      (** peak far-lane (event heap) population. The name predates the
+          heap far lane; it stays because the benchmark probe
+          ([perfbench/suite.ml]) reads it. *)
   cal_rebuilds : int;
+      (** always 0: the far lane is a heap and never rebuilds. Kept only
+          because the benchmark probe ([perfbench/suite.ml]) reads it. *)
   now_cap : int;
   esc_hwm : int;
 }
@@ -201,16 +204,16 @@ let occupancy m =
     pool_hwm = m.occ_pool_hwm;
     msg_cells = m.occ_msg_cells;
     cal_hwm = m.occ_cal_hwm;
-    cal_rebuilds = m.occ_cal_rebuilds;
+    cal_rebuilds = 0;
     now_cap = m.occ_now_cap;
     esc_hwm = m.occ_esc_hwm;
   }
 
 let pp_occupancy fmt o =
   Format.fprintf fmt
-    "pool-hwm=%d msg-cells=%d calendar-hwm=%d calendar-rebuilds=%d \
-     now-lane-cap=%d escape-hwm=%d"
-    o.pool_hwm o.msg_cells o.cal_hwm o.cal_rebuilds o.now_cap o.esc_hwm
+    "pool-hwm=%d msg-cells=%d far-lane-hwm=%d now-lane-cap=%d \
+     escape-hwm=%d"
+    o.pool_hwm o.msg_cells o.cal_hwm o.now_cap o.esc_hwm
 
 let pp_summary fmt s =
   Format.fprintf fmt

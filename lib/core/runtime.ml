@@ -117,10 +117,7 @@ let recovery_tuning machine =
           c.Costs.msg_startup +. (float_of_int size /. c.Costs.bandwidth) )
 
 let make ?trace ~kernels cfg machine nprocs =
-  (* Event-queue population scales with the processor count (dispatchers,
-     mailboxes, in-flight fabric messages): pre-size the heap so large
-     runs never pay the growth-doubling cascade. *)
-  let eng = Engine.create ~events_hint:(256 * nprocs) () in
+  let eng = Engine.create () in
   let nodes = Array.init nprocs (Mnode.create eng) in
   let metrics = Metrics.create () in
   (* The synchronizer notifies the backend (enable, write-commit) and the
@@ -375,9 +372,7 @@ let run_with ?(config = Config.default) ?trace ?(kernels = true) ~machine
   (* Engine-side occupancy high-water marks; the backend finalizer below
      fills the fabric/pool ones on the message-passing machines. *)
   c.Backend.metrics.Metrics.occ_cal_hwm <-
-    Engine.calendar_high_water c.Backend.eng;
-  c.Backend.metrics.Metrics.occ_cal_rebuilds <-
-    Engine.calendar_rebuilds c.Backend.eng;
+    Engine.far_lane_high_water c.Backend.eng;
   c.Backend.metrics.Metrics.occ_now_cap <-
     Engine.now_lane_capacity c.Backend.eng;
   c.Backend.metrics.Metrics.occ_esc_hwm <-

@@ -40,7 +40,8 @@ let op_mask = (1 lsl op_bits) - 1
 let max_ops = 1 lsl op_bits
 
 type t = {
-  events : Calendar.t;  (** the far lane, keyed by (time, seq) *)
+  events : Heap.t;  (** the far lane, keyed by (time, seq) *)
+  mutable far_hwm : int;  (** peak far-lane population *)
   fl : fl;
   mutable seq : int;
   (* Flat-dispatch handler table, indexed by opcode. Slot 0 is the escape
@@ -61,7 +62,7 @@ type t = {
      clock. They fire before any later far-lane entry, interleaved with
      same-time far-lane entries by seq, so delivery order is identical to
      a single queue — but the dominant zero-delay wakeup skips the
-     calendar entirely. Capacity is always a power of two. Invariant:
+     far lane entirely. Capacity is always a power of two. Invariant:
      every entry's implied time is [fl.clock] (the lane is drained before
      the clock advances).
 
@@ -159,10 +160,17 @@ let push_call : 'a. t -> ('a -> unit) -> 'a -> unit =
 
 let push_now t (f : unit -> unit) = push_call t f ()
 
-(* Far-lane push of a descriptor word at a time strictly after now. *)
+(* Far-lane push of a descriptor word at a time strictly after now. A
+   non-finite time (an infinite delay, or a sum of delays that overflowed)
+   would move the clock to +inf or NaN, where no later time is
+   meaningful; refuse it here. *)
 let push_far t time w =
+  if not (Float.is_finite time) then
+    invalid_arg "Engine: non-finite event time";
   t.seq <- t.seq + 1;
-  Calendar.push t.events ~time ~seq:t.seq w
+  Heap.push t.events ~time ~seq:t.seq w;
+  let n = Heap.length t.events in
+  if n > t.far_hwm then t.far_hwm <- n
 
 (* --- escape slab --- *)
 
@@ -199,12 +207,13 @@ let far_word t f = esc_put t f lsl op_bits
    [register_op] results or the escape path), so the reads are unsafe. *)
 let exec_word t w = (Array.unsafe_get t.ops (w land op_mask)) (w asr op_bits)
 
-let create ?(events_hint = 16) () =
+let create () =
   let bl_cap = 16 in
   let esc_cap = 16 in
   let t =
     {
-      events = Calendar.create ~capacity:(max 16 events_hint) ();
+      events = Heap.create ();
+      far_hwm = 0;
       fl = { clock = 0.0; pending = 0.0 };
       seq = 0;
       ops = Array.make max_ops (fun (_ : int) -> ());
@@ -270,7 +279,8 @@ let schedule_now t f = push_now t f
 let schedule_call t f x = push_call t f x
 
 let schedule_after t delay f =
-  if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
+  if not (delay >= 0.0) then
+    invalid_arg "Engine.schedule: negative or NaN delay";
   let time = t.fl.clock +. delay in
   if time = t.fl.clock then push_now t f else push_far t time (far_word t f)
 
@@ -441,7 +451,7 @@ let await ?on (_ : t) register =
 let wait (_ : t) (w : 'a waiter) : 'a = perform w
 
 let delay t d =
-  if d < 0.0 then invalid_arg "Engine.delay: negative delay";
+  if not (d >= 0.0) then invalid_arg "Engine.delay: negative or NaN delay";
   (* Even a zero delay goes through the queue so that same-time
      activities interleave deterministically in scheduling order. *)
   if d = 0.0 then perform t.eff_now
@@ -459,15 +469,14 @@ let run t =
     if t.now_len > 0 then begin
       (* Same-time far-lane entries (scheduled before the clock reached
          this instant, or via sub-ulp positive delays) interleave with
-         the now lane by seq. [min_time]/[min_seq] are cached-field reads
-         on the calendar, performed once per iteration. *)
+         the now lane by seq. *)
       let take_far =
-        (not (Calendar.is_empty t.events))
-        && Calendar.min_time t.events = t.fl.clock
-        && Calendar.min_seq t.events < t.now_seqs.(t.now_head)
+        (not (Heap.is_empty t.events))
+        && Heap.min_time t.events = t.fl.clock
+        && Heap.min_seq t.events < t.now_seqs.(t.now_head)
       in
       t.processed <- t.processed + 1;
-      if take_far then exec_word t (Calendar.pop_min_value t.events)
+      if take_far then exec_word t (Heap.pop_min_value t.events)
       else begin
         let i = t.now_head in
         let fn = t.now_fns.(i) and arg = t.now_args.(i) in
@@ -478,11 +487,11 @@ let run t =
         (Obj.obj fn : Obj.t -> unit) arg
       end
     end
-    else if not (Calendar.is_empty t.events) then begin
-      let time = Calendar.min_time t.events in
+    else if not (Heap.is_empty t.events) then begin
+      let time = Heap.min_time t.events in
       if time < t.fl.clock then invalid_arg "Engine.run: time went backwards";
       t.fl.clock <- time;
-      let w = Calendar.pop_min_value t.events in
+      let w = Heap.pop_min_value t.events in
       t.processed <- t.processed + 1;
       exec_word t w
     end
@@ -496,9 +505,7 @@ let events_processed t = t.processed
 
 (* --- occupancy counters (observability) --- *)
 
-let calendar_high_water t = Calendar.high_water t.events
-
-let calendar_rebuilds t = Calendar.rebuild_count t.events
+let far_lane_high_water t = t.far_hwm
 
 let now_lane_capacity t = Array.length t.now_fns
 

@@ -16,12 +16,10 @@
 
 type t
 
-(** [create ?events_hint ()] makes an engine. [events_hint] pre-sizes the
-    event queue (number of simultaneously scheduled events it can hold
-    before growing); callers that know the simulation's fan-out — e.g. the
-    Jade runtime, which scales it with the processor count — pass it to
-    skip the doubling cascade on large runs. *)
-val create : ?events_hint:int -> unit -> t
+(** [create ()] makes an engine at virtual time 0. Events at the current
+    instant ride a FIFO now lane; later ones ride a binary {!Heap} keyed
+    by [(time, seq)], which grows by doubling. *)
+val create : unit -> t
 
 (** Current virtual time in seconds. *)
 val now : t -> float
@@ -47,15 +45,17 @@ val register_op : t -> (int -> unit) -> int
 (** [schedule_op_at t ~op ~arg time] runs the handler registered for
     [op] with operand [arg] at absolute virtual time [time] ([now] if
     [time] is in the past) — {!schedule_at} without the closure: the
-    event rides the calendar as one packed int word. [arg] must fit in
+    event rides the far lane as one packed int word. [arg] must fit in
     57 bits (an index or a processor number; anything larger belongs in
     a registry the handler indexes into). Allocation-free; this is the
-    fabric's message-delivery path. *)
+    fabric's message-delivery path. An infinite [time] raises
+    [Invalid_argument]. *)
 val schedule_op_at : t -> op:int -> arg:int -> float -> unit
 
 (** [schedule t ?delay f] runs plain callback [f] at [now + delay]
     (default [0.]). [f] must not perform engine effects; use {!spawn} for
-    that. [delay] must be non-negative. *)
+    that. [delay] must be non-negative (not NaN), and [now + delay]
+    finite; otherwise raises [Invalid_argument]. *)
 val schedule : t -> ?delay:float -> (unit -> unit) -> unit
 
 (** [schedule_at t time f] runs plain callback [f] at absolute virtual
@@ -63,7 +63,8 @@ val schedule : t -> ?delay:float -> (unit -> unit) -> unit
     [schedule t ~delay:(time -. now)] — including its float arithmetic —
     but with the clamp and the delay computation done inside the engine,
     so callers holding a target instant (e.g. the network fabric's
-    delivery times) need no arithmetic of their own. *)
+    delivery times) need no arithmetic of their own. An infinite [time]
+    raises [Invalid_argument]. *)
 val schedule_at : t -> float -> (unit -> unit) -> unit
 
 (** [schedule_now t f] is [schedule t f]: [f] fires at the current
@@ -91,7 +92,8 @@ val spawn : ?name:string -> t -> (unit -> unit) -> unit
 val current_name : t -> string
 
 (** [delay t d] suspends the calling process for [d] seconds of virtual
-    time. Must be called from within a process. [d] must be non-negative. *)
+    time. Must be called from within a process. [d] must be non-negative
+    (not NaN), and [now + d] finite; otherwise raises [Invalid_argument]. *)
 val delay : t -> float -> unit
 
 (** [await ?on t register] suspends the calling process; [register]
@@ -138,13 +140,11 @@ val events_processed : t -> int
 (** {2 Occupancy counters}
 
     Lifetime high-water marks for observability ([repro --stats],
-    BENCH_repro.json): peak far-lane population, calendar growth
-    rebuilds, the now lane's final ring capacity, and the escape slab's
-    peak population of parked closures. *)
+    BENCH_repro.json): peak far-lane (heap) population, the now lane's
+    final ring capacity, and the escape slab's peak population of parked
+    closures. *)
 
-val calendar_high_water : t -> int
-
-val calendar_rebuilds : t -> int
+val far_lane_high_water : t -> int
 
 val now_lane_capacity : t -> int
 

@@ -1,26 +1,21 @@
-(* Parallel-array binary min-heap. Keys live in an unboxed [float array]
-   (times) and an [int array] (seqs); only the payload array holds
-   pointers. Compared to the earlier boxed-record layout this allocates
-   nothing per [push]: an entry is three stores instead of a fresh
-   6-word record + boxed float, which removes the dominant per-event
-   allocation of the discrete-event engine. *)
+(* Parallel-array binary min-heap over int payloads. Keys live in an
+   unboxed [float array] (times) and an [int array] (seqs), and payloads
+   are immediate ints too, so a push is three barrier-free stores, a pop
+   allocates nothing, and a vacated slot pins nothing. *)
 
-type 'a t = {
+type t = {
   mutable times : float array;
   mutable seqs : int array;
-  mutable values : 'a array;
+  mutable values : int array;
   mutable size : int;
-  dummy : 'a;  (** fills vacated payload slots so the heap never pins dead values *)
 }
 
-let create ?(capacity = 16) ~dummy () =
-  let capacity = max capacity 1 in
+let create () =
   {
-    times = Array.make capacity 0.0;
-    seqs = Array.make capacity 0;
-    values = Array.make capacity dummy;
+    times = Array.make 16 0.0;
+    seqs = Array.make 16 0;
+    values = Array.make 16 0;
     size = 0;
-    dummy;
   }
 
 let length t = t.size
@@ -32,7 +27,7 @@ let grow t =
   let n' = 2 * n in
   let times = Array.make n' 0.0 in
   let seqs = Array.make n' 0 in
-  let values = Array.make n' t.dummy in
+  let values = Array.make n' 0 in
   Array.blit t.times 0 times 0 n;
   Array.blit t.seqs 0 seqs 0 n;
   Array.blit t.values 0 values 0 n;
@@ -71,16 +66,17 @@ let[@inline] min_seq t =
   if t.size = 0 then raise Not_found;
   t.seqs.(0)
 
-(* Shared sift-down used by both pop variants: removes the root entry. *)
-let remove_min t =
+(* The caller reads [min_time]/[min_seq] first (still at the root) and
+   takes only the payload, so nothing is boxed per event. *)
+let pop_min_value t =
+  if t.size = 0 then raise Not_found;
+  let v = t.values.(0) in
   let n = t.size - 1 in
   t.size <- n;
-  if n = 0 then t.values.(0) <- t.dummy
-  else begin
+  if n > 0 then begin
     let times = t.times and seqs = t.seqs and values = t.values in
     (* Sift the last entry down from the root, again with a hole. *)
     let lt = times.(n) and ls = seqs.(n) and lv = values.(n) in
-    values.(n) <- t.dummy;
     let i = ref 0 in
     let continue = ref true in
     while !continue do
@@ -105,23 +101,5 @@ let remove_min t =
     times.(!i) <- lt;
     seqs.(!i) <- ls;
     values.(!i) <- lv
-  end
-
-let pop_min t =
-  if t.size = 0 then raise Not_found;
-  let time = t.times.(0) and seq = t.seqs.(0) and v = t.values.(0) in
-  remove_min t;
-  (time, seq, v)
-
-(* Tuple-free pop for the engine's hot path: the caller reads
-   [min_time]/[min_seq] first (still at the root) and takes only the
-   payload, so nothing is boxed per event. *)
-let pop_min_value t =
-  if t.size = 0 then raise Not_found;
-  let v = t.values.(0) in
-  remove_min t;
+  end;
   v
-
-let peek_min t =
-  if t.size = 0 then raise Not_found;
-  (t.times.(0), t.seqs.(0), t.values.(0))

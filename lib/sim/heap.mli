@@ -1,45 +1,32 @@
-(** Binary min-heap keyed by [(time, seq)], used as the event queue of the
-    discrete-event engine. Ties on [time] are broken by insertion sequence,
-    which makes simulations deterministic.
+(** Binary min-heap of [int] payloads keyed by [(time, seq)]: the far lane
+    of the discrete-event engine (payloads are its packed event words,
+    see {!Engine.register_op}) and the frontier of String's Dijkstra.
+    Ties on [time] are broken by [seq], so the pop order is the exact
+    total order on [(time, seq)] and simulations are deterministic.
 
-    The heap stores keys in unboxed parallel arrays, so [push]/[pop_min]
-    allocate nothing — the engine's per-event hot path is allocation
-    free. *)
+    Keys and payloads live in unboxed parallel arrays that grow by
+    doubling, so {!push} and {!pop_min_value} allocate nothing once the
+    arrays have reached the peak population. *)
 
-type 'a t
+type t
 
-(** [create ?capacity ~dummy ()] makes an empty heap. [dummy] is an inert
-    value of the element type used to blank vacated payload slots (so the
-    heap never retains popped elements); it is never returned. [capacity]
-    pre-sizes the backing arrays — a heap that stays within it never
-    reallocates. *)
-val create : ?capacity:int -> dummy:'a -> unit -> 'a t
+(** [create ()] makes an empty heap. *)
+val create : unit -> t
 
-val length : 'a t -> int
+val length : t -> int
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
 (** [push t ~time ~seq v] inserts [v] with priority [(time, seq)]. *)
-val push : 'a t -> time:float -> seq:int -> 'a -> unit
-
-(** [pop_min t] removes and returns the minimum element as
-    [(time, seq, v)]. Raises [Not_found] when empty. The tuple-boxing
-    accessors ([pop_min], {!peek_min}) exist for tests and for use as the
-    {!Calendar} property-test oracle; runtime paths use {!min_time} /
-    {!min_seq} / {!pop_min_value}, which allocate nothing. *)
-val pop_min : 'a t -> float * int * 'a
+val push : t -> time:float -> seq:int -> int -> unit
 
 (** Key of the minimum element, without removing it. Raise [Not_found]
-    when empty. Unlike {!peek_min} these build no tuple, so hot loops can
-    inspect the root allocation-free. *)
-val min_time : 'a t -> float
+    when empty. *)
+val min_time : t -> float
 
-val min_seq : 'a t -> int
+val min_seq : t -> int
 
 (** [pop_min_value t] removes the minimum element and returns only its
     payload (key available beforehand via {!min_time} / {!min_seq}).
     Raises [Not_found] when empty. *)
-val pop_min_value : 'a t -> 'a
-
-(** [peek_min t] returns the minimum without removing it. *)
-val peek_min : 'a t -> float * int * 'a
+val pop_min_value : t -> int

@@ -10,15 +10,19 @@
    float sneaking into a mixed record — multiplies the minor-word rate
    and shows up here long before it shows up as wall-clock time.
 
-   Two gates, each asserting minor words per event under a named ceiling
-   measured with [Gc.minor_words] deltas after a warm-up run:
+   Three gates, each asserting minor words per event under a named
+   ceiling measured with [Gc.minor_words] deltas after a warm-up run:
 
-   - the bare engine driving a self-rescheduling flat op: the pure
-     descriptor path. Measures ~10 words/event, all of it float boxing
-     across non-inlined module boundaries (this switch has no flambda:
-     [now], [+.], the calendar's time parameter each box a float). The
-     ceiling admits that but not one more per-event allocation — a
-     single added float box (2-3 words) or closure (4-5) fails it;
+   - the bare engine driving self-rescheduling flat ops: the pure
+     descriptor path, once with a single chain (the far lane never holds
+     more than one event) and once with 256 chains at spread delays (the
+     shape of the benchmark's engine probe), so the heap's sift-up and
+     sift-down paths run on every event. Both measure ~8 words/event,
+     all of it float boxing across non-inlined module boundaries (this
+     switch has no flambda: [now], [+.], the heap's time parameter each
+     box a float). The ceiling admits that but not one more per-event
+     allocation — a single added float box (2-3 words) or closure (4-5)
+     fails it;
    - the full simulator on repeated Water / iPSC-860 / 8-processor runs
      at test scale: protocol pool, fabric delivery, and scheduler riding
      on top. Each run is only ~900 events, so per-run setup (program
@@ -41,27 +45,36 @@ let check_per_event label ~ceiling ~events words =
     true
     (per_event <= ceiling)
 
-let flat_loop n =
-  let eng = Jade_sim.Engine.create ~events_hint:n () in
-  let remaining = ref n in
+(* [chains] self-rescheduling flat events, [n] events in all. Each
+   reschedules at a delay set by its operand, which it scrambles on the
+   way, so the chains interleave and the far lane holds [chains] events
+   throughout. *)
+let flat_loop ~chains n =
+  let eng = Jade_sim.Engine.create () in
+  let fired = ref 0 in
   let op = ref (-1) in
   op :=
     Jade_sim.Engine.register_op eng (fun arg ->
-        if !remaining > 0 then begin
-          decr remaining;
-          Jade_sim.Engine.schedule_op_at eng ~op:!op ~arg
-            (Jade_sim.Engine.now eng +. 0.001)
-        end);
-  Jade_sim.Engine.schedule_op_at eng ~op:!op ~arg:7 0.001;
+        incr fired;
+        if !fired <= n - chains then
+          Jade_sim.Engine.schedule_op_at eng ~op:!op
+            ~arg:(((arg * 7) + 3) land 1023)
+            (Jade_sim.Engine.now eng +. (1e-6 *. float_of_int (1 + arg))));
+  for i = 0 to chains - 1 do
+    Jade_sim.Engine.schedule_op_at eng ~op:!op ~arg:i
+      (1e-6 *. float_of_int (1 + i))
+  done;
   Jade_sim.Engine.run eng
 
-let test_engine_flat_path () =
-  ignore (flat_loop 1_000);
+let test_engine_flat_path ~chains () =
+  ignore (flat_loop ~chains 1_000);
   let n = 200_000 in
   let minor0 = Gc.minor_words () in
-  let events = flat_loop n in
+  let events = flat_loop ~chains n in
   let words = Gc.minor_words () -. minor0 in
-  check_per_event "flat op loop" ~ceiling:engine_ceiling ~events words
+  check_per_event
+    (Printf.sprintf "flat op loop, %d chains" chains)
+    ~ceiling:engine_ceiling ~events words
 
 let water_run () =
   let prog, _ =
@@ -88,7 +101,11 @@ let () =
       ( "engine hot path",
         [
           Alcotest.test_case "flat descriptor loop stays allocation-free"
-            `Quick test_engine_flat_path;
+            `Quick (test_engine_flat_path ~chains:1);
+          Alcotest.test_case
+            "flat descriptor loop with a populated far lane stays \
+             allocation-free"
+            `Quick (test_engine_flat_path ~chains:256);
           Alcotest.test_case "full simulator stays under ceiling" `Quick
             test_sim_path;
         ] );

@@ -500,6 +500,10 @@ let cli_misuse_cases =
       (run_app ^ " --drop-rate 1.5", "--drop-rate");
       (run_app ^ " --crash-rate 2", "--crash-rate");
       (run_app ^ " --crash-at 2@-1", "--crash-at");
+      (run_app ^ " --crash-at 1@inf", "--crash-at");
+      (run_app ^ " --jitter inf", "--jitter");
+      (run_app ^ " --jitter 1e308", "--jitter");
+      (run_app ^ " --crash-restart inf --crash-at 2@0.01", "--crash-restart");
       ("table 1 --size test --jobs 0", "--jobs");
       ("table 1 --size test --jobs=-2", "--jobs");
       ("all --size test --graph-opt cluster --replay off", "--graph-opt");

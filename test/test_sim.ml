@@ -3,37 +3,87 @@
 
 open Jade_sim
 
+(* Remove the minimum as a [(time, seq, value)] triple. *)
+let pop h =
+  let time = Heap.min_time h and seq = Heap.min_seq h in
+  (time, seq, Heap.pop_min_value h)
+
 let test_heap_order () =
-  let h = Heap.create ~dummy:"" () in
-  Heap.push h ~time:3.0 ~seq:1 "c";
-  Heap.push h ~time:1.0 ~seq:2 "a";
-  Heap.push h ~time:2.0 ~seq:3 "b";
-  let _, _, a = Heap.pop_min h in
-  let _, _, b = Heap.pop_min h in
-  let _, _, c = Heap.pop_min h in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ a; b; c ]
+  let h = Heap.create () in
+  Heap.push h ~time:3.0 ~seq:1 30;
+  Heap.push h ~time:1.0 ~seq:2 10;
+  Heap.push h ~time:2.0 ~seq:3 20;
+  let out = List.init 3 (fun _ -> Heap.pop_min_value h) in
+  Alcotest.(check (list int)) "sorted" [ 10; 20; 30 ] out
 
 let test_heap_fifo_ties () =
-  let h = Heap.create ~dummy:(-1) () in
+  let h = Heap.create () in
   for i = 0 to 9 do
     Heap.push h ~time:1.0 ~seq:i i
   done;
-  let out = List.init 10 (fun _ -> let _, _, v = Heap.pop_min h in v) in
+  let out = List.init 10 (fun _ -> Heap.pop_min_value h) in
   Alcotest.(check (list int)) "fifo on equal times" (List.init 10 Fun.id) out
 
 let heap_sorted_prop =
   QCheck.Test.make ~name:"heap pops in nondecreasing time order" ~count:200
     QCheck.(list (pair (float_bound_exclusive 1000.0) small_int))
     (fun entries ->
-      let h = Heap.create ~dummy:(-1) () in
+      let h = Heap.create () in
       List.iteri (fun i (t, v) -> Heap.push h ~time:t ~seq:i v) entries;
       let rec drain last ok =
         if Heap.is_empty h then ok
         else
-          let t, _, _ = Heap.pop_min h in
+          let t, _, _ = pop h in
           drain t (ok && t >= last)
       in
       drain neg_infinity true)
+
+(* The heap against an independent model, a list kept sorted by
+   [(time, seq)], under an interleaved stream of pushes and pops. Times
+   stay at or above the last popped instant (the engine never schedules
+   into the past); deltas mix zero (ties), sub-unit steps and 1e7-scale
+   spikes. Every pop must return the model's head, key and payload. *)
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return `Pop);
+        (3, map (fun d -> `Push d) (float_bound_exclusive 1.0));
+        (1, return (`Push 0.0));
+        (1, map (fun d -> `Push (d *. 1e7)) (float_bound_exclusive 1.0));
+      ])
+
+let heap_model_prop =
+  QCheck.Test.make ~name:"heap pops like a list sorted by (time, seq)"
+    ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 400) heap_op_gen))
+    (fun ops ->
+      let h = Heap.create () in
+      let model = ref [] and seq = ref 0 and base = ref 0.0 in
+      let ok = ref true in
+      let pop_both () =
+        match !model with
+        | [] -> ok := !ok && Heap.is_empty h
+        | (time, s) :: rest ->
+            model := rest;
+            base := time;
+            ok := !ok && pop h = (time, s, s)
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | `Pop -> pop_both ()
+          | `Push delta ->
+              let time = !base +. delta in
+              incr seq;
+              Heap.push h ~time ~seq:!seq !seq;
+              model := List.merge compare !model [ (time, !seq) ]);
+          ok := !ok && Heap.length h = List.length !model)
+        ops;
+      while !model <> [] do
+        pop_both ()
+      done;
+      !ok && Heap.is_empty h)
 
 let test_engine_delay_order () =
   let eng = Engine.create () in
@@ -122,11 +172,11 @@ let test_engine_opcode_table_full () =
       ignore (Engine.register_op eng ignore))
 
 (* Flat events scheduled before the run commit in (time, scheduling
-   order), exactly as the binary heap orders (time, seq) keys. Times are
+   order): a stable sort by time of the scheduling sequence. Times are
    multiples of 1/16 in [0, 1), so ties are common and time 0 rides the
-   now lane while the rest ride the calendar. *)
-let flat_heap_order_prop =
-  QCheck.Test.make ~name:"flat events commit in heap (time, seq) order"
+   now lane while the rest ride the far lane. *)
+let flat_order_prop =
+  QCheck.Test.make ~name:"flat events commit in (time, seq) order"
     ~count:200
     QCheck.(list (int_bound 15))
     (fun slots ->
@@ -135,18 +185,13 @@ let flat_heap_order_prop =
       let op =
         Engine.register_op eng (fun arg -> log := (arg, Engine.now eng) :: !log)
       in
-      let heap = Heap.create ~dummy:(-1) () in
-      List.iteri
-        (fun i k ->
-          let time = float_of_int k /. 16.0 in
-          Engine.schedule_op_at eng ~op ~arg:i time;
-          Heap.push heap ~time ~seq:i i)
-        slots;
+      let scheduled = List.mapi (fun i k -> (i, float_of_int k /. 16.0)) slots in
+      List.iter
+        (fun (i, time) -> Engine.schedule_op_at eng ~op ~arg:i time)
+        scheduled;
       let events = Engine.run eng in
       let expected =
-        List.init (List.length slots) (fun _ ->
-            let t, _, v = Heap.pop_min heap in
-            (v, t))
+        List.stable_sort (fun (_, a) (_, b) -> Float.compare a b) scheduled
       in
       events = List.length slots && List.rev !log = expected)
 
@@ -165,12 +210,32 @@ let test_engine_nested_spawn () =
   Alcotest.(check int) "no live processes" 0 (Engine.live_processes eng)
 
 let test_engine_negative_delay () =
+  List.iter
+    (fun d ->
+      let eng = Engine.create () in
+      Alcotest.check_raises
+        (Printf.sprintf "schedule ~delay:%g rejected" d)
+        (Invalid_argument "Engine.schedule: negative or NaN delay") (fun () ->
+          Engine.schedule eng ~delay:d ignore);
+      Engine.spawn eng (fun () ->
+          Alcotest.check_raises
+            (Printf.sprintf "delay %g rejected" d)
+            (Invalid_argument "Engine.delay: negative or NaN delay") (fun () ->
+              Engine.delay eng d));
+      ignore (Engine.run eng))
+    [ -1.0; Float.nan ]
+
+(* An event time of +inf would move the clock to +inf, after which every
+   delay sums to +inf or NaN. The far lane refuses it at push time;
+   events already queued still run. *)
+let test_engine_infinite_time () =
   let eng = Engine.create () in
-  Engine.spawn eng (fun () ->
-      Alcotest.check_raises "negative delay rejected"
-        (Invalid_argument "Engine.delay: negative delay") (fun () ->
-          Engine.delay eng (-1.0)));
-  ignore (Engine.run eng)
+  let op = Engine.register_op eng ignore in
+  Engine.schedule_op_at eng ~op ~arg:0 1.0;
+  Alcotest.check_raises "+inf event time"
+    (Invalid_argument "Engine: non-finite event time") (fun () ->
+      Engine.schedule_op_at eng ~op ~arg:1 infinity);
+  Alcotest.(check int) "the finite event still runs" 1 (Engine.run eng)
 
 let test_ivar_basic () =
   let eng = Engine.create () in
@@ -388,7 +453,7 @@ let flat_closure_parity_prop =
                 match Srandom.int g 4 with
                 | 0 ->
                     (* any delay: zero rides the now lane, positive the
-                       calendar *)
+                       far lane *)
                     schedule 0 ~arg (Engine.now eng +. d)
                 | 1 -> schedule 1 ~arg (Engine.now eng +. 0.25 +. d)
                 | 2 ->
@@ -414,6 +479,7 @@ let () =
           Alcotest.test_case "pop order" `Quick test_heap_order;
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           qcheck heap_sorted_prop;
+          qcheck heap_model_prop;
         ] );
       ( "engine",
         [
@@ -423,13 +489,15 @@ let () =
             test_engine_two_lane_interleave;
           Alcotest.test_case "nested spawn" `Quick test_engine_nested_spawn;
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay;
+          Alcotest.test_case "infinite event time" `Quick
+            test_engine_infinite_time;
           Alcotest.test_case "flat event in the past fires now" `Quick
             test_engine_flat_past_clamps;
           Alcotest.test_case "opcode table full" `Quick
             test_engine_opcode_table_full;
           qcheck engine_stress_prop;
           qcheck flat_closure_parity_prop;
-          qcheck flat_heap_order_prop;
+          qcheck flat_order_prop;
         ] );
       ( "ivar",
         [
