@@ -117,9 +117,9 @@ let measure_recovery () =
   }
 
 (* Occupancy scenario: one representative message-passing run (water,
-   iPSC, 8 processors, test scale) reporting the pool/queue high-water
-   marks — so a message-path reboxing or pool-growth regression shows up
-   as a number in BENCH_repro.json, not just as a slower wall clock. *)
+   iPSC, 8 processors, test scale) reporting the cell/queue high-water
+   marks — so a cell-pool or queue-growth regression shows up as a number
+   in BENCH_repro.json, not just as a slower wall clock. *)
 let measure_occupancy () =
   let prog, _ =
     Jade_apps.Water.make Jade_apps.Water.test_params
@@ -239,11 +239,10 @@ let write_json path ~size_name ~jobs ~(par : regen_stats)
     recovery.objects_reconstructed recovery.recovery_virtual_s;
   Printf.fprintf oc
     "  \"occupancy\": {\"scenario\": \"water/ipsc/8p/test\", \
-     \"pool_hwm\": %d, \"msg_cells\": %d, \"far_lane_hwm\": %d, \
+     \"msg_cells\": %d, \"far_lane_hwm\": %d, \
      \"now_lane_capacity\": %d, \"escape_hwm\": %d},\n"
-    occupancy.Jade.Metrics.pool_hwm occupancy.Jade.Metrics.msg_cells
-    occupancy.Jade.Metrics.cal_hwm occupancy.Jade.Metrics.now_cap
-    occupancy.Jade.Metrics.esc_hwm;
+    occupancy.Jade.Metrics.msg_cells occupancy.Jade.Metrics.cal_hwm
+    occupancy.Jade.Metrics.now_cap occupancy.Jade.Metrics.esc_hwm;
   Printf.fprintf oc "  \"kernels\": [\n";
   let n = List.length par.kernel_ms in
   List.iteri

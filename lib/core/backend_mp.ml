@@ -30,7 +30,6 @@ type t = {
   costs : Costs.mp;
   sched : Scheduler_mp.t;
   fabric : Protocol.t Fabric.t;
-  pool : Protocol.Pool.t;  (** recycled message bodies, shared with [fabric] *)
   fault : Fault.t option;
       (** the fabric's chaos plan, kept for end-of-run accounting *)
   comm : Communicator.t;
@@ -46,10 +45,8 @@ type t = {
 
 let send_assign b proc (task : Taskrec.t) =
   if b.track then Hashtbl.replace b.assigned.(proc) task.Taskrec.tid task;
-  let body = Protocol.Pool.alloc b.pool in
-  Protocol.set_assign body task;
   Fabric.send b.fabric ~src:0 ~dst:proc ~size:b.costs.Costs.small_msg
-    ~tag:Tag.Assign body
+    ~tag:Tag.Assign (Protocol.Assign task)
 
 (* The centralized scheduler process on processor 0 (§3.4.3). *)
 let scheduler_process b =
@@ -118,10 +115,8 @@ let dispatcher b proc =
              crash recovery reassigned it. Send the completion so the
              scheduler unwinds this processor's load, but do not run the
              body twice. *)
-          let body = Protocol.Pool.alloc b.pool in
-          Protocol.set_done body ~task ~proc;
           Fabric.send b.fabric ~src:proc ~dst:0 ~size:costs.Costs.small_msg
-            ~tag:Tag.Done body;
+            ~tag:Tag.Done (Protocol.Done { task; proc });
           loop ()
       | Exec task ->
         if proc = 0 then Backend.wait_for_main_release c ~poll:1e-3;
@@ -153,10 +148,8 @@ let dispatcher b proc =
         (match c.Backend.trace with
         | Some tr -> Tracing.record tr task
         | None -> ());
-        let body = Protocol.Pool.alloc b.pool in
-        Protocol.set_done body ~task ~proc;
         Fabric.send b.fabric ~src:proc ~dst:0 ~size:costs.Costs.small_msg
-          ~tag:Tag.Done body;
+          ~tag:Tag.Done (Protocol.Done { task; proc });
         loop ()
   in
   loop ()
@@ -165,33 +158,29 @@ let dispatcher b proc =
    traffic is routed to the scheduler/dispatcher processes, object
    traffic to the communicator. *)
 let handler b proc (msg : Protocol.t Fabric.msg) =
-  let body = msg.Fabric.body in
-  match body.Protocol.kind with
-  | Tag.Assign ->
-      let task = body.Protocol.task in
+  match msg.Fabric.body with
+  | Protocol.Assign task ->
       Communicator.prefetch b.comm task ~proc;
       Mailbox.send b.core.Backend.eng b.dispatch_boxes.(proc) (Exec task)
-  | Tag.Done ->
-      Mailbox.send b.core.Backend.eng b.sched_events
-        (Completed (body.Protocol.peer, body.Protocol.task))
-  | Tag.Ping ->
+  | Protocol.Done { task; proc = ran_on } ->
+      Mailbox.send b.core.Backend.eng b.sched_events (Completed (ran_on, task))
+  | Protocol.Ping _ ->
       (* Heartbeat probe from the supervisor: reply in interrupt context.
          A crashed processor stops answering once its NIC goes dark (the
          fabric drops both the probe and any reply). *)
-      let reply = Protocol.Pool.alloc b.pool in
-      Protocol.set_pong reply ~from:proc;
       Fabric.post b.fabric ~src:proc ~dst:0 ~size:b.costs.Costs.small_msg
-        ~tag:Tag.Pong reply
-  | Tag.Pong -> (
+        ~tag:Tag.Pong (Protocol.Pong proc)
+  | Protocol.Pong from -> (
       match b.core.Backend.recovery with
-      | Some r -> Recovery.note_pong r body.Protocol.peer
+      | Some r -> Recovery.note_pong r from
       | None -> ())
-  | Tag.Reassign ->
+  | Protocol.Reassign _ ->
       (* Ownership-transfer notice: metadata is already consistent (the
          supervisor rewrote the shared [Meta.t]); the message models the
          protocol traffic survivors would need to learn the new owner. *)
       ()
-  | Tag.Request | Tag.Obj | Tag.Bcast | Tag.Eager | Tag.Ack ->
+  | Protocol.Request _ | Protocol.Obj _ | Protocol.Bcast _ | Protocol.Eager _
+  | Protocol.Ack _ ->
       Communicator.handle b.comm msg
 
 (* ---- crash-recovery actions (wired into the supervisor) -------------- *)
@@ -255,20 +244,18 @@ let restart b p ~was_detected =
   end
 
 let ping b p =
-  let body = Protocol.Pool.alloc b.pool in
-  Protocol.set_ping body ~probe:p;
   Fabric.post b.fabric ~src:0 ~dst:p ~size:b.costs.Costs.small_msg
-    ~tag:Tag.Ping body
+    ~tag:Tag.Ping (Protocol.Ping p)
 
 let announce b (meta : Meta.t) =
+  let body =
+    Protocol.Reassign
+      { meta; version = meta.Meta.committed; owner = meta.Meta.owner }
+  in
   for q = 1 to b.core.Backend.nprocs - 1 do
-    if not (Fabric.is_down b.fabric q) then begin
-      let body = Protocol.Pool.alloc b.pool in
-      Protocol.set_reassign body ~meta ~version:meta.Meta.committed
-        ~owner:meta.Meta.owner;
+    if not (Fabric.is_down b.fabric q) then
       Fabric.post b.fabric ~src:0 ~dst:q ~size:b.costs.Costs.small_msg
         ~tag:Tag.Reassign body
-    end
   done
 
 let on_enable b (task : Taskrec.t) =
@@ -296,7 +283,6 @@ let stop b () =
 let finalize b () =
   let m = b.core.Backend.metrics in
   m.Metrics.messages <- Fabric.message_count b.fabric;
-  m.Metrics.occ_pool_hwm <- Protocol.Pool.high_water b.pool;
   m.Metrics.occ_msg_cells <- Fabric.cell_count b.fabric;
   match b.fault with
   | Some f ->
@@ -315,26 +301,9 @@ let create_with ~name ~topology (core : Backend.core) (costs : Costs.mp) :
   let bus =
     if costs.Costs.shared_bus then Some (Mnode.create eng (-1)) else None
   in
-  let pool = Protocol.Pool.create () in
-  (* Under the reliable protocol the owner retains [Bcast]/[Eager] bodies
-     for retransmission (see [Communicator.track_push]); the fabric's
-     release hook must leave those to the GC instead of recycling a
-     record that is still reachable. *)
-  let reliable =
-    match core.Backend.cfg.Config.fault with
-    | Some s when Fault.reliable s -> true
-    | _ -> false
-  in
-  let release body =
-    match body.Protocol.kind with
-    | Tag.Bcast | Tag.Eager when reliable -> ()
-    | _ -> Protocol.Pool.release pool body
-  in
   let fabric =
-    Fabric.create ?bus ?fault eng
-      ~dummy:(Protocol.Pool.dummy pool)
-      ~clone:(Protocol.Pool.clone pool)
-      ~release ~nodes:core.Backend.nodes ~topology
+    Fabric.create ?bus ?fault eng ~dummy:(Protocol.Ping (-1))
+      ~nodes:core.Backend.nodes ~topology
       ~startup:costs.Costs.msg_startup ~bandwidth:costs.Costs.bandwidth
       ~hop_latency:costs.Costs.hop_latency
   in
@@ -349,11 +318,10 @@ let create_with ~name ~topology (core : Backend.core) (costs : Costs.mp) :
       costs;
       sched = Scheduler_mp.create core.Backend.cfg ~nprocs;
       fabric;
-      pool;
       fault;
       comm =
         Communicator.create eng ~cfg:core.Backend.cfg ~costs
-          ~nodes:core.Backend.nodes ~fabric ~metrics:core.Backend.metrics ~pool
+          ~nodes:core.Backend.nodes ~fabric ~metrics:core.Backend.metrics
           ?trace:core.Backend.trace;
       sched_events = Mailbox.create ~name:"sched-events" ();
       dispatch_boxes =

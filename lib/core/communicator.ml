@@ -12,15 +12,15 @@ type pending = {
    acknowledged; only tracked when the reliable-delivery protocol is on.
    The table key (object id, version, dst) is captured as flat ints at
    track time, so the retransmit timers and the ack matcher never chase
-   the body's [meta] pointer. *)
+   [meta]. *)
 type push = {
   push_src : int;
   push_dst : int;
   push_size : int;
-  push_id : int;  (** object id — mirrors [push_body.id] *)
+  push_id : int;  (** object id *)
   push_version : int;
   push_tag : Tag.t;
-  push_body : Protocol.t;
+  push_body : Protocol.t;  (** the body that was sent, re-posted as is *)
   mutable push_attempt : int;
 }
 
@@ -32,7 +32,6 @@ type t = {
   fabric : Protocol.t Fabric.t;
   metrics : Metrics.t;
   nprocs : int;
-  pool : Protocol.Pool.t;  (** recycled message bodies; shared with the fabric *)
   pending : (int, pending) Hashtbl.t;
       (** [object id * nprocs + proc] -> fetch; int-keyed so the per-install
           lookup hashes a flat int instead of allocating a tuple *)
@@ -51,7 +50,7 @@ type t = {
       (** when set, every arriving object transfer is recorded as a flow *)
 }
 
-let create ?trace ~cfg ~costs ~nodes ~fabric ~metrics ~pool eng =
+let create ?trace ~cfg ~costs ~nodes ~fabric ~metrics eng =
   {
     eng;
     cfg;
@@ -60,7 +59,6 @@ let create ?trace ~cfg ~costs ~nodes ~fabric ~metrics ~pool eng =
     fabric;
     metrics;
     trace;
-    pool;
     nprocs = Array.length nodes;
     (* Pending fetches peak around (objects in flight x processors):
        pre-size with the processor count so steady-state operation never
@@ -77,11 +75,10 @@ let create ?trace ~cfg ~costs ~nodes ~fabric ~metrics ~pool eng =
 let key t (meta : Meta.t) proc = (meta.Meta.id * t.nprocs) + proc
 
 let post_request t (meta : Meta.t) ~version ~proc =
-  let body = Protocol.Pool.alloc t.pool in
-  Protocol.set_request body ~meta ~version ~requester:proc
-    ~sent_at:(Engine.now t.eng);
   Fabric.post t.fabric ~src:proc ~dst:meta.Meta.owner
-    ~size:t.costs.Costs.small_msg ~tag:Tag.Request body
+    ~size:t.costs.Costs.small_msg ~tag:Tag.Request
+    (Protocol.Request
+       { meta; version; requester = proc; sent_at = Engine.now t.eng })
 
 (* Requester-driven reliability for fetches: after [timeout] of silence,
    re-post the request (to the object's *current* owner — ownership may
@@ -199,14 +196,17 @@ let rec arm_push_timer t pu ~timeout =
               end
           | _ -> ())
 
-let track_push t ~src ~dst ~size ~tag body =
+(* Keep the body just pushed from [meta]'s owner to [dst] until [dst]
+   acknowledges it. *)
+let track_push t (meta : Meta.t) ~version ~dst ~tag body =
   match t.reliable with
   | None -> ()
   | Some s ->
       let pu =
-        { push_src = src; push_dst = dst; push_size = size;
-          push_id = body.Protocol.id; push_version = body.Protocol.version;
-          push_tag = tag; push_body = body; push_attempt = 0 }
+        { push_src = meta.Meta.owner; push_dst = dst;
+          push_size = meta.Meta.size; push_id = meta.Meta.id;
+          push_version = version; push_tag = tag; push_body = body;
+          push_attempt = 0 }
       in
       Hashtbl.replace t.pushes (push_key pu) pu;
       arm_push_timer t pu ~timeout:s.Fault.retry_timeout
@@ -220,69 +220,54 @@ let record_flow t kind (meta : Meta.t) ~sent_at ~src ~dst =
         ~arrived_at:(Engine.now t.eng)
   | None -> ()
 
-(* A handler owns [msg] (and its body) only for the extent of the call:
-   the fabric recycles both once it returns. Anything sent onward — the
-   [Obj] reply to a request, the ack for a push — therefore rides a fresh
-   pool record rather than the incoming one. *)
+(* A pushed copy (broadcast or eager update) arrived. *)
+let pushed t (msg : Protocol.t Fabric.msg) kind (meta : Meta.t) ~version
+    ~sent_at =
+  record_flow t kind meta ~sent_at ~src:msg.Fabric.src ~dst:msg.Fabric.dst;
+  t.metrics.Metrics.fl.Metrics.comm_bytes <-
+    t.metrics.Metrics.fl.Metrics.comm_bytes +. float_of_int meta.Meta.size;
+  installed t meta ~version ~proc:msg.Fabric.dst;
+  (* Under the reliable protocol, confirm the pushed copy landed so the
+     owner can stop retransmitting it. Duplicated pushes re-ack — the
+     owner treats surplus acks as no-ops. *)
+  if t.reliable <> None && msg.Fabric.src <> msg.Fabric.dst then
+    Fabric.post t.fabric ~src:msg.Fabric.dst ~dst:msg.Fabric.src
+      ~size:t.costs.Costs.small_msg ~tag:Tag.Ack
+      (Protocol.Ack { id = meta.Meta.id; version; from = msg.Fabric.dst })
+
 let handle t (msg : Protocol.t Fabric.msg) =
-  let body = msg.Fabric.body in
-  match body.Protocol.kind with
-  | Tag.Request ->
+  match msg.Fabric.body with
+  | Protocol.Request { meta; version; requester; sent_at } ->
       (* We are the owner: record the requester for the adaptive-broadcast
          detector and reply with the object. A duplicated request just
          produces a second (idempotently installed) reply. The reply
          forwards the request's [sent_at], so the recorded object latency
          spans the whole round trip. *)
-      let meta = body.Protocol.meta in
-      let requester = body.Protocol.peer in
       if Meta.note_access meta requester && t.cfg.Config.adaptive_broadcast
       then meta.Meta.broadcast_mode <- true;
-      let reply = Protocol.Pool.alloc t.pool in
-      Protocol.set_obj reply ~meta ~version:body.Protocol.version
-        ~sent_at:body.Protocol.fl.Protocol.sent_at;
       Fabric.post t.fabric ~src:msg.Fabric.dst ~dst:requester
-        ~size:meta.Meta.size ~tag:Tag.Obj reply
-  | Tag.Obj ->
-      let meta = body.Protocol.meta in
-      let sent_at = body.Protocol.fl.Protocol.sent_at in
+        ~size:meta.Meta.size ~tag:Tag.Obj
+        (Protocol.Obj { meta; version; sent_at })
+  | Protocol.Obj { meta; version; sent_at } ->
       t.metrics.Metrics.fl.Metrics.comm_bytes <-
         t.metrics.Metrics.fl.Metrics.comm_bytes +. float_of_int meta.Meta.size;
       t.metrics.Metrics.fl.Metrics.object_latency <-
         t.metrics.Metrics.fl.Metrics.object_latency +. (Engine.now t.eng -. sent_at);
       record_flow t Tracing.Fetch meta ~sent_at ~src:msg.Fabric.src
         ~dst:msg.Fabric.dst;
-      installed t meta ~version:body.Protocol.version ~proc:msg.Fabric.dst
-  | Tag.Bcast | Tag.Eager ->
-      let meta = body.Protocol.meta in
-      let version = body.Protocol.version in
-      let sent_at = body.Protocol.fl.Protocol.sent_at in
-      let kind =
-        if body.Protocol.kind = Tag.Bcast then Tracing.Broadcast
-        else Tracing.Eager_update
-      in
-      record_flow t kind meta ~sent_at ~src:msg.Fabric.src ~dst:msg.Fabric.dst;
-      t.metrics.Metrics.fl.Metrics.comm_bytes <-
-        t.metrics.Metrics.fl.Metrics.comm_bytes +. float_of_int meta.Meta.size;
-      installed t meta ~version ~proc:msg.Fabric.dst;
-      (* Under the reliable protocol, confirm the pushed copy landed so the
-         owner can stop retransmitting it. Duplicated pushes re-ack — the
-         owner treats surplus acks as no-ops. *)
-      if t.reliable <> None && msg.Fabric.src <> msg.Fabric.dst then begin
-        let ack = Protocol.Pool.alloc t.pool in
-        Protocol.set_ack ack ~id:body.Protocol.id ~version ~from:msg.Fabric.dst;
-        Fabric.post t.fabric ~src:msg.Fabric.dst ~dst:msg.Fabric.src
-          ~size:t.costs.Costs.small_msg ~tag:Tag.Ack ack
-      end
-  | Tag.Ack -> (
-      let id = body.Protocol.id in
-      let version = body.Protocol.version in
-      let from = body.Protocol.peer in
+      installed t meta ~version ~proc:msg.Fabric.dst
+  | Protocol.Bcast { meta; version; sent_at } ->
+      pushed t msg Tracing.Broadcast meta ~version ~sent_at
+  | Protocol.Eager { meta; version; sent_at } ->
+      pushed t msg Tracing.Eager_update meta ~version ~sent_at
+  | Protocol.Ack { id; version; from } -> (
       match Hashtbl.find_opt t.pushes (id, version, from) with
       | Some _ ->
           t.metrics.Metrics.acks <- t.metrics.Metrics.acks + 1;
           Hashtbl.remove t.pushes (id, version, from)
       | None -> () (* duplicate or post-give-up ack: already settled *))
-  | Tag.Assign | Tag.Done | Tag.Ping | Tag.Pong | Tag.Reassign ->
+  | Protocol.Assign _ | Protocol.Done _ | Protocol.Ping _ | Protocol.Pong _
+  | Protocol.Reassign _ ->
       (* Assign/Done are scheduler traffic; Ping/Pong/Reassign are
          recovery-supervisor traffic. Both are routed by the backend's own
          handler before it delegates here. *)
@@ -412,12 +397,12 @@ let eager_push t (meta : Meta.t) =
       then begin
         t.metrics.Metrics.eager_transfers <-
           t.metrics.Metrics.eager_transfers + 1;
-        let body = Protocol.Pool.alloc t.pool in
-        Protocol.set_eager body ~meta ~version ~sent_at:(Engine.now t.eng);
+        let body =
+          Protocol.Eager { meta; version; sent_at = Engine.now t.eng }
+        in
         Fabric.post t.fabric ~src:meta.Meta.owner ~dst:q ~size:meta.Meta.size
           ~tag:Tag.Eager body;
-        track_push t ~src:meta.Meta.owner ~dst:q ~size:meta.Meta.size
-          ~tag:Tag.Eager body
+        track_push t meta ~version ~dst:q ~tag:Tag.Eager body
       end)
     meta.Meta.prev_accessed
 
@@ -447,19 +432,14 @@ let on_write_commit t (meta : Meta.t) (task : Taskrec.t) =
     ignore
       (Mnode.charge t.nodes.(meta.Meta.owner)
          (t.costs.Costs.broadcast_setup +. marshal));
-    let sent_at = Engine.now t.eng in
+    (* One immutable body serves every destination and, under the
+       reliable protocol, every retransmit timer. *)
+    let body = Protocol.Bcast { meta; version; sent_at = Engine.now t.eng } in
     Fabric.broadcast t.fabric ~src:meta.Meta.owner ~size:meta.Meta.size
-      ~tag:Tag.Bcast (fun _dst ->
-        let body = Protocol.Pool.alloc t.pool in
-        Protocol.set_bcast body ~meta ~version ~sent_at;
-        body);
+      ~tag:Tag.Bcast body;
     if t.reliable <> None then
       for q = 0 to t.nprocs - 1 do
-        if q <> meta.Meta.owner then begin
-          let body = Protocol.Pool.alloc t.pool in
-          Protocol.set_bcast body ~meta ~version ~sent_at;
-          track_push t ~src:meta.Meta.owner ~dst:q ~size:meta.Meta.size
-            ~tag:Tag.Bcast body
-        end
+        if q <> meta.Meta.owner then
+          track_push t meta ~version ~dst:q ~tag:Tag.Bcast body
       done
   end

@@ -10,11 +10,11 @@ type t
 (** [trace], when given, receives a {!Tracing.flow} record for every
     object transfer that arrives (fetch replies, broadcast copies, eager
     pushes) — the data behind the Chrome-trace communication lanes.
-    [pool] is the message-body pool shared with the fabric: the
-    communicator allocates every outgoing body from it, and the fabric's
-    release hook recycles bodies into it after delivery. The engine is
-    the trailing positional argument so the optional [?trace] is erased
-    at every total application. *)
+    Every message the communicator sends is an immutable {!Protocol.t};
+    under the reliable protocol the owner keeps each pushed body to
+    re-post it until the receiver acknowledges it. The engine is the
+    trailing positional argument so the optional [?trace] is erased at
+    every total application. *)
 val create :
   ?trace:Tracing.t ->
   cfg:Config.t ->
@@ -22,12 +22,12 @@ val create :
   nodes:Jade_machines.Mnode.t array ->
   fabric:Protocol.t Jade_net.Fabric.t ->
   metrics:Metrics.t ->
-  pool:Protocol.Pool.t ->
   Jade_sim.Engine.t ->
   t
 
 (** Handle a [Request], [Obj], [Bcast], [Eager] or [Ack] message
-    (interrupt context). Raises on [Assign]/[Done]. Handling is idempotent:
+    (interrupt context). Raises [Invalid_argument] on any other kind, which
+    the backend routes itself. Handling is idempotent:
     duplicated replies and pushes never double-fill a fetch ivar or regress
     an installed copy version, and surplus acks are no-ops — the invariants
     the reliable-delivery protocol (chaos mode, {!Jade_net.Fault}) leans

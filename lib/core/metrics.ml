@@ -54,14 +54,12 @@ type t = {
   mutable objects_reconstructed : int;
       (** crash mode: object replicas rebuilt from survivors or by
           deterministic re-execution *)
-  (* Occupancy high-water marks — pool and queue sizing observability
+  (* Occupancy high-water marks — cell and queue sizing observability
      ([repro run --stats], BENCH_repro.json). Deliberately NOT part of
      {!summary}: the parity checks (kernel skipping, disk cache)
      compare summaries structurally, and peak occupancy legitimately
      differs across execution strategies that produce identical
      trajectories. *)
-  mutable occ_pool_hwm : int;
-      (** peak protocol-message records simultaneously out of the pool *)
   mutable occ_msg_cells : int;
       (** fabric message cells ever allocated (= peak in flight) *)
   mutable occ_cal_hwm : int;  (** peak far-lane (event heap) population *)
@@ -102,7 +100,6 @@ let create () =
     crashes_detected = 0;
     tasks_reexecuted = 0;
     objects_reconstructed = 0;
-    occ_pool_hwm = 0;
     occ_msg_cells = 0;
     occ_cal_hwm = 0;
     occ_now_cap = 0;
@@ -187,6 +184,9 @@ let summary m =
    the run without holding the mutable [t]. *)
 type occupancy = {
   pool_hwm : int;
+      (** always 0: protocol messages are immutable values, not pooled.
+          Kept only because the benchmark probe ([perfbench/suite.ml])
+          reads it. *)
   msg_cells : int;
   cal_hwm : int;
       (** peak far-lane (event heap) population. The name predates the
@@ -201,7 +201,7 @@ type occupancy = {
 
 let occupancy m =
   {
-    pool_hwm = m.occ_pool_hwm;
+    pool_hwm = 0;
     msg_cells = m.occ_msg_cells;
     cal_hwm = m.occ_cal_hwm;
     cal_rebuilds = 0;
@@ -211,9 +211,8 @@ let occupancy m =
 
 let pp_occupancy fmt o =
   Format.fprintf fmt
-    "pool-hwm=%d msg-cells=%d far-lane-hwm=%d now-lane-cap=%d \
-     escape-hwm=%d"
-    o.pool_hwm o.msg_cells o.cal_hwm o.now_cap o.esc_hwm
+    "msg-cells=%d far-lane-hwm=%d now-lane-cap=%d escape-hwm=%d"
+    o.msg_cells o.cal_hwm o.now_cap o.esc_hwm
 
 let pp_summary fmt s =
   Format.fprintf fmt

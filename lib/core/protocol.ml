@@ -1,198 +1,26 @@
-(** Wire protocol of the message-passing implementation.
+(** Wire protocol of the message-passing implementation: one constructor
+    per message kind ({!Jade_net.Tag}), each carrying only the fields that
+    kind uses. Messages are immutable, so a body may be shared — by a
+    fault-duplicated copy, or by the owner keeping a push for
+    retransmission — and kept by a handler beyond its delivery. *)
 
-    One record type for every message kind, discriminated by [kind] (the
-    fabric's integer {!Jade_net.Tag} enum) instead of one variant block
-    per message: the communicator sends hundreds of thousands of these
-    per run, and a variant payload means a fresh heap block per send.
-    Records are recycled through a {!Pool} — a send pops a blank record,
-    fills the fields its kind uses, and the fabric returns it to the pool
-    once the receiving handler has run — so the steady-state message path
-    allocates nothing.
-
-    Field usage by kind:
-    - [Assign]: [task]
-    - [Request]: [meta], [id], [version], [peer] (the requester),
-      [fl.sent_at]
-    - [Obj] / [Bcast] / [Eager]: [meta], [id], [version], [fl.sent_at]
-    - [Done]: [task], [peer] (the executor)
-    - [Ack]: [id] (object id), [version], [peer] (the acking node)
-    - [Ping] / [Pong]: [peer] (the probed / replying node)
-    - [Reassign]: [meta], [id], [version], [peer] (the new owner)
-
-    Every object-bearing kind mirrors the object id into the flat [id]
-    int: consumers that only need to key a table (the ack matcher, the
-    push retransmit timers) read one immediate field instead of chasing
-    [meta] — the [Meta.t] block is cold on those paths.
-
-    Unused fields hold the pool's inert dummies; handlers must only read
-    the fields their kind defines.
-
-    Lifecycle invariant: a record obtained from {!Pool.alloc} is owned by
-    the fabric from [post]/[send] until the delivery handler returns,
-    then recycled — except [Bcast]/[Eager] bodies under the reliable
-    protocol, which the owner retains for retransmission (the fabric's
-    release hook skips them; see {!Communicator}). A handler that needs a
-    body beyond its own extent must copy the fields out (or allocate its
-    own record, as the [Request] -> [Obj] reply path does). *)
-
-type t = {
-  mutable kind : Jade_net.Tag.t;
-  mutable meta : Meta.t;
-  mutable task : Taskrec.t;
-  mutable version : int;
-  mutable peer : int;
-  mutable id : int;
-  fl : fl;
-}
-
-(* All-float sub-record: storing [sent_at] into a mixed record would box
-   the float on every send. *)
-and fl = { mutable sent_at : float }
-
-let tag m = m.kind
-
-module Pool = struct
-  type msg = t
-
-  type t = {
-    dummy_meta : Meta.t;
-    dummy_task : Taskrec.t;
-    mutable free : msg array;
-    mutable n : int;
-    mutable live : int;  (** records currently out of the pool *)
-    mutable hwm : int;
-        (** peak [live] — protocol messages simultaneously in flight
-            (retained Bcast/Eager bodies under the reliable protocol
-            count until their release hook actually recycles them) *)
-  }
-
-  let make_msg p =
-    {
-      kind = Jade_net.Tag.Assign;
-      meta = p.dummy_meta;
-      task = p.dummy_task;
-      version = 0;
-      peer = 0;
-      id = 0;
-      fl = { sent_at = 0.0 };
+type t =
+  | Assign of Taskrec.t  (** the task to run *)
+  | Request of {
+      meta : Meta.t;
+      version : int;
+      requester : int;
+      sent_at : float;
     }
-
-  let create () =
-    let dummy_meta = Meta.create ~id:(-1) ~name:"" ~size:1 ~home:0 ~nprocs:1 in
-    let dummy_task =
-      Taskrec.create ~tid:(-1) ~tname:"" ~spec:[||]
-        ~body:(fun _ _ -> ())
-        ~work:0.0 ~placement:None ~now:0.0
-    in
-    let p = { dummy_meta; dummy_task; free = [||]; n = 0; live = 0; hwm = 0 } in
-    p.free <- Array.init 64 (fun _ -> make_msg p);
-    p.n <- 64;
-    p
-
-  (* A blank record owned by the pool itself; never sent. Fabrics use it
-     to blank the [body] slot of recycled message cells. *)
-  let dummy p = make_msg p
-
-  let alloc p =
-    p.live <- p.live + 1;
-    if p.live > p.hwm then p.hwm <- p.live;
-    if p.n = 0 then make_msg p
-    else begin
-      p.n <- p.n - 1;
-      p.free.(p.n)
-    end
-
-  (* Recycling drops the [meta]/[task] references so a parked free record
-     never pins an object table or task graph in memory. *)
-  let release p m =
-    p.live <- p.live - 1;
-    m.meta <- p.dummy_meta;
-    m.task <- p.dummy_task;
-    if p.n = Array.length p.free then begin
-      let cap = max 64 (2 * p.n) in
-      let free = Array.make cap m in
-      Array.blit p.free 0 free 0 p.n;
-      p.free <- free
-    end;
-    p.free.(p.n) <- m;
-    p.n <- p.n + 1
-
-  (* Peak records simultaneously out of the pool over its lifetime. *)
-  let high_water p = p.hwm
-
-  (* Fault-duplicated messages get an independent copy, so delivering and
-     recycling the original can never alias the duplicate still in
-     flight. *)
-  let clone p m =
-    let c = alloc p in
-    c.kind <- m.kind;
-    c.meta <- m.meta;
-    c.task <- m.task;
-    c.version <- m.version;
-    c.peer <- m.peer;
-    c.id <- m.id;
-    c.fl.sent_at <- m.fl.sent_at;
-    c
-end
-
-(* Fill helpers: one per message kind, setting exactly the fields the
-   kind defines over a pool record. *)
-
-let set_assign m task =
-  m.kind <- Jade_net.Tag.Assign;
-  m.task <- task
-
-let set_request m ~meta ~version ~requester ~sent_at =
-  m.kind <- Jade_net.Tag.Request;
-  m.meta <- meta;
-  m.id <- meta.Meta.id;
-  m.version <- version;
-  m.peer <- requester;
-  m.fl.sent_at <- sent_at
-
-let set_obj m ~meta ~version ~sent_at =
-  m.kind <- Jade_net.Tag.Obj;
-  m.meta <- meta;
-  m.id <- meta.Meta.id;
-  m.version <- version;
-  m.fl.sent_at <- sent_at
-
-let set_bcast m ~meta ~version ~sent_at =
-  m.kind <- Jade_net.Tag.Bcast;
-  m.meta <- meta;
-  m.id <- meta.Meta.id;
-  m.version <- version;
-  m.fl.sent_at <- sent_at
-
-let set_eager m ~meta ~version ~sent_at =
-  m.kind <- Jade_net.Tag.Eager;
-  m.meta <- meta;
-  m.id <- meta.Meta.id;
-  m.version <- version;
-  m.fl.sent_at <- sent_at
-
-let set_done m ~task ~proc =
-  m.kind <- Jade_net.Tag.Done;
-  m.task <- task;
-  m.peer <- proc
-
-let set_ack m ~id ~version ~from =
-  m.kind <- Jade_net.Tag.Ack;
-  m.id <- id;
-  m.version <- version;
-  m.peer <- from
-
-let set_ping m ~probe =
-  m.kind <- Jade_net.Tag.Ping;
-  m.peer <- probe
-
-let set_pong m ~from =
-  m.kind <- Jade_net.Tag.Pong;
-  m.peer <- from
-
-let set_reassign m ~meta ~version ~owner =
-  m.kind <- Jade_net.Tag.Reassign;
-  m.meta <- meta;
-  m.id <- meta.Meta.id;
-  m.version <- version;
-  m.peer <- owner
+  | Obj of { meta : Meta.t; version : int; sent_at : float }
+      (** fetch reply; [sent_at] is the request's, so the recorded latency
+          spans the whole round trip *)
+  | Bcast of { meta : Meta.t; version : int; sent_at : float }
+  | Eager of { meta : Meta.t; version : int; sent_at : float }
+  | Done of { task : Taskrec.t; proc : int }  (** [proc] ran [task] *)
+  | Ack of { id : int; version : int; from : int }
+      (** object [id] at [version] landed on [from] *)
+  | Ping of int  (** the probed node *)
+  | Pong of int  (** the replying node *)
+  | Reassign of { meta : Meta.t; version : int; owner : int }
+      (** [owner] is the new owner *)

@@ -94,8 +94,11 @@ let validate_machine ~machine ~nprocs =
 (* Heartbeat/watchdog tuning from the machine's latency floors: the
    period must dwarf one probe round-trip so supervision stays off the
    critical path, and the timeout must tolerate probe replies serialized
-   behind a busy node's backlog. *)
-let recovery_tuning machine =
+   behind a busy node's backlog. On message-passing machines processor 0
+   pays one send occupancy per probe, so the period also grows with the
+   processor count: one probe round takes at most a quarter of it, and
+   processor 0's probe backlog stays bounded at any machine size. *)
+let recovery_tuning machine ~nprocs =
   match machine with
   | Dash c ->
       let period = 20.0 *. c.Costs.steal_patience in
@@ -109,7 +112,12 @@ let recovery_tuning machine =
                ((size + c.Costs.cache_line - 1)
                / c.Costs.cache_line * c.Costs.remote_cycles) )
   | Ipsc c | Lan c ->
-      let period = 50.0 *. (c.Costs.msg_startup +. c.Costs.hop_latency) in
+      let period =
+        Float.max
+          (50.0 *. (c.Costs.msg_startup +. c.Costs.hop_latency))
+          (4.0 *. float_of_int (nprocs - 1)
+          *. Costs.mp_send_occupancy c ~size:c.Costs.small_msg)
+      in
       ( period,
         6.0 *. period,
         c.Costs.flops,
@@ -159,7 +167,9 @@ let make ?trace ~kernels cfg machine nprocs =
   in
   (match (cfg.Config.fault, backend.Backend.recovery_actions) with
   | Some spec, Some actions when Jade_net.Fault.crash_active spec ->
-      let period, timeout, flop_rate, copy_cost = recovery_tuning machine in
+      let period, timeout, flop_rate, copy_cost =
+        recovery_tuning machine ~nprocs
+      in
       let r =
         Recovery.create ~spec ~nprocs ~period ~timeout ~flop_rate ~copy_cost
           ~actions eng metrics

@@ -4,11 +4,10 @@ open Jade_machines
 (* Message cells are pooled: a send pops a cell from the free list, fills
    it, and schedules delivery as a flat engine event — the fabric's
    delivery opcode plus the cell's registry slot, one immediate int word.
-   Delivery runs the destination handler and returns the cell (and, via
-   the [release] hook, its body) to the pool. The steady-state
-   send–deliver round trip therefore allocates nothing — neither the
-   cell, nor the event descriptor, nor (with a pooled payload type, see
-   {!Protocol}) the body. *)
+   Delivery runs the destination handler and returns the cell to the
+   pool, so the steady-state send–deliver round trip allocates neither
+   the cell nor the event descriptor. Bodies are the client's values: the
+   fabric never copies or recycles them. *)
 type 'a msg = {
   mutable src : int;
   mutable dst : int;
@@ -30,11 +29,9 @@ type 'a t = {
   hop_latency : float;
   bus : Mnode.t option;  (** shared medium all transfers serialize through *)
   fault : Fault.t option;  (** chaos plan for interrupt-context traffic *)
-  dummy : 'a;  (** inert body used to blank recycled cells *)
-  clone : 'a -> 'a;
-      (** copies a body for fault duplication, so the duplicate cannot
-          alias the original once the original is delivered and recycled *)
-  release : 'a -> unit;  (** body recycle hook, run after delivery *)
+  dummy : 'a;
+      (** inert body used to blank recycled cells, so a parked cell never
+          keeps a delivered body alive *)
   handlers : ('a msg -> unit) option array;
   tag_counts : int array;  (** messages per tag, indexed by [Tag.index] *)
   tag_bytes : int array;  (** payload bytes per tag *)
@@ -55,7 +52,6 @@ type 'a t = {
 let make ~src ~dst ~size ~tag body = { src; dst; size; tag; body; slot = -1 }
 
 let release_cell t m =
-  t.release m.body;
   m.body <- t.dummy;
   if t.free_n = Array.length t.free then begin
     let cap = max 64 (2 * t.free_n) in
@@ -76,8 +72,8 @@ let deliver_cell t m =
            (Tag.to_string m.tag) m.src m.size));
   release_cell t m
 
-let create ?bus ?fault ?(clone = Fun.id) ?(release = ignore) eng ~dummy ~nodes
-    ~topology ~startup ~bandwidth ~hop_latency =
+let create ?bus ?fault eng ~dummy ~nodes ~topology ~startup ~bandwidth
+    ~hop_latency =
   if Array.length nodes <> Topology.nodes topology then
     invalid_arg "Fabric.create: node/topology size mismatch";
   let t =
@@ -91,8 +87,6 @@ let create ?bus ?fault ?(clone = Fun.id) ?(release = ignore) eng ~dummy ~nodes
       bus;
       fault;
       dummy;
-      clone;
-      release;
       handlers = Array.make (Array.length nodes) None;
       tag_counts = Array.make Tag.count 0;
       tag_bytes = Array.make Tag.count 0;
@@ -161,10 +155,10 @@ let deliver_at t time m =
 
 (* Faultable delivery: interrupt-context traffic and broadcast copies go
    through the chaos plan (when one is installed). Dropped messages vanish
-   without reaching the per-tag ledgers — their cell and body recycle
-   immediately; duplicates are delivered — and counted — twice, riding a
-   second cell whose body is a [clone] of the original's, so recycling the
-   first delivery cannot alias the copy still in flight. *)
+   without reaching the per-tag ledgers — their cell recycles immediately;
+   duplicates are delivered — and counted — twice, riding a second cell
+   that carries the same body, so recycling the first delivery's cell
+   cannot touch the copy still in flight. *)
 let deliver_at_faulted t time m =
   match t.fault with
   | None -> deliver_at t time m
@@ -181,8 +175,7 @@ let deliver_at_faulted t time m =
       else begin
         if d.Fault.duplicate then begin
           let c =
-            alloc t ~src:m.src ~dst:m.dst ~size:m.size ~tag:m.tag
-              (t.clone m.body)
+            alloc t ~src:m.src ~dst:m.dst ~size:m.size ~tag:m.tag m.body
           in
           deliver_at t (time +. d.Fault.delay) m;
           deliver_at t (time +. d.Fault.dup_delay) c
@@ -218,7 +211,7 @@ let post t ~src ~dst ~size ~tag body =
     let earliest = done_at +. wire t ~src ~dst in
     deliver_at_faulted t (bus_time t ~size ~earliest) m
 
-let broadcast t ~src ~size ~tag body_of_node =
+let broadcast t ~src ~size ~tag body =
   let n = Array.length t.nodes in
   if n > 1 then begin
     let rounds = Topology.broadcast_schedule t.topo ~root:src in
@@ -232,7 +225,7 @@ let broadcast t ~src ~size ~tag body_of_node =
         let time = base +. (r *. (per_round +. t.hop_latency)) in
         deliver_at_faulted t
           (bus_time t ~size ~earliest:time)
-          (alloc t ~src ~dst ~size ~tag (body_of_node dst))
+          (alloc t ~src ~dst ~size ~tag body)
       end
     done
   end

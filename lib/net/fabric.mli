@@ -9,14 +9,13 @@
     ledger without blocking (a handler replying to an object request).
 
     The payload type ['a] is chosen by the client (the Jade communicator
-    instantiates it with its protocol messages).
+    instantiates it with its immutable protocol messages).
 
-    Message records are pooled: the fabric recycles a message cell — and,
-    through the [release] hook, its body — as soon as the delivery handler
-    returns, so a steady-state send–deliver round trip allocates nothing.
-    A handler owns its message argument only for the duration of the call;
-    retaining the record or (unless [release] is arranged to skip it) the
-    body beyond that is a bug. *)
+    Message cells are pooled: the fabric recycles a cell as soon as the
+    delivery handler returns, so a steady-state send–deliver round trip
+    allocates no cell. A handler must not keep the cell (the {!msg} record)
+    beyond the call; it may keep the body, which the fabric never copies
+    or recycles. *)
 
 type 'a msg = {
   mutable src : int;
@@ -35,8 +34,6 @@ type 'a t
 val create :
   ?bus:Jade_machines.Mnode.t ->
   ?fault:Fault.t ->
-  ?clone:('a -> 'a) ->
-  ?release:('a -> unit) ->
   Jade_sim.Engine.t ->
   dummy:'a ->
   nodes:Jade_machines.Mnode.t array ->
@@ -52,13 +49,11 @@ val create :
     {!send} and node-local deliveries are never faulted. An inactive plan
     ([Fault.active] false) leaves the trajectory identical to no plan.
 
-    [dummy] is an inert body used to blank recycled message cells.
-    [clone] (default identity) copies a body when the chaos plan
-    duplicates a message, so the duplicate cannot alias the original's
-    recycled record. [release] (default [ignore]) is called with the body
-    after the delivery handler returns — pooled payload types recycle the
-    body here (and may skip bodies a handler legitimately retains, e.g.
-    push bodies kept for retransmission under the reliable protocol). *)
+    Each message rides a pooled cell that is recycled when its handler
+    returns: a handler must not keep the cell, but it may keep the body.
+    A message the chaos plan duplicates rides a second cell carrying the
+    same body. [dummy] is an inert body that blanks a recycled cell, so a
+    parked cell never keeps a delivered body alive. *)
 
 (** [set_handler t p f] installs the message handler for node [p]. [f] runs
     as a plain callback at delivery time (interrupt context). *)
@@ -78,12 +73,12 @@ val send : 'a t -> src:int -> dst:int -> size:int -> tag:Tag.t -> 'a -> unit
     schedules delivery; never blocks. *)
 val post : 'a t -> src:int -> dst:int -> size:int -> tag:Tag.t -> 'a -> unit
 
-(** [broadcast t ~src ~size ~tag body_of_node] delivers a copy to every
-    other node via a binomial tree: the source is occupied for one send per
-    round; the node reached in round [r] receives its copy after [r] rounds
-    of (occupancy + wire). Charges the source as interrupt work, so it can
-    be used from either context. *)
-val broadcast : 'a t -> src:int -> size:int -> tag:Tag.t -> (int -> 'a) -> unit
+(** [broadcast t ~src ~size ~tag body] delivers [body] to every other node
+    via a binomial tree: the source is occupied for one send per round; the
+    node reached in round [r] receives its copy after [r] rounds of
+    (occupancy + wire). Charges the source as interrupt work, so it can be
+    used from either context. *)
+val broadcast : 'a t -> src:int -> size:int -> tag:Tag.t -> 'a -> unit
 
 (** Number of rounds a broadcast takes on this fabric's topology. *)
 val broadcast_rounds : 'a t -> int

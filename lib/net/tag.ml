@@ -4,7 +4,7 @@
     fault injector and the protocol. Every per-tag ledger then had to be a
     string-keyed hashtable consulted on the per-message hot path, and every
     send site could invent (or typo) a tag the rest of the system had never
-    heard of. The protocol has exactly seven message kinds, so the tag is a
+    heard of. The protocol has exactly ten message kinds, so the tag is a
     closed enumeration: ledgers become flat arrays indexed by {!index}, tag
     equality is a constant-constructor compare, and {!to_string} renders
     the wire name only at the report/metrics edge. *)

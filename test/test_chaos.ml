@@ -235,6 +235,46 @@ let test_lost_reply_retransmitted () =
     (s.Jade.Metrics.retransmit_count >= 1);
   Alcotest.(check int) "task completed" 1 s.Jade.Metrics.tasks
 
+(* A dropped push is re-posted from the body its owner kept: processor 1
+   reads x, processor 0 writes it, and the new version is pushed to
+   processor 1 and dropped. The second reader fetches x itself, and its
+   long body keeps the run going past the push timer, which re-posts the
+   kept body; processor 1 acknowledges it. *)
+let lost_push_program rt =
+  let x = R.create_object rt ~home:0 ~name:"x" ~size:4096 (Array.make 4 1.0) in
+  let reader work =
+    R.withonly rt ~placement:1 ~name:"reader" ~work
+      ~accesses:(fun s -> Jade.Spec.rd s x)
+      (fun env -> ignore (R.rd env x))
+  in
+  reader 100.0;
+  R.withonly rt ~placement:0 ~name:"writer" ~work:100.0
+    ~accesses:(fun s -> Jade.Spec.wr s x)
+    (fun env -> (R.wr env x).(0) <- 2.0);
+  reader 1e7
+
+let test_lost_push_retransmitted tag config () =
+  let fault = F.spec ~drop_tagged:[ (tag, 0) ] () in
+  let s =
+    R.run
+      ~config:{ config with Jade.Config.fault = Some fault }
+      ~machine:R.ipsc860 ~nprocs:2 lost_push_program
+  in
+  Alcotest.(check int) "the push was dropped" 1 s.Jade.Metrics.dropped_count;
+  Alcotest.(check int) "re-posted once" 1 s.Jade.Metrics.retransmit_count;
+  Alcotest.(check int) "acknowledged" 1 s.Jade.Metrics.ack_count;
+  Alcotest.(check int) "tasks completed" 3 s.Jade.Metrics.tasks;
+  Alcotest.(check int) "no give-ups" 0 s.Jade.Metrics.give_up_count
+
+(* With adaptive broadcast on, the broadcast delivers the copy and no
+   eager update is sent, so the eager case turns broadcast off. *)
+let eager_only =
+  {
+    Jade.Config.default with
+    Jade.Config.eager_transfer = true;
+    adaptive_broadcast = false;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Watchdog: lost wakeup yields a structured deadlock report *)
 
@@ -294,13 +334,8 @@ let test_dup_reply_after_supersede () =
   let eng = E.create () in
   let nodes = Array.init 2 (Jade_machines.Mnode.create eng) in
   let costs = C.ipsc860 in
-  let pool = Jade.Protocol.Pool.create () in
   let fabric =
-    Jade_net.Fabric.create eng
-      ~dummy:(Jade.Protocol.Pool.dummy pool)
-      ~clone:(Jade.Protocol.Pool.clone pool)
-      ~release:(Jade.Protocol.Pool.release pool)
-      ~nodes
+    Jade_net.Fabric.create eng ~dummy:(Jade.Protocol.Ping (-1)) ~nodes
       ~topology:(Jade_net.Topology.hypercube 2)
       ~startup:costs.C.msg_startup ~bandwidth:costs.C.bandwidth
       ~hop_latency:costs.C.hop_latency
@@ -308,7 +343,7 @@ let test_dup_reply_after_supersede () =
   let metrics = Jade.Metrics.create () in
   let comm =
     Jade.Communicator.create eng ~cfg:Jade.Config.default ~costs ~nodes
-      ~fabric ~metrics ~pool
+      ~fabric ~metrics
   in
   (* Node 0 (the owner) swallows requests: replies are injected by hand. *)
   Jade_net.Fabric.set_handler fabric 0 (fun _ -> ());
@@ -333,13 +368,12 @@ let test_dup_reply_after_supersede () =
       Jade.Communicator.ensure_local comm task1 ~proc:1;
       incr resumed);
   let reply version =
-    (* Hand-built reply fed straight to the handler (no fabric delivery,
-       so the body is ours to leak — the handler must not recycle it). *)
-    let body = Jade.Protocol.Pool.alloc pool in
-    Jade.Protocol.set_obj body ~meta ~version ~sent_at:0.0;
+    (* Hand-built reply fed straight to the handler, no fabric
+       delivery. *)
     Jade.Communicator.handle comm
       (Jade_net.Fabric.make ~src:0 ~dst:1 ~size:meta.Jade.Meta.size
-         ~tag:Tag.Obj body)
+         ~tag:Tag.Obj
+         (Jade.Protocol.Obj { meta; version; sent_at = 0.0 }))
   in
   E.schedule eng ~delay:1e-6 (fun () ->
       (* Supersede the in-flight v1 fetch... *)
@@ -422,6 +456,10 @@ let () =
             test_lost_reply_retransmitted;
           Alcotest.test_case "dup reply after supersede" `Quick
             test_dup_reply_after_supersede;
+          Alcotest.test_case "lost broadcast re-posted" `Quick
+            (test_lost_push_retransmitted Tag.Bcast Jade.Config.default);
+          Alcotest.test_case "lost eager update re-posted" `Quick
+            (test_lost_push_retransmitted Tag.Eager eager_only);
         ] );
       ( "watchdog",
         [

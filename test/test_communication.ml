@@ -211,13 +211,8 @@ let test_superseded_fetch_wakes_waiter () =
   let eng = E.create () in
   let nodes = Array.init 2 (Jade_machines.Mnode.create eng) in
   let costs = C.ipsc860 in
-  let pool = Jade.Protocol.Pool.create () in
   let fabric =
-    Jade_net.Fabric.create eng
-      ~dummy:(Jade.Protocol.Pool.dummy pool)
-      ~clone:(Jade.Protocol.Pool.clone pool)
-      ~release:(Jade.Protocol.Pool.release pool)
-      ~nodes
+    Jade_net.Fabric.create eng ~dummy:(Jade.Protocol.Ping (-1)) ~nodes
       ~topology:(Jade_net.Topology.hypercube 2)
       ~startup:costs.C.msg_startup ~bandwidth:costs.C.bandwidth
       ~hop_latency:costs.C.hop_latency
@@ -225,7 +220,7 @@ let test_superseded_fetch_wakes_waiter () =
   let metrics = Jade.Metrics.create () in
   let comm =
     Jade.Communicator.create eng ~cfg:Jade.Config.default ~costs ~nodes
-      ~fabric ~metrics ~pool
+      ~fabric ~metrics
   in
   for p = 0 to 1 do
     Jade_net.Fabric.set_handler fabric p (fun msg ->

@@ -250,6 +250,23 @@ let test_crash_and_chaos_compose () =
   Alcotest.(check bool) "results exact under crash + chaos" true
     (clean_result = res ())
 
+(* The supervisor's probe rounds cost processor 0 one send each, so the
+   heartbeat period scales with the processor count: a crash plan at 64
+   message-passing processors finishes instead of drowning processor 0 in
+   an ever-growing probe backlog. *)
+let test_crash_at_64_procs () =
+  List.iter
+    (fun (mname, machine) ->
+      let prog, _ = make_app "water" ~kind:Jade_apps.App_common.Mp ~nprocs:64 in
+      let s =
+        R.run ~config:(with_fault crash_spec) ~machine ~nprocs:64 prog
+      in
+      Alcotest.(check int) (mname ^ ": all tasks completed") 512
+        s.Jade.Metrics.tasks;
+      Alcotest.(check int) (mname ^ ": the crash was detected") 1
+        s.Jade.Metrics.crash_detected_count)
+    [ ("ipsc", R.ipsc860); ("lan", R.lan) ]
+
 (* ------------------------------------------------------------------ *)
 (* Crash-inactive plans are bit-identical to no plan at all *)
 
@@ -487,6 +504,8 @@ let () =
           Alcotest.test_case "restart rejoins" `Quick test_restart_rejoins;
           Alcotest.test_case "crash composes with chaos" `Quick
             test_crash_and_chaos_compose;
+          Alcotest.test_case "crash plan finishes at 64 processors" `Quick
+            test_crash_at_64_procs;
         ] );
       ( "zero-rate",
         [

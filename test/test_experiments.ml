@@ -503,6 +503,8 @@ let cli_misuse_cases =
       (run_app ^ " --crash-at 1@inf", "--crash-at");
       (run_app ^ " --jitter inf", "--jitter");
       (run_app ^ " --jitter 1e308", "--jitter");
+      (run_app ^ " --jitter 2", "--jitter");
+      (run_app ^ " --jitter 1e9", "--jitter");
       (run_app ^ " --crash-restart inf --crash-at 2@0.01", "--crash-restart");
       ("table 1 --size test --jobs 0", "--jobs");
       ("table 1 --size test --jobs=-2", "--jobs");
@@ -585,7 +587,12 @@ let test_help_clean () =
 
 let test_cli_in_range_runs () =
   let code, _, _ = run_repro "table 1 --size test --jobs 1" in
-  Alcotest.(check int) "table 1 still runs" 0 code
+  Alcotest.(check int) "table 1 still runs" 0 code;
+  let code, _, _ =
+    run_repro "run --app water --size test --crash-at 1@100 --jitter 1"
+  in
+  Alcotest.(check int) "the largest jitter under a crash plan still runs" 0
+    code
 
 (* [repro run] takes the memoized path plainly and the observed path with
    --trace or --stats; all three print the same summary. *)

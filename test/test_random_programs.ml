@@ -228,6 +228,40 @@ let chaos_equivalence_prop machine name =
       let config = chaos_config (1 + Jade_sim.Srandom.int g 5) in
       equal_states (serial_result prog) (run_one prog ~machine ~nprocs ~config))
 
+(* Message chaos and a crash in the same run: one non-root processor
+   crashes early while messages are dropped, duplicated and delayed. The
+   retransmit machinery and the recovery supervisor must compose, and the
+   final state still matches serial execution. *)
+let crash_chaos_prop machine name =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf
+         "random programs under chaos and a crash match serial on %s" name)
+    ~count:30 QCheck.small_int
+    (fun seed ->
+      let g = Jade_sim.Srandom.create seed in
+      let nprocs = 2 + Jade_sim.Srandom.int g 7 in
+      let prog = gen_prog g ~nprocs in
+      let base =
+        List.nth configs (Jade_sim.Srandom.int g (List.length configs))
+      in
+      let victim = 1 + Jade_sim.Srandom.int g (nprocs - 1) in
+      let fault =
+        Jade_net.Fault.spec
+          ~seed:(1 + Jade_sim.Srandom.int g 5)
+          ~drop_rate:0.15 ~dup_rate:0.1 ~jitter:1e-4
+          ~crash_at:[ (victim, Jade_sim.Srandom.float g 0.01) ]
+          ()
+      in
+      let config =
+        {
+          base with
+          Jade.Config.eager_transfer = Jade_sim.Srandom.int g 3 = 0;
+          fault = Some fault;
+        }
+      in
+      equal_states (serial_result prog) (run_one prog ~machine ~nprocs ~config))
+
 (* A chaos run is a function of the program and the fault seed alone:
    two runs agree on every metric, and the plan really dropped
    messages. *)
@@ -385,6 +419,9 @@ let () =
         [
           qcheck (chaos_equivalence_prop Jade.Runtime.ipsc860 "iPSC/860");
           qcheck (chaos_equivalence_prop Jade.Runtime.lan "workstation LAN");
+          qcheck (crash_chaos_prop Jade.Runtime.dash "DASH");
+          qcheck (crash_chaos_prop Jade.Runtime.ipsc860 "iPSC/860");
+          qcheck (crash_chaos_prop Jade.Runtime.lan "workstation LAN");
           Alcotest.test_case "chaos determinism" `Quick test_chaos_deterministic;
           Alcotest.test_case "crash matches serial" `Quick
             test_crash_matches_serial;

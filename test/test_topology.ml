@@ -168,7 +168,7 @@ let test_fabric_broadcast_reaches_all () =
     Fabric.set_handler fab p (fun _ -> got.(p) <- Engine.now eng)
   done;
   Engine.spawn eng (fun () ->
-      Fabric.broadcast fab ~src:3 ~size:1000 ~tag:Tag.Obj (fun _ -> ()));
+      Fabric.broadcast fab ~src:3 ~size:1000 ~tag:Tag.Obj ());
   ignore (Engine.run eng);
   for p = 0 to 7 do
     if p <> 3 then
@@ -195,64 +195,59 @@ let test_fabric_stats () =
   Alcotest.(check int) "count x" 2 (Fabric.count_with_tag fab Tag.Request);
   Alcotest.(check int) "count absent" 0 (Fabric.count_with_tag fab Tag.Ack)
 
-(* The fabric's message pool: a message cell (and its body) recycles the
-   moment its delivery handler returns, and a fault-duplicated message
-   rides an independent cell with a cloned body, so delivering and
-   recycling the original can never alias the copy still in flight. *)
-let make_pool_fabric ?fault eng n ~clone ~release =
+(* The fabric's cell pool: a message cell recycles the moment its delivery
+   handler returns, and a fault-duplicated message rides a cell of its
+   own, so delivering and recycling the original can never clobber the
+   copy still in flight. Bodies are plain ints; -1 blanks recycled
+   cells. *)
+let make_pool_fabric ?fault eng n =
   let nodes = Array.init n (Mnode.create eng) in
-  Fabric.create ?fault eng ~dummy:(ref (-1)) ~clone ~release ~nodes
-    ~topology:(Topology.hypercube n) ~startup:1e-5 ~bandwidth:1e8
-    ~hop_latency:1e-6
+  Fabric.create ?fault eng ~dummy:(-1) ~nodes ~topology:(Topology.hypercube n)
+    ~startup:1e-5 ~bandwidth:1e8 ~hop_latency:1e-6
 
 let test_pool_recycles_cells () =
-  (* After a send-deliver round trip the cell is back on the free list:
-     a long sequence of sends must keep reusing it rather than allocating
-     per message, which we observe through the release hook firing once
-     per delivery. *)
+  (* A 100-hop chain in which each delivery posts the next hop: the new
+     hop takes a cell while the delivering one is still held, and the
+     delivering one is recycled when its handler returns, so two cells
+     serve the whole chain. *)
   let eng = Engine.create () in
-  let released = ref 0 in
-  let fab =
-    make_pool_fabric eng 2
-      ~clone:(fun b -> ref !b)
-      ~release:(fun _ -> incr released)
-  in
+  let fab = make_pool_fabric eng 2 in
   let got = ref [] in
-  Fabric.set_handler fab 1 (fun m -> got := !(m.Fabric.body) :: !got);
+  for p = 0 to 1 do
+    Fabric.set_handler fab p (fun m ->
+        let hop = m.Fabric.body in
+        got := hop :: !got;
+        if hop < 100 then
+          Fabric.post fab ~src:p ~dst:(1 - p) ~size:8 ~tag:Tag.Obj (hop + 1))
+  done;
   Engine.spawn eng (fun () ->
-      for i = 1 to 10 do
-        Fabric.post fab ~src:0 ~dst:1 ~size:8 ~tag:Tag.Obj (ref i)
-      done);
+      Fabric.post fab ~src:0 ~dst:1 ~size:8 ~tag:Tag.Obj 1);
   ignore (Engine.run eng);
-  Alcotest.(check (list int)) "all delivered" (List.init 10 (fun i -> 10 - i)) !got;
-  Alcotest.(check int) "every body released" 10 !released
+  Alcotest.(check (list int)) "every hop delivered"
+    (List.init 100 (fun i -> 100 - i))
+    !got;
+  Alcotest.(check int) "two cells" 2 (Fabric.cell_count fab)
 
 let test_duplicate_does_not_alias_recycled_original () =
   (* A plan that duplicates every message: the duplicate must deliver the
      original payload even though the original's cell was delivered,
-     released and blanked (and possibly reused by a later send) before
-     the duplicate fired. *)
+     blanked and possibly reused by a later send before the duplicate
+     fired. *)
   let spec = Fault.spec ~seed:5 ~dup_rate:1.0 ~jitter:1e-3 () in
   let eng = Engine.create () in
-  let fab =
-    make_pool_fabric ~fault:(Fault.create spec) eng 2
-      ~clone:(fun b -> ref !b)
-      ~release:(fun b -> b := -999)  (* poison recycled bodies *)
-  in
+  let fab = make_pool_fabric ~fault:(Fault.create spec) eng 2 in
   let got = ref [] in
-  Fabric.set_handler fab 1 (fun m -> got := !(m.Fabric.body) :: !got);
+  Fabric.set_handler fab 1 (fun m -> got := m.Fabric.body :: !got);
   Engine.spawn eng (fun () ->
       for i = 1 to 5 do
-        Fabric.post fab ~src:0 ~dst:1 ~size:8 ~tag:Tag.Obj (ref i)
+        Fabric.post fab ~src:0 ~dst:1 ~size:8 ~tag:Tag.Obj i
       done);
   ignore (Engine.run eng);
-  let got = List.sort compare !got in
-  (* Every payload arrives exactly twice, never a poisoned -999: the
-     duplicate's body is an independent clone, not the recycled cell. *)
+  (* Every payload arrives exactly twice, never the dummy -1. *)
   Alcotest.(check (list int))
     "each payload twice, no aliasing"
     (List.concat_map (fun i -> [ i; i ]) [ 1; 2; 3; 4; 5 ])
-    got
+    (List.sort compare !got)
 
 let test_mnode_ledger () =
   let eng = Engine.create () in
