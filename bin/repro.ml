@@ -331,19 +331,23 @@ let cache_cmd =
       required
       & pos 0 (some (enum [ ("stats", `Stats); ("clear", `Clear) ])) None
       & info [] ~docv:"ACTION"
-          ~doc:"$(b,stats) prints entry/byte counts and the last run's hit \
-                rate; $(b,clear) removes every entry.")
+          ~doc:"$(b,stats) prints segment, entry and byte counts and the \
+                last run's hit rate; $(b,clear) removes every file the \
+                cache leaves.")
   in
   let run action cache_dir =
     let dir = Option.value cache_dir ~default:(default_cache_dir ()) in
     let c = Runcache.create ~dir in
     match action with
     | `Stats -> (
-        let entries, bytes = Runcache.dir_stats c in
+        let u = Runcache.usage c in
         Printf.printf "cache directory: %s\n" dir;
         Printf.printf "schema version: %d\n" Runcache.schema_version;
-        Printf.printf "entries: %d\n" entries;
-        Printf.printf "bytes: %d\n" bytes;
+        Printf.printf "segments: %d\n" u.Runcache.segments;
+        Printf.printf "entries: %d\n" u.Runcache.entries;
+        Printf.printf "bytes: %d\n" u.Runcache.bytes;
+        if u.Runcache.legacy > 0 then
+          Printf.printf "legacy entry files (schema 7, unused): %d\n" u.Runcache.legacy;
         match Runcache.read_last_run c with
         | Some (lookups, hits) when lookups > 0 ->
             Printf.printf "last run: %d of %d lookups hit (%.1f%%)\n" hits
@@ -354,7 +358,7 @@ let cache_cmd =
         | None -> Printf.printf "last run: no recorded statistics\n")
     | `Clear ->
         let n = Runcache.clear c in
-        Printf.printf "removed %d entries from %s\n" n dir
+        Printf.printf "removed %d files from %s\n" n dir
   in
   Cmd.v
     (Cmd.info "cache"

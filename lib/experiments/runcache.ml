@@ -1,14 +1,17 @@
-let schema_version = 7
+let schema_version = 8
 
 type value = Summary of Jade.Metrics.summary | Flops of float
 
-type t = { cache_dir : string }
+type t = {
+  cache_dir : string;
+  mutable index : (string, value) Hashtbl.t Lazy.t;
+      (** the records of the segments listed at {!create}, read by the
+          first {!find} *)
+}
 
 let dir t = t.cache_dir
 
-let header = Printf.sprintf "jade-runcache %d\n" schema_version
-
-let entry_suffix = ".jrc"
+let segment_suffix = ".jrp"
 
 let last_run_file t = Filename.concat t.cache_dir "last_run.txt"
 
@@ -19,10 +22,6 @@ let rec mkdir_p d =
     try Unix.mkdir d 0o755
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
-
-let create ~dir =
-  mkdir_p dir;
-  { cache_dir = dir }
 
 (* Length-prefix each component (some are Marshal blobs, so no byte is
    safe as a separator): adjacent fields can never alias across component
@@ -37,18 +36,16 @@ let digest_key parts =
     parts;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let path t digest = Filename.concat t.cache_dir (digest ^ entry_suffix)
+let warn fmt = Printf.eprintf ("runcache: warning: " ^^ fmt ^^ "\n%!")
 
-let read_file file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let discard file reason =
-  Printf.eprintf "runcache: warning: dropping %s entry %s (recomputing)\n%!"
-    reason (Filename.basename file);
-  try Sys.remove file with Sys_error _ -> ()
+(* The paths of [dir]'s files with one of [suffixes], sorted. *)
+let files dir suffixes =
+  match Sys.readdir dir with
+  | exception Sys_error _ -> []
+  | files ->
+      List.sort String.compare (Array.to_list files)
+      |> List.filter (fun f -> List.exists (Filename.check_suffix f) suffixes)
+      |> List.map (Filename.concat dir)
 
 (* The runtime shape of each [value] constructor, taken from a real
    instance. [conforms p o]: [o] has [p]'s block structure down to the
@@ -64,119 +61,163 @@ let rec conforms p o =
     Obj.is_block o
     && Obj.tag o = Obj.tag p
     && Obj.size o = Obj.size p
-    && (Obj.tag p = Obj.double_tag
-       || List.for_all
-            (fun i -> conforms (Obj.field p i) (Obj.field o i))
-            (List.init (Obj.size p) Fun.id))
+    && (Obj.tag p = Obj.double_tag || fields_conform p o 0)
 
-(* [Some v] when [payload] is exactly one marshalled [value]. [Marshal]
-   raises on bytes it cannot parse, and a well-formed value of another
-   type would crash the program once matched on, so the decoded shape is
-   checked before the cast. *)
-let decode payload =
+and fields_conform p o i =
+  i = Obj.size p
+  || (conforms (Obj.field p i) (Obj.field o i) && fields_conform p o (i + 1))
+
+(* [Some v] when [body] from [off] on is exactly one marshalled [value].
+   [Marshal] raises on bytes it cannot parse, and a well-formed value of
+   another type would crash the program once matched on, so the decoded
+   shape is checked before the cast. *)
+let decode body off =
   try
-    let o : Obj.t = Marshal.from_string payload 0 in
-    let size = Marshal.total_size (Bytes.unsafe_of_string payload) 0 in
-    if size = String.length payload && List.exists (fun p -> conforms p o) prototypes
+    let o : Obj.t = Marshal.from_string body off in
+    let size = Marshal.total_size (Bytes.unsafe_of_string body) off in
+    if off + size = String.length body && List.exists (fun p -> conforms p o) prototypes
     then Some (Obj.obj o : value)
     else None
   with Failure _ | Invalid_argument _ -> None
 
-(* Entry layout: header line, 16 raw MD5 bytes of the payload, payload
-   (marshalled [value]). The digest is verified before decoding, so
-   accidental damage never reaches [Marshal]; {!decode} turns away what
-   an intact digest cannot vouch for — bytes written by something else. *)
-let find t ~digest =
-  let file = path t digest in
-  if not (Sys.file_exists file) then None
-  else
-    match read_file file with
-    | exception Sys_error _ -> None
-    | raw ->
-        let hlen = String.length header in
-        if String.length raw < hlen + 16 then begin
-          discard file "truncated";
-          None
-        end
-        else if String.sub raw 0 hlen <> header then begin
-          discard file "schema-stale";
-          None
-        end
-        else
-          let sum = String.sub raw hlen 16 in
-          let payload =
-            String.sub raw (hlen + 16) (String.length raw - hlen - 16)
-          in
-          if Digest.string payload <> sum then begin
-            discard file "corrupted";
-            None
-          end
-          else
-            match decode payload with
-            | Some v -> Some v
-            | None ->
-                discard file "undecodable";
-                None
+(* Segment layout: a header line "jade-runcache <schema> <record count>",
+   then per record the 16 raw MD5 bytes of its body, the body's length
+   (4 bytes, big-endian) and the body: the 32-character hex digest it is
+   stored under, then the marshalled [value]. The count catches a cut
+   that falls between records. Read from the channel record by record:
+   [(records, damage)], [damage] naming the first damage met. A record
+   whose MD5 or shape fails is skipped; a cut, or a length no record can
+   have, ends the read. *)
+let read_segment file =
+  In_channel.with_open_bin file @@ fun ic ->
+  let size = in_channel_length ic in
+  let records = ref [] and damage = ref None in
+  let damaged reason = if !damage = None then damage := Some reason in
+  (try
+     match Scanf.sscanf (input_line ic) "jade-runcache %d %d%!" (fun v n -> (v, n)) with
+     | v, _ when v <> schema_version -> damaged "schema-stale"
+     | _, n ->
+         for _ = 1 to n do
+           let sum = really_input_string ic 16 in
+           let len = input_binary_int ic in
+           if len > size - pos_in ic then raise End_of_file;
+           if len < 32 then failwith "record length";
+           let body = really_input_string ic len in
+           if Digest.string body <> sum then damaged "corrupted"
+           else
+             match decode body 32 with
+             | Some v -> records := (String.sub body 0 32, v) :: !records
+             | None -> damaged "undecodable"
+         done;
+         if pos_in ic < size then damaged "corrupted"
+   with
+  | End_of_file -> damaged "truncated"
+  | Scanf.Scan_failure _ | Failure _ -> damaged "corrupted");
+  (!records, !damage)
 
-let store t ~digest value =
-  let payload = Marshal.to_string (value : value) [] in
-  let tmp =
-    Filename.concat t.cache_dir
-      (Printf.sprintf ".%s.%d.tmp" digest (Unix.getpid ()))
+(* Write [records] as one segment, atomically (temp file + rename), named
+   by the MD5 of its digests: a segment with the same digests holds the
+   same results, so one replacing the other is harmless. [Some file] once
+   written; a failure warns and leaves nothing behind. *)
+let write_segment t records =
+  let records = List.sort (fun (a, _) (b, _) -> String.compare a b) records in
+  let name = Digest.to_hex (Digest.string (String.concat "" (List.map fst records))) in
+  let file = Filename.concat t.cache_dir (name ^ segment_suffix) in
+  let tmp = Printf.sprintf "%s.%d.%d.tmp" file (Unix.getpid ()) (Domain.self () :> int) in
+  try
+    Out_channel.with_open_bin tmp (fun oc ->
+        Printf.fprintf oc "jade-runcache %d %d\n" schema_version (List.length records);
+        List.iter
+          (fun (digest, v) ->
+            let body = digest ^ Marshal.to_string (v : value) [] in
+            output_string oc (Digest.string body);
+            output_binary_int oc (String.length body);
+            output_string oc body)
+          records;
+        close_out oc);
+    Sys.rename tmp file;
+    Some file
+  with Sys_error reason ->
+    warn "cannot write segment %s: %s" file reason;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    None
+
+(* Read the [listed] segments into one index. A load that read more than
+   one, or met damage, compacts: it writes what it read as one segment,
+   then deletes the files it read — never a segment written since the
+   listing, such as a concurrent run's. *)
+let load t listed =
+  let index = Hashtbl.create 512 in
+  let read =
+    List.filter_map
+      (fun file ->
+        match read_segment file with
+        | exception Sys_error _ -> None (* taken by a concurrent compaction *)
+        | records, damage ->
+            Option.iter
+              (fun r -> warn "dropping %s records of %s (recomputing)" r file) damage;
+            List.iter (fun (k, v) -> Hashtbl.replace index k v) records;
+            Some (file, damage = None))
+      listed
   in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc header;
-      output_string oc (Digest.string payload);
-      output_string oc payload);
-  Sys.rename tmp (path t digest)
+  if List.length read > 1 || List.exists (fun (_, intact) -> not intact) read then
+    Option.iter
+      (fun kept ->
+        List.iter
+          (fun (file, _) -> if file <> kept then try Sys.remove file with Sys_error _ -> ())
+          read)
+      (if Hashtbl.length index = 0 then Some "" (* nothing to keep *)
+       else write_segment t (List.of_seq (Hashtbl.to_seq index)));
+  index
 
-let entries t =
-  match Sys.readdir t.cache_dir with
-  | exception Sys_error _ -> []
-  | files ->
-      Array.to_list files
-      |> List.filter (fun f -> Filename.check_suffix f entry_suffix)
-      |> List.sort String.compare
-      |> List.map (Filename.concat t.cache_dir)
+let create ~dir =
+  mkdir_p dir;
+  let listed = files dir [ segment_suffix ] in
+  let rec t = { cache_dir = dir; index = lazy (load t listed) } in
+  t
 
-let dir_stats t =
+let find t ~digest = Hashtbl.find_opt (Lazy.force t.index) digest
+
+let store t records =
+  if records <> [] then ignore (write_segment t records);
+  if Lazy.is_val t.index then
+    List.iter (fun (k, v) -> Hashtbl.replace (Lazy.force t.index) k v) records
+
+type usage = { segments : int; entries : int; bytes : int; legacy : int }
+
+let usage t =
+  let legacy = List.length (files t.cache_dir [ ".jrc" ]) in
   List.fold_left
-    (fun (n, bytes) file ->
-      match (Unix.stat file).Unix.st_size with
-      | size -> (n + 1, bytes + size)
-      | exception Unix.Unix_error _ -> (n, bytes))
-    (0, 0) (entries t)
+    (fun u file ->
+      match ((Unix.stat file).Unix.st_size, fst (read_segment file)) with
+      | size, records ->
+          { u with segments = u.segments + 1; entries = u.entries + List.length records;
+            bytes = u.bytes + size }
+      | exception (Unix.Unix_error _ | Sys_error _) -> u)
+    { segments = 0; entries = 0; bytes = 0; legacy }
+    (files t.cache_dir [ segment_suffix ])
+
+let dir_stats t = let u = usage t in (u.entries, u.bytes)
 
 let clear t =
   let removed =
-    List.fold_left
-      (fun n file ->
-        match Sys.remove file with
-        | () -> n + 1
-        | exception Sys_error _ -> n)
-      0 (entries t)
+    List.filter
+      (fun file -> match Sys.remove file with () -> true | exception Sys_error _ -> false)
+      (files t.cache_dir [ segment_suffix; ".tmp"; ".jrc" ])
   in
   (try Sys.remove (last_run_file t) with Sys_error _ -> ());
-  removed
+  t.index <- Lazy.from_val (Hashtbl.create 64);
+  List.length removed
 
 let write_last_run t ~lookups ~hits =
   let tmp = last_run_file t ^ Printf.sprintf ".%d.tmp" (Unix.getpid ()) in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Printf.fprintf oc "%d %d\n" lookups hits);
-  Sys.rename tmp (last_run_file t)
+  try
+    Out_channel.with_open_text tmp (fun oc -> Printf.fprintf oc "%d %d\n" lookups hits);
+    Sys.rename tmp (last_run_file t)
+  with Sys_error reason -> warn "cannot record run statistics: %s" reason
 
 let read_last_run t =
-  match read_file (last_run_file t) with
-  | exception Sys_error _ -> None
-  | s -> (
-      match String.split_on_char ' ' (String.trim s) with
-      | [ l; h ] -> (
-          match (int_of_string_opt l, int_of_string_opt h) with
-          | Some l, Some h -> Some (l, h)
-          | _ -> None)
-      | _ -> None)
+  try
+    let line = In_channel.with_open_bin (last_run_file t) input_line in
+    Scanf.sscanf line " %d %d %!" (fun l h -> Some (l, h))
+  with Sys_error _ | End_of_file | Scanf.Scan_failure _ | Failure _ -> None

@@ -11,32 +11,42 @@
     a flop count or custom cell. A warm invocation with the same cache
     directory therefore performs zero simulation.
 
-    Entries are self-verifying: a version header plus an MD5 digest of
-    the payload bytes. A truncated, corrupted or schema-stale entry, or
-    one whose payload is not exactly one marshalled {!value} of the
-    right shape (bytes some other writer left behind a valid header and
-    digest), is removed with a named warning on stderr and treated as a
-    miss — the result is recomputed; {!find} never raises. Bumping
-    {!schema_version} (required whenever [Jade.Metrics.summary] or the
-    simulation's numeric behaviour changes) invalidates every existing
-    entry the same way. Writes are atomic
-    (temp file + rename), so concurrent regenerations sharing a
-    directory cannot observe torn entries. *)
+    Results live in pack segments ([*.jrp]): one file per {!store}
+    batch, holding a header with the schema version and the record
+    count, then one self-verifying record per result (the MD5 of the
+    record's digest and payload, then both). A segment is written to a
+    temp file and renamed into place, so concurrent regenerations sharing
+    a directory never see a torn segment.
 
-(** Bump on any change to the cached value types or to the simulation's
-    observable numbers. A change in what the runner digests needs no
-    bump: entries under the old digests are never looked up again, so an
-    existing cache directory misses once and refills, while the entry
-    contents themselves stay valid. A change to the shape of
-    [Jade.Config.t] is such a change: the config is marshalled into every
-    simulation's digest and never into an entry. So removing its
-    graph-pass selection field left the schema at 6.
+    The first {!find} reads the segments listed at {!create} once,
+    record by record, into an in-memory index that every later lookup
+    uses. A truncated record (cut mid-record or at a record boundary,
+    which the count catches), a corrupted, a schema-stale or an
+    undecodable one (bytes some other writer left behind a valid MD5) is
+    dropped with one named warning on stderr per segment and treated as
+    a miss — the result is recomputed; {!find} never raises. A load that
+    read more than one segment, or met damage, compacts: it writes every
+    good record it read as one segment, then deletes the files it read —
+    never a segment written since the listing. So after one cold and one
+    warm regeneration, a warm regeneration is one directory listing and
+    one file read.
 
-    Version 7: crash-recovery summaries changed. A re-executed producer
-    is now always charged its declared work; under record/replay a
-    replayed cell charged the (empty) recorded op stream's 0 flops, so a
-    crash cell's [recovery_s] depended on which cell of its group ran
-    first. Entries cached by version 6 may hold those values. *)
+    A [t] is not domain-safe: its user serializes {!find} and {!store}
+    ({!Runner} does so under its lock, on the calling domain). *)
+
+(** Bump on any change to the cached value types, to the on-disk format
+    or to the simulation's observable numbers. A change in what the
+    runner digests needs no bump: records under the old digests are
+    never looked up again, so an existing cache directory misses once and
+    refills, while the records themselves stay valid. A change to the
+    shape of [Jade.Config.t] is such a change: the config is marshalled
+    into every simulation's digest and never into a record.
+
+    Version 7: crash-recovery summaries changed (a re-executed producer
+    is always charged its declared work).
+
+    Version 8: pack segments replace the one-file-per-result [*.jrc]
+    entries of version 7, which {!clear} removes and nothing reads. *)
 val schema_version : int
 
 type value =
@@ -45,7 +55,9 @@ type value =
 
 type t
 
-(** Open (creating if needed) the cache rooted at [dir]. *)
+(** Open (creating if needed) the cache rooted at [dir], listing the
+    segments it holds now; the first {!find} reads them. The cache sees
+    those segments plus what it {!store}s itself. *)
 val create : dir:string -> t
 
 val dir : t -> string
@@ -53,22 +65,37 @@ val dir : t -> string
 (** Content digest (hex) of an ordered list of key components. *)
 val digest_key : string list -> string
 
-(** Look up an entry; removes it and misses when it is truncated,
-    corrupted, schema-stale or undecodable. Never raises. *)
+(** Look up a result by digest. The first call loads (and, if needed,
+    compacts) every segment; a damaged record misses with a warning.
+    Never raises. *)
 val find : t -> digest:string -> value option
 
-(** Atomically persist an entry. *)
-val store : t -> digest:string -> value -> unit
+(** [store t records] persists [(digest, value)] pairs as one segment,
+    atomically, and adds them to the loaded index. An empty list writes
+    nothing. A failed write prints one named warning with the path and
+    the reason instead of raising: the results are merely not cached. *)
+val store : t -> (string * value) list -> unit
 
-(** [(entries, total_bytes)] currently on disk. *)
+type usage = {
+  segments : int;  (** pack segments *)
+  entries : int;  (** intact records across them *)
+  bytes : int;  (** segment bytes *)
+  legacy : int;  (** schema-7 [*.jrc] entry files, dead weight *)
+}
+
+(** What the directory holds, for [repro cache stats]. *)
+val usage : t -> usage
+
+(** [(entries, bytes)] of {!usage}: intact records and segment bytes. *)
 val dir_stats : t -> int * int
 
-(** Remove every cache entry (and last-run stats); returns the number of
-    entries removed. *)
+(** Remove every file the cache leaves: segments, temp files of killed
+    writers, legacy [*.jrc] entries and the last-run stats. Returns the
+    number of segment, temp and legacy files removed. *)
 val clear : t -> int
 
 (** Record the lookup/hit counters of a finished run, for
-    [repro cache stats]. *)
+    [repro cache stats]. A failed write warns instead of raising. *)
 val write_last_run : t -> lookups:int -> hits:int -> unit
 
 (** [(lookups, hits)] of the most recent recorded run, if any. *)

@@ -112,7 +112,7 @@ let create ?jobs ?fault ?cache_dir ?(replay = true) sz =
     params =
       Marshal.to_string
         (water_params sz, string_params sz, ocean_params sz, cholesky_params sz)
-        [];
+        [ Marshal.No_sharing ];
     lock = Mutex.create ();
     results = Hashtbl.create 64;
     plan = None;
@@ -135,11 +135,8 @@ let stats t =
       })
 
 let flush_cache_stats t =
-  match t.disk with
-  | None -> ()
-  | Some d ->
-      let s = stats t in
-      Runcache.write_last_run d ~lookups:s.cache_lookups ~hits:s.cache_hits
+  let s = stats t in
+  Option.iter (Runcache.write_last_run ~lookups:s.cache_lookups ~hits:s.cache_hits) t.disk
 
 let jade_machine = function
   | Dash -> Jade.Runtime.dash
@@ -164,32 +161,33 @@ let make_program t app ~kind ~placed ~nprocs =
 
 (* ------------------------------------------------------------------ *)
 (* The disk cache. A result's disk identity is everything that can change
-   it: the schema version (in the entry header), the apps' actual size
+   it: the schema version (in the segment header), the apps' actual size
    parameters (so a retuned Bench instance invalidates naturally) and the
    id — for a simulation the app, machine, processor count, placement
    variant and complete [Jade.Config], fault spec included, because a
    chaos run and a clean run of the same cell are different computations.
    [Custom] ids are their caller's key string, which must encode every
-   other input of the computation. *)
+   other input of the computation. Both are marshalled [No_sharing]:
+   [Marshal] shares only physically equal blocks, so two equal ids built
+   differently (fault specs holding separately boxed equal floats) would
+   otherwise digest differently. *)
+let disk_digest t id =
+  Runcache.digest_key [ t.params; Marshal.to_string id [ Marshal.No_sharing ] ]
 
-(* The value of [id] from the disk cache, else [compute]d and stored
-   there. Pool workers call this: it touches runner state only under the
-   lock. *)
-let resolve t id compute =
-  match t.disk with
-  | None -> compute ()
-  | Some d -> (
-      let digest = Runcache.digest_key [ t.params; Marshal.to_string id [] ] in
-      let hit = Runcache.find d ~digest in
+(* The disk cache's value for [id], counted as a lookup. Under the lock:
+   the first lookup loads the index, which two domains must never do. *)
+let cached t id =
+  Option.bind t.disk (fun d ->
       locked t (fun () ->
+          let hit = Runcache.find d ~digest:(disk_digest t id) in
           t.n_cache_lookups <- t.n_cache_lookups + 1;
-          if hit <> None then t.n_cache_hits <- t.n_cache_hits + 1);
-      match hit with
-      | Some v -> v
-      | None ->
-          let v = compute () in
-          Runcache.store d ~digest v;
-          v)
+          if hit <> None then t.n_cache_hits <- t.n_cache_hits + 1;
+          hit))
+
+(* Persist freshly computed results as one segment. *)
+let persist t results =
+  let store d = Runcache.store d (List.map (fun (id, v) -> (disk_digest t id, v)) results) in
+  Option.iter (fun d -> locked t (fun () -> store d)) t.disk
 
 (* ------------------------------------------------------------------ *)
 (* Simulation. Every run goes through [exec], which counts its engine
@@ -229,20 +227,32 @@ let remember t id v =
   locked t (fun () ->
       if not (Hashtbl.mem t.results id) then Hashtbl.add t.results id v)
 
+(* Resolve the results [plan] names that the memo lacks: from the disk
+   cache, else computed on the pool and persisted as one segment. Disk
+   I/O stays on this domain; pool workers only compute. *)
+let warm t plan =
+  let missing (id, _) =
+    (not (locked t (fun () -> Hashtbl.mem t.results id)))
+    && Option.fold (cached t id) ~none:true ~some:(fun v -> remember t id v; false)
+  in
+  let todo = List.sort_uniq (fun (a, _) (b, _) -> compare a b) plan |> List.filter missing in
+  let values = Pool.run ~jobs:t.jobs (List.map snd todo) in
+  let results = List.combine (List.map fst todo) values in
+  persist t results;
+  List.iter (fun (id, v) -> remember t id v) results
+
 (* The value of [id]: memoized, or resolved now — or, during a planning
    pass, [None], with [(id, compute)] recorded for the warm phase. *)
 let memo t id compute =
-  match locked t (fun () -> Hashtbl.find_opt t.results id) with
-  | Some v -> Some v
-  | None -> (
-      match t.plan with
-      | Some acc ->
-          t.plan <- Some ((id, compute) :: acc);
-          None
-      | None ->
-          let v = resolve t id compute in
-          remember t id v;
-          Some v)
+  let find () = locked t (fun () -> Hashtbl.find_opt t.results id) in
+  match (find (), t.plan) with
+  | (Some _ as v), _ -> v
+  | None, Some acc ->
+      t.plan <- Some ((id, compute) :: acc);
+      None
+  | None, None ->
+      warm t [ (id, compute) ];
+      find ()
 
 (* Placeholder returned while planning: a clearly-poisoned summary. The
    values are never rendered (the replay pass recomputes against the warm
@@ -371,17 +381,6 @@ let task_management_pct t ~app ~machine ~nprocs ~level =
 
 (* ------------------------------------------------------------------ *)
 (* Parallel evaluation: plan, warm, replay. *)
-
-let warm t plan =
-  let fresh (id, _) = locked t (fun () -> not (Hashtbl.mem t.results id)) in
-  let plan =
-    List.filter fresh (List.sort_uniq (fun (a, _) (b, _) -> compare a b) plan)
-  in
-  let values =
-    Pool.run ~jobs:t.jobs
-      (List.map (fun (id, compute) () -> resolve t id compute) plan)
-  in
-  List.iter2 (fun (id, _) v -> remember t id v) plan values
 
 let parallel t f =
   match t.plan with

@@ -18,9 +18,14 @@
        is {!Runcache.digest_key} over the runner's size parameters
        (marshalled once per runner) and the marshalled id — for a
        simulation the app, machine, nprocs, placement and full
-       [Jade.Config] including the fault spec ({!Runcache}). Results
-       persist across processes, so a warm invocation performs zero
-       simulation. A digest is computed only on a memo miss.}} *)
+       [Jade.Config] including the fault spec ({!Runcache}); both are
+       marshalled without sharing, so equal ids digest alike however
+       they were built. Results persist across processes, so a warm
+       invocation performs zero simulation. A digest is computed only
+       on a memo miss. The runner reads the cache once, at its first
+       lookup, and persists each batch of computed results as one
+       segment; lookups and writes happen on the calling domain, under
+       the runner's lock, and pool workers only compute.}} *)
 
 type app = Water | String_ | Ocean | Cholesky
 

@@ -249,8 +249,7 @@ let test_crash_summaries_replay_parity () =
    the planning pass evaluates the closure against poisoned placeholder
    summaries, and [Report.render] asserts none of those ever reach
    output. *)
-let repro_digest ?fault ?cache_dir ?(replay = true) ~jobs () =
-  let r = Runner.create ~jobs ?fault ?cache_dir ~replay Runner.Test in
+let regen_digest r =
   let tables =
     Runner.parallel r (fun () ->
         List.map (fun n -> Tables.table r n) (List.init 14 (fun i -> i + 1))
@@ -259,7 +258,11 @@ let repro_digest ?fault ?cache_dir ?(replay = true) ~jobs () =
   in
   let buf = Buffer.create 4096 in
   List.iter (fun t -> Buffer.add_string buf (Report.render t)) tables;
-  (r, Digest.to_hex (Digest.string (Buffer.contents buf)))
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let repro_digest ?fault ?cache_dir ?(replay = true) ~jobs () =
+  let r = Runner.create ~jobs ?fault ?cache_dir ~replay Runner.Test in
+  (r, regen_digest r)
 
 let test_repro_jobs_identical () =
   Alcotest.(check string)
@@ -309,61 +312,138 @@ let test_parity_clean () = check_parity "clean" ()
 
 let test_parity_chaos () = check_parity "chaos" ~fault:chaos_fault ()
 
-(* Corrupted or schema-stale cache entries are rejected with a warning
-   and recomputed — never a crash, and never wrong bytes. *)
-let cache_entry_files dir =
+(* Equal fault specs built differently — one with a separately boxed
+   0.0 jitter — are one computation: a second runner hits every lookup
+   the first one stored, and simulates nothing. *)
+let test_equal_specs_share_cache () =
+  let dir = Filename.temp_dir "jade-test-cache" "" in
+  let boxed = Jade_net.Fault.spec ~seed:1 ~drop_rate:0.2 ~jitter:(float_of_string "0") () in
+  Alcotest.(check bool) "the specs are equal" true (boxed = chaos_fault);
+  let _, cold = repro_digest ~fault:chaos_fault ~cache_dir:dir ~jobs:1 () in
+  let r, warm = repro_digest ~fault:boxed ~cache_dir:dir ~jobs:1 () in
+  Alcotest.(check string) "same output" cold warm;
+  let s = Runner.stats r in
+  Alcotest.(check int) "every lookup hits" s.Runner.cache_lookups s.Runner.cache_hits;
+  Alcotest.(check int) "nothing simulated" 0 (Runner.events_simulated r);
+  ignore (Runcache.clear (Runcache.create ~dir))
+
+(* [(text written to stderr by f (), its result)]. *)
+let capturing_stderr f =
+  let file = Filename.temp_file "jade-test" ".err" in
+  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stderr in
+  flush stderr;
+  Unix.dup2 fd Unix.stderr;
+  let result =
+    Fun.protect f ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved;
+        Unix.close fd)
+  in
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  (text, result)
+
+let warnings text =
+  List.filter
+    (String.starts_with ~prefix:"runcache: warning:")
+    (String.split_on_char '\n' text)
+
+let dropping reason file =
+  Printf.sprintf "runcache: warning: dropping %s records of %s (recomputing)"
+    reason file
+
+let segment_files dir =
   Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".jrc")
+  |> List.filter (fun f -> Filename.check_suffix f ".jrp")
   |> List.sort String.compare
   |> List.map (Filename.concat dir)
 
+let read_bytes file = In_channel.with_open_bin file In_channel.input_all
+
+let write_bytes file bytes =
+  Out_channel.with_open_bin file (fun oc -> output_string oc bytes)
+
+(* The offsets just past a segment's header line and past each record. *)
+let record_ends raw =
+  let rec go pos =
+    if pos >= String.length raw then []
+    else
+      let next = pos + 20 + Int32.to_int (String.get_int32_be raw (pos + 16)) in
+      next :: go next
+  in
+  let header = String.index raw '\n' + 1 in
+  header :: go header
+
+let flip raw i =
+  String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) raw
+
+(* Each kind of damage to a compacted segment gives one named warning,
+   misses exactly the records it cost, recomputes them into identical
+   output, and leaves a cache whose next run is clean and one segment. *)
 let test_cache_corruption_recovers () =
   let dir = Filename.temp_dir "jade-test-cache" "" in
   let _, reference = repro_digest ~cache_dir:dir ~jobs:1 () in
-  let entries = cache_entry_files dir in
-  Alcotest.(check bool) "cache has entries" true (List.length entries > 2);
-  (* Truncate one entry mid-payload, replace another's header with a
-     future schema version, and zero a third's payload bytes. *)
-  (match entries with
-  | e1 :: e2 :: e3 :: _ ->
-      let truncate file n =
-        let ic = open_in_bin file in
-        let raw = really_input_string ic (min n (in_channel_length ic)) in
-        close_in ic;
-        let oc = open_out_bin file in
-        output_string oc raw;
-        close_out oc
+  ignore (repro_digest ~cache_dir:dir ~jobs:1 ());
+  let segment =
+    match segment_files dir with
+    | [ s ] -> s
+    | l -> Alcotest.failf "expected one compacted segment, found %d" (List.length l)
+  in
+  let raw = read_bytes segment in
+  let ends = record_ends raw in
+  let n = List.length ends - 1 in
+  let half = List.nth ends (n / 2) in
+  let version = Printf.sprintf "jade-runcache %d" Runcache.schema_version in
+  let stale =
+    Printf.sprintf "jade-runcache %d" (Runcache.schema_version - 1)
+    ^ String.sub raw (String.length version) (String.length raw - String.length version)
+  in
+  List.iter
+    (fun (name, bytes, reason, lost) ->
+      List.iter Sys.remove (segment_files dir);
+      write_bytes segment bytes;
+      let err, (r, digest) =
+        capturing_stderr (fun () -> repro_digest ~cache_dir:dir ~jobs:1 ())
       in
-      truncate e1 10;
-      let oc = open_out_bin e2 in
-      output_string oc "jade-runcache 999999\nsome stale payload bytes here";
-      close_out oc;
-      let ic = open_in_bin e3 in
-      let raw = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
-      close_in ic;
-      Bytes.fill raw (Bytes.length raw - 8) 8 '\000';
-      let oc = open_out_bin e3 in
-      output_bytes oc raw;
-      close_out oc
-  | _ -> Alcotest.fail "expected at least three cache entries");
-  let warm_r, redone = repro_digest ~cache_dir:dir ~jobs:1 () in
-  Alcotest.(check string) "damaged entries recomputed, output identical"
-    reference redone;
-  Alcotest.(check bool) "damaged entries were misses" true
-    ((Runner.stats warm_r).Runner.cache_hits
-    < (Runner.stats warm_r).Runner.cache_lookups);
+      Alcotest.(check string) (name ^ ": output identical") reference digest;
+      Alcotest.(check (list string)) (name ^ ": one named warning")
+        [ dropping reason segment ] (warnings err);
+      let s = Runner.stats r in
+      Alcotest.(check int) (name ^ ": lookups") n s.Runner.cache_lookups;
+      Alcotest.(check int) (name ^ ": misses only what it lost") (n - lost)
+        s.Runner.cache_hits;
+      let err, (r, digest) =
+        capturing_stderr (fun () -> repro_digest ~cache_dir:dir ~jobs:1 ())
+      in
+      Alcotest.(check string) (name ^ ": next run identical") reference digest;
+      Alcotest.(check (list string)) (name ^ ": next run clean") [] (warnings err);
+      Alcotest.(check int) (name ^ ": next run hits all") n
+        (Runner.stats r).Runner.cache_hits;
+      Alcotest.(check (list string)) (name ^ ": one segment left") [ segment ]
+        (segment_files dir))
+    [
+      ("cut mid-record", String.sub raw 0 (half + 30), "truncated", n - (n / 2));
+      ("cut at a record boundary", String.sub raw 0 half, "truncated", n - (n / 2));
+      ("payload byte flipped", flip raw (String.length raw - 3), "corrupted", 1);
+      ("stale header", stale, "schema-stale", n);
+    ];
   ignore (Runcache.clear (Runcache.create ~dir))
 
-(* Unit tests of the on-disk entry format. *)
+(* Unit tests of the segment format. *)
 let test_runcache_roundtrip () =
   let dir = Filename.temp_dir "jade-test-runcache" "" in
   let c = Runcache.create ~dir in
   let dg = Runcache.digest_key [ "a"; "b" ] in
   Alcotest.(check bool) "fresh cache misses" true (Runcache.find c ~digest:dg = None);
-  Runcache.store c ~digest:dg (Runcache.Flops 42.0);
-  (match Runcache.find c ~digest:dg with
-  | Some (Runcache.Flops f) -> Alcotest.(check (float 0.0)) "roundtrip" 42.0 f
-  | _ -> Alcotest.fail "expected the stored Flops value");
+  Runcache.store c [ (dg, Runcache.Flops 42.0) ];
+  List.iter
+    (fun (name, c) ->
+      match Runcache.find c ~digest:dg with
+      | Some (Runcache.Flops f) -> Alcotest.(check (float 0.0)) name 42.0 f
+      | _ -> Alcotest.fail "expected the stored Flops value")
+    [ ("roundtrip", c); ("roundtrip through disk", Runcache.create ~dir) ];
   Alcotest.(check bool) "components cannot alias across boundaries" true
     (Runcache.digest_key [ "ab"; "" ] <> Runcache.digest_key [ "a"; "b" ]);
   let entries, bytes = Runcache.dir_stats c in
@@ -373,32 +453,46 @@ let test_runcache_roundtrip () =
   Alcotest.(check (option (pair int int)))
     "last-run stats roundtrip" (Some (10, 7))
     (Runcache.read_last_run c);
-  Alcotest.(check int) "clear removes the entry" 1 (Runcache.clear c);
+  Alcotest.(check int) "clear removes the segment" 1 (Runcache.clear c);
   Alcotest.(check bool) "clear removes the stats" true
-    (Runcache.read_last_run c = None)
+    (Runcache.read_last_run c = None);
+  Alcotest.(check bool) "a cleared cache misses" true (Runcache.find c ~digest:dg = None)
 
-(* Decoder robustness: an entry holding arbitrary bytes — bare, behind the
-   entry header, or behind the header and a matching MD5 — or a
-   well-formed marshalled value of another type behind both is dropped
-   with a warning and misses; [find] never raises, and never hands back
-   a value of the wrong shape (matching on one can crash the program). *)
-let write_entry c ~digest bytes =
-  Out_channel.with_open_bin
-    (Filename.concat (Runcache.dir c) (digest ^ ".jrc"))
-    (fun oc -> output_string oc bytes)
+(* A segment built by hand: a header announcing [count] records (by
+   default as many as given), then each [(digest, payload)] as a record
+   whose MD5 matches. *)
+let segment_bytes ?count records =
+  let buf = Buffer.create 256 in
+  Printf.bprintf buf "jade-runcache %d %d\n" Runcache.schema_version
+    (Option.value count ~default:(List.length records));
+  List.iter
+    (fun (digest, payload) ->
+      let body = digest ^ payload in
+      Buffer.add_string buf (Digest.string body);
+      Buffer.add_int32_be buf (Int32.of_int (String.length body));
+      Buffer.add_string buf body)
+    records;
+  Buffer.contents buf
 
-let entry_header = Printf.sprintf "jade-runcache %d\n" Runcache.schema_version
+let foreign_digest = Runcache.digest_key [ "foreign" ]
 
-let find_misses c entry =
-  let digest = Runcache.digest_key [ entry ] in
-  write_entry c ~digest entry;
-  match Runcache.find c ~digest with
-  | None ->
-      not (Sys.file_exists (Filename.concat (Runcache.dir c) (digest ^ ".jrc")))
-  | Some _ -> QCheck.Test.fail_reportf "decoded foreign bytes %S" entry
+(* Decoder robustness: a segment of arbitrary bytes — bare, behind a
+   segment header, or a record's payload behind a matching MD5 — or a
+   record holding a well-formed marshalled value of another type misses
+   with one warning and is compacted away; [find] never raises, and
+   never hands back a value of the wrong shape (matching on one can
+   crash the program). [Some warnings] once the segment is gone. *)
+let find_misses dir bytes =
+  let file = Filename.concat dir "foreign.jrp" in
+  write_bytes file bytes;
+  match
+    capturing_stderr (fun () -> Runcache.find (Runcache.create ~dir) ~digest:foreign_digest)
+  with
+  | err, None when not (Sys.file_exists file) -> Some (warnings err)
+  | _, None -> None
+  | _, Some _ -> QCheck.Test.fail_reportf "decoded foreign bytes %S" bytes
   | exception e ->
-      QCheck.Test.fail_reportf "find raised %s on %S" (Printexc.to_string e)
-        entry
+      QCheck.Test.fail_reportf "find raised %s on %S" (Printexc.to_string e) bytes
 
 (* Marshalled values whose shape matches no [Runcache.value]: a record
    of the summary's arity but all ints, float arrays, strings, tuples. *)
@@ -423,20 +517,25 @@ let runcache_find_total_prop =
     (QCheck.make ~print:String.escaped
        QCheck.Gen.(oneof [ string; foreign_marshalled ]))
     (fun payload ->
-      let c = Runcache.create ~dir in
-      List.for_all (find_misses c)
-        [
-          payload;
-          entry_header ^ payload;
-          entry_header ^ Digest.string payload ^ payload;
-        ])
+      List.for_all
+        (fun bytes ->
+          match find_misses dir bytes with
+          | Some [ _ ] -> true
+          | Some w -> QCheck.Test.fail_reportf "%d warnings" (List.length w)
+          | None -> QCheck.Test.fail_reportf "damaged segment kept: %S" bytes)
+        (payload
+        :: (segment_bytes ~count:1 [] ^ payload)
+        :: segment_bytes [ (foreign_digest, payload) ]
+        :: (if payload = "" then [] else [ segment_bytes [] ^ payload ])))
 
 let test_runcache_named_failures () =
-  let c = Runcache.create ~dir:(Filename.temp_dir "jade-test-runcache" "") in
+  let dir = Filename.temp_dir "jade-test-runcache" "" in
+  let file = Filename.concat dir "foreign.jrp" in
   List.iter
     (fun (name, payload) ->
-      Alcotest.(check bool) name true
-        (find_misses c (entry_header ^ Digest.string payload ^ payload)))
+      Alcotest.(check (option (list string))) name
+        (Some [ dropping "undecodable" file ])
+        (find_misses dir (segment_bytes [ (foreign_digest, payload) ])))
     [
       ("garbage payload", "not a marshalled value");
       ("empty payload", "");
@@ -444,7 +543,163 @@ let test_runcache_named_failures () =
       ( "valid value with trailing bytes",
         Marshal.to_string (Runcache.Flops 1.0) [] ^ "x" );
     ];
+  Alcotest.(check (option (list string))) "stale header"
+    (Some [ dropping "schema-stale" file ])
+    (find_misses dir "jade-runcache 7 1\n");
+  Alcotest.(check (option (list string))) "cut at a record boundary"
+    (Some [ dropping "truncated" file ])
+    (find_misses dir
+       (segment_bytes ~count:2
+          [ (Runcache.digest_key [ "x" ], Marshal.to_string (Runcache.Flops 1.0) []) ]));
+  ignore (Runcache.clear (Runcache.create ~dir))
+
+(* Random record sets round-trip through a segment; after any cut or
+   byte flip every lookup gives back the stored value or misses — never
+   a value that was not stored — and never raises. *)
+let value_gen =
+  let base = Jade.Metrics.summary (Jade.Metrics.create ()) in
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun f -> Runcache.Flops f) float;
+        map
+          (fun (tasks, elapsed_s) ->
+            Runcache.Summary { base with Jade.Metrics.tasks; elapsed_s })
+          (pair small_nat float);
+      ])
+
+let runcache_segment_prop =
+  let dir = Filename.temp_dir "jade-test-runcache" "" in
+  QCheck.Test.make ~name:"segments round-trip; damage never yields unstored values"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(triple (list_size (int_range 1 6) value_gen) bool nat))
+    (fun (values, cut, at) ->
+      let records =
+        List.mapi (fun i v -> (Runcache.digest_key [ string_of_int i ], v)) values
+      in
+      Runcache.store (Runcache.create ~dir) records;
+      let finds () =
+        let c = Runcache.create ~dir in
+        List.map (fun (k, _) -> Runcache.find c ~digest:k) records
+        @ [ Runcache.find c ~digest:foreign_digest ]
+      in
+      let stored = List.map (fun (_, v) -> Some v) records @ [ None ] in
+      let intact = compare (finds ()) stored = 0 in
+      let file = List.hd (segment_files dir) in
+      let raw = read_bytes file in
+      let at = at mod String.length raw in
+      write_bytes file (if cut then String.sub raw 0 at else flip raw at);
+      let _, damaged = capturing_stderr finds in
+      ignore (Runcache.clear (Runcache.create ~dir));
+      intact
+      && List.for_all2
+           (fun got want -> got = None || compare got want = 0)
+           damaged stored)
+
+(* A cut that falls exactly between records loses the records after it
+   with a named warning: the header's count catches it. *)
+let test_runcache_boundary_cut () =
+  let dir = Filename.temp_dir "jade-test-runcache" "" in
+  (* In digest order, as a segment holds them. *)
+  let records =
+    List.sort compare
+      (List.init 4 (fun i ->
+           (Runcache.digest_key [ string_of_int i ], Runcache.Flops (float_of_int i))))
+  in
+  Runcache.store (Runcache.create ~dir) records;
+  let file = List.hd (segment_files dir) in
+  let raw = read_bytes file in
+  write_bytes file (String.sub raw 0 (List.nth (record_ends raw) 2));
+  let err, found =
+    capturing_stderr (fun () ->
+        let c = Runcache.create ~dir in
+        List.map (fun (k, _) -> Runcache.find c ~digest:k <> None) records)
+  in
+  Alcotest.(check (list string)) "one named warning" [ dropping "truncated" file ]
+    (warnings err);
+  Alcotest.(check (list bool)) "the records before the cut survive"
+    [ true; true; false; false ] found;
+  Alcotest.(check (pair int int)) "compacted to one segment of two records" (2, 1)
+    (let u = Runcache.usage (Runcache.create ~dir) in
+     (u.Runcache.entries, u.Runcache.segments));
+  ignore (Runcache.clear (Runcache.create ~dir))
+
+(* A compaction deletes only the segments its cache listed: one written
+   after the listing (by a concurrent run) survives it. *)
+let test_runcache_compaction_keeps_new_segments () =
+  let dir = Filename.temp_dir "jade-test-runcache" "" in
+  let record i = (Runcache.digest_key [ string_of_int i ], Runcache.Flops (float_of_int i)) in
+  let writer = Runcache.create ~dir in
+  Runcache.store writer [ record 0 ];
+  Runcache.store writer [ record 1 ];
+  let loader = Runcache.create ~dir in
+  Runcache.store (Runcache.create ~dir) [ record 2 ];
+  Alcotest.(check int) "three segments" 3 (List.length (segment_files dir));
+  Alcotest.(check bool) "the loader reads what it listed" true
+    (Runcache.find loader ~digest:(fst (record 0)) <> None);
+  Alcotest.(check int) "compacted segment plus the late one" 2
+    (List.length (segment_files dir));
+  let c = Runcache.create ~dir in
+  Alcotest.(check (list bool)) "every record is still on disk" [ true; true; true ]
+    (List.map (fun i -> Runcache.find c ~digest:(fst (record i)) <> None) [ 0; 1; 2 ]);
   ignore (Runcache.clear c)
+
+(* After a cold and a compacting warm run, a third warm runner reads the
+   one segment on disk and writes nothing. *)
+let test_third_warm_reads_one_file () =
+  let dir = Filename.temp_dir "jade-test-cache" "" in
+  let _, reference = repro_digest ~cache_dir:dir ~jobs:1 () in
+  ignore (repro_digest ~cache_dir:dir ~jobs:1 ());
+  let before = segment_files dir in
+  let inode f = (Unix.stat f).Unix.st_ino in
+  let err, (r, digest) = capturing_stderr (fun () -> repro_digest ~cache_dir:dir ~jobs:1 ()) in
+  Alcotest.(check string) "identical output" reference digest;
+  Alcotest.(check (list string)) "no warnings" [] (warnings err);
+  Alcotest.(check int) "one segment before" 1 (List.length before);
+  Alcotest.(check (list string)) "the same segment after" before (segment_files dir);
+  Alcotest.(check (list int)) "not rewritten" (List.map inode before)
+    (List.map inode (segment_files dir));
+  let s = Runner.stats r in
+  Alcotest.(check bool) "every lookup hits" true
+    (s.Runner.cache_lookups > 0 && s.Runner.cache_hits = s.Runner.cache_lookups);
+  ignore (Runcache.clear (Runcache.create ~dir))
+
+(* A cache directory deleted under a running regeneration costs only the
+   caching: each failed segment write warns, naming the path, and the
+   output is the reference. *)
+let test_cache_dir_removed_mid_run () =
+  let dir = Filename.temp_dir "jade-test-cache" "" in
+  let r = Runner.create ~jobs:1 ~cache_dir:dir Runner.Test in
+  Unix.rmdir dir;
+  let err, digest = capturing_stderr (fun () -> regen_digest r) in
+  Alcotest.(check string) "output is the reference" (snd (repro_digest ~jobs:1 ())) digest;
+  let w = warnings err in
+  Alcotest.(check bool) "failed writes warn, naming the directory" true
+    (w <> []
+    && List.for_all
+         (String.starts_with
+            ~prefix:("runcache: warning: cannot write segment " ^ dir))
+         w)
+
+(* [clear] removes every file the cache leaves — segments, a killed
+   writer's temp file, schema-7 entries — so the directory empties, and
+   [usage] counts each kind. *)
+let test_runcache_clear_all_kinds () =
+  let dir = Filename.temp_dir "jade-test-runcache" "" in
+  let c = Runcache.create ~dir in
+  Runcache.store c
+    [ (Runcache.digest_key [ "a" ], Runcache.Flops 1.0);
+      (Runcache.digest_key [ "b" ], Runcache.Flops 2.0) ];
+  write_bytes (Filename.concat dir ".0123abcd.4242.tmp") "a killed writer's";
+  write_bytes (Filename.concat dir "0123abcd.jrc") "jade-runcache 7\n";
+  Runcache.write_last_run c ~lookups:2 ~hits:0;
+  let u = Runcache.usage c in
+  Alcotest.(check (list int)) "segments, entries, legacy files" [ 1; 2; 1 ]
+    [ u.Runcache.segments; u.Runcache.entries; u.Runcache.legacy ];
+  Alcotest.(check int) "segment, temp and legacy file removed" 3 (Runcache.clear c);
+  Alcotest.(check (array string)) "the directory is empty" [||] (Sys.readdir dir);
+  Unix.rmdir dir
 
 (* Rendering a planning-pass placeholder is a bug; the poison assertion
    must trip instead of letting fabricated numbers into output. *)
@@ -683,6 +938,8 @@ let () =
         [
           Alcotest.test_case "clean" `Quick test_parity_clean;
           Alcotest.test_case "chaos" `Quick test_parity_chaos;
+          Alcotest.test_case "equal fault specs share the cache" `Quick
+            test_equal_specs_share_cache;
           Alcotest.test_case "corruption recovery" `Quick
             test_cache_corruption_recovers;
           Alcotest.test_case "runcache entry format" `Quick
@@ -690,6 +947,17 @@ let () =
           Alcotest.test_case "runcache named decode failures" `Quick
             test_runcache_named_failures;
           QCheck_alcotest.to_alcotest runcache_find_total_prop;
+          QCheck_alcotest.to_alcotest runcache_segment_prop;
+          Alcotest.test_case "runcache cut at a record boundary" `Quick
+            test_runcache_boundary_cut;
+          Alcotest.test_case "compaction keeps a later segment" `Quick
+            test_runcache_compaction_keeps_new_segments;
+          Alcotest.test_case "third warm runner reads one file" `Quick
+            test_third_warm_reads_one_file;
+          Alcotest.test_case "cache directory removed mid-run" `Quick
+            test_cache_dir_removed_mid_run;
+          Alcotest.test_case "runcache clear empties the directory" `Quick
+            test_runcache_clear_all_kinds;
           Alcotest.test_case "poisoned render trips" `Quick
             test_poison_render_raises;
         ] );
