@@ -435,7 +435,9 @@ let run_cmd =
           ~doc:
             "Also print the run's occupancy high-water marks (fabric \
              message cells, far-lane event heap, now-lane capacity, \
-             escape slab). Forces a real \
+             escape slab) and its idle traffic (DASH wake-up and \
+             steal-patience probes, main-release polls), each out of \
+             the run's events. Forces a real \
              (uncached, every kernel executed) simulation, since cached \
              summaries do not carry them.")
   in
@@ -477,7 +479,9 @@ let run_cmd =
       (Runner.level_name level);
     Format.printf "  %a@." Jade.Metrics.pp_summary s;
     (match occ with
-    | Some o -> Format.printf "  occupancy: %a@." Jade.Metrics.pp_occupancy o
+    | Some o ->
+        Format.printf "  occupancy: %a@." Jade.Metrics.pp_occupancy o;
+        Format.printf "  idle: %a@." Jade.Metrics.pp_idle o
     | None -> ());
     match fault with
     | Some spec ->

@@ -118,12 +118,19 @@ let maybe_finish (c : core) =
    exactly this reason, §5.2). *)
 let main_owns_proc0 (c : core) = not (c.main_done || c.main_blocked)
 
-let wait_for_main_release (c : core) ~poll =
+(* Call [k] at the first poll, every [poll] seconds from now, that finds
+   processor 0 released. Each poll is a callback, not a process resume. *)
+let on_main_release (c : core) ~poll k =
   (* Clamp so a zero poll interval cannot respin at a fixed virtual time. *)
   let poll = Float.max poll 1e-6 in
-  while main_owns_proc0 c do
-    Engine.delay c.eng poll
-  done
+  let rec tick () =
+    c.metrics.Metrics.main_polls <- c.metrics.Metrics.main_polls + 1;
+    if main_owns_proc0 c then Engine.schedule_after c.eng poll tick else k ()
+  in
+  Engine.schedule_after c.eng poll tick
+
+let wait_for_main_release (c : core) ~poll =
+  if main_owns_proc0 c then Engine.await c.eng (on_main_release c ~poll)
 
 (* A task finished executing: retire it from the synchronizer (enabling
    successors), wake anyone [wait]ing on it, and re-check termination.

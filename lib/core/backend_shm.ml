@@ -5,37 +5,33 @@
     dispatcher process per processor; an idle dispatcher waits out the
     cyclic-search time, then steals — own cluster first. Communication is
     implicit: {!Shm_model} folds the cache/remote-memory traffic of each
-    task's declared objects into its execution time. *)
+    task's declared objects into its execution time.
+
+    The idle search runs in engine callbacks, pushed where the fiber's own
+    delays and wake-ups were; they resume a fiber only to hand it a task
+    or let it exit. A wake-up herd, or the patience delays of one event's
+    searchers, ride one event that counts each activation: nothing could
+    have run between their own consecutive events at one instant. *)
 
 open Jade_sim
 open Jade_machines
+
+(* An idle step hands the fiber a task, lets it exit, or goes on. *)
+type step = Run of Taskrec.t | Quit | Idle
 
 type t = {
   core : Backend.core;
   costs : Costs.shm;
   sched : Scheduler_shm.t;
   model : Shm_model.t;
-  idle_wakers : (unit -> unit) option array;
+  parked : bool array;  (** searched in vain; the next enable wakes it *)
+  hand_off : (step -> unit) array;  (** resumes an idle dispatcher's fiber *)
+  mutable waiting : int list;  (** this event's searchers, latest first *)
   track : bool;  (** crash plan active *)
   doomed : bool array;
       (** crash injected; the dispatcher halts at its next boundary *)
   halted : bool array;  (** dispatcher reached its halt boundary *)
 }
-
-(* Wake idle dispatchers. [first] (a task's target processor) is woken
-   before the others so that, at equal virtual times, the home processor
-   gets the first chance at a newly enabled task and stealing only happens
-   when the home processor is busy — matching the intent of §3.2.1. *)
-let wake_idle ?first b =
-  let wake p =
-    match b.idle_wakers.(p) with
-    | Some f ->
-        b.idle_wakers.(p) <- None;
-        Engine.schedule_now b.core.Backend.eng f
-    | None -> ()
-  in
-  (match first with Some p -> wake p | None -> ());
-  Array.iteri (fun p _ -> wake p) b.idle_wakers
 
 let execute b proc (task : Taskrec.t) =
   let c = b.core in
@@ -79,51 +75,106 @@ let execute b proc (task : Taskrec.t) =
    observes the halt (shared memory has no fabric to probe over). *)
 let halt b proc =
   b.halted.(proc) <- true;
-  match b.core.Backend.recovery with
-  | Some r -> Recovery.note_stopped r proc
-  | None -> ()
+  Option.iter (fun r -> Recovery.note_stopped r proc) b.core.Backend.recovery;
+  Quit
 
-let dispatcher b proc =
+(* Nothing local: spend the cyclic-search time before stealing — the
+   balancer should not move a task off its target processor the instant
+   it appears. *)
+let probe b p =
+  match Scheduler_shm.next b.sched ~allow_steal:false ~proc:p with
+  | Some task -> Run task
+  | None ->
+      b.waiting <- p :: b.waiting;
+      Idle
+
+(* The patience ran out: re-check the own queue, steal, or park. *)
+let steal b p =
+  let m = b.core.Backend.metrics in
+  m.Metrics.patience_probes <- m.Metrics.patience_probes + 1;
+  if b.track && b.doomed.(p) then halt b p
+  else if b.core.Backend.stopped then Quit
+  else
+    match Scheduler_shm.next b.sched ~proc:p with
+    | Some task -> Run task
+    | None ->
+        b.parked.(p) <- true;
+        Idle
+
+(* Push this event's patience batch. Called before anything else is
+   pushed, so the batch takes its members' place in the event order. *)
+let rec flush b =
+  if b.waiting <> [] then begin
+    let ps = List.rev b.waiting in
+    b.waiting <- [];
+    Engine.schedule_after b.core.Backend.eng b.costs.Costs.steal_patience
+      (fun () -> carry b steal ps)
+  end
+
+(* One event carrying [step] for each of [ps] in order, resuming the
+   fiber of each member that gets a task or must exit. *)
+and carry b step ps =
+  List.iter
+    (fun p ->
+      match step b p with
+      | Idle -> ()
+      | s ->
+          flush b;
+          b.hand_off.(p) s)
+    ps;
+  flush b;
+  Engine.count_events b.core.Backend.eng (List.length ps - 1)
+
+let search b p =
   let c = b.core in
-  let doomed () = b.track && b.doomed.(proc) in
-  let run_and_yield task =
-    execute b proc task;
-    (* Yield through the event queue so dispatchers woken by this task's
-       completion run before we grab the next task — the completing
-       processor must not outrace the home processors of the tasks it
-       just enabled. *)
-    Engine.delay c.Backend.eng 0.0
+  if b.track && b.doomed.(p) then halt b p
+  else if c.Backend.stopped then Quit
+  else if p = 0 && Backend.main_owns_proc0 c then begin
+    flush b;
+    Backend.on_main_release c ~poll:b.costs.Costs.steal_patience (fun () ->
+        carry b probe [ 0 ]);
+    Idle
+  end
+  else probe b p
+
+let herd b ps =
+  let m = b.core.Backend.metrics in
+  m.Metrics.wake_probes <- m.Metrics.wake_probes + List.length ps;
+  List.iter (fun p -> b.parked.(p) <- false) ps;
+  Engine.schedule_now b.core.Backend.eng (fun () -> carry b search ps)
+
+(* Wake idle dispatchers. [first] (a task's target processor) is woken
+   before the others so that, at equal virtual times, the home processor
+   gets the first chance at a newly enabled task and stealing only happens
+   when the home processor is busy — matching the intent of §3.2.1. *)
+let wake_idle ?(first = -1) b =
+  let ps = ref [] in
+  for p = b.core.Backend.nprocs - 1 downto 0 do
+    if b.parked.(p) && p <> first then ps := p :: !ps
+  done;
+  if first >= 0 && b.parked.(first) then ps := first :: !ps;
+  if !ps <> [] then herd b !ps
+
+let rec dispatcher b proc =
+  let c = b.core in
+  let step =
+    match search b proc with
+    | Idle ->
+        flush b;
+        Engine.await ~on:Backend.on_task_queue c.Backend.eng (fun resume ->
+            b.hand_off.(proc) <- resume)
+    | step -> step
   in
-  let rec loop () =
-    if doomed () then halt b proc
-    else if not c.Backend.stopped then begin
-      if proc = 0 then
-        Backend.wait_for_main_release c ~poll:b.costs.Costs.steal_patience;
-      match Scheduler_shm.next b.sched ~allow_steal:false ~proc with
-      | Some task ->
-          run_and_yield task;
-          loop ()
-      | None ->
-          (* Nothing local: spend the cyclic-search time, re-check our own
-             queue, and only then steal — the balancer should not move a
-             task off its target processor the instant it appears. *)
-          Engine.delay c.Backend.eng b.costs.Costs.steal_patience;
-          if doomed () then halt b proc
-          else if not c.Backend.stopped then begin
-            match Scheduler_shm.next b.sched ~proc with
-            | Some task ->
-                run_and_yield task;
-                loop ()
-            | None ->
-                if not c.Backend.stopped then begin
-                  Engine.await ~on:Backend.on_task_queue c.Backend.eng
-                    (fun resume -> b.idle_wakers.(proc) <- Some resume);
-                  loop ()
-                end
-          end
-    end
-  in
-  loop ()
+  match step with
+  | Run task ->
+      execute b proc task;
+      (* Yield through the event queue so dispatchers woken by this task's
+         completion run before we grab the next task — the completing
+         processor must not outrace the home processors of the tasks it
+         just enabled. *)
+      Engine.delay c.Backend.eng 0.0;
+      dispatcher b proc
+  | Quit | Idle -> ()
 
 (* Crash-recovery hooks (watchdog mode: no fabric, so the supervisor
    relies on the doomed/halted handshake instead of heartbeat probes). *)
@@ -132,11 +183,7 @@ let doom b p =
   b.doomed.(p) <- true;
   (* Wake the victim if it is parked so it reaches its halt boundary
      instead of sleeping through the failure. *)
-  match b.idle_wakers.(p) with
-  | Some f ->
-      b.idle_wakers.(p) <- None;
-      Engine.schedule_now b.core.Backend.eng f
-  | None -> ()
+  if b.parked.(p) then herd b [ p ]
 
 let recover b p =
   Scheduler_shm.mark_down b.sched p;
@@ -201,7 +248,9 @@ let create (core : Backend.core) (costs : Costs.shm) : Backend.ops =
         Scheduler_shm.create ~cluster_size:costs.Costs.cluster_size
           core.Backend.cfg ~nprocs:core.Backend.nprocs;
       model = Shm_model.create costs ~nprocs:core.Backend.nprocs;
-      idle_wakers = Array.make core.Backend.nprocs None;
+      parked = Array.make core.Backend.nprocs false;
+      hand_off = Array.make core.Backend.nprocs ignore;
+      waiting = [];
       track;
       doomed = Array.make core.Backend.nprocs false;
       halted = Array.make core.Backend.nprocs false;

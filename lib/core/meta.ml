@@ -80,3 +80,15 @@ let holds_version t ~proc ~version = t.copies.(proc) >= version
 
 let install_copy t ~proc ~version =
   if t.copies.(proc) < version then t.copies.(proc) <- version
+
+(** [slot tbl t make] is [t]'s entry in the table [tbl] indexed by object
+    id (dense from 1 within a run), made by [make] on first use. *)
+let slot tbl t make =
+  if t.id >= Array.length !tbl then
+    tbl := Array.append !tbl (Array.make (t.id + 1) None);
+  match !tbl.(t.id) with
+  | Some x -> x
+  | None ->
+      let x = make () in
+      !tbl.(t.id) <- Some x;
+      x

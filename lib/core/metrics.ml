@@ -65,6 +65,13 @@ type t = {
   mutable occ_cal_hwm : int;  (** peak far-lane (event heap) population *)
   mutable occ_now_cap : int;  (** final now-lane ring capacity *)
   mutable occ_esc_hwm : int;  (** peak escape-slab parked closures *)
+  (* Idle traffic, in engine events: DASH dispatchers probing after a
+     wake-up or after their steal patience, and processor 0 polling for
+     the main program's release (every machine). Not in {!summary} for
+     the reason above. *)
+  mutable wake_probes : int;
+  mutable patience_probes : int;
+  mutable main_polls : int;
 }
 
 let create () =
@@ -104,6 +111,9 @@ let create () =
     occ_cal_hwm = 0;
     occ_now_cap = 0;
     occ_esc_hwm = 0;
+    wake_probes = 0;
+    patience_probes = 0;
+    main_polls = 0;
   }
 
 type summary = {
@@ -197,6 +207,10 @@ type occupancy = {
           because the benchmark probe ([perfbench/suite.ml]) reads it. *)
   now_cap : int;
   esc_hwm : int;
+  events : int;  (** every engine event of the run *)
+  wake_probes : int;
+  patience_probes : int;
+  main_polls : int;
 }
 
 let occupancy m =
@@ -207,12 +221,21 @@ let occupancy m =
     cal_rebuilds = 0;
     now_cap = m.occ_now_cap;
     esc_hwm = m.occ_esc_hwm;
+    events = m.events;
+    wake_probes = m.wake_probes;
+    patience_probes = m.patience_probes;
+    main_polls = m.main_polls;
   }
 
 let pp_occupancy fmt o =
   Format.fprintf fmt
     "msg-cells=%d far-lane-hwm=%d now-lane-cap=%d escape-hwm=%d"
     o.msg_cells o.cal_hwm o.now_cap o.esc_hwm
+
+(* Idle traffic, each count out of the run's events. *)
+let pp_idle fmt o =
+  Format.fprintf fmt "wake-probes=%d/%d patience-probes=%d/%d main-polls=%d/%d"
+    o.wake_probes o.events o.patience_probes o.events o.main_polls o.events
 
 let pp_summary fmt s =
   Format.fprintf fmt

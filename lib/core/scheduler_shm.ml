@@ -1,7 +1,6 @@
 open Jade_sim
 
 type otq = {
-  obj_id : int;
   tasks : Taskrec.t Deque.t;
   mutable linked : bool;  (** currently a member of some processor queue *)
 }
@@ -11,7 +10,8 @@ type t = {
   nprocs : int;
   cluster_size : int;
   proc_queues : otq Deque.t array;  (** queue of object task queues *)
-  otqs : (int, otq) Hashtbl.t;  (** object id -> its object task queue *)
+  otqs : otq option array ref;  (** see {!Meta.slot} *)
+  objectless : otq;  (** pseudo object queue of tasks with no object *)
   shared : Taskrec.t Deque.t;  (** No_locality: single FCFS queue *)
   placed : Taskrec.t Deque.t array;  (** Task_placement: pinned tasks *)
   victims : int array array;
@@ -35,6 +35,8 @@ let victim_order ~cluster_size ~nprocs proc =
   let near, far = List.partition (fun v -> cluster v = cluster proc) all in
   Array.of_list (near @ far)
 
+let new_otq () = { tasks = Deque.create (); linked = false }
+
 let create ?(cluster_size = 1) cfg ~nprocs =
   if cluster_size < 1 then invalid_arg "Scheduler_shm.create: bad cluster size";
   {
@@ -42,7 +44,8 @@ let create ?(cluster_size = 1) cfg ~nprocs =
     nprocs;
     cluster_size;
     proc_queues = Array.init nprocs (fun _ -> Deque.create ());
-    otqs = Hashtbl.create 64;
+    otqs = ref [||];
+    objectless = new_otq ();
     shared = Deque.create ();
     placed = Array.init nprocs (fun _ -> Deque.create ());
     victims = Array.init nprocs (victim_order ~cluster_size ~nprocs);
@@ -80,13 +83,7 @@ let target_of _t (task : Taskrec.t) =
       | Some meta -> meta.Meta.home
       | None -> 0)
 
-let otq_of t (meta : Meta.t) =
-  match Hashtbl.find_opt t.otqs meta.Meta.id with
-  | Some q -> q
-  | None ->
-      let q = { obj_id = meta.Meta.id; tasks = Deque.create (); linked = false } in
-      Hashtbl.add t.otqs meta.Meta.id q;
-      q
+let otq_of t meta = Meta.slot t.otqs meta new_otq
 
 let enqueue_locality t (task : Taskrec.t) =
   let owner_queue, otq =
@@ -94,15 +91,7 @@ let enqueue_locality t (task : Taskrec.t) =
     | Some meta -> (t.proc_queues.(redirect t meta.Meta.home), otq_of t meta)
     | None ->
         (* Objectless tasks live in a pseudo object queue on processor 0. *)
-        let q =
-          match Hashtbl.find_opt t.otqs (-1) with
-          | Some q -> q
-          | None ->
-              let q = { obj_id = -1; tasks = Deque.create (); linked = false } in
-              Hashtbl.add t.otqs (-1) q;
-              q
-        in
-        (t.proc_queues.(0), q)
+        (t.proc_queues.(0), t.objectless)
   in
   Deque.push_back otq.tasks task;
   if not otq.linked then begin
@@ -118,54 +107,45 @@ let enqueue t (task : Taskrec.t) =
   | Config.No_locality, None -> Deque.push_back t.shared task
   | (Config.Locality | Config.Task_placement), None -> enqueue_locality t task
 
-(* Pop the first task of the first (non-empty) object task queue. An
-   unsuccessful probe — the common outcome of every idle poll — touches
-   only ring-buffer fields and allocates nothing. *)
-let rec pop_local t proc =
+(* A linked object task queue is never empty: it is linked after its
+   first push, and whoever takes its last task unlinks it (fail-over drops
+   empty ones). So an empty processor queue is the only miss. *)
+
+(* Pop the first task of the first object task queue. An unsuccessful
+   probe touches only ring-buffer fields and allocates nothing. *)
+let pop_local t proc =
   let pq = t.proc_queues.(proc) in
   if Deque.is_empty pq then None
   else begin
     let otq = Deque.first pq in
+    let task = Deque.pop_front_exn otq.tasks in
     if Deque.is_empty otq.tasks then begin
-      (* Emptied by steals: unlink and keep looking. *)
       ignore (Deque.pop_front_exn pq);
-      otq.linked <- false;
-      pop_local t proc
-    end
-    else begin
-      let task = Deque.pop_front_exn otq.tasks in
-      if Deque.is_empty otq.tasks then begin
-        ignore (Deque.pop_front_exn pq);
-        otq.linked <- false
-      end;
-      Some task
-    end
+      otq.linked <- false
+    end;
+    Some task
   end
 
 (* Steal the last task of the last object task queue of [victim]. *)
-let rec steal_from t victim =
+let steal_from t victim =
   let pq = t.proc_queues.(victim) in
   if Deque.is_empty pq then None
   else begin
     let otq = Deque.last pq in
+    let task = Deque.pop_back_exn otq.tasks in
     if Deque.is_empty otq.tasks then begin
       ignore (Deque.pop_back_exn pq);
-      otq.linked <- false;
-      steal_from t victim
-    end
-    else begin
-      let task = Deque.pop_back_exn otq.tasks in
-      if Deque.is_empty otq.tasks then begin
-        ignore (Deque.pop_back_exn pq);
-        otq.linked <- false
-      end;
-      Some task
-    end
+      otq.linked <- false
+    end;
+    Some task
   end
 
 let next ?(allow_steal = true) t ~proc =
   let found =
-    if not (Deque.is_empty t.placed.(proc)) then
+    (* Nothing queued: skip the walk over every victim, which made each
+       herd of idle probes quadratic in the processors. *)
+    if t.queued_count = 0 then None
+    else if not (Deque.is_empty t.placed.(proc)) then
       Some (Deque.pop_front_exn t.placed.(proc))
     else
       match t.cfg.Config.locality with

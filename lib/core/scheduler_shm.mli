@@ -12,8 +12,8 @@
     explicitly placed tasks go to fixed per-processor queues with no
     stealing; unplaced tasks fall back to the locality structure.
 
-    The scheduler is pure data structure; dispatch loops live in
-    {!Runtime}. *)
+    The scheduler is pure data structure; the dispatchers and their idle
+    search live in {!Backend_shm}. *)
 
 type t
 

@@ -3,7 +3,7 @@ open Jade_sim
 type entry = { task : Taskrec.t; mode : Access.mode; mutable ready : bool }
 
 type t = {
-  queues : (int, entry Deque.t) Hashtbl.t;
+  queues : entry Deque.t option array ref;  (** see {!Meta.slot} *)
   replication : bool;
   on_enable : Taskrec.t -> unit;
   on_write_commit : Meta.t -> Taskrec.t -> unit;
@@ -13,7 +13,7 @@ type t = {
 
 let create ~replication ~on_enable ~on_write_commit =
   {
-    queues = Hashtbl.create 64;
+    queues = ref [||];
     replication;
     on_enable;
     on_write_commit;
@@ -27,13 +27,7 @@ let effective_mode t (mode : Access.mode) : Access.mode =
   | Access.Read when not t.replication -> Access.Read_write
   | m -> m
 
-let queue_of t (meta : Meta.t) =
-  match Hashtbl.find_opt t.queues meta.Meta.id with
-  | Some q -> q
-  | None ->
-      let q = Deque.create () in
-      Hashtbl.add t.queues meta.Meta.id q;
-      q
+let queue_of t meta = Meta.slot t.queues meta Deque.create
 
 (* An entry is ready iff no conflicting entry precedes it in the queue.
    The walk stops at the first conflict: programs that touch an object
@@ -60,14 +54,14 @@ let add_task t (task : Taskrec.t) =
   let open Taskrec in
   (* Reject duplicate objects in a spec: versions and readiness would be
      ambiguous. Apps should declare Read_write instead. *)
-  let seen = Hashtbl.create 8 in
-  Array.iter
-    (fun ((meta : Meta.t), _) ->
-      if Hashtbl.mem seen meta.Meta.id then
-        invalid_arg
-          (Printf.sprintf "Synchronizer.add_task: object %s declared twice"
-             meta.Meta.name);
-      Hashtbl.add seen meta.Meta.id ())
+  Array.iteri
+    (fun i ((meta : Meta.t), _) ->
+      for j = 0 to i - 1 do
+        if (fst task.spec.(j)).Meta.id = meta.Meta.id then
+          invalid_arg
+            (Printf.sprintf "Synchronizer.add_task: object %s declared twice"
+               meta.Meta.name)
+      done)
     task.spec;
   task.pending <- 0;
   Array.iteri
@@ -128,11 +122,7 @@ let retire_entry t (task : Taskrec.t) slot =
     Meta.commit_write meta ~proc:task.ran_on ~version:task.produces.(slot);
     t.on_write_commit meta task
   end;
-  let q =
-    match Hashtbl.find_opt t.queues meta.Meta.id with
-    | Some q -> q
-    | None -> invalid_arg "Synchronizer: missing queue"
-  in
+  let q = queue_of t meta in
   (match Deque.remove_first q (fun e -> e.task == task) with
   | Some _ -> t.outstanding <- t.outstanding - 1
   | None -> invalid_arg "Synchronizer: entry missing");

@@ -286,6 +286,8 @@ let schedule_after t delay f =
 
 let schedule t ?(delay = 0.0) f = schedule_after t delay f
 
+let count_events t n = t.processed <- t.processed + n
+
 (* Absolute-time scheduling for clients that computed a target instant
    (the fabric's delivery times). The arithmetic deliberately goes
    through a delay — [clock +. (time -. clock)] is not [time] in float —

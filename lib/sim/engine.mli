@@ -58,6 +58,14 @@ val schedule_op_at : t -> op:int -> arg:int -> float -> unit
     finite; otherwise raises [Invalid_argument]. *)
 val schedule : t -> ?delay:float -> (unit -> unit) -> unit
 
+(** [schedule_after t d f] is [schedule t ~delay:d f] without the
+    optional argument: [f] fires where [delay t d] would resume. *)
+val schedule_after : t -> float -> (unit -> unit) -> unit
+
+(** [count_events t n] counts [n] more processed events: activations one
+    callback carried that would otherwise each have been an event. *)
+val count_events : t -> int -> unit
+
 (** [schedule_at t time f] runs plain callback [f] at absolute virtual
     time [time] ([now] if [time] is in the past). Equivalent to
     [schedule t ~delay:(time -. now)] — including its float arithmetic —

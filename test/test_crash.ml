@@ -198,6 +198,54 @@ let test_ipsc_apps =
 let test_lan_apps =
   check_machine ~mname:"lan" ~machine:R.lan ~kind:Jade_apps.App_common.Mp
 
+(* DASH at 16 and 32 processors, where one enabled task wakes a herd of
+   up to 31 idle dispatchers. An idle dispatcher's search runs in engine
+   callbacks, so each crash time below puts the victim's halt in one of
+   them: the victim is parked (the crash's own wake-up halts it), inside
+   its steal-patience window (the patience event halts it), or parked at
+   the very instant a wake-up herd that includes it was due (the crash
+   event precedes the herd, which goes on without the victim). The times
+   come from Water's clean schedule at test size. The pinned event count
+   checks that the halt lands at that boundary and not a later one:
+   (nprocs, victim, crash time, victim's state, engine events). *)
+let dash_mid_search_crashes =
+  [
+    (16, 9, 0.0025, "parked", 1396);
+    (16, 9, 0.0021, "in its patience window", 1395);
+    (16, 9, 0.002, "at a wake-up herd's instant", 1394);
+    (32, 5, 0.0104, "parked", 3962);
+    (32, 5, 0.0107, "in its patience window", 3963);
+    (32, 5, 0.0105, "at a wake-up herd's instant", 3962);
+  ]
+
+let test_dash_mid_search_crashes () =
+  List.iter
+    (fun (nprocs, victim, at, state, events) ->
+      let name = Printf.sprintf "dash/%dp, P%d crashed %s" nprocs victim state in
+      let run config =
+        let prog, res =
+          make_app "water" ~kind:Jade_apps.App_common.Shm ~nprocs
+        in
+        let s = R.run ~config ~machine:R.dash ~nprocs prog in
+        (s, res ())
+      in
+      let clean, clean_result = run Jade.Config.default in
+      let crashy, crashy_result =
+        run (with_fault (F.spec ~crash_at:[ (victim, at) ] ()))
+      in
+      Alcotest.(check int) (name ^ ": one crash injected") 1
+        crashy.Jade.Metrics.crash_injected_count;
+      Alcotest.(check int) (name ^ ": the crash was detected") 1
+        crashy.Jade.Metrics.crash_detected_count;
+      Alcotest.(check int) (name ^ ": all tasks completed")
+        clean.Jade.Metrics.tasks crashy.Jade.Metrics.tasks;
+      Alcotest.(check bool) (name ^ ": results identical to the clean run")
+        true
+        (clean_result = crashy_result);
+      Alcotest.(check int) (name ^ ": engine events") events
+        crashy.Jade.Metrics.event_count)
+    dash_mid_search_crashes
+
 let test_rate_mode_recovers () =
   let prog, res = make_app "water" ~kind:Jade_apps.App_common.Mp ~nprocs:4 in
   ignore (R.run ~config:Jade.Config.default ~machine:R.ipsc860 ~nprocs:4 prog);
@@ -499,6 +547,8 @@ let () =
             test_ipsc_apps;
           Alcotest.test_case "lan: single crash, exact results" `Quick
             test_lan_apps;
+          Alcotest.test_case "dash: crashes mid-search at 16 and 32 processors"
+            `Quick test_dash_mid_search_crashes;
           Alcotest.test_case "rate mode recovers" `Quick
             test_rate_mode_recovers;
           Alcotest.test_case "restart rejoins" `Quick test_restart_rejoins;

@@ -270,6 +270,40 @@ let test_repro_jobs_identical () =
     (snd (repro_digest ~jobs:1 ()))
     (snd (repro_digest ~jobs:4 ()))
 
+(* The simulated event stream is pinned, not only the rendered output: a
+   scheduling change that keeps every table but adds, drops or reorders
+   events (an extra fiber wake-up, a merged probe) fails here by name. *)
+let test_regen_event_count () =
+  let r = Runner.create ~jobs:1 Runner.Test in
+  ignore (regen_digest r);
+  Alcotest.(check int) "cold test-size regeneration, jobs 1" 971_293
+    (Runner.events_simulated r)
+
+(* DASH cells at 16 and 32 processors, where every enabled task wakes a
+   herd of idle dispatchers: (app, level, nprocs, engine events). *)
+let dash_event_counts =
+  [
+    (Runner.Ocean, Runner.Loc, 16, 1_230);
+    (Runner.Ocean, Runner.Loc, 32, 2_302);
+    (Runner.Ocean, Runner.Tp, 16, 1_005);
+    (Runner.Ocean, Runner.Tp, 32, 1_789);
+    (Runner.Cholesky, Runner.Loc, 16, 1_261);
+    (Runner.Cholesky, Runner.Loc, 32, 2_271);
+    (Runner.Cholesky, Runner.Tp, 16, 1_323);
+    (Runner.Cholesky, Runner.Tp, 32, 2_459);
+  ]
+
+let test_dash_event_counts () =
+  let r = Runner.create ~jobs:1 Runner.Test in
+  List.iter
+    (fun (app, level, nprocs, events) ->
+      let s = Runner.run_level r ~app ~machine:Runner.Dash ~nprocs ~level in
+      Alcotest.(check int)
+        (Printf.sprintf "%s/DASH/%s/%dp events" (Runner.app_name app)
+           (Runner.level_name level) nprocs)
+        events s.Jade.Metrics.event_count)
+    dash_event_counts
+
 let chaos_fault = Jade_net.Fault.spec ~seed:1 ~drop_rate:0.2 ()
 
 (* Parity suite (clean and chaos): replay on vs off, then cold vs warm
@@ -933,6 +967,10 @@ let () =
         [
           Alcotest.test_case "jobs-count independence" `Quick
             test_repro_jobs_identical;
+          Alcotest.test_case "regeneration event count" `Quick
+            test_regen_event_count;
+          Alcotest.test_case "DASH event counts at 16 and 32 processors"
+            `Quick test_dash_event_counts;
         ] );
       ( "replay and cache parity",
         [
