@@ -497,7 +497,6 @@ let total_work p ~nprocs =
 
 let make p ~kind:_ ~placed:_ ~nprocs =
   let result = ref None in
-  let observed = observed_times p in
   let program rt =
     assert (R.nprocs rt = nprocs);
     (* Deferred payloads: runs that skip kernels never read them. *)
@@ -527,7 +526,8 @@ let make p ~kind:_ ~placed:_ ~nprocs =
           (fun env ->
             let acc = R.wr env copy and model = R.rd env model_obj in
             Array.fill acc 0 (Array.length acc) 0.0;
-            trace_block p observed model acc ~lo ~hi)
+            (* Memoized: a run that skips kernels never traces the truth. *)
+            trace_block p (observed_times p) model acc ~lo ~hi)
       done;
       App_common.tree_reduce rt diffs ~name:"difference";
       R.withonly rt ~name:"update-model" ~placement:0

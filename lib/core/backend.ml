@@ -138,7 +138,7 @@ let wait_for_main_release (c : core) ~poll =
 let complete_task (c : core) (task : Taskrec.t) ~proc =
   c.ctx_proc <- proc;
   Synchronizer.complete c.sync task;
-  Ivar.fill c.eng task.Taskrec.done_ivar ();
+  Taskrec.signal_done c.eng task;
   c.outstanding <- c.outstanding - 1;
   maybe_finish c
 

@@ -75,7 +75,7 @@ let scheduler_process b =
         Mnode.occupy c.Backend.nodes.(0) b.costs.Costs.completion_handling;
         c.Backend.ctx_proc <- proc;
         Synchronizer.complete c.Backend.sync task;
-        Ivar.fill c.Backend.eng task.Taskrec.done_ivar ();
+        Taskrec.signal_done c.Backend.eng task;
         let handed = Scheduler_mp.on_completed b.sched ~proc in
         List.iter (fun task -> send_assign b proc task) handed;
         c.Backend.outstanding <- c.Backend.outstanding - 1;

@@ -390,9 +390,9 @@ let note_accesses t (task : Taskrec.t) ~proc =
    processor that accessed the previous one. *)
 let eager_push t (meta : Meta.t) =
   let version = meta.Meta.committed in
-  Array.iteri
+  Bytes.iteri
     (fun q used ->
-      if used && q <> meta.Meta.owner
+      if used <> '\000' && q <> meta.Meta.owner
          && not (Meta.holds_version meta ~proc:q ~version)
       then begin
         t.metrics.Metrics.eager_transfers <-

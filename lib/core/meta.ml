@@ -18,8 +18,11 @@ type t = {
       (** versions already promised to created (not necessarily completed)
           writer tasks; used to compute required versions in serial order *)
   copies : int array;  (** per-processor held version; -1 = no copy *)
-  accessed : bool array;  (** processors that accessed the current version *)
-  prev_accessed : bool array;
+  accessed : Bytes.t;
+      (** processors that accessed the current version, one byte each
+          (['\001'] = accessed): a snapshot is a memmove, not a write
+          barrier per processor *)
+  prev_accessed : Bytes.t;
       (** snapshot of [accessed] for the previous version — the likely
           consumers an eager update protocol sends new versions to *)
   mutable accessed_count : int;
@@ -33,9 +36,9 @@ let create ~id ~name ~size ~home ~nprocs =
   if size <= 0 then invalid_arg "Meta.create: size must be positive";
   let copies = Array.make nprocs (-1) in
   copies.(home) <- 0;
-  let accessed = Array.make nprocs false in
-  accessed.(home) <- true;
-  let prev_accessed = Array.make nprocs false in
+  let accessed = Bytes.make nprocs '\000' in
+  Bytes.set accessed home '\001';
+  let prev_accessed = Bytes.make nprocs '\000' in
   {
     id;
     name;
@@ -58,8 +61,8 @@ let create ~id ~name ~size ~home ~nprocs =
     if this access completes the set (all processors have now accessed the
     same version), the adaptive-broadcast trigger. *)
 let note_access t p =
-  if not t.accessed.(p) then begin
-    t.accessed.(p) <- true;
+  if Bytes.get t.accessed p = '\000' then begin
+    Bytes.set t.accessed p '\001';
     t.accessed_count <- t.accessed_count + 1
   end;
   t.accessed_count = t.nprocs
@@ -71,9 +74,9 @@ let commit_write t ~proc ~version =
   t.committed <- version;
   t.owner <- proc;
   t.copies.(proc) <- version;
-  Array.blit t.accessed 0 t.prev_accessed 0 t.nprocs;
-  Array.fill t.accessed 0 t.nprocs false;
-  t.accessed.(proc) <- true;
+  Bytes.blit t.accessed 0 t.prev_accessed 0 t.nprocs;
+  Bytes.fill t.accessed 0 t.nprocs '\000';
+  Bytes.set t.accessed proc '\001';
   t.accessed_count <- 1
 
 let holds_version t ~proc ~version = t.copies.(proc) >= version

@@ -263,12 +263,16 @@ let create_task t ?placement ~wait ~name ~work ~accesses body =
   c.Backend.metrics.Metrics.tasks_created <-
     c.Backend.metrics.Metrics.tasks_created + 1;
   c.Backend.ctx_proc <- 0;
+  if wait then
+    task.Taskrec.done_ivar <-
+      Some (Ivar.create ~name_fn:(fun () -> "done:" ^ name) ());
   Synchronizer.add_task c.Backend.sync task;
-  if wait then begin
-    c.Backend.main_blocked <- true;
-    Ivar.read c.Backend.eng task.Taskrec.done_ivar;
-    c.Backend.main_blocked <- false
-  end
+  match task.Taskrec.done_ivar with
+  | Some iv ->
+      c.Backend.main_blocked <- true;
+      Ivar.read c.Backend.eng iv;
+      c.Backend.main_blocked <- false
+  | None -> ()
 
 let withonly t ?placement ?(wait = false) ~name ~work ~accesses body =
   create_task t ?placement ~wait ~name ~work ~accesses (fun task proc ->

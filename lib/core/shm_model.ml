@@ -14,9 +14,8 @@
     same processor improves cache locality (§3.2.2). *)
 
 type cache = {
-  versions : (int, int) Hashtbl.t;  (** object id -> cached version *)
-  order : int Queue.t;
-  sizes : (int, int) Hashtbl.t;
+  mutable versions : int array;  (** by object id: cached version, -1 = none *)
+  order : Meta.t Jade_sim.Deque.t;  (** cached objects, oldest first *)
   mutable bytes : int;
 }
 
@@ -27,33 +26,34 @@ let create costs ~nprocs =
     costs;
     caches =
       Array.init nprocs (fun _ ->
-          {
-            versions = Hashtbl.create 32;
-            order = Queue.create ();
-            sizes = Hashtbl.create 32;
-            bytes = 0;
-          });
+          { versions = [||]; order = Jade_sim.Deque.create (); bytes = 0 });
   }
+
+let cached_version cache id =
+  if id < Array.length cache.versions then cache.versions.(id) else -1
 
 let cluster t p = p / t.costs.Jade_machines.Costs.cluster_size
 
 let cache_insert t cache (meta : Meta.t) version =
   let c = t.costs in
   if meta.Meta.size <= c.Jade_machines.Costs.cache_bytes then begin
-    if not (Hashtbl.mem cache.versions meta.Meta.id) then begin
-      Queue.add meta.Meta.id cache.order;
-      Hashtbl.replace cache.sizes meta.Meta.id meta.Meta.size;
+    let id = meta.Meta.id in
+    let n = Array.length cache.versions in
+    if id >= n then begin
+      let v = Array.make (max (id + 1) (2 * n)) (-1) in
+      Array.blit cache.versions 0 v 0 n;
+      cache.versions <- v
+    end;
+    if cache.versions.(id) < 0 then begin
+      Jade_sim.Deque.push_back cache.order meta;
       cache.bytes <- cache.bytes + meta.Meta.size
     end;
-    Hashtbl.replace cache.versions meta.Meta.id version;
+    cache.versions.(id) <- version;
+    (* FIFO eviction; the object just inserted fits alone, so it stays. *)
     while cache.bytes > c.Jade_machines.Costs.cache_bytes do
-      match Queue.take_opt cache.order with
-      | None -> cache.bytes <- 0
-      | Some id ->
-          let sz = try Hashtbl.find cache.sizes id with Not_found -> 0 in
-          Hashtbl.remove cache.versions id;
-          Hashtbl.remove cache.sizes id;
-          cache.bytes <- cache.bytes - sz
+      let old = Jade_sim.Deque.pop_front_exn cache.order in
+      cache.versions.(old.Meta.id) <- -1;
+      cache.bytes <- cache.bytes - old.Meta.size
     done
   end
 
@@ -68,11 +68,7 @@ let task_cost t (task : Taskrec.t) ~proc =
     (fun slot ((meta : Meta.t), mode) ->
       let required = task.Taskrec.required.(slot) in
       let lines = (meta.Meta.size + c.cache_line - 1) / c.cache_line in
-      let cached =
-        match Hashtbl.find_opt cache.versions meta.Meta.id with
-        | Some v -> v >= required
-        | None -> false
-      in
+      let cached = cached_version cache meta.Meta.id >= required in
       let cycles =
         if cached then c.l2_hit_cycles
         else if cluster t meta.Meta.home = cluster t proc then c.local_cycles

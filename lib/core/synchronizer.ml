@@ -1,9 +1,16 @@
 open Jade_sim
 
-type entry = { task : Taskrec.t; mode : Access.mode; mutable ready : bool }
+(* One object's declaration queue as access epochs (see the interface).
+   Only the head epoch's members are ready, and only they retire. *)
+type queue = {
+  mutable live : int;  (** unretired members of the head epoch; 0 = idle *)
+  mutable tail_shared : bool;  (** the tail epoch is a replicated-read run *)
+  behind : int Deque.t;  (** member counts of the epochs behind the head *)
+  waiting : Taskrec.t Deque.t;  (** their members, in serial order *)
+}
 
 type t = {
-  queues : entry Deque.t option array ref;  (** see {!Meta.slot} *)
+  queues : queue option array ref;  (** see {!Meta.slot} *)
   replication : bool;
   on_enable : Taskrec.t -> unit;
   on_write_commit : Meta.t -> Taskrec.t -> unit;
@@ -21,34 +28,33 @@ let create ~replication ~on_enable ~on_write_commit =
     enabled = 0;
   }
 
-(* Without replication, a read behaves like an exclusive access. *)
-let effective_mode t (mode : Access.mode) : Access.mode =
-  match mode with
-  | Access.Read when not t.replication -> Access.Read_write
-  | m -> m
-
-let queue_of t meta = Meta.slot t.queues meta Deque.create
-
-(* An entry is ready iff no conflicting entry precedes it in the queue.
-   The walk stops at the first conflict: programs that touch an object
-   every iteration build queues proportional to the iteration count, and
-   a full walk per added entry made task creation quadratic per object. *)
-let compute_ready t q (mode : Access.mode) =
-  let em = effective_mode t mode in
-  match
-    Deque.iter
-      (fun e ->
-        if Access.conflicts (effective_mode t e.mode) em then
-          raise_notrace Exit)
-      q
-  with
-  | () -> true
-  | exception Exit -> false
+let queue_of t meta =
+  Meta.slot t.queues meta (fun () ->
+      { live = 0; tail_shared = false; behind = Deque.create (); waiting = Deque.create () })
 
 let enable t (task : Taskrec.t) =
   task.Taskrec.state <- Taskrec.Enabled;
   t.enabled <- t.enabled + 1;
   t.on_enable task
+
+(* Join the tail epoch or open a new one; [true] if the declaration is
+   ready at once. Without replication a read is exclusive, which
+   serializes readers (the §5.1 experiment). *)
+let join t q (task : Taskrec.t) (mode : Access.mode) =
+  let shared = match mode with Access.Read -> t.replication | _ -> false in
+  let joins = shared && q.tail_shared in
+  if q.live = 0 || (joins && Deque.is_empty q.behind) then begin
+    q.live <- q.live + 1;
+    q.tail_shared <- shared;
+    true
+  end
+  else begin
+    Deque.push_back q.behind
+      (if joins then Deque.pop_back_exn q.behind + 1 else 1);
+    q.tail_shared <- shared;
+    Deque.push_back q.waiting task;
+    false
+  end
 
 let add_task t (task : Taskrec.t) =
   let open Taskrec in
@@ -71,50 +77,15 @@ let add_task t (task : Taskrec.t) =
         meta.Meta.writers_created <- meta.Meta.writers_created + 1;
         task.produces.(slot) <- meta.Meta.writers_created
       end;
-      let q = queue_of t meta in
-      let ready = compute_ready t q mode in
-      if not ready then task.pending <- task.pending + 1;
-      Deque.push_back q { task; mode; ready };
+      if not (join t (queue_of t meta) task mode) then
+        task.pending <- task.pending + 1;
       t.outstanding <- t.outstanding + 1)
     task.spec;
   if task.pending = 0 then enable t task
 
-(* After removals, promote entries that became ready: walk the queue front
-   to back tracking whether a read/any access would now be blocked. *)
-let promote t q =
-  let seen_write = ref false in
-  let seen_any = ref false in
-  (* Once a write and any access have both been seen, no later entry can
-     become ready (reads need no preceding write, writes need no
-     preceding access), so the walk stops — without this the walk visits
-     the whole queue on every retirement, which is quadratic per object
-     for programs that touch an object every iteration. *)
-  try
-    Deque.iter
-      (fun e ->
-        if !seen_write && !seen_any then raise_notrace Exit;
-        if not e.ready then begin
-          let em = effective_mode t e.mode in
-          let ready_now =
-            match em with
-            | Access.Read -> not !seen_write
-            | Access.Write | Access.Read_write -> not !seen_any
-          in
-          if ready_now then begin
-            e.ready <- true;
-            let task = e.task in
-            task.Taskrec.pending <- task.Taskrec.pending - 1;
-            if task.Taskrec.pending = 0 then enable t task
-          end
-        end;
-        let em = effective_mode t e.mode in
-        if Access.is_write em then seen_write := true;
-        seen_any := true)
-      q
-  with Exit -> ()
-
-(* Shared by mid-task release and completion: drop one declaration,
-   committing its write if necessary, and promote newly-ready entries. *)
+(* Shared by mid-task release and completion: drop one declaration from
+   the head epoch, committing its write if necessary; when the epoch
+   empties, the next one's members become ready in serial order. *)
 let retire_entry t (task : Taskrec.t) slot =
   let open Taskrec in
   let meta, mode = task.spec.(slot) in
@@ -123,17 +94,27 @@ let retire_entry t (task : Taskrec.t) slot =
     t.on_write_commit meta task
   end;
   let q = queue_of t meta in
-  (match Deque.remove_first q (fun e -> e.task == task) with
-  | Some _ -> t.outstanding <- t.outstanding - 1
-  | None -> invalid_arg "Synchronizer: entry missing");
-  promote t q
+  if q.live = 0 then invalid_arg "Synchronizer: entry missing";
+  t.outstanding <- t.outstanding - 1;
+  q.live <- q.live - 1;
+  if q.live = 0 && not (Deque.is_empty q.behind) then begin
+    let n = Deque.pop_front_exn q.behind in
+    q.live <- n;
+    for _ = 1 to n do
+      let next = Deque.pop_front_exn q.waiting in
+      next.pending <- next.pending - 1;
+      if next.pending = 0 then enable t next
+    done
+  end
 
 (* The advanced access-specification statements (§2): a running task
    declares it will no longer access an object, committing its write (if
    any) and enabling successors before the task itself completes. *)
 let release t (task : Taskrec.t) (meta : Meta.t) =
   let open Taskrec in
-  if task.ran_on < 0 then invalid_arg "Synchronizer.release: task not running";
+  (* Only a running task's declarations are all in head epochs. *)
+  if task.ran_on < 0 || task.pending <> 0 then
+    invalid_arg "Synchronizer.release: task not running";
   let slot =
     match Taskrec.spec_slot task meta with
     | slot -> slot
@@ -147,8 +128,10 @@ let release t (task : Taskrec.t) (meta : Meta.t) =
 
 let complete t (task : Taskrec.t) =
   let open Taskrec in
-  if task.ran_on < 0 then
+  if task.ran_on < 0 || task.pending <> 0 then
     invalid_arg "Synchronizer.complete: task never ran";
+  if task.state = Completed then
+    invalid_arg "Synchronizer.complete: task already completed";
   Array.iteri
     (fun slot _ -> if not task.released.(slot) then retire_entry t task slot)
     task.spec;

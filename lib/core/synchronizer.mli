@@ -7,6 +7,13 @@
     declarations are ready. Completing a task removes its declarations and
     commits the versions its writes produced.
 
+    Conflicts are "any write", so each queue is kept as a deque of access
+    epochs with member counts: a run of consecutive reads, or one exclusive
+    access. A declaration is ready exactly when its epoch is the head, and
+    only ready declarations retire, so adding or retiring one costs O(1);
+    when the head epoch empties, the next epoch's tasks become ready in
+    serial order, as a walk of the queue would find them.
+
     With [replication = false], read declarations are treated as exclusive,
     which serializes concurrent readers — the §5.1 experiment. *)
 
@@ -28,7 +35,9 @@ val create :
 val add_task : t -> Taskrec.t -> unit
 
 (** Remove the task's declarations, commit written versions (owner becomes
-    [task.ran_on]), and enable any newly-ready tasks. *)
+    [task.ran_on]), and enable any newly-ready tasks. Raises
+    [Invalid_argument] unless the task is enabled, has run and has not
+    completed yet. *)
 val complete : t -> Taskrec.t -> unit
 
 (** [release t task meta] — the advanced access-specification statements

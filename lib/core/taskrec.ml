@@ -29,7 +29,8 @@ type t = {
   mutable ops : Jade_graph.Ir.op list;
       (** a staged body's [Runtime.work] charges and [Runtime.release]s,
           newest first; [Tracing] lifts them into the task's IR node *)
-  done_ivar : unit Jade_sim.Ivar.t;
+  mutable done_ivar : unit Jade_sim.Ivar.t option;
+      (** filled at completion; only a [~wait] task has one *)
 }
 
 (* All-float sub-record: mutable floats in the mixed task record would be
@@ -74,8 +75,12 @@ let create ~tid ~tname ~spec ~body ~work ~placement ~now =
       };
     released = Array.make n false;
     ops = [];
-    done_ivar = Jade_sim.Ivar.create ~name_fn:(fun () -> "done:" ^ tname) ();
+    done_ivar = None;
   }
+
+(** Wake the creator [wait]ing on [t], if any. *)
+let signal_done eng t =
+  match t.done_ivar with Some iv -> Jade_sim.Ivar.fill eng iv () | None -> ()
 
 let locality_object t =
   if Array.length t.spec = 0 then None else Some (fst t.spec.(0))

@@ -25,10 +25,13 @@ let assert_unpoisoned t =
       List.iter (function Some v -> assert (ok v) | None -> ()) vs)
     t.rows
 
+(* The primitive behind [Printf]'s [%f]: byte-identical output without
+   interpreting a format per cell. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let default_fmt v =
-  if Float.abs v >= 1000.0 then Printf.sprintf "%.0f" v
-  else if Float.abs v >= 10.0 then Printf.sprintf "%.2f" v
-  else Printf.sprintf "%.3f" v
+  let a = Float.abs v in
+  format_float (if a >= 1000.0 then "%.0f" else if a >= 10.0 then "%.2f" else "%.3f") v
 
 let render ?(fmt = default_fmt) t =
   assert_unpoisoned t;
@@ -44,17 +47,19 @@ let render ?(fmt = default_fmt) t =
         (fun i c -> if String.length c > widths.(i) then widths.(i) <- String.length c)
         row)
     all;
-  let pad i s = Printf.sprintf "%*s" widths.(i) s in
-  let line row = String.concat "  " (List.mapi pad row) in
   let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "%s: %s (%s)\n" t.id t.title t.unit_label);
-  Buffer.add_string buf (line header);
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun row ->
-      Buffer.add_string buf (line row);
-      Buffer.add_char buf '\n')
-    body;
+  (* Cells right-aligned to their column's width, two spaces apart. *)
+  let line row =
+    List.iteri
+      (fun i c ->
+        if i > 0 then Buffer.add_string buf "  ";
+        for _ = String.length c + 1 to widths.(i) do Buffer.add_char buf ' ' done;
+        Buffer.add_string buf c)
+      row;
+    Buffer.add_char buf '\n'
+  in
+  Printf.bprintf buf "%s: %s (%s)\n" t.id t.title t.unit_label;
+  List.iter line all;
   Buffer.contents buf
 
 let csv_escape s =

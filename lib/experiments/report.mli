@@ -25,7 +25,8 @@ val poison : float
     assertion. *)
 val poison_int : int
 
-(** Render with a given numeric format (default ["%.2f"]). *)
+(** Render with a given numeric format. The default prints ["%.0f"] from
+    1000 up, ["%.2f"] from 10 and ["%.3f"] below, by magnitude. *)
 val render : ?fmt:(float -> string) -> table -> string
 
 (** Render the run-vs-paper comparison side by side (same shape tables). *)

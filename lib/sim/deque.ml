@@ -68,12 +68,6 @@ let peek_front t = if t.size = 0 then None else Some (first t)
 
 let peek_back t = if t.size = 0 then None else Some (last t)
 
-let iter f (t : 'a t) =
-  let mask = Array.length t.buf - 1 in
-  for i = 0 to t.size - 1 do
-    f (Obj.obj t.buf.((t.head + i) land mask) : 'a)
-  done
-
 let to_list (t : 'a t) =
   let mask = Array.length t.buf - 1 in
   List.init t.size (fun i -> (Obj.obj t.buf.((t.head + i) land mask) : 'a))

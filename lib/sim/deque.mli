@@ -44,6 +44,4 @@ val peek_back : 'a t -> 'a option
     satisfying [p]. O(n). *)
 val remove_first : 'a t -> ('a -> bool) -> 'a option
 
-val iter : ('a -> unit) -> 'a t -> unit
-
 val to_list : 'a t -> 'a list

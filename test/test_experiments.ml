@@ -279,30 +279,95 @@ let test_regen_event_count () =
   Alcotest.(check int) "cold test-size regeneration, jobs 1" 971_293
     (Runner.events_simulated r)
 
-(* DASH cells at 16 and 32 processors, where every enabled task wakes a
-   herd of idle dispatchers: (app, level, nprocs, engine events). *)
-let dash_event_counts =
+(* Ocean and Cholesky cells at 16 and 32 processors: on DASH every
+   enabled task wakes a herd of idle dispatchers; on iPSC and LAN the
+   scheduler process and the fabric carry every enable and completion.
+   (machine, app, level, nprocs, engine events). *)
+let event_counts =
   [
-    (Runner.Ocean, Runner.Loc, 16, 1_230);
-    (Runner.Ocean, Runner.Loc, 32, 2_302);
-    (Runner.Ocean, Runner.Tp, 16, 1_005);
-    (Runner.Ocean, Runner.Tp, 32, 1_789);
-    (Runner.Cholesky, Runner.Loc, 16, 1_261);
-    (Runner.Cholesky, Runner.Loc, 32, 2_271);
-    (Runner.Cholesky, Runner.Tp, 16, 1_323);
-    (Runner.Cholesky, Runner.Tp, 32, 2_459);
+    (Runner.Dash, Runner.Ocean, Runner.Loc, 16, 1_230);
+    (Runner.Dash, Runner.Ocean, Runner.Loc, 32, 2_302);
+    (Runner.Dash, Runner.Ocean, Runner.Tp, 16, 1_005);
+    (Runner.Dash, Runner.Ocean, Runner.Tp, 32, 1_789);
+    (Runner.Dash, Runner.Cholesky, Runner.Loc, 16, 1_261);
+    (Runner.Dash, Runner.Cholesky, Runner.Loc, 32, 2_271);
+    (Runner.Dash, Runner.Cholesky, Runner.Tp, 16, 1_323);
+    (Runner.Dash, Runner.Cholesky, Runner.Tp, 32, 2_459);
+    (Runner.Ipsc, Runner.Ocean, Runner.Loc, 16, 845);
+    (Runner.Ipsc, Runner.Ocean, Runner.Loc, 32, 877);
+    (Runner.Ipsc, Runner.Ocean, Runner.Tp, 16, 979);
+    (Runner.Ipsc, Runner.Ocean, Runner.Tp, 32, 1_011);
+    (Runner.Ipsc, Runner.Cholesky, Runner.Loc, 16, 837);
+    (Runner.Ipsc, Runner.Cholesky, Runner.Loc, 32, 869);
+    (Runner.Ipsc, Runner.Cholesky, Runner.Tp, 16, 869);
+    (Runner.Ipsc, Runner.Cholesky, Runner.Tp, 32, 901);
+    (Runner.Lan, Runner.Ocean, Runner.Loc, 16, 900);
+    (Runner.Lan, Runner.Ocean, Runner.Loc, 32, 932);
+    (Runner.Lan, Runner.Ocean, Runner.Tp, 16, 985);
+    (Runner.Lan, Runner.Ocean, Runner.Tp, 32, 1_017);
+    (Runner.Lan, Runner.Cholesky, Runner.Loc, 16, 886);
+    (Runner.Lan, Runner.Cholesky, Runner.Loc, 32, 918);
+    (Runner.Lan, Runner.Cholesky, Runner.Tp, 16, 873);
+    (Runner.Lan, Runner.Cholesky, Runner.Tp, 32, 906);
   ]
 
-let test_dash_event_counts () =
+let check_event_counts machines () =
   let r = Runner.create ~jobs:1 Runner.Test in
   List.iter
-    (fun (app, level, nprocs, events) ->
-      let s = Runner.run_level r ~app ~machine:Runner.Dash ~nprocs ~level in
-      Alcotest.(check int)
-        (Printf.sprintf "%s/DASH/%s/%dp events" (Runner.app_name app)
-           (Runner.level_name level) nprocs)
-        events s.Jade.Metrics.event_count)
-    dash_event_counts
+    (fun (machine, app, level, nprocs, events) ->
+      if List.mem machine machines then
+        let s = Runner.run_level r ~app ~machine ~nprocs ~level in
+        let name =
+          Printf.sprintf "%s/%s/%s/%dp events" (Runner.app_name app)
+            (Runner.machine_name machine) (Runner.level_name level) nprocs
+        in
+        Alcotest.(check int) name events s.Jade.Metrics.event_count)
+    event_counts
+
+(* Every result of the cold test-size regeneration, every summary field
+   included (floats as [%h], so no rounding hides a change), one line per
+   cached record, sorted: the tables print only some of the fields. *)
+let result_line = function
+  | Runcache.Flops f -> Printf.sprintf "flops %h" f
+  | Runcache.Summary
+      {
+        tasks;
+        elapsed_s;
+        locality_pct;
+        task_time_s;
+        compute_time_s;
+        comm_time_s;
+        comm_mbytes;
+        comm_to_comp;
+        msg_count;
+        fetches;
+        object_latency_s;
+        task_latency_s;
+        latency_ratio;
+        broadcast_count;
+        eager_count;
+        steal_count;
+        event_count;
+        retransmit_count;
+        ack_count;
+        give_up_count;
+        dropped_count;
+        duplicated_count;
+        crash_injected_count;
+        crash_detected_count;
+        reexecuted_count;
+        reconstructed_count;
+        recovery_s;
+      } ->
+      Printf.sprintf
+        "%d %h %h %h %h %h %h %h %d %d %h %h %h %d %d %d %d %d %d %d %d %d %d \
+         %d %d %d %h"
+        tasks elapsed_s locality_pct task_time_s compute_time_s comm_time_s
+        comm_mbytes comm_to_comp msg_count fetches object_latency_s
+        task_latency_s latency_ratio broadcast_count eager_count steal_count
+        event_count retransmit_count ack_count give_up_count dropped_count
+        duplicated_count crash_injected_count crash_detected_count
+        reexecuted_count reconstructed_count recovery_s
 
 let chaos_fault = Jade_net.Fault.spec ~seed:1 ~drop_rate:0.2 ()
 
@@ -409,6 +474,30 @@ let record_ends raw =
   in
   let header = String.index raw '\n' + 1 in
   header :: go header
+
+let test_regen_summaries () =
+  let dir = Filename.temp_dir "jade-test-cache" "" in
+  let r = Runner.create ~jobs:1 ~cache_dir:dir Runner.Test in
+  ignore (regen_digest r);
+  let lines =
+    List.concat_map
+      (fun file ->
+        let raw = read_bytes file in
+        let rec go = function
+          | start :: (_ :: _ as rest) ->
+              (* A record: MD5, length, 32-char digest, marshalled value. *)
+              result_line (Marshal.from_string raw (start + 20 + 32)) :: go rest
+          | _ -> []
+        in
+        go (record_ends raw))
+      (segment_files dir)
+    |> List.sort String.compare
+  in
+  ignore (Runcache.clear (Runcache.create ~dir));
+  Alcotest.(check int) "one record per result" 274 (List.length lines);
+  Alcotest.(check string) "every field of every summary"
+    "f5145f5d15a17715f1ab59ed2b350820"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
 
 let flip raw i =
   String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) raw
@@ -970,7 +1059,11 @@ let () =
           Alcotest.test_case "regeneration event count" `Quick
             test_regen_event_count;
           Alcotest.test_case "DASH event counts at 16 and 32 processors"
-            `Quick test_dash_event_counts;
+            `Quick (check_event_counts [ Runner.Dash ]);
+          Alcotest.test_case "iPSC and LAN event counts at 16 and 32 processors"
+            `Quick (check_event_counts [ Runner.Ipsc; Runner.Lan ]);
+          Alcotest.test_case "every summary of the regeneration" `Quick
+            test_regen_summaries;
         ] );
       ( "replay and cache parity",
         [

@@ -231,6 +231,225 @@ let conflict_order_prop =
         (fun (o : M.t) -> o.M.committed = o.M.writers_created)
         objs)
 
+(* Retiring a blocked task's declarations would take them from behind the
+   head epoch, so completing a task that is not running is refused. *)
+let test_complete_requires_running () =
+  let h = harness () in
+  let o = make_meta 1 in
+  let w1 = make_task ~tid:1 [ (o, A.Write) ] in
+  let w2 = make_task ~tid:2 [ (o, A.Write) ] in
+  S.add_task h.sync w1;
+  S.add_task h.sync w2;
+  Alcotest.check_raises "blocked task"
+    (Invalid_argument "Synchronizer.complete: task never ran") (fun () ->
+      complete h w2);
+  complete h w1;
+  Alcotest.check_raises "second completion"
+    (Invalid_argument "Synchronizer.complete: task already completed")
+    (fun () -> complete h w1);
+  Alcotest.(check int) "w2 still queued" 1 (S.outstanding h.sync)
+
+(* 10,000 readers of one object, retired newest first: the writer behind
+   them waits for the last one, and no retirement walks the queue. *)
+let test_many_readers_retire_in_reverse () =
+  let h = harness () in
+  let o = make_meta 1 in
+  let readers = Array.init 10_000 (fun i -> make_task ~tid:i [ (o, A.Read) ]) in
+  let w = make_task ~tid:10_000 [ (o, A.Write) ] in
+  Array.iter (S.add_task h.sync) readers;
+  S.add_task h.sync w;
+  Alcotest.(check int) "every reader enabled" 10_000 (S.enabled_count h.sync);
+  for i = Array.length readers - 1 downto 1 do
+    complete h readers.(i)
+  done;
+  Alcotest.(check bool) "writer waits for the oldest reader" false (is_enabled h w);
+  complete h readers.(0);
+  Alcotest.(check bool) "writer enabled" true (is_enabled h w);
+  Alcotest.(check int) "only the writer queued" 1 (S.outstanding h.sync)
+
+(* Reference model of the readiness rules as a walk over each object's
+   declaration queue: a declaration is ready when no conflicting one
+   precedes it, and a retirement re-walks the queue front to back. *)
+module Reference = struct
+  type decl = { tid : int; mode : A.mode; mutable ready : bool }
+
+  type t = {
+    replication : bool;
+    queues : (int, decl list) Hashtbl.t;  (** object id -> serial order *)
+    writers : (int, int) Hashtbl.t;  (** object id -> versions promised *)
+    pending : (int, int) Hashtbl.t;  (** tid -> declarations not ready *)
+    mutable enabled : int list;  (** most recent first *)
+    mutable outstanding : int;
+  }
+
+  let create ~replication =
+    {
+      replication;
+      queues = Hashtbl.create 8;
+      writers = Hashtbl.create 8;
+      pending = Hashtbl.create 8;
+      enabled = [];
+      outstanding = 0;
+    }
+
+  let effective t (m : A.mode) =
+    if m = A.Read && not t.replication then A.Read_write else m
+
+  let queue t id = Option.value (Hashtbl.find_opt t.queues id) ~default:[]
+
+  let enable t tid = t.enabled <- tid :: t.enabled
+
+  (* [(required, produces)] per declaration, in spec order. *)
+  let add t tid spec =
+    let versions =
+      List.map
+        (fun (id, mode) ->
+          let required = Option.value (Hashtbl.find_opt t.writers id) ~default:0 in
+          let produces =
+            if A.is_write mode then begin
+              Hashtbl.replace t.writers id (required + 1);
+              required + 1
+            end
+            else -1
+          in
+          let q = queue t id in
+          let ready =
+            not
+              (List.exists
+                 (fun d -> A.conflicts (effective t d.mode) (effective t mode))
+                 q)
+          in
+          Hashtbl.replace t.queues id (q @ [ { tid; mode; ready } ]);
+          t.outstanding <- t.outstanding + 1;
+          if not ready then
+            Hashtbl.replace t.pending tid
+              (1 + Option.value (Hashtbl.find_opt t.pending tid) ~default:0);
+          (required, produces))
+        spec
+    in
+    if not (Hashtbl.mem t.pending tid) then enable t tid;
+    versions
+
+  let retire t tid id =
+    let q = List.filter (fun d -> d.tid <> tid) (queue t id) in
+    Hashtbl.replace t.queues id q;
+    t.outstanding <- t.outstanding - 1;
+    let rec walk before = function
+      | [] -> ()
+      | d :: rest ->
+          if
+            (not d.ready)
+            && not
+                 (List.exists
+                    (fun e -> A.conflicts (effective t e.mode) (effective t d.mode))
+                    before)
+          then begin
+            d.ready <- true;
+            let n = Hashtbl.find t.pending d.tid - 1 in
+            if n = 0 then begin
+              Hashtbl.remove t.pending d.tid;
+              enable t d.tid
+            end
+            else Hashtbl.replace t.pending d.tid n
+          end;
+          walk (d :: before) rest
+    in
+    walk [] q
+end
+
+(* Differential property: random programs over a few objects, with tasks
+   created, completed in a random order among the enabled ones and
+   released mid-task, interleaved at random. After every step the
+   synchronizer and the reference agree on the enable order and the
+   outstanding count; at the end, on every required/produced version. *)
+let matches_reference_prop =
+  QCheck.Test.make ~name:"epochs match the walk-based reference" ~count:300
+    QCheck.(quad bool (int_range 1 4) (int_range 1 40) small_int)
+    (fun (replication, nobjs, ntasks, seed) ->
+      let g = Jade_sim.Srandom.create seed in
+      let objs = Array.init nobjs (fun i -> make_meta (i + 1)) in
+      let specs =
+        Array.init ntasks (fun _ ->
+            let order = Array.init nobjs Fun.id in
+            Jade_sim.Srandom.shuffle g order;
+            List.init
+              (1 + Jade_sim.Srandom.int g nobjs)
+              (fun k ->
+                let mode =
+                  match Jade_sim.Srandom.int g 3 with
+                  | 0 -> A.Read
+                  | 1 -> A.Write
+                  | _ -> A.Read_write
+                in
+                (order.(k), mode)))
+      in
+      let tasks =
+        Array.mapi
+          (fun tid spec ->
+            make_task ~tid (List.map (fun (k, m) -> (objs.(k), m)) spec))
+          specs
+      in
+      let h = harness ~replication () in
+      let r = Reference.create ~replication in
+      let versions = Array.make ntasks [] in
+      let created = ref 0 and completed = Hashtbl.create 16 in
+      let agree () =
+        List.map (fun t -> t.T.tid) h.enabled = r.Reference.enabled
+        && S.outstanding h.sync = r.Reference.outstanding
+      in
+      let rec step () =
+        let running =
+          List.filter (fun t -> not (Hashtbl.mem completed t.T.tid)) h.enabled
+          |> Array.of_list
+        in
+        let can_create = !created < ntasks in
+        if Array.length running = 0 && not can_create then true
+        else if can_create && (Array.length running = 0 || Jade_sim.Srandom.bool g)
+        then begin
+          let tid = !created in
+          incr created;
+          S.add_task h.sync tasks.(tid);
+          versions.(tid) <-
+            Reference.add r tid
+              (List.map (fun (k, m) -> (objs.(k).M.id, m)) specs.(tid));
+          agree () && step ()
+        end
+        else begin
+          let t = running.(Jade_sim.Srandom.int g (Array.length running)) in
+          t.T.ran_on <- 0;
+          let open_slots =
+            List.filter (fun i -> not t.T.released.(i))
+              (List.init (Array.length t.T.spec) Fun.id)
+          in
+          (match open_slots with
+          | _ :: _ :: _ when Jade_sim.Srandom.int g 3 = 0 ->
+              let slot =
+                List.nth open_slots
+                  (Jade_sim.Srandom.int g (List.length open_slots))
+              in
+              let meta = fst t.T.spec.(slot) in
+              S.release h.sync t meta;
+              Reference.retire r t.T.tid meta.M.id
+          | _ ->
+              S.complete h.sync t;
+              List.iter
+                (fun i -> Reference.retire r t.T.tid (fst t.T.spec.(i)).M.id)
+                open_slots;
+              Hashtbl.replace completed t.T.tid ());
+          agree () && step ()
+        end
+      in
+      step ()
+      && Hashtbl.length completed = ntasks
+      && Array.for_all
+           (fun t ->
+             List.for_all2
+               (fun i (required, produces) ->
+                 t.T.required.(i) = required && t.T.produces.(i) = produces)
+               (List.init (Array.length t.T.spec) Fun.id)
+               versions.(t.T.tid))
+           tasks)
+
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -259,6 +478,11 @@ let () =
           Alcotest.test_case "replication off" `Quick
             test_replication_off_serializes_readers;
           Alcotest.test_case "outstanding" `Quick test_outstanding_accounting;
+          Alcotest.test_case "completion requires a running task" `Quick
+            test_complete_requires_running;
+          Alcotest.test_case "10,000 readers retire in reverse" `Quick
+            test_many_readers_retire_in_reverse;
         ] );
-      ("properties", [ qcheck conflict_order_prop ]);
+      ( "properties",
+        [ qcheck conflict_order_prop; qcheck matches_reference_prop ] );
     ]
