@@ -1,10 +1,19 @@
 open Jade_sim
 
+(* A pooled task, listed twice: in [pool], in enable order, and in
+   [by_target] under its target. Taking it from one list marks it
+   [taken]; the other drops it when it reaches that list's front. A task
+   sits in the pool at most once, and its target is fixed while it does
+   (it is set only when the task is enabled). *)
+type entry = { task : Taskrec.t; mutable taken : bool }
+
 type t = {
   cfg : Config.t;
   nprocs : int;
   loads : int array;
-  pool : Taskrec.t Deque.t;
+  pool : entry Deque.t;
+  by_target : entry Deque.t array;
+  mutable pooled : int;  (** entries not yet taken *)
   down : bool array;  (** crashed processors: never assignment candidates *)
 }
 
@@ -14,6 +23,8 @@ let create cfg ~nprocs =
     nprocs;
     loads = Array.make nprocs 0;
     pool = Deque.create ();
+    by_target = Array.init nprocs (fun _ -> Deque.create ());
+    pooled = 0;
     down = Array.make nprocs false;
   }
 
@@ -37,22 +48,14 @@ let set_target _t (task : Taskrec.t) =
   in
   task.Taskrec.target <- target
 
-let min_load t =
-  let m = ref max_int in
-  for p = 0 to t.nprocs - 1 do
-    if (not t.down.(p)) && t.loads.(p) < !m then m := t.loads.(p)
-  done;
-  !m
-
+(* The lowest-index live processor of least load, or -1 when every
+   processor is down. *)
 let least_loaded t =
-  let m = min_load t in
-  let rec go p acc =
-    if p < 0 then acc
-    else
-      go (p - 1)
-        (if (not t.down.(p)) && t.loads.(p) = m then p :: acc else acc)
-  in
-  (m, go (t.nprocs - 1) [])
+  let best = ref (-1) in
+  for p = 0 to t.nprocs - 1 do
+    if (not t.down.(p)) && (!best < 0 || t.loads.(p) < t.loads.(!best)) then best := p
+  done;
+  !best
 
 let assign t p =
   t.loads.(p) <- t.loads.(p) + 1;
@@ -61,9 +64,15 @@ let assign t p =
 (* A live processor to stand in for a down placement/target: the
    least-loaded survivor (lowest index on ties). *)
 let survivor_for t =
-  match least_loaded t with
-  | _, p :: _ -> p
-  | _, [] -> invalid_arg "Scheduler_mp: no live processor"
+  let p = least_loaded t in
+  if p < 0 then invalid_arg "Scheduler_mp: no live processor" else p
+
+let push t (task : Taskrec.t) =
+  let e = { task; taken = false } in
+  Deque.push_back t.pool e;
+  Deque.push_back t.by_target.(task.Taskrec.target) e;
+  t.pooled <- t.pooled + 1;
+  `Pooled
 
 let on_enabled t (task : Taskrec.t) =
   set_target t task;
@@ -74,30 +83,24 @@ let on_enabled t (task : Taskrec.t) =
          unless it has crashed, in which case a survivor stands in. *)
       assign t (if t.down.(p) then survivor_for t else p)
   | None -> (
+      let p = least_loaded t in
       match t.cfg.Config.locality with
-      | Config.No_locality -> (
+      | Config.No_locality ->
           (* Single queue at the main processor, FCFS to idle processors. *)
-          let m, least = least_loaded t in
-          match least with
-          | p :: _ when m = 0 -> assign t p
-          | _ ->
-              Deque.push_back t.pool task;
-              `Pooled)
-      | Config.Locality | Config.Task_placement -> (
-          let m, least = least_loaded t in
-          if m < t.cfg.Config.target_tasks then
-            let p =
-              if List.mem task.Taskrec.target least then task.Taskrec.target
-              else
-                (* [least] is non-empty whenever nprocs >= 1; fall back to
-                   the task's target rather than crash if it ever is not. *)
-                match least with p :: _ -> p | [] -> task.Taskrec.target
-            in
-            assign t p
-          else begin
-            Deque.push_back t.pool task;
-            `Pooled
-          end))
+          if p >= 0 && t.loads.(p) = 0 then assign t p else push t task
+      | Config.Locality | Config.Task_placement ->
+          if p >= 0 && t.loads.(p) < t.cfg.Config.target_tasks then
+            (* The target when it is among the least loaded (it is
+               live: a down target was redirected above). *)
+            let target = task.Taskrec.target in
+            assign t (if t.loads.(target) = t.loads.(p) then target else p)
+          else push t task)
+
+let rec drop_taken q =
+  if (not (Deque.is_empty q)) && (Deque.first q).taken then begin
+    ignore (Deque.pop_front_exn q);
+    drop_taken q
+  end
 
 let on_completed t ~proc =
   t.loads.(proc) <- t.loads.(proc) - 1;
@@ -110,22 +113,22 @@ let on_completed t ~proc =
   in
   let continue = ref true in
   while !continue && t.loads.(proc) < target_count do
-    (* Prefer a pooled task whose target processor is [proc]. *)
-    let pick =
-      match
-        Deque.remove_first t.pool (fun task -> task.Taskrec.target = proc)
-      with
-      | Some task -> Some task
-      | None -> Deque.pop_front t.pool
-    in
-    match pick with
-    | Some task ->
-        t.loads.(proc) <- t.loads.(proc) + 1;
-        handed := task :: !handed
-    | None -> continue := false
+    (* The earliest pooled task targeted at [proc], else the earliest
+       pooled task. *)
+    let mine = t.by_target.(proc) in
+    drop_taken mine;
+    drop_taken t.pool;
+    if Deque.is_empty t.pool then continue := false
+    else begin
+      let e = Deque.pop_front_exn (if Deque.is_empty mine then t.pool else mine) in
+      e.taken <- true;
+      t.pooled <- t.pooled - 1;
+      t.loads.(proc) <- t.loads.(proc) + 1;
+      handed := e.task :: !handed
+    end
   done;
   List.rev !handed
 
 let load t p = t.loads.(p)
 
-let pooled t = Deque.length t.pool
+let pooled t = t.pooled

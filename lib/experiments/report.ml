@@ -25,17 +25,64 @@ let assert_unpoisoned t =
       List.iter (function Some v -> assert (ok v) | None -> ()) vs)
     t.rows
 
-(* The primitive behind [Printf]'s [%f]: byte-identical output without
-   interpreting a format per cell. *)
+(* The primitive behind [Printf]'s [%f], for what [fixed] leaves to it. *)
 external format_float : string -> float -> string = "caml_format_float"
+
+let pow5 = [| 1; 5; 25; 125 |]
+
+let c_formats = [| "%.0f"; "%.1f"; "%.2f"; "%.3f" |]
+
+(* [%.nf] by exact integer arithmetic. A finite double is m * 2^e with
+   m < 2^53, so |v| * 10^n = m * 5^n * 2^(e+n), and m * 5^n < 2^60 fits
+   an int: shifting it right by s = -(e+n) bits gives the integer part
+   and the remainder, which rounds it to nearest with ties to even —
+   glibc's rounding of the exact binary value. Below 1e15 the rounded
+   value stays under 10^18; larger and non-finite values go to the C
+   formatter. *)
+let fixed n v =
+  if n < 0 || n > 3 then invalid_arg "Report.fixed: precision outside 0..3";
+  if not (Float.abs v < 1e15) then format_float c_formats.(n) v
+  else begin
+    let bits = Int64.bits_of_float v in
+    let biased = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
+    let frac = Int64.to_int (Int64.logand bits 0xf_ffff_ffff_ffffL) in
+    let m, e = if biased = 0 then (frac, -1074) else (frac lor (1 lsl 52), biased - 1075) in
+    let t = m * pow5.(n) and s = -(e + n) in
+    let k =
+      if s <= 0 then t lsl (-s)
+      else if s > 61 then 0 (* t < 2^60 <= 2^(s-2): under a quarter *)
+      else
+        let q = t asr s and r = t land ((1 lsl s) - 1) and half = 1 lsl (s - 1) in
+        if r > half || (r = half && q land 1 = 1) then q + 1 else q
+    in
+    (* The digits of k right to left, the point n digits in, at least
+       one digit before it. *)
+    let buf = Bytes.create 24 in
+    let pos = ref 24 and k = ref k and digits = ref 0 in
+    while !digits <= n || !k > 0 do
+      if !digits = n && n > 0 then begin
+        decr pos;
+        Bytes.unsafe_set buf !pos '.'
+      end;
+      decr pos;
+      Bytes.unsafe_set buf !pos (Char.unsafe_chr (48 + (!k mod 10)));
+      k := !k / 10;
+      incr digits
+    done;
+    if Float.sign_bit v then begin
+      decr pos;
+      Bytes.unsafe_set buf !pos '-'
+    end;
+    Bytes.sub_string buf !pos (24 - !pos)
+  end
 
 let default_fmt v =
   let a = Float.abs v in
-  format_float (if a >= 1000.0 then "%.0f" else if a >= 10.0 then "%.2f" else "%.3f") v
+  fixed (if a >= 1000.0 then 0 else if a >= 10.0 then 2 else 3) v
 
-let render ?(fmt = default_fmt) t =
+let render t =
   assert_unpoisoned t;
-  let cell = function Some v -> fmt v | None -> "-" in
+  let cell = function Some v -> default_fmt v | None -> "-" in
   let header = "" :: t.columns in
   let body = List.map (fun (label, vs) -> label :: List.map cell vs) t.rows in
   let all = header :: body in

@@ -25,9 +25,18 @@ val poison : float
     assertion. *)
 val poison_int : int
 
-(** Render with a given numeric format. The default prints ["%.0f"] from
-    1000 up, ["%.2f"] from 10 and ["%.3f"] below, by magnitude. *)
-val render : ?fmt:(float -> string) -> table -> string
+(** [fixed n v] is [Printf.sprintf "%.*f" n v], byte for byte, for [n]
+    in 0..3 ([Invalid_argument] otherwise). Finite values below 1e15 in
+    magnitude are formatted with exact integer arithmetic on the
+    double's significand, rounding ties to even as glibc does; larger
+    and non-finite ones by the C formatter. *)
+val fixed : int -> float -> string
+
+(** Aligned text: a title line, the column headers, then one row per
+    series, cells right-aligned two spaces apart. A value prints as
+    [fixed 0] from 1000 up, [fixed 2] from 10 and [fixed 3] below, by
+    magnitude; a missing one as "-". *)
+val render : table -> string
 
 (** Render the run-vs-paper comparison side by side (same shape tables). *)
 val render_comparison : ours:table -> paper:table option -> string

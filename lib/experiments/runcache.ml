@@ -1,4 +1,4 @@
-let schema_version = 8
+let schema_version = 9
 
 type value = Summary of Jade.Metrics.summary | Flops of float
 
@@ -22,19 +22,6 @@ let rec mkdir_p d =
     try Unix.mkdir d 0o755
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
-
-(* Length-prefix each component (some are Marshal blobs, so no byte is
-   safe as a separator): adjacent fields can never alias across component
-   boundaries. *)
-let digest_key parts =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun p ->
-      Buffer.add_string buf (string_of_int (String.length p));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf p)
-    parts;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let warn fmt = Printf.eprintf ("runcache: warning: " ^^ fmt ^^ "\n%!")
 
@@ -82,12 +69,12 @@ let decode body off =
 
 (* Segment layout: a header line "jade-runcache <schema> <record count>",
    then per record the 16 raw MD5 bytes of its body, the body's length
-   (4 bytes, big-endian) and the body: the 32-character hex digest it is
-   stored under, then the marshalled [value]. The count catches a cut
-   that falls between records. Read from the channel record by record:
-   [(records, damage)], [damage] naming the first damage met. A record
-   whose MD5 or shape fails is skipped; a cut, or a length no record can
-   have, ends the read. *)
+   (4 bytes, big-endian) and the body: the key's length (4 bytes,
+   big-endian), the key, then the marshalled [value]. The count catches a
+   cut that falls between records. Read from the channel record by
+   record: [(records, damage)], [damage] naming the first damage met. A
+   record whose MD5 or shape fails is skipped; a cut, or a length no
+   record can have, ends the read. *)
 let read_segment file =
   In_channel.with_open_bin file @@ fun ic ->
   let size = in_channel_length ic in
@@ -101,12 +88,13 @@ let read_segment file =
            let sum = really_input_string ic 16 in
            let len = input_binary_int ic in
            if len > size - pos_in ic then raise End_of_file;
-           if len < 32 then failwith "record length";
+           if len < 4 then failwith "record length";
            let body = really_input_string ic len in
            if Digest.string body <> sum then damaged "corrupted"
            else
-             match decode body 32 with
-             | Some v -> records := (String.sub body 0 32, v) :: !records
+             let klen = Int32.to_int (String.get_int32_be body 0) in
+             match if klen < 0 || klen > len - 4 then None else decode body (4 + klen) with
+             | Some v -> records := (String.sub body 4 klen, v) :: !records
              | None -> damaged "undecodable"
          done;
          if pos_in ic < size then damaged "corrupted"
@@ -116,11 +104,20 @@ let read_segment file =
   (!records, !damage)
 
 (* Write [records] as one segment, atomically (temp file + rename), named
-   by the MD5 of its digests: a segment with the same digests holds the
-   same results, so one replacing the other is harmless. [Some file] once
-   written; a failure warns and leaves nothing behind. *)
+   by the MD5 of its records' MD5s: a segment with the same name holds
+   the same records, so one replacing the other is harmless. [Some file]
+   once written; a failure warns and leaves nothing behind. *)
 let write_segment t records =
-  let records = List.sort (fun (a, _) (b, _) -> String.compare a b) records in
+  let records =
+    List.sort (fun (a, _) (b, _) -> String.compare a b) records
+    |> List.map (fun (key, v) ->
+           let klen = Bytes.create 4 in
+           Bytes.set_int32_be klen 0 (Int32.of_int (String.length key));
+           let body =
+             String.concat "" [ Bytes.to_string klen; key; Marshal.to_string (v : value) [] ]
+           in
+           (Digest.string body, body))
+  in
   let name = Digest.to_hex (Digest.string (String.concat "" (List.map fst records))) in
   let file = Filename.concat t.cache_dir (name ^ segment_suffix) in
   let tmp = Printf.sprintf "%s.%d.%d.tmp" file (Unix.getpid ()) (Domain.self () :> int) in
@@ -128,9 +125,8 @@ let write_segment t records =
     Out_channel.with_open_bin tmp (fun oc ->
         Printf.fprintf oc "jade-runcache %d %d\n" schema_version (List.length records);
         List.iter
-          (fun (digest, v) ->
-            let body = digest ^ Marshal.to_string (v : value) [] in
-            output_string oc (Digest.string body);
+          (fun (sum, body) ->
+            output_string oc sum;
             output_binary_int oc (String.length body);
             output_string oc body)
           records;
@@ -176,7 +172,7 @@ let create ~dir =
   let rec t = { cache_dir = dir; index = lazy (load t listed) } in
   t
 
-let find t ~digest = Hashtbl.find_opt (Lazy.force t.index) digest
+let find t ~key = Hashtbl.find_opt (Lazy.force t.index) key
 
 let store t records =
   if records <> [] then ignore (write_segment t records);

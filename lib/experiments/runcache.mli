@@ -1,22 +1,24 @@
 (** Persistent on-disk run cache for experiment results.
 
-    Each {!Runner} result is content-addressed by {!digest_key} over its
-    full semantic identity: the runner's size parameters and the
-    result's marshalled id — for a simulation the application, machine,
-    processor count, placement and the complete [Jade.Config] including
-    the fault-injection spec (a chaos run and a clean run of the same
-    cell are different computations with different summaries, so the
-    fault spec must distinguish them). The value stored per digest is
-    the result: a [Jade.Metrics.summary] for a simulation, or a float for
-    a flop count or custom cell. A warm invocation with the same cache
+    A record is a result stored under a key string, which its user
+    makes the result's full semantic identity. {!Runner}'s key is the
+    MD5 of its size parameters followed by the result's marshalled id —
+    for a simulation the application, machine, processor count,
+    placement and the complete [Jade.Config] including the
+    fault-injection spec (a chaos run and a clean run of the same cell
+    are different computations with different summaries, so the fault
+    spec must distinguish them). The value stored per key is the
+    result: a [Jade.Metrics.summary] for a simulation, or a float for a
+    flop count or custom cell. A warm invocation with the same cache
     directory therefore performs zero simulation.
 
     Results live in pack segments ([*.jrp]): one file per {!store}
     batch, holding a header with the schema version and the record
     count, then one self-verifying record per result (the MD5 of the
-    record's digest and payload, then both). A segment is written to a
-    temp file and renamed into place, so concurrent regenerations sharing
-    a directory never see a torn segment.
+    record's body, then the body: the key, length-prefixed, and the
+    marshalled value). A segment is written to a temp file and renamed
+    into place, so concurrent regenerations sharing a directory never
+    see a torn segment.
 
     The first {!find} reads the segments listed at {!create} once,
     record by record, into an in-memory index that every later lookup
@@ -36,17 +38,21 @@
 
 (** Bump on any change to the cached value types, to the on-disk format
     or to the simulation's observable numbers. A change in what the
-    runner digests needs no bump: records under the old digests are
-    never looked up again, so an existing cache directory misses once and
-    refills, while the records themselves stay valid. A change to the
-    shape of [Jade.Config.t] is such a change: the config is marshalled
-    into every simulation's digest and never into a record.
+    runner puts in its keys needs no bump: records under the old keys
+    are never looked up again, so an existing cache directory misses
+    once and refills, while the records themselves stay valid. A change
+    to the shape of [Jade.Config.t] is such a change: the config is
+    marshalled into every simulation's key and never into a value.
 
     Version 7: crash-recovery summaries changed (a re-executed producer
     is always charged its declared work).
 
     Version 8: pack segments replace the one-file-per-result [*.jrc]
-    entries of version 7, which {!clear} removes and nothing reads. *)
+    entries of version 7, which {!clear} removes and nothing reads.
+
+    Version 9: a record holds its key itself (length-prefixed) instead
+    of the key's 32-character hex MD5, so a lookup hashes the key string
+    and computes no digest. *)
 val schema_version : int
 
 type value =
@@ -62,15 +68,12 @@ val create : dir:string -> t
 
 val dir : t -> string
 
-(** Content digest (hex) of an ordered list of key components. *)
-val digest_key : string list -> string
-
-(** Look up a result by digest. The first call loads (and, if needed,
+(** Look up a result by key. The first call loads (and, if needed,
     compacts) every segment; a damaged record misses with a warning.
     Never raises. *)
-val find : t -> digest:string -> value option
+val find : t -> key:string -> value option
 
-(** [store t records] persists [(digest, value)] pairs as one segment,
+(** [store t records] persists [(key, value)] pairs as one segment,
     atomically, and adds them to the loaded index. An empty list writes
     nothing. A failed write prints one named warning with the path and
     the reason instead of raising: the results are merely not cached. *)

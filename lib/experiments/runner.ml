@@ -89,12 +89,16 @@ type t = {
           built, so chaos results never alias fault-free ones) *)
   kernels : bool;  (** memoized runs execute kernel bodies ([--replay off]) *)
   disk : Runcache.t option;  (** persistent result cache, when configured *)
-  params : string;  (** the four apps' parameters at [sz], marshalled *)
+  params : string;
+      (** the MD5 of the four apps' parameters at [sz], marshalled: the
+          prefix of every disk key *)
   lock : Mutex.t;  (** guards every mutable field below *)
   results : (id, Runcache.value) Hashtbl.t;
+  absent : (id, unit) Hashtbl.t;  (** ids the disk cache was asked for and lacks *)
   mutable plan : (id * (unit -> Runcache.value)) list option;
       (** [Some acc] while a {!parallel} planning pass records the results
-          a computation needs (reversed); [None] during normal execution *)
+          a computation needs that neither the memo nor the disk cache
+          holds; [None] during normal execution *)
   mutable events : int;  (** engine events across every simulation executed *)
   mutable n_cache_lookups : int;  (** disk-cache probes *)
   mutable n_cache_hits : int;  (** disk-cache probes that hit *)
@@ -110,11 +114,13 @@ let create ?jobs ?fault ?cache_dir ?(replay = true) sz =
     kernels = not replay;
     disk = Option.map (fun dir -> Runcache.create ~dir) cache_dir;
     params =
-      Marshal.to_string
-        (water_params sz, string_params sz, ocean_params sz, cholesky_params sz)
-        [ Marshal.No_sharing ];
+      Digest.string
+        (Marshal.to_string
+           (water_params sz, string_params sz, ocean_params sz, cholesky_params sz)
+           [ Marshal.No_sharing ]);
     lock = Mutex.create ();
     results = Hashtbl.create 64;
+    absent = Hashtbl.create 64;
     plan = None;
     events = 0;
     n_cache_lookups = 0;
@@ -167,26 +173,16 @@ let make_program t app ~kind ~placed ~nprocs =
    variant and complete [Jade.Config], fault spec included, because a
    chaos run and a clean run of the same cell are different computations.
    [Custom] ids are their caller's key string, which must encode every
-   other input of the computation. Both are marshalled [No_sharing]:
-   [Marshal] shares only physically equal blocks, so two equal ids built
-   differently (fault specs holding separately boxed equal floats) would
-   otherwise digest differently. *)
-let disk_digest t id =
-  Runcache.digest_key [ t.params; Marshal.to_string id [ Marshal.No_sharing ] ]
-
-(* The disk cache's value for [id], counted as a lookup. Under the lock:
-   the first lookup loads the index, which two domains must never do. *)
-let cached t id =
-  Option.bind t.disk (fun d ->
-      locked t (fun () ->
-          let hit = Runcache.find d ~digest:(disk_digest t id) in
-          t.n_cache_lookups <- t.n_cache_lookups + 1;
-          if hit <> None then t.n_cache_hits <- t.n_cache_hits + 1;
-          hit))
+   other input of the computation. The key is the parameters' 16-byte
+   MD5 (fixed length, so it cannot alias the id after it) followed by
+   the id marshalled [No_sharing]: [Marshal] shares only physically
+   equal blocks, so two equal ids built differently (fault specs holding
+   separately boxed equal floats) would otherwise marshal differently. *)
+let disk_key t id = t.params ^ Marshal.to_string id [ Marshal.No_sharing ]
 
 (* Persist freshly computed results as one segment. *)
 let persist t results =
-  let store d = Runcache.store d (List.map (fun (id, v) -> (disk_digest t id, v)) results) in
+  let store d = Runcache.store d (List.map (fun (id, v) -> (disk_key t id, v)) results) in
   Option.iter (fun d -> locked t (fun () -> store d)) t.disk
 
 (* ------------------------------------------------------------------ *)
@@ -227,36 +223,52 @@ let remember t id v =
   locked t (fun () ->
       if not (Hashtbl.mem t.results id) then Hashtbl.add t.results id v)
 
-(* Resolve the results [plan] names that the memo lacks: from the disk
-   cache, else computed on the pool and persisted as one segment. Disk
-   I/O stays on this domain; pool workers only compute. *)
-let warm t plan =
-  let missing (id, _) =
-    (not (locked t (fun () -> Hashtbl.mem t.results id)))
-    && Option.fold (cached t id) ~none:true ~some:(fun v -> remember t id v; false)
-  in
-  let todo = List.sort_uniq (fun (a, _) (b, _) -> compare a b) plan |> List.filter missing in
+(* The value of [id] from the memo, else from the disk cache — a lookup,
+   counted, whose answer is remembered either way, so the disk is asked
+   about each id at most once per runner. Under the lock: the first
+   lookup loads the index, which two domains must never do. *)
+let lookup t id =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.results id with
+      | Some _ as v -> v
+      | None -> (
+          match t.disk with
+          | Some d when not (Hashtbl.mem t.absent id) ->
+              let hit = Runcache.find d ~key:(disk_key t id) in
+              t.n_cache_lookups <- t.n_cache_lookups + 1;
+              (match hit with
+              | Some v ->
+                  t.n_cache_hits <- t.n_cache_hits + 1;
+                  Hashtbl.add t.results id v
+              | None -> Hashtbl.add t.absent id ());
+              hit
+          | _ -> None))
+
+(* Compute the results [plan] names — none of them in the memo or on
+   disk — on the pool, persist them as one segment and merge them into
+   the memo. Disk I/O stays on this domain; pool workers only compute. *)
+let compute t plan =
+  let todo = List.sort_uniq (fun (a, _) (b, _) -> compare a b) plan in
   let values = Pool.run ~jobs:t.jobs (List.map snd todo) in
   let results = List.combine (List.map fst todo) values in
   persist t results;
   List.iter (fun (id, v) -> remember t id v) results
 
-(* The value of [id]: memoized, or resolved now — or, during a planning
-   pass, [None], with [(id, compute)] recorded for the warm phase. *)
-let memo t id compute =
-  let find () = locked t (fun () -> Hashtbl.find_opt t.results id) in
-  match (find (), t.plan) with
+(* The value of [id]: memoized, on disk, or computed by [f] now — or,
+   during a planning pass, [None], with [(id, f)] recorded for after it. *)
+let memo t id f =
+  match (lookup t id, t.plan) with
   | (Some _ as v), _ -> v
   | None, Some acc ->
-      t.plan <- Some ((id, compute) :: acc);
+      t.plan <- Some ((id, f) :: acc);
       None
   | None, None ->
-      warm t [ (id, compute) ];
-      find ()
+      compute t [ (id, f) ];
+      lookup t id
 
 (* Placeholder returned while planning: a clearly-poisoned summary. The
-   values are never rendered (the replay pass recomputes against the warm
-   cache; {!Report.render} asserts no poisoned cell leaks); NaN-free and
+   values are never rendered (a pass that met one is replayed against the
+   warm memo; {!Report.render} asserts no poisoned cell leaks); NaN-free and
    negative so planning-pass arithmetic and sign guards stay
    well-behaved. *)
 let planning_summary =
@@ -292,7 +304,7 @@ let planning_summary =
   }
 
 (* An id fixes the kind of its value — in memory by construction, on disk
-   through the digest — so the other arm is unreachable. *)
+   through the key — so the other arm is unreachable. *)
 let flops_value = function
   | Some (Runcache.Flops f) -> f
   | None -> Report.poison
@@ -380,35 +392,45 @@ let task_management_pct t ~app ~machine ~nprocs ~level =
   else 100.0 *. wf.Jade.Metrics.elapsed_s /. orig.Jade.Metrics.elapsed_s
 
 (* ------------------------------------------------------------------ *)
-(* Parallel evaluation: plan, warm, replay. *)
+(* Parallel evaluation: plan, then — only if something is missing —
+   compute and replay. *)
 
 let parallel t f =
   match t.plan with
   | Some _ ->
       (* Nested inside an enclosing planning pass: keep recording; the
-         outermost [parallel] performs the warming. *)
+         outermost [parallel] computes. *)
       f ()
-  | None ->
-      (* Pass 1 — plan: execute [f] against the memo, recording every
-         missing result it asks for (cheap placeholders are returned
-         instead of computing). A planning-pass exception just truncates
-         the plan; the replay pass re-raises it for real. Fatal conditions
-         are the exception to that rule: swallowing [Out_of_memory] or
-         [Stack_overflow] leaves the heap/stack in a state the replay
-         can't trust, and a failed [assert] is a programming error that
-         must never be masked — all three propagate immediately. *)
+  | None -> (
+      (* Pass 1 — plan: execute [f] against the memo and the disk cache,
+         recording every result neither holds (cheap placeholders are
+         returned instead of computing). A planning-pass exception just
+         truncates the plan; the replay pass re-raises it for real.
+         Fatal conditions are the exception to that rule: swallowing
+         [Out_of_memory] or [Stack_overflow] leaves the heap/stack in a
+         state the replay can't trust, and a failed [assert] is a
+         programming error that must never be masked — all three
+         propagate immediately. *)
       t.plan <- Some [];
-      (try ignore (f ()) with
-      | (Out_of_memory | Stack_overflow | Assert_failure _) as fatal ->
-          t.plan <- None;
-          raise fatal
-      | _ -> ());
-      let plan = match t.plan with Some acc -> List.rev acc | None -> assert false in
+      let planned =
+        try Some (f ()) with
+        | (Out_of_memory | Stack_overflow | Assert_failure _) as fatal ->
+            t.plan <- None;
+            raise fatal
+        | _ -> None
+      in
+      let plan = match t.plan with Some acc -> acc | None -> assert false in
       t.plan <- None;
-      (* Pass 2 — warm: compute the recorded results across domains and
-         merge them into the memo, keyed and deduplicated. *)
-      warm t plan;
-      (* Pass 3 — replay [f] against the warm memo: pure hits, in [f]'s
-         own sequential order, so the result is byte-identical to a fully
-         sequential evaluation whatever [jobs] is. *)
-      f ()
+      match (planned, plan) with
+      | Some v, [] ->
+          (* Nothing was missing: every value the pass saw was real, so
+             its result is [f]'s. *)
+          v
+      | _ ->
+          (* Pass 2 — compute the recorded results across domains and
+             merge them into the memo, keyed and deduplicated. Pass 3 —
+             replay [f] against the warm memo: pure hits, in [f]'s own
+             sequential order, so the result is byte-identical to a fully
+             sequential evaluation whatever [jobs] is. *)
+          compute t plan;
+          f ())

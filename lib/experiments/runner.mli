@@ -14,18 +14,19 @@
        pass [~kernels:false] and never execute the float kernels, whose
        results nothing here reads. Byte-identical by construction;
        [~replay:false] runs every kernel in every cell.}
-    {- {b Persistent disk cache} ([?cache_dir]): a result's disk digest
-       is {!Runcache.digest_key} over the runner's size parameters
-       (marshalled once per runner) and the marshalled id — for a
+    {- {b Persistent disk cache} ([?cache_dir]): a result's disk key
+       ({!Runcache}) is the MD5 of the runner's size parameters (taken
+       once per runner) followed by the marshalled id — for a
        simulation the app, machine, nprocs, placement and full
-       [Jade.Config] including the fault spec ({!Runcache}); both are
-       marshalled without sharing, so equal ids digest alike however
-       they were built. Results persist across processes, so a warm
-       invocation performs zero simulation. A digest is computed only
-       on a memo miss. The runner reads the cache once, at its first
-       lookup, and persists each batch of computed results as one
-       segment; lookups and writes happen on the calling domain, under
-       the runner's lock, and pool workers only compute.}} *)
+       [Jade.Config] including the fault spec. Both are marshalled
+       without sharing, so equal ids get equal keys however they were
+       built. Results persist across processes, so a warm invocation
+       performs zero simulation. The disk is asked about an id only on
+       a memo miss, and at most once per runner. The runner reads the
+       cache once, at its first lookup, and persists each batch of
+       computed results as one segment; lookups and writes happen on
+       the calling domain, under the runner's lock, and pool workers
+       only compute.}} *)
 
 type app = Water | String_ | Ocean | Cholesky
 
@@ -95,18 +96,21 @@ val stats : t -> stats
     [repro cache stats]). No-op without [cache_dir]. *)
 val flush_cache_stats : t -> unit
 
-(** [parallel t f] evaluates [f ()] with its unmemoized results fanned
-    out across the runner's [jobs] domains. Three passes: a planning pass
-    records each missing result's id with the computation that produces
-    it (returning poisoned placeholders instead of computing — see
-    {!Report.poison}), the recorded computations execute on a {!Pool} and
-    are merged into the memo keyed and deduplicated, and [f] is replayed
-    against the warm memo. The result is byte-for-byte
-    identical to a plain sequential [f ()] whatever the jobs count or
-    completion order. Nested calls are safe: inner [parallel]s inside a
-    planning pass just keep recording. Collect tables inside [f]; render
-    them outside — rendering a planning-pass placeholder trips the
-    {!Report} poison assertion. *)
+(** [parallel t f] evaluates [f ()] with its missing results fanned out
+    across the runner's [jobs] domains. A planning pass runs [f] against
+    the memo and the disk cache, recording each result neither holds
+    with the computation that produces it (and returning poisoned
+    placeholders for those instead of computing — see {!Report.poison}).
+    When nothing was missing, that pass's result is returned: [f] ran
+    once. Otherwise the recorded computations execute on a {!Pool} and
+    are merged into the memo keyed and deduplicated, and [f] runs again
+    against the warm memo. The result is byte-for-byte identical to a
+    plain sequential [f ()] whatever the jobs count or completion
+    order, so [f] must not depend on how often it runs. Nested calls
+    are safe: inner [parallel]s inside a planning pass just keep
+    recording. Collect tables inside [f]; render them outside —
+    rendering a planning-pass placeholder trips the {!Report} poison
+    assertion. *)
 val parallel : t -> (unit -> 'a) -> 'a
 
 (** [run t ~app ~machine ~nprocs ~config ~placed] executes one simulation

@@ -68,6 +68,23 @@ let crash_active s = s.crash_rate > 0.0 || s.crash_at <> []
 let reliable s =
   (active s || crash_active s) && s.max_retries > 0 && s.retry_timeout > 0.0
 
+(* The (entry, processor count) pairs already warned about: a command
+   running many cells under one scripted plan says each thing once per
+   process. Cells may run on several domains, hence the lock. *)
+let warned = Hashtbl.create 8
+
+let warned_lock = Mutex.create ()
+
+let warn_dropped (p, at) nprocs =
+  Mutex.protect warned_lock (fun () ->
+      if not (Hashtbl.mem warned (p, at, nprocs)) then begin
+        Hashtbl.add warned (p, at, nprocs) ();
+        Printf.eprintf
+          "warning: --crash-at %d@%g dropped: processor %d out of range for \
+           %d-processor machine\n%!"
+          p at p nprocs
+      end)
+
 (* The crash plan is a pure function of (spec, nprocs): scripted entries
    (dropping any processor outside [0, nprocs)) plus, in rate mode, one
    independent per-processor draw seeded by (crash_seed, proc). Rate mode
@@ -79,17 +96,13 @@ let crash_plan s ~nprocs =
   else begin
     let scripted =
       List.filter
-        (fun (p, at) ->
+        (fun ((p, _) as entry) ->
           let ok = p >= 0 && p < nprocs in
           (* Out-of-range entries are unusable on this machine size; say so
              instead of silently weakening the scenario (a --crash-at typo
              would otherwise pass as a clean run). Warning only — the plan
              itself stays a pure function of (spec, nprocs). *)
-          if not ok then
-            Printf.eprintf
-              "warning: --crash-at %d@%g dropped: processor %d out of range \
-               for %d-processor machine\n%!"
-              p at p nprocs;
+          if not ok then warn_dropped entry nprocs;
           ok)
         s.crash_at
     in

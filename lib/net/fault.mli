@@ -41,8 +41,9 @@ type spec = {
   crash_at : (int * float) list;
       (** scripted crashes: [(proc, virtual_time)]; entries naming a
           processor outside the run's range are dropped with a one-line
-          stderr warning, so one scripted plan works across processor
-          counts without a typo passing as a clean run *)
+          stderr warning (once per processor count), so one scripted plan
+          works across processor counts without a typo passing as a clean
+          run *)
   crash_restart : float;
       (** when positive, a crashed processor restarts (with cold caches
           and an empty queue) this many virtual seconds after its crash *)
@@ -85,7 +86,8 @@ val crash_plan : spec -> nprocs:int -> (int * float) list
 (** The pure crash schedule for an [nprocs]-processor run:
     [(proc, virtual_time)] sorted by time then processor, at most one entry
     per processor (earliest wins). Scripted entries outside [0, nprocs) are
-    dropped, each with a one-line stderr warning naming the entry; rate
+    dropped, each with a one-line stderr warning naming the entry, printed
+    once per process for each (entry, [nprocs]); rate
     mode draws one seeded decision per non-root processor.
     Empty when not {!crash_active}. *)
 

@@ -71,22 +71,3 @@ let peek_back t = if t.size = 0 then None else Some (last t)
 let to_list (t : 'a t) =
   let mask = Array.length t.buf - 1 in
   List.init t.size (fun i -> (Obj.obj t.buf.((t.head + i) land mask) : 'a))
-
-let remove_first (t : 'a t) p =
-  let mask = Array.length t.buf - 1 in
-  let rec find i =
-    if i >= t.size then None
-    else if p (Obj.obj t.buf.((t.head + i) land mask) : 'a) then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some i ->
-      let v : 'a = Obj.obj t.buf.((t.head + i) land mask) in
-      (* Close the gap by shifting the tail left one slot. *)
-      for j = i to t.size - 2 do
-        t.buf.((t.head + j) land mask) <- t.buf.((t.head + j + 1) land mask)
-      done;
-      t.buf.((t.head + t.size - 1) land mask) <- filler;
-      t.size <- t.size - 1;
-      Some v

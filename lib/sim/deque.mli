@@ -40,8 +40,4 @@ val peek_front : 'a t -> 'a option
 
 val peek_back : 'a t -> 'a option
 
-(** [remove_first t p] removes and returns the first (front-most) element
-    satisfying [p]. O(n). *)
-val remove_first : 'a t -> ('a -> bool) -> 'a option
-
 val to_list : 'a t -> 'a list

@@ -160,6 +160,65 @@ let test_render_contains_cells () =
   Alcotest.(check bool) "value" true (contains "1.500");
   Alcotest.(check bool) "missing cell dash" true (contains "-")
 
+(* [Report.fixed n] must print what [Printf]'s [%.nf] prints, byte for
+   byte. Cases: random finite doubles of both signs from 1e-30 to 1e30,
+   random significands at random binary exponents, the doubles nearest
+   the decimal ties (k + 0.5) / 10^n, the exact binary ties (odd
+   multiples of 2^-(n+1)), each with both neighbours; and, once per test,
+   signed zeros, subnormals, the 10 and 1000 format thresholds, the 1e15
+   fallback boundary and non-finite values. *)
+let fixed_agrees n v = Report.fixed n v = Printf.sprintf "%.*f" n v
+
+let neighbours v = [ Float.pred v; v; Float.succ v ]
+
+let fixed_cases_gen =
+  QCheck.Gen.(
+    let sign = map (fun b -> if b then -1.0 else 1.0) bool in
+    let decimal =
+      map3 (fun s m e -> [ s *. m *. (10.0 ** float_of_int e) ])
+        sign (float_range 1.0 10.0) (int_range (-30) 30)
+    in
+    let binary =
+      map3 (fun s m e -> [ s *. Float.ldexp (float_of_int m) e ])
+        sign (int_bound ((1 lsl 53) - 1)) (int_range (-120) 10)
+    in
+    let decimal_tie =
+      map3
+        (fun s k n -> neighbours (s *. (float_of_int k +. 0.5) /. (10.0 ** float_of_int n)))
+        sign (int_bound 1_000_000_000) (oneofl [ 0; 2; 3 ])
+    in
+    let binary_tie =
+      map3
+        (fun s k n -> neighbours (s *. Float.ldexp (float_of_int ((2 * k) + 1)) (-(n + 1))))
+        sign (int_bound 1_000_000_000) (oneofl [ 0; 2; 3 ])
+    in
+    oneof [ decimal; binary; decimal_tie; binary_tie ])
+
+let fixed_prop =
+  QCheck.Test.make ~name:"fixed formats like Printf %.nf" ~count:20_000
+    (QCheck.make ~print:(fun vs -> String.concat " " (List.map (Printf.sprintf "%h") vs))
+       fixed_cases_gen)
+    (List.for_all (fun v -> List.for_all (fun n -> fixed_agrees n v) [ 0; 1; 2; 3 ]))
+
+let test_fixed_edges () =
+  let edges =
+    [ 0.0; -0.0; Float.min_float; -.Float.min_float; 4.9e-324; -4.9e-324;
+      Float.pred Float.min_float; 0.0005; 0.005; 0.5; 1.5; 2.5; 9.9995; 9.995;
+      999.5; 1e15; -1e15; 1e300; Float.max_float; Float.infinity;
+      Float.neg_infinity; Float.nan ]
+    @ List.concat_map neighbours [ 10.0; -10.0; 1000.0; -1000.0; 1e15; 0.0625; 0.125 ]
+  in
+  List.iter
+    (fun v ->
+      List.iter
+        (fun n ->
+          Alcotest.(check string) (Printf.sprintf "%%.%df of %h" n v)
+            (Printf.sprintf "%.*f" n v) (Report.fixed n v))
+        [ 0; 1; 2; 3 ])
+    edges;
+  Alcotest.check_raises "precision 4" (Invalid_argument "Report.fixed: precision outside 0..3")
+    (fun () -> ignore (Report.fixed 4 1.0))
+
 let test_csv_export () =
   let t =
     {
@@ -426,6 +485,34 @@ let test_equal_specs_share_cache () =
   Alcotest.(check int) "nothing simulated" 0 (Runner.events_simulated r);
   ignore (Runcache.clear (Runcache.create ~dir))
 
+(* A planning pass that finds everything in the memo or on disk is the
+   evaluation: [Runner.parallel] runs [f] once. A missing result costs a
+   second run of [f] (the replay), and a planning pass that asks twice
+   for the same missing id looks it up on disk once. *)
+let test_warm_parallel_one_pass () =
+  let dir = Filename.temp_dir "jade-test-cache" "" in
+  let evaluate r =
+    let calls = ref 0 in
+    let v =
+      Runner.parallel r (fun () ->
+          incr calls;
+          let cell () = Runner.run_custom r ~key:"one-pass" (fun () -> 1.5) in
+          cell () +. cell ())
+    in
+    let s = Runner.stats r in
+    (v, !calls, (s.Runner.cache_lookups, s.Runner.cache_hits))
+  in
+  let cold = Runner.create ~jobs:1 ~cache_dir:dir Runner.Test in
+  Alcotest.(check (triple (float 0.0) int (pair int int)))
+    "cold: planned and replayed, one lookup for the id asked twice"
+    (3.0, 2, (1, 0)) (evaluate cold);
+  Alcotest.(check (triple (float 0.0) int (pair int int)))
+    "warm memo: evaluated once, no new lookup" (3.0, 1, (1, 0)) (evaluate cold);
+  Alcotest.(check (triple (float 0.0) int (pair int int)))
+    "warm disk: evaluated once, one lookup that hits" (3.0, 1, (1, 1))
+    (evaluate (Runner.create ~jobs:1 ~cache_dir:dir Runner.Test));
+  ignore (Runcache.clear (Runcache.create ~dir))
+
 (* [(text written to stderr by f (), its result)]. *)
 let capturing_stderr f =
   let file = Filename.temp_file "jade-test" ".err" in
@@ -485,8 +572,9 @@ let test_regen_summaries () =
         let raw = read_bytes file in
         let rec go = function
           | start :: (_ :: _ as rest) ->
-              (* A record: MD5, length, 32-char digest, marshalled value. *)
-              result_line (Marshal.from_string raw (start + 20 + 32)) :: go rest
+              (* A record: MD5, length, key length, key, marshalled value. *)
+              let key_len = Int32.to_int (String.get_int32_be raw (start + 20)) in
+              result_line (Marshal.from_string raw (start + 24 + key_len)) :: go rest
           | _ -> []
         in
         go (record_ends raw))
@@ -558,17 +646,15 @@ let test_cache_corruption_recovers () =
 let test_runcache_roundtrip () =
   let dir = Filename.temp_dir "jade-test-runcache" "" in
   let c = Runcache.create ~dir in
-  let dg = Runcache.digest_key [ "a"; "b" ] in
-  Alcotest.(check bool) "fresh cache misses" true (Runcache.find c ~digest:dg = None);
-  Runcache.store c [ (dg, Runcache.Flops 42.0) ];
+  let key = "a/b" in
+  Alcotest.(check bool) "fresh cache misses" true (Runcache.find c ~key = None);
+  Runcache.store c [ (key, Runcache.Flops 42.0) ];
   List.iter
     (fun (name, c) ->
-      match Runcache.find c ~digest:dg with
+      match Runcache.find c ~key with
       | Some (Runcache.Flops f) -> Alcotest.(check (float 0.0)) name 42.0 f
       | _ -> Alcotest.fail "expected the stored Flops value")
     [ ("roundtrip", c); ("roundtrip through disk", Runcache.create ~dir) ];
-  Alcotest.(check bool) "components cannot alias across boundaries" true
-    (Runcache.digest_key [ "ab"; "" ] <> Runcache.digest_key [ "a"; "b" ]);
   let entries, bytes = Runcache.dir_stats c in
   Alcotest.(check int) "one entry" 1 entries;
   Alcotest.(check bool) "entry has bytes" true (bytes > 0);
@@ -579,25 +665,36 @@ let test_runcache_roundtrip () =
   Alcotest.(check int) "clear removes the segment" 1 (Runcache.clear c);
   Alcotest.(check bool) "clear removes the stats" true
     (Runcache.read_last_run c = None);
-  Alcotest.(check bool) "a cleared cache misses" true (Runcache.find c ~digest:dg = None)
+  Alcotest.(check bool) "a cleared cache misses" true (Runcache.find c ~key = None);
+  (* A record length-prefixes its key, so a key cannot run into the value
+     after it: keys that prefix one another stay apart on disk. *)
+  let prefixes = [ ("", 1.0); ("a", 2.0); ("a/", 3.0) ] in
+  Runcache.store c (List.map (fun (key, f) -> (key, Runcache.Flops f)) prefixes);
+  Alcotest.(check bool) "keys cannot alias across the key-value boundary" true
+    (let d = Runcache.create ~dir in
+     List.for_all (fun (key, f) -> Runcache.find d ~key = Some (Runcache.Flops f)) prefixes);
+  ignore (Runcache.clear c)
 
 (* A segment built by hand: a header announcing [count] records (by
-   default as many as given), then each [(digest, payload)] as a record
-   whose MD5 matches. *)
-let segment_bytes ?count records =
+   default as many as given), then each [(key, payload)] as a record
+   whose MD5 matches, its key length [key_len] (by default the key's). *)
+let segment_bytes ?count ?key_len records =
   let buf = Buffer.create 256 in
   Printf.bprintf buf "jade-runcache %d %d\n" Runcache.schema_version
     (Option.value count ~default:(List.length records));
   List.iter
-    (fun (digest, payload) ->
-      let body = digest ^ payload in
+    (fun (key, payload) ->
+      let len = Bytes.create 4 in
+      Bytes.set_int32_be len 0
+        (Int32.of_int (Option.value key_len ~default:(String.length key)));
+      let body = Bytes.to_string len ^ key ^ payload in
       Buffer.add_string buf (Digest.string body);
       Buffer.add_int32_be buf (Int32.of_int (String.length body));
       Buffer.add_string buf body)
     records;
   Buffer.contents buf
 
-let foreign_digest = Runcache.digest_key [ "foreign" ]
+let foreign_key = "foreign"
 
 (* Decoder robustness: a segment of arbitrary bytes — bare, behind a
    segment header, or a record's payload behind a matching MD5 — or a
@@ -609,7 +706,7 @@ let find_misses dir bytes =
   let file = Filename.concat dir "foreign.jrp" in
   write_bytes file bytes;
   match
-    capturing_stderr (fun () -> Runcache.find (Runcache.create ~dir) ~digest:foreign_digest)
+    capturing_stderr (fun () -> Runcache.find (Runcache.create ~dir) ~key:foreign_key)
   with
   | err, None when not (Sys.file_exists file) -> Some (warnings err)
   | _, None -> None
@@ -648,7 +745,7 @@ let runcache_find_total_prop =
           | None -> QCheck.Test.fail_reportf "damaged segment kept: %S" bytes)
         (payload
         :: (segment_bytes ~count:1 [] ^ payload)
-        :: segment_bytes [ (foreign_digest, payload) ]
+        :: segment_bytes [ (foreign_key, payload) ]
         :: (if payload = "" then [] else [ segment_bytes [] ^ payload ])))
 
 let test_runcache_named_failures () =
@@ -658,7 +755,7 @@ let test_runcache_named_failures () =
     (fun (name, payload) ->
       Alcotest.(check (option (list string))) name
         (Some [ dropping "undecodable" file ])
-        (find_misses dir (segment_bytes [ (foreign_digest, payload) ])))
+        (find_misses dir (segment_bytes [ (foreign_key, payload) ])))
     [
       ("garbage payload", "not a marshalled value");
       ("empty payload", "");
@@ -666,14 +763,21 @@ let test_runcache_named_failures () =
       ( "valid value with trailing bytes",
         Marshal.to_string (Runcache.Flops 1.0) [] ^ "x" );
     ];
+  List.iter
+    (fun (name, key_len) ->
+      Alcotest.(check (option (list string))) name
+        (Some [ dropping "undecodable" file ])
+        (find_misses dir
+           (segment_bytes ~key_len
+              [ (foreign_key, Marshal.to_string (Runcache.Flops 1.0) []) ])))
+    [ ("key length past the body", 1000); ("negative key length", -1) ];
   Alcotest.(check (option (list string))) "stale header"
     (Some [ dropping "schema-stale" file ])
     (find_misses dir "jade-runcache 7 1\n");
   Alcotest.(check (option (list string))) "cut at a record boundary"
     (Some [ dropping "truncated" file ])
     (find_misses dir
-       (segment_bytes ~count:2
-          [ (Runcache.digest_key [ "x" ], Marshal.to_string (Runcache.Flops 1.0) []) ]));
+       (segment_bytes ~count:2 [ ("x", Marshal.to_string (Runcache.Flops 1.0) []) ]));
   ignore (Runcache.clear (Runcache.create ~dir))
 
 (* Random record sets round-trip through a segment; after any cut or
@@ -699,13 +803,13 @@ let runcache_segment_prop =
        QCheck.Gen.(triple (list_size (int_range 1 6) value_gen) bool nat))
     (fun (values, cut, at) ->
       let records =
-        List.mapi (fun i v -> (Runcache.digest_key [ string_of_int i ], v)) values
+        List.mapi (fun i v -> (string_of_int i, v)) values
       in
       Runcache.store (Runcache.create ~dir) records;
       let finds () =
         let c = Runcache.create ~dir in
-        List.map (fun (k, _) -> Runcache.find c ~digest:k) records
-        @ [ Runcache.find c ~digest:foreign_digest ]
+        List.map (fun (key, _) -> Runcache.find c ~key) records
+        @ [ Runcache.find c ~key:foreign_key ]
       in
       let stored = List.map (fun (_, v) -> Some v) records @ [ None ] in
       let intact = compare (finds ()) stored = 0 in
@@ -724,11 +828,9 @@ let runcache_segment_prop =
    with a named warning: the header's count catches it. *)
 let test_runcache_boundary_cut () =
   let dir = Filename.temp_dir "jade-test-runcache" "" in
-  (* In digest order, as a segment holds them. *)
+  (* In key order, as a segment holds them. *)
   let records =
-    List.sort compare
-      (List.init 4 (fun i ->
-           (Runcache.digest_key [ string_of_int i ], Runcache.Flops (float_of_int i))))
+    List.init 4 (fun i -> (string_of_int i, Runcache.Flops (float_of_int i)))
   in
   Runcache.store (Runcache.create ~dir) records;
   let file = List.hd (segment_files dir) in
@@ -737,7 +839,7 @@ let test_runcache_boundary_cut () =
   let err, found =
     capturing_stderr (fun () ->
         let c = Runcache.create ~dir in
-        List.map (fun (k, _) -> Runcache.find c ~digest:k <> None) records)
+        List.map (fun (key, _) -> Runcache.find c ~key <> None) records)
   in
   Alcotest.(check (list string)) "one named warning" [ dropping "truncated" file ]
     (warnings err);
@@ -752,7 +854,7 @@ let test_runcache_boundary_cut () =
    after the listing (by a concurrent run) survives it. *)
 let test_runcache_compaction_keeps_new_segments () =
   let dir = Filename.temp_dir "jade-test-runcache" "" in
-  let record i = (Runcache.digest_key [ string_of_int i ], Runcache.Flops (float_of_int i)) in
+  let record i = (string_of_int i, Runcache.Flops (float_of_int i)) in
   let writer = Runcache.create ~dir in
   Runcache.store writer [ record 0 ];
   Runcache.store writer [ record 1 ];
@@ -760,12 +862,12 @@ let test_runcache_compaction_keeps_new_segments () =
   Runcache.store (Runcache.create ~dir) [ record 2 ];
   Alcotest.(check int) "three segments" 3 (List.length (segment_files dir));
   Alcotest.(check bool) "the loader reads what it listed" true
-    (Runcache.find loader ~digest:(fst (record 0)) <> None);
+    (Runcache.find loader ~key:(fst (record 0)) <> None);
   Alcotest.(check int) "compacted segment plus the late one" 2
     (List.length (segment_files dir));
   let c = Runcache.create ~dir in
   Alcotest.(check (list bool)) "every record is still on disk" [ true; true; true ]
-    (List.map (fun i -> Runcache.find c ~digest:(fst (record i)) <> None) [ 0; 1; 2 ]);
+    (List.map (fun i -> Runcache.find c ~key:(fst (record i)) <> None) [ 0; 1; 2 ]);
   ignore (Runcache.clear c)
 
 (* After a cold and a compacting warm run, a third warm runner reads the
@@ -812,8 +914,7 @@ let test_runcache_clear_all_kinds () =
   let dir = Filename.temp_dir "jade-test-runcache" "" in
   let c = Runcache.create ~dir in
   Runcache.store c
-    [ (Runcache.digest_key [ "a" ], Runcache.Flops 1.0);
-      (Runcache.digest_key [ "b" ], Runcache.Flops 2.0) ];
+    [ ("a", Runcache.Flops 1.0); ("b", Runcache.Flops 2.0) ];
   write_bytes (Filename.concat dir ".0123abcd.4242.tmp") "a killed writer's";
   write_bytes (Filename.concat dir "0123abcd.jrc") "jade-runcache 7\n";
   Runcache.write_last_run c ~lookups:2 ~hits:0;
@@ -963,6 +1064,21 @@ let test_help_clean () =
     [ "table"; "figure"; "analyses"; "all"; "regen"; "cache"; "run"; "digest";
       "graph"; "factor" ]
 
+(* A scripted crash naming a processor some cells lack warns once per
+   processor count, not once per cell: the test-size digest runs ten
+   cells at each of 1 and 2 processors. *)
+let test_crash_warning_once () =
+  let code, _, err = run_repro "digest --machine ipsc --size test --crash-at 2@0.01" in
+  Alcotest.(check int) "exit" 0 code;
+  Alcotest.(check (list string)) "one warning per processor count"
+    (List.map
+       (Printf.sprintf
+          "warning: --crash-at 2@0.01 dropped: processor 2 out of range for \
+           %d-processor machine")
+       [ 1; 2 ])
+    (List.sort String.compare
+       (List.filter (String.starts_with ~prefix:"warning:") (String.split_on_char '\n' err)))
+
 let test_cli_in_range_runs () =
   let code, _, _ = run_repro "table 1 --size test --jobs 1" in
   Alcotest.(check int) "table 1 still runs" 0 code;
@@ -1034,6 +1150,8 @@ let () =
         @ [
             Alcotest.test_case "help renders cleanly" `Quick test_help_clean;
             Alcotest.test_case "in-range table runs" `Quick test_cli_in_range_runs;
+            Alcotest.test_case "crash-at warning once per machine size" `Quick
+              test_crash_warning_once;
             Alcotest.test_case "run: trace and stats paths" `Quick
               test_run_observed_paths;
           ] );
@@ -1045,6 +1163,8 @@ let () =
       ( "report",
         [
           Alcotest.test_case "render" `Quick test_render_contains_cells;
+          QCheck_alcotest.to_alcotest fixed_prop;
+          Alcotest.test_case "fixed at edges" `Quick test_fixed_edges;
           Alcotest.test_case "csv export" `Quick test_csv_export;
           Alcotest.test_case "analyses render" `Quick test_analyses_render;
           Alcotest.test_case "custom cells follow --replay" `Quick
@@ -1091,5 +1211,7 @@ let () =
             test_runcache_clear_all_kinds;
           Alcotest.test_case "poisoned render trips" `Quick
             test_poison_render_raises;
+          Alcotest.test_case "warm parallel runs f once" `Quick
+            test_warm_parallel_one_pass;
         ] );
     ]

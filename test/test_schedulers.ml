@@ -205,6 +205,149 @@ let test_mp_placement_assigns_directly () =
       Alcotest.(check int) "load" 2 (Smp.load s 3)
   | `Pooled -> Alcotest.fail "placement bypasses load gating"
 
+(* The list-based policy the scheduler replaced, kept as the reference it
+   must match choice for choice: the least-loaded processors as a list
+   (lowest index first), the pool as a list in enable order, and the
+   hand-out as a front-most search for a task targeted at the freed
+   processor, else the pool's first task. *)
+module Reference = struct
+  type t = {
+    cfg : C.t;
+    nprocs : int;
+    loads : int array;
+    mutable pool : T.t list;
+    down : bool array;
+  }
+
+  let create cfg ~nprocs =
+    { cfg; nprocs; loads = Array.make nprocs 0; pool = [];
+      down = Array.make nprocs false }
+
+  let least_loaded t =
+    let live = List.filter (fun p -> not t.down.(p)) (List.init t.nprocs Fun.id) in
+    let m = List.fold_left (fun m p -> min m t.loads.(p)) max_int live in
+    (m, List.filter (fun p -> t.loads.(p) = m) live)
+
+  let assign t p =
+    t.loads.(p) <- t.loads.(p) + 1;
+    `Assign p
+
+  let survivor_for t =
+    match least_loaded t with
+    | _, p :: _ -> p
+    | _, [] -> invalid_arg "no live processor"
+
+  let on_enabled t (task : T.t) =
+    task.T.target <-
+      (match (task.T.placement, T.locality_object task) with
+      | Some p, _ -> p
+      | None, Some meta -> meta.M.owner
+      | None, None -> 0);
+    if t.down.(task.T.target) then task.T.target <- survivor_for t;
+    let pool () =
+      t.pool <- t.pool @ [ task ];
+      `Pooled
+    in
+    match task.T.placement with
+    | Some p -> assign t (if t.down.(p) then survivor_for t else p)
+    | None -> (
+        let m, least = least_loaded t in
+        match t.cfg.C.locality with
+        | C.No_locality -> (
+            match least with p :: _ when m = 0 -> assign t p | _ -> pool ())
+        | C.Locality | C.Task_placement ->
+            if m < t.cfg.C.target_tasks then
+              assign t
+                (if List.mem task.T.target least then task.T.target
+                 else List.hd least)
+            else pool ())
+
+  let on_completed t ~proc =
+    t.loads.(proc) <- t.loads.(proc) - 1;
+    let cap =
+      match t.cfg.C.locality with C.No_locality -> 1 | _ -> t.cfg.C.target_tasks
+    in
+    let rec hand acc =
+      let pick =
+        match List.find_opt (fun (x : T.t) -> x.T.target = proc) t.pool with
+        | Some _ as x -> x
+        | None -> List.nth_opt t.pool 0
+      in
+      match pick with
+      | Some x when t.loads.(proc) < cap ->
+          t.pool <- List.filter (fun y -> y != x) t.pool;
+          t.loads.(proc) <- t.loads.(proc) + 1;
+          hand (x :: acc)
+      | _ -> List.rev acc
+    in
+    hand []
+end
+
+(* Random enable/complete/crash/restart sequences drive the scheduler and
+   the reference side by side, each on its own copies of the tasks: every
+   enable must give the same decision and target, every completion hand
+   out the same tasks in the same order, and the loads and pool sizes
+   must agree after every step. An op is three random ints, read against
+   the state when it runs: enables (with a random locality-object owner,
+   a sixth of them explicitly placed), completions on a random loaded
+   processor, down processors (one always stays up) and restarts. *)
+let mp_reference_prop =
+  let levels = [| C.Locality; C.Task_placement; C.No_locality |] in
+  QCheck.Test.make ~name:"scheduler matches the list-based reference" ~count:500
+    QCheck.(
+      quad (int_range 1 8) (int_bound 2) (int_range 1 3)
+        (list_of_size Gen.(int_range 1 200) (triple (int_bound 9) small_nat small_nat)))
+    (fun (nprocs, level, target_tasks, ops) ->
+      let cfg = { C.default with C.locality = levels.(level); C.target_tasks } in
+      let s = Smp.create cfg ~nprocs and r = Reference.create cfg ~nprocs in
+      let tid = ref 0 in
+      let tids = List.map (fun (t : T.t) -> t.T.tid) in
+      let step (kind, a, b) =
+        if kind <= 4 then begin
+          incr tid;
+          let placement = if b mod 6 = 0 then Some (a mod nprocs) else None in
+          let task () = mp_task ?placement ~tid:!tid ~owner:(b mod nprocs) () in
+          let ts = task () and tr = task () in
+          let ds = Smp.on_enabled s ts and dr = Reference.on_enabled r tr in
+          if ds <> dr || ts.T.target <> tr.T.target then
+            QCheck.Test.fail_reportf "task %d: decisions or targets differ" !tid
+        end
+        else if kind <= 7 then begin
+          let loaded = List.filter (fun p -> r.Reference.loads.(p) > 0) (List.init nprocs Fun.id) in
+          if loaded <> [] then begin
+            let proc = List.nth loaded (a mod List.length loaded) in
+            let hs = tids (Smp.on_completed s ~proc) in
+            let hr = tids (Reference.on_completed r ~proc) in
+            if hs <> hr then
+              QCheck.Test.fail_reportf "completion on %d: handed [%s], reference [%s]" proc
+                (String.concat ";" (List.map string_of_int hs))
+                (String.concat ";" (List.map string_of_int hr))
+          end
+        end
+        else
+          let p = a mod nprocs in
+          let live = List.filter (fun q -> not r.Reference.down.(q)) (List.init nprocs Fun.id) in
+          if kind = 8 && live <> [ p ] && not r.Reference.down.(p) then begin
+            Smp.mark_down s p;
+            r.Reference.down.(p) <- true
+          end
+          else if kind = 9 then begin
+            Smp.mark_up s p;
+            r.Reference.down.(p) <- false
+          end
+      in
+      List.iter
+        (fun op ->
+          step op;
+          for p = 0 to nprocs - 1 do
+            if Smp.load s p <> r.Reference.loads.(p) then
+              QCheck.Test.fail_reportf "load of %d differs" p
+          done;
+          if Smp.pooled s <> List.length r.Reference.pool then
+            QCheck.Test.fail_reportf "pool sizes differ")
+        ops;
+      true)
+
 let () =
   Alcotest.run "schedulers"
     [
@@ -235,5 +378,6 @@ let () =
             test_mp_no_locality_idle_only;
           Alcotest.test_case "placement direct" `Quick
             test_mp_placement_assigns_directly;
+          QCheck_alcotest.to_alcotest mp_reference_prop;
         ] );
     ]

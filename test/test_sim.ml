@@ -329,13 +329,6 @@ let test_deque_ends () =
   Alcotest.(check (option int)) "pop front" (Some 0) (Deque.pop_front d);
   Alcotest.(check int) "length" 1 (Deque.length d)
 
-let test_deque_remove_first () =
-  let d = Deque.create () in
-  List.iter (Deque.push_back d) [ 1; 2; 3; 4 ];
-  let removed = Deque.remove_first d (fun x -> x mod 2 = 0) in
-  Alcotest.(check (option int)) "removed first even" (Some 2) removed;
-  Alcotest.(check (list int)) "rest intact" [ 1; 3; 4 ] (Deque.to_list d)
-
 let deque_model_prop =
   QCheck.Test.make ~name:"deque behaves like a list" ~count:300
     QCheck.(list (pair bool small_int))
@@ -515,7 +508,6 @@ let () =
       ( "deque",
         [
           Alcotest.test_case "ends" `Quick test_deque_ends;
-          Alcotest.test_case "remove_first" `Quick test_deque_remove_first;
           qcheck deque_model_prop;
         ] );
       ( "srandom",
