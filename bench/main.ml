@@ -263,9 +263,16 @@ let () =
       ( "--jobs",
         Arg.Int
           (fun j ->
-            if j < 1 then raise (Arg.Bad "--jobs: expected a positive integer");
+            if j < 1 || j > Jade_experiments.Pool.max_jobs then
+              raise
+                (Arg.Bad
+                   (Printf.sprintf "--jobs: expected an integer in [1,%d]"
+                      Jade_experiments.Pool.max_jobs));
             jobs := j),
-        "N  worker domains (default: the recommended domain count)" );
+        Printf.sprintf
+          "N  worker domains, at most %d (default: the recommended domain \
+           count)"
+          Jade_experiments.Pool.max_jobs );
       ( "--size",
         Arg.Symbol
           ( [ "test"; "bench" ],

@@ -29,6 +29,11 @@ let checked_conv base ~expected ok =
 
 let positive_int = checked_conv Arg.int ~expected:"a positive integer" (fun n -> n >= 1)
 
+let jobs_conv =
+  checked_conv Arg.int
+    ~expected:(Printf.sprintf "an integer in [1,%d]" Pool.max_jobs)
+    (fun n -> n >= 1 && n <= Pool.max_jobs)
+
 let probability =
   checked_conv Arg.float ~expected:"a probability in [0,1]" (fun r ->
       r >= 0.0 && r <= 1.0)
@@ -50,12 +55,14 @@ let jitter_conv =
 let jobs_arg =
   Arg.(
     value
-    & opt positive_int (Jade_experiments.Pool.default_jobs ())
+    & opt jobs_conv (Pool.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains to fan independent simulations across (default: \
-           the machine's recommended domain count). Output is identical \
-           at any value.")
+          (Printf.sprintf
+             "Worker domains to fan independent simulations across, at \
+              most %d (default: the machine's recommended domain count). \
+              Output is identical at any value."
+             Pool.max_jobs))
 
 (* Chaos mode: --fault-seed/--drop-rate/--dup-rate/--jitter build a
    deterministic fault plan injected into every message-passing run.
@@ -196,12 +203,13 @@ let cache_dir_arg =
            settings), so a later invocation with the same cache replays \
            results from disk without simulating.")
 
-let runner_term =
+let runner_term_of fault =
   let make size jobs fault replay cache_dir =
     Runner.create ~jobs ?fault ?cache_dir ~replay size
   in
-  Term.(
-    const make $ size_arg $ jobs_arg $ fault_term $ replay_arg $ cache_dir_arg)
+  Term.(const make $ size_arg $ jobs_arg $ fault $ replay_arg $ cache_dir_arg)
+
+let runner_term = runner_term_of fault_term
 
 let print_table ?paper t =
   print_string (Report.render_comparison ~ours:t ~paper);
@@ -378,6 +386,39 @@ let machine_conv =
   Arg.enum
     [ ("dash", Runner.Dash); ("ipsc", Runner.Ipsc); ("lan", Runner.Lan) ]
 
+let machine_arg =
+  Arg.(
+    value
+    & opt machine_conv Runner.Ipsc
+    & info [ "machine" ] ~docv:"M" ~doc:"dash, ipsc (default) or lan.")
+
+(* The fault plan of a command that runs on one machine. DASH has no
+   message fabric, so a drop, duplicate or jitter rate would print a
+   chaos plan that changes nothing there: it is a usage error naming the
+   flag. Crash flags and a bare --fault-seed stay valid on DASH. *)
+let machine_fault_term =
+  let check machine fault =
+    let fabric_flag (s : Jade_net.Fault.spec) =
+      List.find_opt
+        (fun (_, rate) -> rate > 0.0)
+        [
+          ("--drop-rate", s.drop_rate);
+          ("--dup-rate", s.dup_rate);
+          ("--jitter", s.jitter);
+        ]
+    in
+    match (machine, Option.bind fault fabric_flag) with
+    | Runner.Dash, Some (flag, _) ->
+        Error
+          (`Msg
+            (Printf.sprintf
+               "%s does not apply to --machine dash: DASH has no message \
+                fabric (use ipsc or lan)"
+               flag))
+    | _ -> Ok fault
+  in
+  Term.(term_result ~usage:true (const check $ machine_arg $ fault_term))
+
 let level_conv =
   Arg.enum [ ("placement", Runner.Tp); ("locality", Runner.Loc); ("none", Runner.Noloc) ]
 
@@ -387,12 +428,6 @@ let run_cmd =
       required
       & opt (some app_conv) None
       & info [ "app" ] ~docv:"APP" ~doc:"water, string, ocean or cholesky.")
-  in
-  let machine_arg =
-    Arg.(
-      value
-      & opt machine_conv Runner.Ipsc
-      & info [ "machine" ] ~docv:"M" ~doc:"dash, ipsc (default) or lan.")
   in
   let procs_arg =
     Arg.(
@@ -507,19 +542,13 @@ let run_cmd =
     Term.(
       const run $ app_arg $ machine_arg $ procs_arg $ level_arg $ broadcast_arg
       $ fetch_arg $ replication_arg $ target_arg $ size_arg $ trace_arg
-      $ stats_arg $ fault_term)
+      $ stats_arg $ machine_fault_term)
 
 (* One summary line per (app, level, nprocs) on a single machine backend.
    The output is deterministic and jobs-independent, so CI hashes it at
    --jobs 1 and --jobs 4 per machine and fails on any mismatch — the
    backend-parity matrix. *)
 let digest_cmd =
-  let machine_arg =
-    Arg.(
-      value
-      & opt machine_conv Runner.Ipsc
-      & info [ "machine" ] ~docv:"M" ~doc:"dash, ipsc (default) or lan.")
-  in
   let run machine r =
     (* Collect inside [parallel] (its planning pass evaluates the closure
        against placeholders, so side effects there would print twice and
@@ -548,7 +577,7 @@ let digest_cmd =
        ~doc:
          "Print a deterministic per-machine summary digest (every app and \
           locality level at 1-8 processors) for backend-parity checking.")
-    Term.(const run $ machine_arg $ runner_term)
+    Term.(const run $ machine_arg $ runner_term_of machine_fault_term)
 
 (* Inspect the task-graph IR directly: lift one traced run of a program
    into the DAG and dump or summarize it. *)
@@ -567,12 +596,6 @@ let graph_cmd =
       required
       & opt (some app_conv) None
       & info [ "app" ] ~docv:"APP" ~doc:"water, string, ocean or cholesky.")
-  in
-  let machine_arg =
-    Arg.(
-      value
-      & opt machine_conv Runner.Ipsc
-      & info [ "machine" ] ~docv:"M" ~doc:"dash, ipsc (default) or lan.")
   in
   let procs_arg =
     Arg.(

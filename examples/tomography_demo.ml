@@ -8,14 +8,7 @@
 module R = Jade.Runtime
 
 let params =
-  {
-    Jade_apps.String_app.nx = 48;
-    nz = 96;
-    nrays = 2048;
-    iters = 6;
-    seed = 11;
-    rays = Jade_apps.String_app.Straight;
-  }
+  { Jade_apps.String_app.nx = 48; nz = 96; nrays = 2048; iters = 6 }
 
 let run ?(broadcast = true) nprocs =
   let program, result =

@@ -1,23 +1,12 @@
 module R = Jade.Runtime
 
-type ray_model = Straight | Bent
+type params = { nx : int; nz : int; nrays : int; iters : int }
 
-type params = {
-  nx : int;
-  nz : int;
-  nrays : int;
-  iters : int;
-  seed : int;
-  rays : ray_model;
-}
+let paper_params = { nx = 185; nz = 450; nrays = 4096; iters = 6 }
 
-let paper_params =
-  { nx = 185; nz = 450; nrays = 4096; iters = 6; seed = 7; rays = Straight }
+let bench_params = { nx = 92; nz = 220; nrays = 16384; iters = 3 }
 
-let bench_params =
-  { nx = 92; nz = 220; nrays = 16384; iters = 3; seed = 7; rays = Straight }
-
-let test_params = { nx = 16; nz = 24; nrays = 64; iters = 3; seed = 7; rays = Straight }
+let test_params = { nx = 16; nz = 24; nrays = 64; iters = 3 }
 
 type result = {
   model : float array;
@@ -100,76 +89,6 @@ let trace_ray_acc ~nx ~nz ~slowness ~x0 ~z0 ~x1 ~z1 acc =
 let trace_ray ~nx ~nz ~slowness ~x0 ~z0 ~x1 ~z1 ~cell =
   trace_ray_acc ~nx ~nz ~slowness ~x0 ~z0 ~x1 ~z1 (Cell_fn cell)
 
-(* ------------------------------------------------------------------ *)
-(* Bent rays: the production String bends rays through the velocity
-   field; we model that as the shortest-travel-time path on the grid
-   graph (8-connected cell centres, edge weight = distance x mean
-   slowness), computed with Dijkstra from each source. *)
-
-type dijkstra = { dist : float array; prev : int array }
-
-let neighbors8 = [| (1, 0); (-1, 0); (0, 1); (0, -1); (1, 1); (1, -1); (-1, 1); (-1, -1) |]
-
-let dijkstra_from ~nx ~nz ~slowness src =
-  let ncells = nx * nz in
-  let dist = Array.make ncells infinity in
-  let prev = Array.make ncells (-1) in
-  let settled = Array.make ncells false in
-  let heap = Jade_sim.Heap.create () in
-  let seq = ref 0 in
-  dist.(src) <- 0.0;
-  Jade_sim.Heap.push heap ~time:0.0 ~seq:0 src;
-  while not (Jade_sim.Heap.is_empty heap) do
-    (* [min_time] + [pop_min_value] instead of the tuple-boxing [pop_min]:
-       this loop runs once per relaxed edge over the whole velocity grid. *)
-    let d = Jade_sim.Heap.min_time heap in
-    let u = Jade_sim.Heap.pop_min_value heap in
-    if not settled.(u) && d <= dist.(u) then begin
-      settled.(u) <- true;
-      let ux = u mod nx and uz = u / nx in
-      Array.iter
-        (fun (dx, dz) ->
-          let vx = ux + dx and vz = uz + dz in
-          if vx >= 0 && vx < nx && vz >= 0 && vz < nz then begin
-            let v = vx + (vz * nx) in
-            if not settled.(v) then begin
-              let len = sqrt (float_of_int ((dx * dx) + (dz * dz))) in
-              let w = len *. ((slowness.(u) +. slowness.(v)) /. 2.0) in
-              if dist.(u) +. w < dist.(v) then begin
-                dist.(v) <- dist.(u) +. w;
-                prev.(v) <- u;
-                incr seq;
-                Jade_sim.Heap.push heap ~time:dist.(v) ~seq:!seq v
-              end
-            end
-          end)
-        neighbors8
-    end
-  done;
-  { dist; prev }
-
-(* Cells on the shortest path from the Dijkstra source to [dst], with the
-   path length charged half an edge to each endpoint. Calls
-   [cell c seg]; returns the geometric path length. *)
-let walk_path ~nx d dst cell =
-  let len = ref 0.0 in
-  let u = ref dst in
-  while d.prev.(!u) >= 0 do
-    let v = d.prev.(!u) in
-    let dx = abs ((!u mod nx) - (v mod nx)) and dz = abs ((!u / nx) - (v / nx)) in
-    let edge = sqrt (float_of_int ((dx * dx) + (dz * dz))) in
-    cell !u (edge /. 2.0);
-    cell v (edge /. 2.0);
-    len := !len +. edge;
-    u := v
-  done;
-  !len
-
-let cell_of ~nx ~nz x z =
-  let clamp v hi = if v < 0 then 0 else if v > hi then hi else v in
-  clamp (int_of_float (Float.floor x)) (nx - 1)
-  + (clamp (int_of_float (Float.floor z)) (nz - 1) * nx)
-
 (* Synthetic "true" geology: depth-layered slowness with a Gaussian
    anomaly (substitutes for the proprietary West Texas data set). *)
 let true_model p =
@@ -204,42 +123,11 @@ let ray_endpoints p r =
   let z1 = (float_of_int ri +. 0.5) /. float_of_int nr *. float_of_int p.nz in
   (0.01, z0, float_of_int p.nx -. 0.01, z1)
 
-(* Group a ray range by source cell so one Dijkstra serves every receiver
-   of that source. *)
-let rays_by_source p ~lo ~hi =
-  let tbl = Hashtbl.create 16 in
-  for r = lo to hi - 1 do
-    let x0, z0, _, _ = ray_endpoints p r in
-    let src = cell_of ~nx:p.nx ~nz:p.nz x0 z0 in
-    Hashtbl.replace tbl src (r :: (try Hashtbl.find tbl src with Not_found -> []))
-  done;
-  tbl
-
-let trace_times_bent p slowness ~lo ~hi =
-  let times = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun src rays ->
-      let d = dijkstra_from ~nx:p.nx ~nz:p.nz ~slowness src in
-      List.iter
-        (fun r ->
-          let _, _, x1, z1 = ray_endpoints p r in
-          let dst = cell_of ~nx:p.nx ~nz:p.nz x1 z1 in
-          Hashtbl.replace times r d.dist.(dst))
-        rays)
-    (rays_by_source p ~lo ~hi);
-  times
-
 let observed_times_uncached p =
   let truth = true_model p in
-  match p.rays with
-  | Straight ->
-      Array.init p.nrays (fun r ->
-          let x0, z0, x1, z1 = ray_endpoints p r in
-          trace_ray_acc ~nx:p.nx ~nz:p.nz ~slowness:truth ~x0 ~z0 ~x1 ~z1
-            Time_only)
-  | Bent ->
-      let times = trace_times_bent p truth ~lo:0 ~hi:p.nrays in
-      Array.init p.nrays (fun r -> Hashtbl.find times r)
+  Array.init p.nrays (fun r ->
+      let x0, z0, x1, z1 = ray_endpoints p r in
+      trace_ray_acc ~nx:p.nx ~nz:p.nz ~slowness:truth ~x0 ~z0 ~x1 ~z1 Time_only)
 
 (* The observed travel times are a pure function of the params (the truth
    model is synthetic), and every caller only reads the array — so all
@@ -385,7 +273,7 @@ let ray_paths p =
 (* Trace rays [lo, hi) against [model]; accumulate the backprojected
    residuals into [acc] (layout: num[cells] ++ den[cells] ++ [sq_misfit]).
    Backprojection is linear along the path, as in the paper. *)
-let trace_block_straight p observed model acc ~lo ~hi =
+let trace_block p observed model acc ~lo ~hi =
   let ncells = cells p in
   let g = ray_paths p in
   for r = lo to hi - 1 do
@@ -417,33 +305,6 @@ let trace_block_straight p observed model acc ~lo ~hi =
     acc.(2 * ncells) <- acc.(2 * ncells) +. (delta *. delta)
   done
 
-let trace_block_bent p observed model acc ~lo ~hi =
-  Hashtbl.iter
-    (fun src rays ->
-      let d = dijkstra_from ~nx:p.nx ~nz:p.nz ~slowness:model src in
-      List.iter
-        (fun r ->
-          let _, _, x1, z1 = ray_endpoints p r in
-          let dst = cell_of ~nx:p.nx ~nz:p.nz x1 z1 in
-          let simulated = d.dist.(dst) in
-          let delta = observed.(r) -. simulated in
-          let ray_len = walk_path ~nx:p.nx d dst (fun _ _ -> ()) in
-          if ray_len > 0.0 then begin
-            let per_len = delta /. ray_len in
-            ignore
-              (walk_path ~nx:p.nx d dst (fun c seg ->
-                   acc.(c) <- acc.(c) +. (per_len *. seg);
-                   acc.(cells p + c) <- acc.(cells p + c) +. seg))
-          end;
-          acc.(2 * cells p) <- acc.(2 * cells p) +. (delta *. delta))
-        rays)
-    (rays_by_source p ~lo ~hi)
-
-let trace_block p observed model acc ~lo ~hi =
-  match p.rays with
-  | Straight -> trace_block_straight p observed model acc ~lo ~hi
-  | Bent -> trace_block_bent p observed model acc ~lo ~hi
-
 let apply_update p model acc =
   for c = 0 to cells p - 1 do
     let den = acc.(cells p + c) in
@@ -455,9 +316,6 @@ let apply_update p model acc =
 
 let misfit_of p acc =
   sqrt (acc.(2 * cells p) /. float_of_int p.nrays)
-
-let shortest_time ~nx ~nz ~slowness ~src ~dst =
-  (dijkstra_from ~nx ~nz ~slowness src).dist.(dst)
 
 let ray_work p nrays_in_task =
   float_of_int nrays_in_task *. float_of_int (p.nx + p.nz) *. cell_flops

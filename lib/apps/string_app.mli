@@ -10,20 +10,12 @@
     model with a Gaussian anomaly and synthesize the observed travel times
     by tracing the true model — the same code path end to end. *)
 
-(** Ray propagation model: [Straight] integrates along straight
-    source-receiver lines (fast); [Bent] finds each ray as the shortest
-    travel-time path through the slowness field (Dijkstra on the
-    8-connected grid graph) — the refracted rays of the production
-    application. *)
-type ray_model = Straight | Bent
-
+(** Rays run along straight source-receiver lines through the grid. *)
 type params = {
   nx : int;  (** horizontal cells (between the wells) *)
   nz : int;  (** vertical cells (depth) *)
   nrays : int;
   iters : int;
-  seed : int;
-  rays : ray_model;
 }
 
 val paper_params : params
@@ -53,11 +45,6 @@ val make :
   nprocs:int ->
   (Jade.Runtime.t -> unit) * (unit -> result)
 
-(** [shortest_time ~nx ~nz ~slowness ~src ~dst] is the bent-ray travel
-    time between two cells (Dijkstra). Exposed for tests. *)
-val shortest_time :
-  nx:int -> nz:int -> slowness:float array -> src:int -> dst:int -> float
-
 (** Trace one straight ray through a slowness grid. Exposed for tests:
     returns the travel time and invokes [cell] per traversed cell with the
     segment length. *)
@@ -74,7 +61,7 @@ val trace_ray :
 
 (** {2 Straight-ray path store}
 
-    Every iteration of a [Straight] run walks each ray's (cell, segment)
+    Every iteration walks each ray's (cell, segment)
     pairs from a per-size store built once by the DDA. Exposed for tests. *)
 
 (** The store: every ray's pairs in walk order plus its length. *)

@@ -14,5 +14,3 @@ val is_write : mode -> bool
     accesses to the same object order the two tasks by their serial
     creation order. *)
 val conflicts : mode -> mode -> bool
-
-val to_string : mode -> string

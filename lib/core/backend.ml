@@ -9,15 +9,14 @@
     task enable/placement policy, the dispatch loop, completion
     notification, shutdown and end-of-run accounting.
 
-    Three implementations exist: {!Backend_shm} (DASH: hardware shared
-    memory, distributed task queues, cluster-aware stealing),
-    {!Backend_mp} (iPSC/860: hypercube fabric, centralized scheduler,
-    software coherence via the communicator) and {!Backend_lan} (shared-bus
-    workstation network, a divergence point over the message-passing
-    machinery). Adding a fourth machine means writing one more
-    [create : core -> costs -> ops] and listing it in
-    [Runtime]'s backend construction — the core never dispatches on
-    machine type. *)
+    Two implementations exist: {!Backend_shm} (DASH: hardware shared
+    memory, distributed task queues, cluster-aware stealing) and
+    {!Backend_mp} (message passing: a hypercube fabric, centralized
+    scheduler and software coherence via the communicator — the iPSC/860
+    and, with a shared-bus cost model, the workstation LAN). Adding a
+    machine means writing one more [create : core -> costs -> ops] and
+    listing it in [Runtime]'s backend construction — the core never
+    dispatches on machine type. *)
 
 open Jade_sim
 open Jade_machines
@@ -55,12 +54,8 @@ type core = {
 (** What a machine backend provides. One record per machine; the core
     calls through it and never matches on machine type. *)
 type ops = {
-  name : string;  (** human-readable machine name, used in messages *)
   task_create_cost : float;  (** charged to processor 0 per [withonly] *)
   flop_rate : float;  (** effective flops/s, for [Runtime.work] charging *)
-  validate : nprocs:int -> unit;
-      (** check a processor count before construction; raises
-          [Invalid_argument] naming the machine *)
   on_enable : Taskrec.t -> unit;
       (** the synchronizer enabled a task: place/queue it *)
   on_write_commit : Meta.t -> Taskrec.t -> unit;
@@ -141,8 +136,3 @@ let complete_task (c : core) (task : Taskrec.t) ~proc =
   Taskrec.signal_done c.eng task;
   c.outstanding <- c.outstanding - 1;
   maybe_finish c
-
-let invalid_nprocs ~machine ~nprocs =
-  invalid_arg
-    (Printf.sprintf "Runtime.run: %s machine needs nprocs >= 1 (got %d)"
-       machine nprocs)

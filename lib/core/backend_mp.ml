@@ -1,5 +1,7 @@
-(** iPSC/860 backend (§3.3, §3.4): message passing over a point-to-point
-    fabric.
+(** Message-passing backend (§3.3, §3.4): the iPSC/860, and the
+    workstation LAN under its own costs ({!Jade_machines.Costs.workstation_lan}
+    serializes every transfer through one shared medium). Both run over a
+    point-to-point hypercube fabric.
 
     A centralized scheduler process on processor 0 receives enable and
     completion events, assigns tasks to the least-loaded processor
@@ -8,11 +10,7 @@
     {!Communicator} has fetched the required object versions. The
     communicator implements replication, concurrent fetch, adaptive
     broadcast and the eager update protocol — all optimization-flag
-    policy lives on this side of the {!Backend} seam.
-
-    {!create_with} exposes the machine identity and interconnect topology
-    so sibling message-passing machines ({!Backend_lan}) reuse the
-    machinery while diverging where their hardware differs. *)
+    policy lives on this side of the {!Backend} seam. *)
 
 open Jade_sim
 open Jade_machines
@@ -290,11 +288,10 @@ let finalize b () =
       m.Metrics.duplicated_messages <- Fault.duplicated f
   | None -> ()
 
-(* Parameterized constructor: [name] is the machine identity used in
-   messages and [topology] its interconnect (the iPSC is a hypercube;
-   sibling machines pass their own). *)
-let create_with ~name ~topology (core : Backend.core) (costs : Costs.mp) :
-    Backend.ops =
+(* The e-cube hypercube handles any node count (partial cubes route
+   through the containing cube's dimensions), so no power-of-two
+   constraint applies — the paper's processor counts include 24. *)
+let create (core : Backend.core) (costs : Costs.mp) : Backend.ops =
   let eng = core.Backend.eng in
   let nprocs = core.Backend.nprocs in
   let fault = Option.map Fault.create core.Backend.cfg.Config.fault in
@@ -303,7 +300,7 @@ let create_with ~name ~topology (core : Backend.core) (costs : Costs.mp) :
   in
   let fabric =
     Fabric.create ?bus ?fault eng ~dummy:(Protocol.Ping (-1))
-      ~nodes:core.Backend.nodes ~topology
+      ~nodes:core.Backend.nodes ~topology:(Topology.hypercube nprocs)
       ~startup:costs.Costs.msg_startup ~bandwidth:costs.Costs.bandwidth
       ~hop_latency:costs.Costs.hop_latency
   in
@@ -333,12 +330,8 @@ let create_with ~name ~topology (core : Backend.core) (costs : Costs.mp) :
     }
   in
   {
-    Backend.name;
-    task_create_cost = costs.Costs.task_create;
+    Backend.task_create_cost = costs.Costs.task_create;
     flop_rate = costs.Costs.flops;
-    validate =
-      (fun ~nprocs ->
-        if nprocs < 1 then Backend.invalid_nprocs ~machine:name ~nprocs);
     on_enable = on_enable b;
     on_write_commit = Communicator.on_write_commit b.comm;
     start = start b;
@@ -357,17 +350,3 @@ let create_with ~name ~topology (core : Backend.core) (costs : Costs.mp) :
            }
        else None);
   }
-
-let machine_name = "iPSC/860"
-
-(* The e-cube hypercube handles any node count (partial cubes route
-   through the containing cube's dimensions), so no power-of-two
-   constraint applies beyond nprocs >= 1 — the paper's processor counts
-   include 24. *)
-let validate ~nprocs =
-  if nprocs < 1 then Backend.invalid_nprocs ~machine:machine_name ~nprocs
-
-let create (core : Backend.core) (costs : Costs.mp) : Backend.ops =
-  create_with ~name:machine_name
-    ~topology:(Topology.hypercube core.Backend.nprocs)
-    core costs

@@ -229,11 +229,6 @@ let start b () =
 let finalize b () =
   b.core.Backend.metrics.Metrics.steals <- Scheduler_shm.steals b.sched
 
-let machine_name = "DASH"
-
-let validate ~nprocs =
-  if nprocs < 1 then Backend.invalid_nprocs ~machine:machine_name ~nprocs
-
 let create (core : Backend.core) (costs : Costs.shm) : Backend.ops =
   let track =
     match core.Backend.cfg.Config.fault with
@@ -257,10 +252,8 @@ let create (core : Backend.core) (costs : Costs.shm) : Backend.ops =
     }
   in
   {
-    Backend.name = machine_name;
-    task_create_cost = costs.Costs.task_create_shm;
+    Backend.task_create_cost = costs.Costs.task_create_shm;
     flop_rate = costs.Costs.flops_shm;
-    validate;
     on_enable = on_enable b;
     on_write_commit = (fun _ _ -> ());
     start = start b;

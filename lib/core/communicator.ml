@@ -86,7 +86,7 @@ let post_request t (meta : Meta.t) ~version ~proc =
    The timer dies silently when the fetch completed or was superseded by a
    newer version (which armed its own timer). *)
 let rec arm_fetch_timer t (meta : Meta.t) p ~version ~proc ~attempt ~timeout =
-  Engine.schedule t.eng ~delay:timeout (fun () ->
+  Engine.schedule_after t.eng timeout (fun () ->
       if (not (Ivar.is_full p.ivar)) && p.version = version then
         match t.reliable with
         | None -> ()
@@ -109,7 +109,6 @@ let rec arm_fetch_timer t (meta : Meta.t) p ~version ~proc ~attempt ~timeout =
 let issue t (meta : Meta.t) ~version ~proc =
   let send_request p =
     t.metrics.Metrics.object_fetches <- t.metrics.Metrics.object_fetches + 1;
-    meta.Meta.fetch_count <- meta.Meta.fetch_count + 1;
     post_request t meta ~version ~proc;
     match t.reliable with
     | Some s ->
@@ -176,7 +175,7 @@ let rec arm_push_timer t pu ~timeout =
   match t.reliable with
   | None -> ()
   | Some s ->
-      Engine.schedule t.eng ~delay:timeout (fun () ->
+      Engine.schedule_after t.eng timeout (fun () ->
           match Hashtbl.find_opt t.pushes (push_key pu) with
           | Some live when live == pu ->
               if pu.push_attempt >= s.Fault.max_retries then begin
@@ -416,7 +415,6 @@ let on_write_commit t (meta : Meta.t) (task : Taskrec.t) =
   then begin
     let version = meta.Meta.committed in
     t.metrics.Metrics.broadcasts <- t.metrics.Metrics.broadcasts + 1;
-    meta.Meta.broadcast_count <- meta.Meta.broadcast_count + 1;
     t.metrics.Metrics.fl.Metrics.broadcast_bytes <-
       t.metrics.Metrics.fl.Metrics.broadcast_bytes
       +. float_of_int (meta.Meta.size * (t.nprocs - 1));

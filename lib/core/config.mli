@@ -30,13 +30,11 @@ type t = {
           fabric, plus the reliable-delivery (ack/retransmit) parameters
           that let the communicator survive it. [None] (and any plan with
           all rates zero) leaves the simulation bit-identical to the
-          fault-free baseline. Only meaningful on message-passing machines. *)
+          fault-free baseline. Its message faults apply only to the
+          message-passing machines; its crash plan applies to every
+          machine. *)
 }
 
 (** All optimizations on, no latency hiding ([target_tasks = 1]) — the
     baseline configuration the paper uses for most measurements. *)
 val default : t
-
-val locality_to_string : locality_level -> string
-
-val pp : Format.formatter -> t -> unit

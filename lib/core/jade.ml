@@ -25,5 +25,4 @@ module Recovery = Recovery
 module Backend = Backend
 module Backend_shm = Backend_shm
 module Backend_mp = Backend_mp
-module Backend_lan = Backend_lan
 module Runtime = Runtime

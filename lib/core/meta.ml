@@ -27,8 +27,6 @@ type t = {
           consumers an eager update protocol sends new versions to *)
   mutable accessed_count : int;
   mutable broadcast_mode : bool;
-  mutable fetch_count : int;  (** remote fetches of this object (stats) *)
-  mutable broadcast_count : int;
 }
 
 let create ~id ~name ~size ~home ~nprocs =
@@ -53,8 +51,6 @@ let create ~id ~name ~size ~home ~nprocs =
     prev_accessed;
     accessed_count = 1;
     broadcast_mode = false;
-    fetch_count = 0;
-    broadcast_count = 0;
   }
 
 (** Record that processor [p] accessed the current version; returns [true]

@@ -157,11 +157,7 @@ let set_objects t f = t.all_objects <- f
 
 let set_should_stop t f = t.should_stop <- f
 
-let plan t = t.plan
-
 let fatal t = t.fatal
-
-let crashed t p = t.crashed.(p)
 
 let alive t p = not t.crashed.(p)
 
@@ -308,7 +304,7 @@ let inject t p =
     else begin
       t.actions.act_doom p;
       if t.spec.Jade_net.Fault.crash_restart > 0.0 then
-        Engine.schedule t.eng ~delay:t.spec.Jade_net.Fault.crash_restart
+        Engine.schedule_after t.eng t.spec.Jade_net.Fault.crash_restart
           (fun () -> restart t p)
     end
   end

@@ -70,9 +70,6 @@ val set_objects : t -> (unit -> Meta.t list) -> unit
 val set_should_stop : t -> (unit -> bool) -> unit
 (** The supervisor polls this to exit once the run has finished. *)
 
-val plan : t -> (int * float) list
-(** The resolved crash schedule for this run. *)
-
 val start : t -> unit
 (** Arm the plan: schedule every injection and spawn the supervisor
     process. Does nothing (zero events) when the plan is empty. *)
@@ -85,9 +82,6 @@ val note_stopped : t -> int -> unit
 
 val note_pong : t -> int -> unit
 (** A heartbeat reply arrived from the given processor. *)
-
-val crashed : t -> int -> bool
-(** Whether the processor is currently crashed (injected, not restarted). *)
 
 val fatal : t -> failure option
 (** The pending unrecoverable failure, if any; the runtime raises

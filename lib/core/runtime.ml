@@ -85,11 +85,10 @@ let now t = Engine.now t.core.Backend.eng
 (* Backend construction — the only place the machine type is inspected.
    Everything below speaks through [Backend.ops]. *)
 
-let validate_machine ~machine ~nprocs =
-  match machine with
-  | Dash _ -> Backend_shm.validate ~nprocs
-  | Ipsc _ -> Backend_mp.validate ~nprocs
-  | Lan _ -> Backend_lan.validate ~nprocs
+let machine_name = function
+  | Dash _ -> "DASH"
+  | Ipsc _ -> "iPSC/860"
+  | Lan _ -> "LAN"
 
 (* Heartbeat/watchdog tuning from the machine's latency floors: the
    period must dwarf one probe round-trip so supervision stays off the
@@ -162,8 +161,7 @@ let make ?trace ~kernels cfg machine nprocs =
   let backend =
     match machine with
     | Dash c -> Backend_shm.create core c
-    | Ipsc c -> Backend_mp.create core c
-    | Lan c -> Backend_lan.create core c
+    | Ipsc c | Lan c -> Backend_mp.create core c
   in
   (match (cfg.Config.fault, backend.Backend.recovery_actions) with
   | Some spec, Some actions when Jade_net.Fault.crash_active spec ->
@@ -308,8 +306,6 @@ let wr env shared =
             env.env_task.Taskrec.tname
             (Shared.name shared)))
 
-let env_proc env = env.proc
-
 let work env flops =
   if flops < 0.0 then invalid_arg "Runtime.work: negative flops";
   let t = env.env_rt and task = env.env_task in
@@ -344,7 +340,10 @@ let drain t =
 
 let run_with ?(config = Config.default) ?trace ?(kernels = true) ~machine
     ~nprocs main ~inspect =
-  validate_machine ~machine ~nprocs;
+  if nprocs < 1 then
+    invalid_arg
+      (Printf.sprintf "Runtime.run: %s machine needs nprocs >= 1 (got %d)"
+         (machine_name machine) nprocs);
   if config.Config.target_tasks < 1 then
     invalid_arg "Runtime.run: target_tasks must be >= 1";
   let t = make ?trace ~kernels config machine nprocs in

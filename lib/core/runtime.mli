@@ -37,8 +37,8 @@ val lan : machine
 
 type t
 
-(** Phantom tag of a {!withonly} body's context: {!rd}, {!wr} and
-    {!env_proc} only. *)
+(** Phantom tag of a {!withonly} body's context: {!rd} and {!wr}
+    only. *)
 type kernel
 
 (** Phantom tag of a {!withonly_staged} body's context, which adds
@@ -56,8 +56,8 @@ type deadlock_report = {
   dl_outstanding : int;  (** tasks created but never completed *)
   dl_live : int;  (** simulation processes that never terminated *)
   dl_blocked : (string * string) list;
-      (** (process, what it is blocked on — an ivar, mailbox, or resource
-          name), in blocking order *)
+      (** (process, what it is blocked on — an ivar or mailbox name), in
+          blocking order *)
   dl_fetches : (int * int * int) list;
       (** per-processor (proc, in-flight fetches, retransmits) — which
           processors were still waiting on the network when the run hung *)
@@ -174,9 +174,6 @@ val withonly_staged :
 val rd : _ env -> 'a Shared.t -> 'a
 
 val wr : _ env -> 'a Shared.t -> 'a
-
-(** Processor the task is executing on. *)
-val env_proc : _ env -> int
 
 (** [work env flops] charges part of the task's declared computation at
     the current point of the body, advancing virtual time. Anything not

@@ -37,7 +37,9 @@ let mark_up t p = t.down.(p) <- false
 
 let is_down t p = t.down.(p)
 
-let set_target _t (task : Taskrec.t) =
+(* Target processor: explicit placement, else the owner of the locality
+   object at enable time. Sets [task.target]. *)
+let set_target (task : Taskrec.t) =
   let target =
     match task.Taskrec.placement with
     | Some p -> p
@@ -75,7 +77,7 @@ let push t (task : Taskrec.t) =
   `Pooled
 
 let on_enabled t (task : Taskrec.t) =
-  set_target t task;
+  set_target task;
   if t.down.(task.Taskrec.target) then task.Taskrec.target <- survivor_for t;
   match task.Taskrec.placement with
   | Some p ->

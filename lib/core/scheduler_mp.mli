@@ -16,10 +16,6 @@ type t
 
 val create : Config.t -> nprocs:int -> t
 
-(** Target processor: explicit placement, else the owner of the locality
-    object at enable time. Sets [task.target]. *)
-val set_target : t -> Taskrec.t -> unit
-
 (** [on_enabled t task] decides where an enabled task goes.
     [`Assign p] also increments [p]'s load. *)
 val on_enabled : t -> Taskrec.t -> [ `Assign of int | `Pooled ]

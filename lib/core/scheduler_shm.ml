@@ -75,7 +75,10 @@ let redirect t p =
     go 0
   end
 
-let target_of _t (task : Taskrec.t) =
+(* Target processor of a task: its explicit placement if present,
+   otherwise the home of its locality object (the paper measures task
+   locality percentage against this regardless of optimization level). *)
+let target_of (task : Taskrec.t) =
   match task.Taskrec.placement with
   | Some p -> p
   | None -> (
@@ -100,7 +103,7 @@ let enqueue_locality t (task : Taskrec.t) =
   end
 
 let enqueue t (task : Taskrec.t) =
-  task.Taskrec.target <- target_of t task;
+  task.Taskrec.target <- target_of task;
   t.queued_count <- t.queued_count + 1;
   match (t.cfg.Config.locality, task.Taskrec.placement) with
   | _, Some p -> Deque.push_back t.placed.(redirect t p) task

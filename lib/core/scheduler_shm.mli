@@ -24,11 +24,6 @@ type t
     memory hierarchies of different machines"). *)
 val create : ?cluster_size:int -> Config.t -> nprocs:int -> t
 
-(** Target processor of a task: its explicit placement if present,
-    otherwise the home of its locality object (the paper measures task
-    locality percentage against this regardless of optimization level). *)
-val target_of : t -> Taskrec.t -> int
-
 (** Insert an enabled task (also sets [task.target]). *)
 val enqueue : t -> Taskrec.t -> unit
 

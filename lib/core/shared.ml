@@ -35,5 +35,3 @@ let make_deferred meta thunk = { meta; payload = Deferred thunk }
 let id t = t.meta.Meta.id
 
 let name t = t.meta.Meta.name
-
-let size t = t.meta.Meta.size

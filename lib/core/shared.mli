@@ -24,6 +24,3 @@ val data : 'a t -> 'a
 val id : 'a t -> int
 
 val name : 'a t -> string
-
-(** Modelled size in bytes (drives communication costs). *)
-val size : 'a t -> int

@@ -2,12 +2,18 @@ type 'a outcome = Value of 'a | Raised of exn * Printexc.raw_backtrace
 
 let default_jobs () = Domain.recommended_domain_count ()
 
+(* OCaml 5.1 runs at most 128 domains at once on 64-bit hosts
+   ([Max_domains] in caml/domain.h), the calling domain included. *)
+let max_jobs = 128
+
+let workers ~jobs n = max 1 (min (min jobs max_jobs) n)
+
 let run (type a) ~jobs (thunks : (unit -> a) list) : a list =
   let tasks = Array.of_list thunks in
   let n = Array.length tasks in
   if n = 0 then []
   else begin
-    let jobs = max 1 (min jobs n) in
+    let jobs = workers ~jobs n in
     let results : a outcome option array = Array.make n None in
     let next = Atomic.make 0 in
     (* Workers claim indices from a shared counter; every claimed task runs

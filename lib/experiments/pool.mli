@@ -13,9 +13,17 @@
     [Domain.recommended_domain_count ()]. *)
 val default_jobs : unit -> int
 
-(** [run ~jobs thunks] evaluates every thunk, at most [jobs] at a time
-    (clamped to at least 1; [jobs = 1] runs inline on the calling domain
-    with no domain spawns), and returns the results in submission order.
+(** The most domains one process can run at once (OCaml 5.1's limit on
+    64-bit hosts, the calling domain included). *)
+val max_jobs : int
+
+(** [workers ~jobs n] is how many domains {!run} uses for [n] thunks,
+    the calling one included: [jobs] clamped to [1 .. min n max_jobs]. *)
+val workers : jobs:int -> int -> int
+
+(** [run ~jobs thunks] evaluates every thunk on [workers ~jobs n]
+    domains ([jobs = 1] runs inline on the calling domain with no domain
+    spawns), and returns the results in submission order.
 
     If any thunk raises, every remaining thunk still runs, and the
     exception of the lowest-index failure is re-raised (with its

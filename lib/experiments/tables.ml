@@ -92,10 +92,5 @@ let table_seq r n =
 
 (* Fan the table's uncached simulations out across the runner's domains,
    then render sequentially from the cache (byte-identical at any jobs
-   count). [all] plans the whole set at once so every table's runs share
-   one fan-out. *)
+   count). *)
 let table r n = Runner.parallel r (fun () -> table_seq r n)
-
-let all r =
-  Runner.parallel r (fun () ->
-      List.map (table_seq r) [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12; 13; 14 ])

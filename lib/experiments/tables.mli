@@ -5,6 +5,3 @@
 (** [table r n] regenerates paper table [n] (1..14). Raises
     [Invalid_argument] for other numbers. *)
 val table : Runner.t -> int -> Report.table
-
-(** All fourteen tables in order. *)
-val all : Runner.t -> Report.table list

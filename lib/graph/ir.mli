@@ -64,8 +64,6 @@ type t = {
   succs : int list array;  (** position -> consumer positions, ascending *)
 }
 
-val mode_to_string : mode -> string
-
 val node_count : t -> int
 
 val edge_count : t -> int

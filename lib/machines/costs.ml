@@ -86,5 +86,3 @@ let workstation_lan =
 
 let mp_send_occupancy (c : mp) ~size =
   c.msg_startup +. (float_of_int size /. c.bandwidth)
-
-let mp_message_time (c : mp) ~size = mp_send_occupancy c ~size +. c.hop_latency

@@ -56,8 +56,5 @@ val workstation_lan : mp
 
 val dash : shm
 
-(** Time for one point-to-point message of [size] bytes: occupancy plus wire. *)
-val mp_message_time : mp -> size:int -> float
-
 (** Sender-side occupancy for one message of [size] bytes. *)
 val mp_send_occupancy : mp -> size:int -> float

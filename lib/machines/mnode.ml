@@ -47,5 +47,3 @@ let charge t cost =
 let avail t = t.fl.avail
 
 let busy_time t = t.fl.busy
-
-let reset_busy t = t.fl.busy <- 0.0

@@ -31,5 +31,3 @@ val avail : t -> float
 
 (** Total seconds of work executed (foreground + interrupt). *)
 val busy_time : t -> float
-
-val reset_busy : t -> unit

@@ -37,7 +37,6 @@ type 'a t = {
   tag_bytes : int array;  (** payload bytes per tag *)
   down : bool array;  (** crashed nodes: their NIC neither sends nor receives *)
   mutable any_down : bool;  (** fast guard so clean runs never scan [down] *)
-  mutable crash_dropped : int;  (** messages lost to a down endpoint *)
   mutable cells : 'a msg array;
       (** every cell this fabric ever allocated, indexed by [slot] — the
           registry the delivery opcode resolves its operand against *)
@@ -92,7 +91,6 @@ let create ?bus ?fault eng ~dummy ~nodes ~topology ~startup ~bandwidth
       tag_bytes = Array.make Tag.count 0;
       down = Array.make (Array.length nodes) false;
       any_down = false;
-      crash_dropped = 0;
       cells = [||];
       cells_n = 0;
       deliver_op = 0;
@@ -144,10 +142,7 @@ let alloc t ~src ~dst ~size ~tag body =
    receive is silently lost at schedule time. Checked before recording so
    the per-tag ledgers only count messages that actually hit the wire. *)
 let deliver_at t time m =
-  if t.any_down && (t.down.(m.src) || t.down.(m.dst)) then begin
-    t.crash_dropped <- t.crash_dropped + 1;
-    release_cell t m
-  end
+  if t.any_down && (t.down.(m.src) || t.down.(m.dst)) then release_cell t m
   else begin
     record t m;
     Engine.schedule_op_at t.eng ~op:t.deliver_op ~arg:m.slot time
@@ -170,7 +165,7 @@ let deliver_at_faulted t time m =
          [deliver_at] — a dead node answers nothing. *)
       deliver_at t time m
   | Some f ->
-      let d = Fault.next_decision f ~src:m.src ~dst:m.dst ~tag:m.tag in
+      let d = Fault.next_decision f ~tag:m.tag in
       if d.Fault.drop then release_cell t m
       else begin
         if d.Fault.duplicate then begin
@@ -230,8 +225,6 @@ let broadcast t ~src ~size ~tag body =
     done
   end
 
-let broadcast_rounds t = Topology.broadcast_rounds t.topo
-
 let set_down t p =
   t.down.(p) <- true;
   t.any_down <- true
@@ -241,8 +234,6 @@ let clear_down t p =
   t.any_down <- Array.exists Fun.id t.down
 
 let is_down t p = t.down.(p)
-
-let crash_dropped t = t.crash_dropped
 
 let message_count t = t.msgs
 

@@ -80,9 +80,6 @@ val post : 'a t -> src:int -> dst:int -> size:int -> tag:Tag.t -> 'a -> unit
     used from either context. *)
 val broadcast : 'a t -> src:int -> size:int -> tag:Tag.t -> 'a -> unit
 
-(** Number of rounds a broadcast takes on this fabric's topology. *)
-val broadcast_rounds : 'a t -> int
-
 (** [set_down t p] marks node [p] crashed: from now on any message sent by
     or addressed to [p] is silently lost at schedule time (its NIC is
     dark). Heartbeat probes to [p] die too, which is exactly how the
@@ -94,9 +91,6 @@ val clear_down : 'a t -> int -> unit
 
 (** [is_down t p] reports whether [p] is currently marked down. *)
 val is_down : 'a t -> int -> bool
-
-(** Messages lost because an endpoint was down. *)
-val crash_dropped : 'a t -> int
 
 (** Total messages delivered or scheduled for delivery. *)
 val message_count : 'a t -> int
@@ -114,6 +108,3 @@ val count_with_tag : 'a t -> Tag.t -> int
     its cell registry, and (with pooling) the peak number of messages
     simultaneously in flight. *)
 val cell_count : 'a t -> int
-
-(** Occupancy charged to a sender for one message of [size] bytes. *)
-val send_occupancy : 'a t -> size:int -> float

@@ -5,7 +5,6 @@ type spec = {
   drop_rate : float;
   dup_rate : float;
   jitter : float;
-  degrade : float;
   retry_timeout : float;
   max_retries : int;
   drop_tagged : (Tag.t * int) list;
@@ -22,7 +21,6 @@ let default_spec =
     drop_rate = 0.0;
     dup_rate = 0.0;
     jitter = 0.0;
-    degrade = 0.0;
     retry_timeout = 0.05;
     max_retries = 10;
     drop_tagged = [];
@@ -34,7 +32,7 @@ let default_spec =
   }
 
 let spec ?(seed = 1) ?(drop_rate = 0.0) ?(dup_rate = 0.0) ?(jitter = 0.0)
-    ?(degrade = 0.0) ?(retry_timeout = default_spec.retry_timeout)
+    ?(retry_timeout = default_spec.retry_timeout)
     ?(max_retries = default_spec.max_retries) ?(drop_tagged = [])
     ?(crash_seed = 1) ?(crash_rate = 0.0)
     ?(crash_horizon = default_spec.crash_horizon) ?(crash_at = [])
@@ -44,7 +42,6 @@ let spec ?(seed = 1) ?(drop_rate = 0.0) ?(dup_rate = 0.0) ?(jitter = 0.0)
   if dup_rate < 0.0 || dup_rate > 1.0 then
     invalid_arg "Fault.spec: dup_rate outside [0,1]";
   if jitter < 0.0 then invalid_arg "Fault.spec: negative jitter";
-  if degrade < 0.0 then invalid_arg "Fault.spec: negative degrade";
   if crash_rate < 0.0 || crash_rate > 1.0 then
     invalid_arg "Fault.spec: crash_rate outside [0,1]";
   if crash_horizon <= 0.0 then
@@ -55,13 +52,12 @@ let spec ?(seed = 1) ?(drop_rate = 0.0) ?(dup_rate = 0.0) ?(jitter = 0.0)
       if p < 0 then invalid_arg "Fault.spec: negative crash_at processor";
       if at < 0.0 then invalid_arg "Fault.spec: negative crash_at time")
     crash_at;
-  { seed; drop_rate; dup_rate; jitter; degrade; retry_timeout; max_retries;
+  { seed; drop_rate; dup_rate; jitter; retry_timeout; max_retries;
     drop_tagged; crash_seed; crash_rate; crash_horizon; crash_at;
     crash_restart }
 
 let active s =
-  s.drop_rate > 0.0 || s.dup_rate > 0.0 || s.jitter > 0.0 || s.degrade > 0.0
-  || s.drop_tagged <> []
+  s.drop_rate > 0.0 || s.dup_rate > 0.0 || s.jitter > 0.0 || s.drop_tagged <> []
 
 let crash_active s = s.crash_rate > 0.0 || s.crash_at <> []
 
@@ -141,8 +137,8 @@ let crash_plan s ~nprocs =
 
 let pp_spec ppf s =
   Format.fprintf ppf
-    "fault(seed=%d drop=%g dup=%g jitter=%g degrade=%g timeout=%g retries=%d%s%s)"
-    s.seed s.drop_rate s.dup_rate s.jitter s.degrade s.retry_timeout
+    "fault(seed=%d drop=%g dup=%g jitter=%g timeout=%g retries=%d%s%s)"
+    s.seed s.drop_rate s.dup_rate s.jitter s.retry_timeout
     s.max_retries
     (if s.drop_tagged = [] then ""
      else
@@ -174,18 +170,10 @@ let pass = { drop = false; duplicate = false; delay = 0.0; dup_delay = 0.0 }
 
 let dropped_decision = { pass with drop = true }
 
-(* Per-link degradation factor: a pure hash of (seed, src, dst), so the same
-   link is consistently slow across the whole run. *)
-let link_factor s ~src ~dst =
-  if s.degrade <= 0.0 then 1.0
-  else
-    let g = Srandom.create ((s.seed * 48271) lxor (((src + 1) * 7919) + dst) ) in
-    1.0 +. (s.degrade *. Srandom.float g 1.0)
-
 (* The decision for global message [index] is a pure function of
-   (spec, index, src, dst): replaying the same plan over the same message
-   sequence reproduces the same faults exactly. *)
-let decision_at s ~index ~src ~dst =
+   (spec, index): replaying the same plan over the same message sequence
+   reproduces the same faults exactly. *)
+let decision_at s ~index =
   if not (active s) then pass
   else begin
     let g = Srandom.create ((s.seed * 1_000_003) lxor (index * 8191)) in
@@ -195,14 +183,10 @@ let decision_at s ~index ~src ~dst =
     let u_dup_delay = Srandom.float g 1.0 in
     if s.drop_rate > 0.0 && u_drop < s.drop_rate then dropped_decision
     else begin
-      let scale = link_factor s ~src ~dst in
-      let delay =
-        if s.jitter > 0.0 then scale *. s.jitter *. u_delay else 0.0
-      in
+      let delay = if s.jitter > 0.0 then s.jitter *. u_delay else 0.0 in
       let duplicate = s.dup_rate > 0.0 && u_dup < s.dup_rate in
       let dup_delay =
-        if duplicate && s.jitter > 0.0 then scale *. s.jitter *. u_dup_delay
-        else delay
+        if duplicate && s.jitter > 0.0 then s.jitter *. u_dup_delay else delay
       in
       { drop = false; duplicate; delay; dup_delay }
     end
@@ -216,7 +200,6 @@ type t = {
   mutable index : int;  (** global message index, pre-incremented per draw *)
   seen_by_tag : int array;
   drops_by_tag : int array;
-  dups_by_tag : int array;
   mutable dropped : int;
   mutable duplicated : int;
 }
@@ -227,20 +210,17 @@ let create fspec =
     index = 0;
     seen_by_tag = Array.make Tag.count 0;
     drops_by_tag = Array.make Tag.count 0;
-    dups_by_tag = Array.make Tag.count 0;
     dropped = 0;
     duplicated = 0;
   }
 
-let get_spec t = t.fspec
-
-let next_decision t ~src ~dst ~tag =
+let next_decision t ~tag =
   let index = t.index in
   t.index <- index + 1;
   let ti = Tag.index tag in
   let nth = t.seen_by_tag.(ti) in
   t.seen_by_tag.(ti) <- nth + 1;
-  let d = decision_at t.fspec ~index ~src ~dst in
+  let d = decision_at t.fspec ~index in
   let scripted =
     t.fspec.drop_tagged <> []
     && List.exists (fun (tg, i) -> tg = tag && i = nth) t.fspec.drop_tagged
@@ -250,10 +230,7 @@ let next_decision t ~src ~dst ~tag =
     t.dropped <- t.dropped + 1;
     t.drops_by_tag.(ti) <- t.drops_by_tag.(ti) + 1
   end
-  else if d.duplicate then begin
-    t.duplicated <- t.duplicated + 1;
-    t.dups_by_tag.(ti) <- t.dups_by_tag.(ti) + 1
-  end;
+  else if d.duplicate then t.duplicated <- t.duplicated + 1;
   d
 
 let messages_seen t = t.index
@@ -263,5 +240,3 @@ let dropped t = t.dropped
 let duplicated t = t.duplicated
 
 let dropped_with_tag t tag = t.drops_by_tag.(Tag.index tag)
-
-let duplicated_with_tag t tag = t.dups_by_tag.(Tag.index tag)

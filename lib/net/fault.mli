@@ -1,9 +1,8 @@
 (** Deterministic fault injection for the message fabric.
 
     A {!spec} is a seeded *fault plan*: per-message drop / duplicate /
-    extra-delay decisions plus per-link degradation, all pure functions of
-    [(seed, message index)] (and the link endpoints for degradation). Two
-    runs that present the same message sequence to the same plan see
+    extra-delay decisions, all pure functions of [(seed, message index)].
+    Two runs that present the same message sequence to the same plan see
     exactly the same faults, so chaos runs are as reproducible as clean
     ones.
 
@@ -13,16 +12,13 @@
     channel) and node-local deliveries are never faulted.
 
     A {!t} wraps a spec with the run's mutable message index and
-    per-tag drop/duplicate accounting. *)
+    drop/duplicate accounting. *)
 
 type spec = {
   seed : int;  (** root of every pseudo-random fault decision *)
   drop_rate : float;  (** probability a message is lost, in [0,1] *)
   dup_rate : float;  (** probability a surviving message is duplicated *)
   jitter : float;  (** max extra delivery latency, seconds *)
-  degrade : float;
-      (** per-link slowdown: each (src,dst) link scales its jitter by a
-          fixed factor in [1, 1+degrade] *)
   retry_timeout : float;
       (** virtual seconds before the communicator retransmits an unanswered
           request (doubled per retry) *)
@@ -49,16 +45,11 @@ type spec = {
           and an empty queue) this many virtual seconds after its crash *)
 }
 
-val default_spec : spec
-(** Zero rates, [retry_timeout = 0.05], [max_retries = 10],
-    [crash_horizon = 0.01]. *)
-
 val spec :
   ?seed:int ->
   ?drop_rate:float ->
   ?dup_rate:float ->
   ?jitter:float ->
-  ?degrade:float ->
   ?retry_timeout:float ->
   ?max_retries:int ->
   ?drop_tagged:(Tag.t * int) list ->
@@ -69,7 +60,8 @@ val spec :
   ?crash_restart:float ->
   unit ->
   spec
-(** {!default_spec} with overrides; validates the rates. *)
+(** Zero rates, [retry_timeout = 0.05], [max_retries = 10] and
+    [crash_horizon = 0.01], with overrides; validates the rates. *)
 
 val active : spec -> bool
 (** True when the plan can actually perturb delivery (some rate positive or
@@ -109,21 +101,15 @@ type decision = {
 val pass : decision
 (** The no-fault decision (deliver once, on time). *)
 
-val decision_at : spec -> index:int -> src:int -> dst:int -> decision
-(** The pure per-message decision for global message [index] on link
-    [src->dst]. Ignores [drop_tagged] (which needs per-tag counting; see
-    {!next_decision}). *)
-
-val link_factor : spec -> src:int -> dst:int -> float
-(** The fixed degradation factor of one link, in [1, 1+degrade]. *)
+val decision_at : spec -> index:int -> decision
+(** The pure per-message decision for global message [index]. Ignores
+    [drop_tagged] (which needs per-tag counting; see {!next_decision}). *)
 
 type t
 
 val create : spec -> t
 
-val get_spec : t -> spec
-
-val next_decision : t -> src:int -> dst:int -> tag:Tag.t -> decision
+val next_decision : t -> tag:Tag.t -> decision
 (** Consume the next message index and return its decision, applying
     scripted [drop_tagged] entries and updating the drop/duplicate
     counters. *)
@@ -135,5 +121,3 @@ val dropped : t -> int
 val duplicated : t -> int
 
 val dropped_with_tag : t -> Tag.t -> int
-
-val duplicated_with_tag : t -> Tag.t -> int

@@ -1,6 +1,4 @@
-type kind = Cube | Bus
-
-type t = { n : int; dim : int; kind : kind }
+type t = { n : int; dim : int }
 
 let ceil_log2 n =
   let rec go d v = if v >= n then d else go (d + 1) (v * 2) in
@@ -8,15 +6,9 @@ let ceil_log2 n =
 
 let hypercube n =
   if n <= 0 then invalid_arg "Topology.hypercube: need at least one node";
-  { n; dim = ceil_log2 n; kind = Cube }
-
-let bus n =
-  if n <= 0 then invalid_arg "Topology.bus: need at least one node";
-  { n; dim = ceil_log2 n; kind = Bus }
+  { n; dim = ceil_log2 n }
 
 let nodes t = t.n
-
-let dimension t = t.dim
 
 let popcount x =
   let rec go acc x = if x = 0 then acc else go (acc + (x land 1)) (x lsr 1) in
@@ -28,79 +20,36 @@ let check t p =
 let hops t src dst =
   check t src;
   check t dst;
-  match t.kind with
-  | Cube -> popcount (src lxor dst)
-  | Bus -> if src = dst then 0 else 1
+  popcount (src lxor dst)
 
-let route t src dst =
-  check t src;
-  check t dst;
-  match t.kind with
-  | Bus -> if src = dst then [] else [ dst ]
-  | Cube ->
-      let rec go cur acc d =
-        if d >= t.dim then List.rev acc
-        else
-          let bit = 1 lsl d in
-          if cur land bit <> dst land bit then
-            let next = cur lxor bit in
-            go next (next :: acc) (d + 1)
-          else go cur acc (d + 1)
-      in
-      go src [] 0
-
-let neighbors t p =
-  check t p;
-  match t.kind with
-  | Bus ->
-      let rec go q acc =
-        if q < 0 then acc else go (q - 1) (if q = p then acc else q :: acc)
-      in
-      go (t.n - 1) []
-  | Cube ->
-      let rec go d acc =
-        if d < 0 then acc
-        else
-          let q = p lxor (1 lsl d) in
-          if q < t.n then go (d - 1) (q :: acc) else go (d - 1) acc
-      in
-      go (t.dim - 1) []
-
-let broadcast_rounds t =
-  match t.kind with Cube -> t.dim | Bus -> if t.n > 1 then 1 else 0
+let broadcast_rounds t = t.dim
 
 let broadcast_schedule t ~root =
   check t root;
-  match t.kind with
-  | Bus ->
-      (* One shared medium: every listener hears the single transmission,
-         so all non-root nodes are reached in round 1. *)
-      Array.init t.n (fun node -> if node = root then 0 else 1)
-  | Cube ->
-      let rounds = Array.make t.n 0 in
-      (* In a binomial broadcast on the cube, node [root lxor m] is reached
-         in the round equal to the position (1-based, counted from the high
-         end of the dimensions actually used) of the highest set bit of
-         [m]. We assign rounds so that at most 2^(r-1) new nodes appear in
-         round r, matching a tree in which every holder forwards once per
-         round. *)
-      let reached = ref 1 in
-      let order = Array.init t.n (fun i -> i) in
-      (* Sort non-root nodes by their relative address so the schedule is
-         deterministic and tree-shaped. *)
-      Array.sort (fun a b -> compare (a lxor root) (b lxor root)) order;
-      let round = ref 0 in
-      let capacity = ref 0 in
-      Array.iter
-        (fun node ->
-          if node <> root then begin
-            if !capacity = 0 then begin
-              incr round;
-              capacity := !reached
-            end;
-            rounds.(node) <- !round;
-            decr capacity;
-            incr reached
-          end)
-        order;
-      rounds
+  let rounds = Array.make t.n 0 in
+  (* In a binomial broadcast on the cube, node [root lxor m] is reached
+     in the round equal to the position (1-based, counted from the high
+     end of the dimensions actually used) of the highest set bit of
+     [m]. We assign rounds so that at most 2^(r-1) new nodes appear in
+     round r, matching a tree in which every holder forwards once per
+     round. *)
+  let reached = ref 1 in
+  let order = Array.init t.n (fun i -> i) in
+  (* Sort non-root nodes by their relative address so the schedule is
+     deterministic and tree-shaped. *)
+  Array.sort (fun a b -> compare (a lxor root) (b lxor root)) order;
+  let round = ref 0 in
+  let capacity = ref 0 in
+  Array.iter
+    (fun node ->
+      if node <> root then begin
+        if !capacity = 0 then begin
+          incr round;
+          capacity := !reached
+        end;
+        rounds.(node) <- !round;
+        decr capacity;
+        incr reached
+      end)
+    order;
+  rounds

@@ -1,47 +1,25 @@
-(** Interconnect topologies. {!hypercube} models the Intel iPSC/860's
-    cube with e-cube (dimension-ordered) routing; partitions need not be
-    full cubes — a topology over [n] nodes is embedded in the smallest
-    enclosing cube. {!bus} models a single shared medium (an Ethernet-era
-    workstation LAN): every pair is one hop apart and a broadcast reaches
-    every listener in one round. *)
+(** Interconnect topology: the Intel iPSC/860's cube with e-cube
+    (dimension-ordered) routing. Partitions need not be full cubes — a
+    topology over [n] nodes is embedded in the smallest enclosing cube. *)
 
 type t
 
 (** [hypercube n] builds a cube topology over nodes [0 .. n-1]. *)
 val hypercube : int -> t
 
-(** [bus n] builds a shared-medium topology over nodes [0 .. n-1]: all
-    pairs directly connected (one hop), single-round broadcast. *)
-val bus : int -> t
-
 val nodes : t -> int
 
-(** Dimension of the enclosing cube ([ceil (log2 n)], 0 for n = 1). *)
-val dimension : t -> int
-
 (** Number of links traversed between two nodes (Hamming distance on the
-    cube; 0 or 1 on a bus). *)
+    cube). *)
 val hops : t -> int -> int -> int
 
-(** [route t src dst] is the route as the list of intermediate and final
-    nodes (excluding [src]; empty when [src = dst]). On the cube every
-    step flips exactly one address bit, lowest dimension first; on a bus
-    the route is the single hop to [dst]. *)
-val route : t -> int -> int -> int list
-
-(** [neighbors t p] lists the direct neighbors of [p]: cube neighbors that
-    exist in the (possibly partial) partition, or every other node on a
-    bus. *)
-val neighbors : t -> int -> int list
-
 (** [broadcast_rounds t] is the number of rounds a broadcast needs to
-    reach all nodes: [ceil (log2 n)] for the binomial tree on the cube,
-    1 on a bus (0 when there is a single node). *)
+    reach all nodes: [ceil (log2 n)] for the binomial tree on the cube
+    (0 when there is a single node). *)
 val broadcast_rounds : t -> int
 
 (** [broadcast_schedule t ~root] assigns each node the round (1-based) in
     which a broadcast from [root] reaches it; the root maps to round 0.
-    On the cube, nodes reached in round [r] number at most [2^(r-1)]
-    (binomial tree); on a bus every non-root node is reached in round
-    1. *)
+    Nodes reached in round [r] number at most [2^(r-1)] (binomial
+    tree). *)
 val broadcast_schedule : t -> root:int -> int array

@@ -30,12 +30,6 @@ let push_back t v =
   t.buf.((t.head + t.size) land (Array.length t.buf - 1)) <- Obj.repr v;
   t.size <- t.size + 1
 
-let push_front t v =
-  if t.size = Array.length t.buf then grow t;
-  t.head <- (t.head - 1) land (Array.length t.buf - 1);
-  t.buf.(t.head) <- Obj.repr v;
-  t.size <- t.size + 1
-
 let first (t : 'a t) : 'a =
   if t.size = 0 then invalid_arg "Deque.first: empty";
   Obj.obj t.buf.(t.head)
@@ -61,12 +55,6 @@ let pop_back_exn (t : 'a t) : 'a =
   Obj.obj v
 
 let pop_front t = if t.size = 0 then None else Some (pop_front_exn t)
-
-let pop_back t = if t.size = 0 then None else Some (pop_back_exn t)
-
-let peek_front t = if t.size = 0 then None else Some (first t)
-
-let peek_back t = if t.size = 0 then None else Some (last t)
 
 let to_list (t : 'a t) =
   let mask = Array.length t.buf - 1 in

@@ -5,7 +5,7 @@
     Backed by a growable ring buffer: pushes and the [_exn]/[first]/[last]
     accessors are allocation-free, which is what keeps the scheduler's
     idle-poll and steal-search loops off the minor heap. The option-typed
-    accessors remain for cold callers. *)
+    {!pop_front} remains for cold callers. *)
 
 type 'a t
 
@@ -14,8 +14,6 @@ val create : unit -> 'a t
 val length : 'a t -> int
 
 val is_empty : 'a t -> bool
-
-val push_front : 'a t -> 'a -> unit
 
 val push_back : 'a t -> 'a -> unit
 
@@ -33,11 +31,5 @@ val pop_front_exn : 'a t -> 'a
 val pop_back_exn : 'a t -> 'a
 
 val pop_front : 'a t -> 'a option
-
-val pop_back : 'a t -> 'a option
-
-val peek_front : 'a t -> 'a option
-
-val peek_back : 'a t -> 'a option
 
 val to_list : 'a t -> 'a list

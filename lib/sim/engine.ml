@@ -81,7 +81,6 @@ type t = {
   mutable now_len : int;
   mutable live : int;
   mutable processed : int;
-  mutable current : pname;  (** the running process; [no_process] outside any *)
   mutable spawned : int;
   mutable block_seq : int;
   (* Blocked-waiter slab: parallel arrays indexed by slot, plus a
@@ -230,7 +229,6 @@ let create () =
       now_len = 0;
       live = 0;
       processed = 0;
-      current = no_process;
       spawned = 0;
       block_seq = 0;
       bl_who = Array.make bl_cap no_process;
@@ -280,11 +278,9 @@ let schedule_call t f x = push_call t f x
 
 let schedule_after t delay f =
   if not (delay >= 0.0) then
-    invalid_arg "Engine.schedule: negative or NaN delay";
+    invalid_arg "Engine.schedule_after: negative or NaN delay";
   let time = t.fl.clock +. delay in
   if time = t.fl.clock then push_now t f else push_far t time (far_word t f)
-
-let schedule t ?(delay = 0.0) f = schedule_after t delay f
 
 let count_events t n = t.processed <- t.processed + n
 
@@ -378,18 +374,9 @@ let run_process t ~name f =
     { pc_k = unit_arg; pc_reg = unit_arg; pc_what = no_what; pc_slot = -1 }
   in
   let resume (v : Obj.t) =
-    (* Restore this process's identity for the span of its execution,
-       so blocked-waiter registrations made while it runs carry the right
-       name. A second resume raises [Continuation_already_resumed] from
+    (* A second resume raises [Continuation_already_resumed] from
        [continue] itself. *)
-    let k : (Obj.t, unit) continuation = Obj.magic cell.pc_k in
-    let prev = t.current in
-    t.current <- name;
-    match continue k v with
-    | () -> t.current <- prev
-    | exception e ->
-        t.current <- prev;
-        raise e
+    continue (Obj.magic cell.pc_k : (Obj.t, unit) continuation) v
   in
   let resume_on (v : Obj.t) =
     unblock t cell.pc_slot;
@@ -406,44 +393,33 @@ let run_process t ~name f =
   in
   let some_handle = Obj.repr (Some handle) in
   let some_handle_on = Obj.repr (Some handle_on) in
-  let prev = t.current in
-  t.current <- name;
-  match
-    match_with f ()
-      {
-        retc = (fun () -> t.live <- t.live - 1);
-        exnc = raise;
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            (* The returned handler is preallocated: values have a uniform
-               representation, so the [Some handle] built at ['a = Obj.t]
-               serves every instantiation. The effect's registration
-               function is passed through the cell. *)
-            match eff with
-            | Await register ->
-                cell.pc_reg <- Obj.repr register;
-                (Obj.magic some_handle
-                  : ((a, unit) continuation -> unit) option)
-            | Await_on (register, what) ->
-                cell.pc_reg <- Obj.repr register;
-                cell.pc_what <- what;
-                (Obj.magic some_handle_on
-                  : ((a, unit) continuation -> unit) option)
-            | _ -> None);
-      }
-  with
-  | () -> t.current <- prev
-  | exception e ->
-      t.current <- prev;
-      raise e
+  match_with f ()
+    {
+      retc = (fun () -> t.live <- t.live - 1);
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          (* The returned handler is preallocated: values have a uniform
+             representation, so the [Some handle] built at ['a = Obj.t]
+             serves every instantiation. The effect's registration
+             function is passed through the cell. *)
+          match eff with
+          | Await register ->
+              cell.pc_reg <- Obj.repr register;
+              (Obj.magic some_handle : ((a, unit) continuation -> unit) option)
+          | Await_on (register, what) ->
+              cell.pc_reg <- Obj.repr register;
+              cell.pc_what <- what;
+              (Obj.magic some_handle_on
+                : ((a, unit) continuation -> unit) option)
+          | _ -> None);
+    }
 
 let spawn ?name t f =
   t.live <- t.live + 1;
   t.spawned <- t.spawned + 1;
   let pn = match name with Some n -> Named n | None -> Anon t.spawned in
   push_now t (fun () -> run_process t ~name:pn f)
-
-let current_name t = pname_string t.current
 
 let await ?on (_ : t) register =
   match on with

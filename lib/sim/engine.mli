@@ -30,7 +30,7 @@ val now : t -> float
     plus an operand — instead of closures. Handlers are registered once
     at construction; scheduling a flat event then allocates nothing and
     committing it chases no environment. Closure-based scheduling
-    ({!schedule}, {!schedule_at}, …) still works for rare-path events
+    ({!schedule_after}, {!schedule_at}, …) still works for rare-path events
     (timers, watchdog scans): the closure parks in an internal escape
     slab and the word carries its slot, cleared when the event fires. *)
 
@@ -52,14 +52,10 @@ val register_op : t -> (int -> unit) -> int
     [Invalid_argument]. *)
 val schedule_op_at : t -> op:int -> arg:int -> float -> unit
 
-(** [schedule t ?delay f] runs plain callback [f] at [now + delay]
-    (default [0.]). [f] must not perform engine effects; use {!spawn} for
-    that. [delay] must be non-negative (not NaN), and [now + delay]
+(** [schedule_after t d f] runs plain callback [f] at [now + d], where
+    [delay t d] would resume. [f] must not perform engine effects; use
+    {!spawn} for that. [d] must be non-negative (not NaN), and [now + d]
     finite; otherwise raises [Invalid_argument]. *)
-val schedule : t -> ?delay:float -> (unit -> unit) -> unit
-
-(** [schedule_after t d f] is [schedule t ~delay:d f] without the
-    optional argument: [f] fires where [delay t d] would resume. *)
 val schedule_after : t -> float -> (unit -> unit) -> unit
 
 (** [count_events t n] counts [n] more processed events: activations one
@@ -68,14 +64,14 @@ val count_events : t -> int -> unit
 
 (** [schedule_at t time f] runs plain callback [f] at absolute virtual
     time [time] ([now] if [time] is in the past). Equivalent to
-    [schedule t ~delay:(time -. now)] — including its float arithmetic —
+    [schedule_after t (time -. now)] — including its float arithmetic —
     but with the clamp and the delay computation done inside the engine,
     so callers holding a target instant (e.g. the network fabric's
     delivery times) need no arithmetic of their own. An infinite [time]
     raises [Invalid_argument]. *)
 val schedule_at : t -> float -> (unit -> unit) -> unit
 
-(** [schedule_now t f] is [schedule t f]: [f] fires at the current
+(** [schedule_now t f] is [schedule_after t 0. f]: [f] fires at the current
     virtual time, after everything already scheduled for it. Zero-delay
     events live in a FIFO "now lane" rather than the time-ordered heap,
     so this is the engine's cheapest (allocation-free) scheduling path —
@@ -95,9 +91,6 @@ val schedule_call : t -> ('a -> unit) -> 'a -> unit
     process in deadlock reports ({!blocked_report}); unnamed processes
     get ["process-<n>"] in spawn order. *)
 val spawn : ?name:string -> t -> (unit -> unit) -> unit
-
-(** Name of the currently executing process, or [""] outside any. *)
-val current_name : t -> string
 
 (** [delay t d] suspends the calling process for [d] seconds of virtual
     time. Must be called from within a process. [d] must be non-negative

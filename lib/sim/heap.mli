@@ -1,6 +1,6 @@
 (** Binary min-heap of [int] payloads keyed by [(time, seq)]: the far lane
     of the discrete-event engine (payloads are its packed event words,
-    see {!Engine.register_op}) and the frontier of String's Dijkstra.
+    see {!Engine.register_op}).
     Ties on [time] are broken by [seq], so the pop order is the exact
     total order on [(time, seq)] and simulations are deterministic.
 

@@ -1,10 +1,10 @@
 type 'a state = Empty | Full of 'a
 
 type 'a t = {
-  mutable name : unit -> string;
+  name : unit -> string;
   mutable state : 'a state;
   waiters : ('a -> unit) Deque.t;
-  mutable wtr : 'a Engine.waiter;
+  wtr : 'a Engine.waiter;
       (** prebuilt suspension point: every blocking read performs it
           instead of building an effect value per call *)
 }
@@ -19,18 +19,12 @@ let create ?name ?name_fn () =
     | None, None -> default_name
   in
   let waiters = Deque.create () in
-  let t = { name; state = Empty; waiters; wtr = Engine.waiter ignore } in
-  (* The report label reads [t.name] indirectly so a later [set_name]
-     shows up in deadlock reports without rebuilding the waiter. *)
-  t.wtr <-
-    Engine.waiter
-      ~on:(fun () -> t.name ())
-      (fun resume -> Deque.push_back waiters resume);
-  t
+  let wtr =
+    Engine.waiter ~on:name (fun resume -> Deque.push_back waiters resume)
+  in
+  { name; state = Empty; waiters; wtr }
 
 let name t = t.name ()
-
-let set_name t n = t.name <- (fun () -> n)
 
 let fill eng t v =
   match t.state with
@@ -48,5 +42,3 @@ let read eng t =
   match t.state with Full v -> v | Empty -> Engine.wait eng t.wtr
 
 let is_full t = match t.state with Full _ -> true | Empty -> false
-
-let peek t = match t.state with Full v -> Some v | Empty -> None

@@ -16,8 +16,6 @@ val create : ?name:string -> ?name_fn:(unit -> string) -> unit -> 'a t
 
 val name : 'a t -> string
 
-val set_name : 'a t -> string -> unit
-
 (** Raises [Invalid_argument] (naming the ivar) if already filled. *)
 val fill : Engine.t -> 'a t -> 'a -> unit
 
@@ -27,5 +25,3 @@ val fill : Engine.t -> 'a t -> 'a -> unit
 val read : Engine.t -> 'a t -> 'a
 
 val is_full : 'a t -> bool
-
-val peek : 'a t -> 'a option

@@ -13,8 +13,6 @@ let next t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
 
-let split t = { state = next t }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Srandom.int: bound must be positive";
   (* Mask to 62 bits so the value fits OCaml's 63-bit int non-negatively. *)

@@ -1,4 +1,4 @@
-(** Deterministic splittable random number generator (splitmix64).
+(** Deterministic random number generator (splitmix64).
 
     The engine, schedulers and workload generators all draw from explicit
     generator values so that every simulation is reproducible regardless of
@@ -7,9 +7,6 @@
 type t
 
 val create : int -> t
-
-(** [split t] derives an independent generator; [t] advances. *)
-val split : t -> t
 
 val int : t -> int -> int
 (** [int t bound] draws uniformly in [\[0, bound)]. [bound] must be > 0. *)

@@ -80,10 +80,3 @@ let is_symmetric ?(tol = 1e-12) t =
     iter_col t j (fun i v -> if Float.abs (get t j i -. v) > tol then ok := false)
   done;
   !ok
-
-let lower t =
-  let entries = ref [] in
-  for j = 0 to t.n - 1 do
-    iter_col t j (fun i v -> if i >= j then entries := (i, j, v) :: !entries)
-  done;
-  of_triplets t.n !entries

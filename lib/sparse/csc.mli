@@ -26,6 +26,3 @@ val to_dense : t -> float array array
 val mul_vec : t -> float array -> float array
 
 val is_symmetric : ?tol:float -> t -> bool
-
-(** Lower-triangular part including the diagonal (structure + values). *)
-val lower : t -> t

@@ -42,19 +42,3 @@ let postorder parent =
   done;
   if !idx <> n then invalid_arg "Etree.postorder: parent array is not a forest";
   order
-
-let depths parent =
-  let n = Array.length parent in
-  let depth = Array.make n (-1) in
-  let rec d v =
-    if depth.(v) >= 0 then depth.(v)
-    else begin
-      let r = if parent.(v) = -1 then 0 else 1 + d parent.(v) in
-      depth.(v) <- r;
-      r
-    end
-  in
-  for v = 0 to n - 1 do
-    ignore (d v)
-  done;
-  depth

@@ -9,6 +9,3 @@ val parents : Csc.t -> int array
 (** [postorder parents] is a permutation of [0..n-1] in which every node
     appears after all of its descendants. *)
 val postorder : int array -> int array
-
-(** Depth of each node in the tree (roots at 0). *)
-val depths : int array -> int array

@@ -91,58 +91,6 @@ let string_time_scaling_prop =
       let t1 = time s1 and t2 = time s2 in
       t1 > 0.0 && Float.abs (t2 -. (t1 *. scale)) < 1e-9)
 
-(* Bent rays: in a uniform medium the shortest grid path has the
-   Chebyshev-with-diagonals length. *)
-let bent_uniform_prop =
-  QCheck.Test.make ~name:"bent ray matches octile distance in uniform medium"
-    ~count:60
-    QCheck.(pair (pair (int_range 0 14) (int_range 0 19)) (pair (int_range 0 14) (int_range 0 19)))
-    (fun ((x0, z0), (x1, z1)) ->
-      let nx = 15 and nz = 20 in
-      let s = 3.0e-4 in
-      let slowness = Array.make (nx * nz) s in
-      let src = x0 + (z0 * nx) and dst = x1 + (z1 * nx) in
-      let t = String_app.shortest_time ~nx ~nz ~slowness ~src ~dst in
-      let dx = abs (x1 - x0) and dz = abs (z1 - z0) in
-      let dmin = float_of_int (min dx dz) and dmax = float_of_int (max dx dz) in
-      let octile = dmax -. dmin +. (dmin *. sqrt 2.0) in
-      Float.abs (t -. (octile *. s)) < 1e-12)
-
-(* Fermat's principle: a bent ray never takes longer than the straight
-   one, and beats it when a slow barrier blocks the straight path. *)
-let test_bent_beats_straight_through_barrier () =
-  let nx = 21 and nz = 21 in
-  let slowness = Array.make (nx * nz) 1.0e-4 in
-  (* A very slow vertical wall with a gap at the bottom. *)
-  for iz = 0 to 14 do
-    slowness.(10 + (iz * nx)) <- 5.0e-3
-  done;
-  let src = 0 + (10 * nx) and dst = 20 + (10 * nx) in
-  let bent = String_app.shortest_time ~nx ~nz ~slowness ~src ~dst in
-  let straight =
-    String_app.trace_ray ~nx ~nz ~slowness ~x0:0.5 ~z0:10.5 ~x1:20.5 ~z1:10.5
-      ~cell:(fun _ _ -> ())
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "bent %.5g < straight %.5g" bent straight)
-    true (bent < straight);
-  (* And never slower in a uniform medium (up to grid-path overhead). *)
-  let uniform = Array.make (nx * nz) 1.0e-4 in
-  let b = String_app.shortest_time ~nx ~nz ~slowness:uniform ~src ~dst in
-  Alcotest.(check bool) "uniform bent close to straight" true
-    (b < straight)
-
-let test_bent_parallel_matches_serial () =
-  let p = { String_app.test_params with String_app.rays = String_app.Bent } in
-  let reference, _ = String_app.serial p in
-  let program, result = String_app.make p ~kind:App_common.Mp ~placed:false ~nprocs:3 in
-  ignore (R.run ~machine:R.ipsc860 ~nprocs:3 program);
-  let r = result () in
-  Alcotest.(check (float 1e-9)) "bent misfit matches" reference.String_app.misfit
-    r.String_app.misfit;
-  Alcotest.(check bool) "bent inversion converges" true
-    (r.String_app.misfit < r.String_app.initial_misfit)
-
 (* String: tracing the true model reproduces the observed times, so the
    initial misfit of a run with the true model as the starting model is
    (near) zero. *)
@@ -178,10 +126,5 @@ let () =
         [
           qcheck string_time_scaling_prop;
           Alcotest.test_case "misfit decreases" `Quick test_string_truth_zero_misfit;
-          qcheck bent_uniform_prop;
-          Alcotest.test_case "bent beats straight" `Quick
-            test_bent_beats_straight_through_barrier;
-          Alcotest.test_case "bent parallel = serial" `Quick
-            test_bent_parallel_matches_serial;
         ] );
     ]

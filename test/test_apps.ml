@@ -343,8 +343,7 @@ let test_string_store size p () =
    [t_max_z] additions can add a tiny last segment past the end cell, so
    no count derived from the end cells alone holds for them. *)
 let boundary_params =
-  { String_app.nx = 48; nz = 96; nrays = 2048; iters = 6; seed = 11;
-    rays = String_app.Straight }
+  { String_app.nx = 48; nz = 96; nrays = 2048; iters = 6 }
 
 (* ---------------- Ocean ---------------- *)
 

@@ -24,11 +24,50 @@ let chaos_spec =
 (* ------------------------------------------------------------------ *)
 (* The fault plan itself *)
 
+(* [Fault.spec] rejects every out-of-range input with a message naming
+   it, and accepts the closed ends of the rate ranges. *)
+let test_spec_validation () =
+  let rejects msg f =
+    Alcotest.check_raises msg (Invalid_argument ("Fault.spec: " ^ msg))
+      (fun () -> ignore (f ()))
+  in
+  rejects "drop_rate outside [0,1]" (fun () -> F.spec ~drop_rate:1.5 ());
+  rejects "drop_rate outside [0,1]" (fun () -> F.spec ~drop_rate:(-0.1) ());
+  rejects "dup_rate outside [0,1]" (fun () -> F.spec ~dup_rate:2.0 ());
+  rejects "negative jitter" (fun () -> F.spec ~jitter:(-1e-6) ());
+  rejects "crash_rate outside [0,1]" (fun () -> F.spec ~crash_rate:1.01 ());
+  rejects "crash_horizon must be positive" (fun () ->
+      F.spec ~crash_horizon:0.0 ());
+  rejects "negative crash_restart" (fun () -> F.spec ~crash_restart:(-1.0) ());
+  rejects "negative crash_at processor" (fun () ->
+      F.spec ~crash_at:[ (-1, 0.01) ] ());
+  rejects "negative crash_at time" (fun () ->
+      F.spec ~crash_at:[ (1, -0.01) ] ());
+  let edge = F.spec ~drop_rate:1.0 ~dup_rate:1.0 ~crash_rate:1.0 () in
+  Alcotest.(check bool) "closed ends accepted" true
+    (F.active edge && F.crash_active edge)
+
+(* The plan as [repro run] prints it on its [chaos:] line: message-fault
+   fields always, scripted drops and the crash plan only when present. *)
+let test_pp_spec () =
+  let show s = Format.asprintf "%a" F.pp_spec s in
+  Alcotest.(check string) "message faults"
+    "fault(seed=7 drop=0.2 dup=0.1 jitter=0.0001 timeout=0.05 retries=10)"
+    (show chaos_spec);
+  Alcotest.(check string) "scripted drops"
+    "fault(seed=1 drop=0 dup=0 jitter=0 timeout=0.05 retries=10 \
+     scripted=object#0,bcast#2)"
+    (show (F.spec ~drop_tagged:[ (Tag.Obj, 0); (Tag.Bcast, 2) ] ()));
+  Alcotest.(check string) "crash plan"
+    "fault(seed=1 drop=0 dup=0 jitter=0 timeout=0.05 retries=10 \
+     crash(seed=1 rate=0 horizon=0.01 restart=0 at=2@0.01))"
+    (show (F.spec ~crash_at:[ (2, 0.01) ] ()))
+
 let test_plan_pure () =
   let spec = chaos_spec in
   for index = 0 to 99 do
-    let d1 = F.decision_at spec ~index ~src:0 ~dst:3 in
-    let d2 = F.decision_at spec ~index ~src:0 ~dst:3 in
+    let d1 = F.decision_at spec ~index in
+    let d2 = F.decision_at spec ~index in
     Alcotest.(check bool)
       (Printf.sprintf "decision %d replays identically" index)
       true (d1 = d2)
@@ -36,8 +75,7 @@ let test_plan_pure () =
   (* Two trackers over the same message sequence agree exactly. *)
   let run_tracker () =
     let t = F.create spec in
-    List.init 200 (fun i ->
-        F.next_decision t ~src:(i mod 4) ~dst:((i + 1) mod 4) ~tag:Tag.Obj)
+    List.init 200 (fun _ -> F.next_decision t ~tag:Tag.Obj)
   in
   Alcotest.(check bool)
     "tracker stream replays identically" true
@@ -47,7 +85,7 @@ let test_plan_seed_sensitivity () =
   let a = F.spec ~seed:1 ~drop_rate:0.5 () in
   let b = F.spec ~seed:2 ~drop_rate:0.5 () in
   let stream spec =
-    List.init 64 (fun index -> (F.decision_at spec ~index ~src:0 ~dst:1).F.drop)
+    List.init 64 (fun index -> (F.decision_at spec ~index).F.drop)
   in
   Alcotest.(check bool) "different seeds differ" false (stream a = stream b)
 
@@ -56,7 +94,7 @@ let test_plan_rates_respected () =
   let t = F.create spec in
   let n = 5000 in
   for _ = 1 to n do
-    ignore (F.next_decision t ~src:0 ~dst:1 ~tag:Tag.Obj)
+    ignore (F.next_decision t ~tag:Tag.Obj)
   done;
   let drop_frac = float_of_int (F.dropped t) /. float_of_int n in
   let dup_frac = float_of_int (F.duplicated t) /. float_of_int n in
@@ -80,7 +118,7 @@ let test_inactive_plan_is_pass () =
   Alcotest.(check bool) "inactive plan not reliable" false (F.reliable zero);
   for index = 0 to 31 do
     Alcotest.(check bool) "decision is pass" true
-      (F.decision_at zero ~index ~src:0 ~dst:1 = F.pass)
+      (F.decision_at zero ~index = F.pass)
   done;
   Alcotest.(check bool) "chaos plan active" true (F.active chaos_spec);
   Alcotest.(check bool) "chaos plan reliable" true (F.reliable chaos_spec);
@@ -90,10 +128,10 @@ let test_inactive_plan_is_pass () =
 let test_scripted_drop () =
   let spec = F.spec ~drop_tagged:[ (Tag.Obj, 1) ] () in
   let t = F.create spec in
-  let d_req = F.next_decision t ~src:0 ~dst:1 ~tag:Tag.Request in
-  let d_obj0 = F.next_decision t ~src:1 ~dst:0 ~tag:Tag.Obj in
-  let d_obj1 = F.next_decision t ~src:1 ~dst:0 ~tag:Tag.Obj in
-  let d_obj2 = F.next_decision t ~src:1 ~dst:0 ~tag:Tag.Obj in
+  let d_req = F.next_decision t ~tag:Tag.Request in
+  let d_obj0 = F.next_decision t ~tag:Tag.Obj in
+  let d_obj1 = F.next_decision t ~tag:Tag.Obj in
+  let d_obj2 = F.next_decision t ~tag:Tag.Obj in
   Alcotest.(check bool) "request passes" false d_req.F.drop;
   Alcotest.(check bool) "object #0 passes" false d_obj0.F.drop;
   Alcotest.(check bool) "object #1 dropped" true d_obj1.F.drop;
@@ -375,17 +413,17 @@ let test_dup_reply_after_supersede () =
          ~tag:Tag.Obj
          (Jade.Protocol.Obj { meta; version; sent_at = 0.0 }))
   in
-  E.schedule eng ~delay:1e-6 (fun () ->
+  E.schedule_after eng 1e-6 (fun () ->
       (* Supersede the in-flight v1 fetch... *)
       Jade.Meta.commit_write meta ~proc:0 ~version:2;
       Jade.Communicator.prefetch comm task2 ~proc:1);
   (* ...then deliver the stale v1 reply twice (duplication), then the v2
      reply twice. Double-filling the ivar would raise Invalid_argument;
      regressing the copy would fail the final version check. *)
-  E.schedule eng ~delay:2e-6 (fun () -> reply 1);
-  E.schedule eng ~delay:2e-6 (fun () -> reply 1);
-  E.schedule eng ~delay:3e-6 (fun () -> reply 2);
-  E.schedule eng ~delay:3e-6 (fun () -> reply 2);
+  E.schedule_after eng 2e-6 (fun () -> reply 1);
+  E.schedule_after eng 2e-6 (fun () -> reply 1);
+  E.schedule_after eng 3e-6 (fun () -> reply 2);
+  E.schedule_after eng 3e-6 (fun () -> reply 2);
   ignore (E.run eng);
   Alcotest.(check int) "waiter woke exactly once" 1 !resumed;
   Alcotest.(check int) "no orphaned process" 0 (E.live_processes eng);
@@ -429,6 +467,8 @@ let () =
           Alcotest.test_case "inactive plan is pass" `Quick
             test_inactive_plan_is_pass;
           Alcotest.test_case "scripted drop" `Quick test_scripted_drop;
+          Alcotest.test_case "spec validation" `Quick test_spec_validation;
+          Alcotest.test_case "plan printout" `Quick test_pp_spec;
         ] );
       ( "zero-rate",
         [

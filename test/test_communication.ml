@@ -247,7 +247,7 @@ let test_superseded_fetch_wakes_waiter () =
   (* Well before task1's reply can arrive (message latency is tens of
      microseconds), a writer commits v2 and an assignment for task2
      triggers a concurrent prefetch on the same processor. *)
-  E.schedule eng ~delay:1e-7 (fun () ->
+  E.schedule_after eng 1e-7 (fun () ->
       Jade.Meta.commit_write meta ~proc:0 ~version:2;
       Jade.Communicator.prefetch comm task2 ~proc:1);
   ignore (E.run eng);

@@ -120,7 +120,7 @@ let test_qcheck_plans_pure =
       (* Message-fault stream: two trackers over the same sequence. *)
       let stream () =
         let t = F.create spec in
-        List.map (fun (src, dst, tag) -> F.next_decision t ~src ~dst ~tag) msgs
+        List.map (fun (_, _, tag) -> F.next_decision t ~tag) msgs
       in
       let crash nprocs = F.crash_plan spec ~nprocs in
       stream () = stream ()
@@ -394,7 +394,7 @@ let test_lost_version_unrecoverable () =
   Jade.Recovery.set_objects r (fun () -> [ meta ]);
   Jade.Recovery.start r;
   (* The backend's halt boundary, immediately after the doom flag. *)
-  E.schedule eng ~delay:2e-6 (fun () -> Jade.Recovery.note_stopped r 1);
+  E.schedule_after eng 2e-6 (fun () -> Jade.Recovery.note_stopped r 1);
   ignore (E.run eng);
   Alcotest.(check (list int)) "the victim was doomed" [ 1 ] !doomed;
   match Jade.Recovery.fatal r with
@@ -444,7 +444,7 @@ let test_reconstruction_from_producer () =
   Jade.Recovery.set_should_stop r (fun () ->
       metrics.Jade.Metrics.objects_reconstructed > 0);
   Jade.Recovery.start r;
-  E.schedule eng ~delay:2e-6 (fun () -> Jade.Recovery.note_stopped r 1);
+  E.schedule_after eng 2e-6 (fun () -> Jade.Recovery.note_stopped r 1);
   ignore (E.run eng);
   Alcotest.(check bool) "no fatal report" true (Jade.Recovery.fatal r = None);
   Alcotest.(check int) "producer re-executed" 1

@@ -430,22 +430,36 @@ let result_line = function
 
 let chaos_fault = Jade_net.Fault.spec ~seed:1 ~drop_rate:0.2 ()
 
+let rec remove_tree path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+
+(* [f dir] on a fresh temporary directory, removed with everything in it
+   when [f] returns or raises. *)
+let with_temp_dir prefix f =
+  let dir = Filename.temp_dir prefix "" in
+  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
+
 (* Parity suite (clean and chaos): replay on vs off, then cold vs warm
    disk cache, must all produce byte-identical output. *)
-let parity_digests ?fault () =
+let parity_digests ?fault dir =
   let reference = snd (repro_digest ?fault ~replay:false ~jobs:2 ()) in
   let replay_on = snd (repro_digest ?fault ~replay:true ~jobs:2 ()) in
-  let dir = Filename.temp_dir "jade-test-cache" "" in
   let cache_cold, cold_runner =
     let r, d = repro_digest ?fault ~cache_dir:dir ~jobs:2 () in
     (d, r)
   in
   let warm_runner, cache_warm = repro_digest ?fault ~cache_dir:dir ~jobs:2 () in
-  (reference, replay_on, cache_cold, cache_warm, cold_runner, warm_runner, dir)
+  (reference, replay_on, cache_cold, cache_warm, cold_runner, warm_runner)
 
 let check_parity name ?fault () =
-  let reference, replay_on, cache_cold, cache_warm, cold_r, warm_r, dir =
-    parity_digests ?fault ()
+  with_temp_dir "jade-test-cache" @@ fun dir ->
+  let reference, replay_on, cache_cold, cache_warm, cold_r, warm_r =
+    parity_digests ?fault dir
   in
   Alcotest.(check string) (name ^ ": replay off vs on") reference replay_on;
   Alcotest.(check string) (name ^ ": cold disk cache") reference cache_cold;
@@ -463,8 +477,7 @@ let check_parity name ?fault () =
     (name ^ ": warm run hit on every lookup")
     true
     (warm_stats.Runner.cache_lookups > 0
-    && warm_stats.Runner.cache_hits = warm_stats.Runner.cache_lookups);
-  ignore (Runcache.clear (Runcache.create ~dir))
+    && warm_stats.Runner.cache_hits = warm_stats.Runner.cache_lookups)
 
 let test_parity_clean () = check_parity "clean" ()
 
@@ -474,7 +487,7 @@ let test_parity_chaos () = check_parity "chaos" ~fault:chaos_fault ()
    0.0 jitter — are one computation: a second runner hits every lookup
    the first one stored, and simulates nothing. *)
 let test_equal_specs_share_cache () =
-  let dir = Filename.temp_dir "jade-test-cache" "" in
+  with_temp_dir "jade-test-cache" @@ fun dir ->
   let boxed = Jade_net.Fault.spec ~seed:1 ~drop_rate:0.2 ~jitter:(float_of_string "0") () in
   Alcotest.(check bool) "the specs are equal" true (boxed = chaos_fault);
   let _, cold = repro_digest ~fault:chaos_fault ~cache_dir:dir ~jobs:1 () in
@@ -482,15 +495,14 @@ let test_equal_specs_share_cache () =
   Alcotest.(check string) "same output" cold warm;
   let s = Runner.stats r in
   Alcotest.(check int) "every lookup hits" s.Runner.cache_lookups s.Runner.cache_hits;
-  Alcotest.(check int) "nothing simulated" 0 (Runner.events_simulated r);
-  ignore (Runcache.clear (Runcache.create ~dir))
+  Alcotest.(check int) "nothing simulated" 0 (Runner.events_simulated r)
 
 (* A planning pass that finds everything in the memo or on disk is the
    evaluation: [Runner.parallel] runs [f] once. A missing result costs a
    second run of [f] (the replay), and a planning pass that asks twice
    for the same missing id looks it up on disk once. *)
 let test_warm_parallel_one_pass () =
-  let dir = Filename.temp_dir "jade-test-cache" "" in
+  with_temp_dir "jade-test-cache" @@ fun dir ->
   let evaluate r =
     let calls = ref 0 in
     let v =
@@ -510,8 +522,7 @@ let test_warm_parallel_one_pass () =
     "warm memo: evaluated once, no new lookup" (3.0, 1, (1, 0)) (evaluate cold);
   Alcotest.(check (triple (float 0.0) int (pair int int)))
     "warm disk: evaluated once, one lookup that hits" (3.0, 1, (1, 1))
-    (evaluate (Runner.create ~jobs:1 ~cache_dir:dir Runner.Test));
-  ignore (Runcache.clear (Runcache.create ~dir))
+    (evaluate (Runner.create ~jobs:1 ~cache_dir:dir Runner.Test))
 
 (* [(text written to stderr by f (), its result)]. *)
 let capturing_stderr f =
@@ -563,7 +574,7 @@ let record_ends raw =
   header :: go header
 
 let test_regen_summaries () =
-  let dir = Filename.temp_dir "jade-test-cache" "" in
+  with_temp_dir "jade-test-cache" @@ fun dir ->
   let r = Runner.create ~jobs:1 ~cache_dir:dir Runner.Test in
   ignore (regen_digest r);
   let lines =
@@ -581,7 +592,6 @@ let test_regen_summaries () =
       (segment_files dir)
     |> List.sort String.compare
   in
-  ignore (Runcache.clear (Runcache.create ~dir));
   Alcotest.(check int) "one record per result" 274 (List.length lines);
   Alcotest.(check string) "every field of every summary"
     "f5145f5d15a17715f1ab59ed2b350820"
@@ -594,7 +604,7 @@ let flip raw i =
    misses exactly the records it cost, recomputes them into identical
    output, and leaves a cache whose next run is clean and one segment. *)
 let test_cache_corruption_recovers () =
-  let dir = Filename.temp_dir "jade-test-cache" "" in
+  with_temp_dir "jade-test-cache" @@ fun dir ->
   let _, reference = repro_digest ~cache_dir:dir ~jobs:1 () in
   ignore (repro_digest ~cache_dir:dir ~jobs:1 ());
   let segment =
@@ -639,12 +649,11 @@ let test_cache_corruption_recovers () =
       ("cut at a record boundary", String.sub raw 0 half, "truncated", n - (n / 2));
       ("payload byte flipped", flip raw (String.length raw - 3), "corrupted", 1);
       ("stale header", stale, "schema-stale", n);
-    ];
-  ignore (Runcache.clear (Runcache.create ~dir))
+    ]
 
 (* Unit tests of the segment format. *)
 let test_runcache_roundtrip () =
-  let dir = Filename.temp_dir "jade-test-runcache" "" in
+  with_temp_dir "jade-test-runcache" @@ fun dir ->
   let c = Runcache.create ~dir in
   let key = "a/b" in
   Alcotest.(check bool) "fresh cache misses" true (Runcache.find c ~key = None);
@@ -672,8 +681,7 @@ let test_runcache_roundtrip () =
   Runcache.store c (List.map (fun (key, f) -> (key, Runcache.Flops f)) prefixes);
   Alcotest.(check bool) "keys cannot alias across the key-value boundary" true
     (let d = Runcache.create ~dir in
-     List.for_all (fun (key, f) -> Runcache.find d ~key = Some (Runcache.Flops f)) prefixes);
-  ignore (Runcache.clear c)
+     List.for_all (fun (key, f) -> Runcache.find d ~key = Some (Runcache.Flops f)) prefixes)
 
 (* A segment built by hand: a header announcing [count] records (by
    default as many as given), then each [(key, payload)] as a record
@@ -732,11 +740,11 @@ let foreign_marshalled =
       ])
 
 let runcache_find_total_prop =
-  let dir = Filename.temp_dir "jade-test-runcache" "" in
   QCheck.Test.make ~name:"find misses on foreign entry bytes" ~count:300
     (QCheck.make ~print:String.escaped
        QCheck.Gen.(oneof [ string; foreign_marshalled ]))
     (fun payload ->
+      with_temp_dir "jade-test-runcache" @@ fun dir ->
       List.for_all
         (fun bytes ->
           match find_misses dir bytes with
@@ -749,7 +757,7 @@ let runcache_find_total_prop =
         :: (if payload = "" then [] else [ segment_bytes [] ^ payload ])))
 
 let test_runcache_named_failures () =
-  let dir = Filename.temp_dir "jade-test-runcache" "" in
+  with_temp_dir "jade-test-runcache" @@ fun dir ->
   let file = Filename.concat dir "foreign.jrp" in
   List.iter
     (fun (name, payload) ->
@@ -777,8 +785,7 @@ let test_runcache_named_failures () =
   Alcotest.(check (option (list string))) "cut at a record boundary"
     (Some [ dropping "truncated" file ])
     (find_misses dir
-       (segment_bytes ~count:2 [ ("x", Marshal.to_string (Runcache.Flops 1.0) []) ]));
-  ignore (Runcache.clear (Runcache.create ~dir))
+       (segment_bytes ~count:2 [ ("x", Marshal.to_string (Runcache.Flops 1.0) []) ]))
 
 (* Random record sets round-trip through a segment; after any cut or
    byte flip every lookup gives back the stored value or misses — never
@@ -796,12 +803,12 @@ let value_gen =
       ])
 
 let runcache_segment_prop =
-  let dir = Filename.temp_dir "jade-test-runcache" "" in
   QCheck.Test.make ~name:"segments round-trip; damage never yields unstored values"
     ~count:200
     (QCheck.make
        QCheck.Gen.(triple (list_size (int_range 1 6) value_gen) bool nat))
     (fun (values, cut, at) ->
+      with_temp_dir "jade-test-runcache" @@ fun dir ->
       let records =
         List.mapi (fun i v -> (string_of_int i, v)) values
       in
@@ -818,7 +825,6 @@ let runcache_segment_prop =
       let at = at mod String.length raw in
       write_bytes file (if cut then String.sub raw 0 at else flip raw at);
       let _, damaged = capturing_stderr finds in
-      ignore (Runcache.clear (Runcache.create ~dir));
       intact
       && List.for_all2
            (fun got want -> got = None || compare got want = 0)
@@ -827,7 +833,7 @@ let runcache_segment_prop =
 (* A cut that falls exactly between records loses the records after it
    with a named warning: the header's count catches it. *)
 let test_runcache_boundary_cut () =
-  let dir = Filename.temp_dir "jade-test-runcache" "" in
+  with_temp_dir "jade-test-runcache" @@ fun dir ->
   (* In key order, as a segment holds them. *)
   let records =
     List.init 4 (fun i -> (string_of_int i, Runcache.Flops (float_of_int i)))
@@ -847,13 +853,12 @@ let test_runcache_boundary_cut () =
     [ true; true; false; false ] found;
   Alcotest.(check (pair int int)) "compacted to one segment of two records" (2, 1)
     (let u = Runcache.usage (Runcache.create ~dir) in
-     (u.Runcache.entries, u.Runcache.segments));
-  ignore (Runcache.clear (Runcache.create ~dir))
+     (u.Runcache.entries, u.Runcache.segments))
 
 (* A compaction deletes only the segments its cache listed: one written
    after the listing (by a concurrent run) survives it. *)
 let test_runcache_compaction_keeps_new_segments () =
-  let dir = Filename.temp_dir "jade-test-runcache" "" in
+  with_temp_dir "jade-test-runcache" @@ fun dir ->
   let record i = (string_of_int i, Runcache.Flops (float_of_int i)) in
   let writer = Runcache.create ~dir in
   Runcache.store writer [ record 0 ];
@@ -867,13 +872,12 @@ let test_runcache_compaction_keeps_new_segments () =
     (List.length (segment_files dir));
   let c = Runcache.create ~dir in
   Alcotest.(check (list bool)) "every record is still on disk" [ true; true; true ]
-    (List.map (fun i -> Runcache.find c ~key:(fst (record i)) <> None) [ 0; 1; 2 ]);
-  ignore (Runcache.clear c)
+    (List.map (fun i -> Runcache.find c ~key:(fst (record i)) <> None) [ 0; 1; 2 ])
 
 (* After a cold and a compacting warm run, a third warm runner reads the
    one segment on disk and writes nothing. *)
 let test_third_warm_reads_one_file () =
-  let dir = Filename.temp_dir "jade-test-cache" "" in
+  with_temp_dir "jade-test-cache" @@ fun dir ->
   let _, reference = repro_digest ~cache_dir:dir ~jobs:1 () in
   ignore (repro_digest ~cache_dir:dir ~jobs:1 ());
   let before = segment_files dir in
@@ -887,14 +891,13 @@ let test_third_warm_reads_one_file () =
     (List.map inode (segment_files dir));
   let s = Runner.stats r in
   Alcotest.(check bool) "every lookup hits" true
-    (s.Runner.cache_lookups > 0 && s.Runner.cache_hits = s.Runner.cache_lookups);
-  ignore (Runcache.clear (Runcache.create ~dir))
+    (s.Runner.cache_lookups > 0 && s.Runner.cache_hits = s.Runner.cache_lookups)
 
 (* A cache directory deleted under a running regeneration costs only the
    caching: each failed segment write warns, naming the path, and the
    output is the reference. *)
 let test_cache_dir_removed_mid_run () =
-  let dir = Filename.temp_dir "jade-test-cache" "" in
+  with_temp_dir "jade-test-cache" @@ fun dir ->
   let r = Runner.create ~jobs:1 ~cache_dir:dir Runner.Test in
   Unix.rmdir dir;
   let err, digest = capturing_stderr (fun () -> regen_digest r) in
@@ -911,7 +914,7 @@ let test_cache_dir_removed_mid_run () =
    writer's temp file, schema-7 entries — so the directory empties, and
    [usage] counts each kind. *)
 let test_runcache_clear_all_kinds () =
-  let dir = Filename.temp_dir "jade-test-runcache" "" in
+  with_temp_dir "jade-test-runcache" @@ fun dir ->
   let c = Runcache.create ~dir in
   Runcache.store c
     [ ("a", Runcache.Flops 1.0); ("b", Runcache.Flops 2.0) ];
@@ -922,8 +925,7 @@ let test_runcache_clear_all_kinds () =
   Alcotest.(check (list int)) "segments, entries, legacy files" [ 1; 2; 1 ]
     [ u.Runcache.segments; u.Runcache.entries; u.Runcache.legacy ];
   Alcotest.(check int) "segment, temp and legacy file removed" 3 (Runcache.clear c);
-  Alcotest.(check (array string)) "the directory is empty" [||] (Sys.readdir dir);
-  Unix.rmdir dir
+  Alcotest.(check (array string)) "the directory is empty" [||] (Sys.readdir dir)
 
 (* Rendering a planning-pass placeholder is a bug; the poison assertion
    must trip instead of letting fabricated numbers into output. *)
@@ -968,6 +970,7 @@ let contains hay needle =
 (* One test case per misuse, so a regression names the flag it broke. *)
 let cli_misuse_cases =
   let run_app = "run --app water --size test" in
+  let dash_app = "run --app water --machine dash -p 4 --size test" in
   [
       ("table 99 --size test", "expected 1-14");
       ("table 0 --size test", "expected 1-14");
@@ -987,6 +990,11 @@ let cli_misuse_cases =
       (run_app ^ " --crash-restart inf --crash-at 2@0.01", "--crash-restart");
       ("table 1 --size test --jobs 0", "--jobs");
       ("table 1 --size test --jobs=-2", "--jobs");
+      ("table 1 --size test --jobs 129", "--jobs");
+      (dash_app ^ " --drop-rate 0.5", "--drop-rate");
+      (dash_app ^ " --dup-rate 0.1", "--dup-rate");
+      (dash_app ^ " --jitter 1e-4", "--jitter");
+      ("digest --machine dash --size test --drop-rate 0.1", "--drop-rate");
       ("all --size test --graph-opt cluster --replay off", "--graph-opt");
       (run_app ^ " --graph-opt cluster", "--graph-opt");
       ("graph transform --app water --size test", "transform");
@@ -1086,7 +1094,13 @@ let test_cli_in_range_runs () =
     run_repro "run --app water --size test --crash-at 1@100 --jitter 1"
   in
   Alcotest.(check int) "the largest jitter under a crash plan still runs" 0
-    code
+    code;
+  let code, _, _ =
+    run_repro
+      "run --app water --machine dash -p 4 --size test --fault-seed 1 \
+       --crash-at 2@0.01"
+  in
+  Alcotest.(check int) "a crash plan and a bare fault seed run on DASH" 0 code
 
 (* [repro run] takes the memoized path plainly and the observed path with
    --trace or --stats; all three print the same summary. *)

@@ -26,7 +26,17 @@ let test_jobs_clamped () =
   (* More workers than tasks is fine too. *)
   Alcotest.(check (list int))
     "more jobs than tasks" [ 7 ]
-    (Pool.map ~jobs:16 Fun.id [ 7 ])
+    (Pool.map ~jobs:16 Fun.id [ 7 ]);
+  (* The domain count itself, checked without spawning any: at least one,
+     at most one per task and never past OCaml's domain limit. *)
+  Alcotest.(check int) "OCaml 5.1's domain limit" 128 Pool.max_jobs;
+  List.iter
+    (fun (jobs, n, want) ->
+      Alcotest.(check int)
+        (Printf.sprintf "workers ~jobs:%d %d" jobs n)
+        want (Pool.workers ~jobs n))
+    [ (0, 5, 1); (-3, 5, 1); (4, 10, 4); (16, 1, 1); (200, 1000, 128);
+      (128, 1000, 128); (129, 129, 128) ]
 
 exception Boom of int
 

@@ -214,9 +214,9 @@ let test_engine_negative_delay () =
     (fun d ->
       let eng = Engine.create () in
       Alcotest.check_raises
-        (Printf.sprintf "schedule ~delay:%g rejected" d)
-        (Invalid_argument "Engine.schedule: negative or NaN delay") (fun () ->
-          Engine.schedule eng ~delay:d ignore);
+        (Printf.sprintf "schedule_after %g rejected" d)
+        (Invalid_argument "Engine.schedule_after: negative or NaN delay")
+        (fun () -> Engine.schedule_after eng d ignore);
       Engine.spawn eng (fun () ->
           Alcotest.check_raises
             (Printf.sprintf "delay %g rejected" d)
@@ -271,6 +271,30 @@ let test_ivar_double_fill () =
     (Invalid_argument "Ivar.fill: already filled: result-cell") (fun () ->
       Ivar.fill eng named 2)
 
+(* [name_fn] wins over [name] and is forced only when the string is
+   needed: blocking on, filling and reading the ivar never build it. *)
+let test_ivar_lazy_name () =
+  let eng = Engine.create () in
+  let forced = ref 0 in
+  let iv =
+    Ivar.create ~name:"eager"
+      ~name_fn:(fun () ->
+        incr forced;
+        "lazy")
+      ()
+  in
+  let got = ref 0 in
+  Engine.spawn eng (fun () -> got := Ivar.read eng iv);
+  Engine.spawn eng (fun () ->
+      Engine.delay eng 1.0;
+      Ivar.fill eng iv 5);
+  ignore (Engine.run eng);
+  Alcotest.(check int) "blocked reader woken" 5 !got;
+  Alcotest.(check int) "name not built by the run" 0 !forced;
+  Alcotest.(check string) "name_fn wins" "lazy" (Ivar.name iv);
+  Alcotest.(check int) "built on demand" 1 !forced;
+  Alcotest.(check string) "default name" "ivar" (Ivar.name (Ivar.create ()))
+
 let test_ivar_read_after_fill () =
   let eng = Engine.create () in
   let iv = Ivar.create () in
@@ -304,49 +328,80 @@ let test_mailbox_buffered () =
   Alcotest.(check int) "buffered" 2 (Mailbox.length mb);
   Alcotest.(check (option string)) "try_recv" (Some "a") (Mailbox.try_recv mb)
 
-let test_resource_serializes () =
-  let eng = Engine.create () in
-  let r = Resource.create eng "cpu" in
-  let finish = Array.make 3 0.0 in
-  for i = 0 to 2 do
-    Engine.spawn eng (fun () ->
-        Resource.use r 2.0;
-        finish.(i) <- Engine.now eng)
-  done;
-  ignore (Engine.run eng);
-  Alcotest.(check (float 1e-9)) "first" 2.0 finish.(0);
-  Alcotest.(check (float 1e-9)) "second" 4.0 finish.(1);
-  Alcotest.(check (float 1e-9)) "third" 6.0 finish.(2);
-  Alcotest.(check (float 1e-9)) "busy accumulated" 6.0 (Resource.busy_time r)
-
 let test_deque_ends () =
   let d = Deque.create () in
+  Deque.push_back d 0;
   Deque.push_back d 1;
   Deque.push_back d 2;
-  Deque.push_front d 0;
   Alcotest.(check (list int)) "order" [ 0; 1; 2 ] (Deque.to_list d);
-  Alcotest.(check (option int)) "pop back" (Some 2) (Deque.pop_back d);
+  Alcotest.(check int) "first" 0 (Deque.first d);
+  Alcotest.(check int) "last" 2 (Deque.last d);
+  Alcotest.(check int) "pop back" 2 (Deque.pop_back_exn d);
   Alcotest.(check (option int)) "pop front" (Some 0) (Deque.pop_front d);
-  Alcotest.(check int) "length" 1 (Deque.length d)
+  Alcotest.(check int) "length" 1 (Deque.length d);
+  ignore (Deque.pop_front_exn d);
+  Alcotest.(check (option int)) "pop front of empty" None (Deque.pop_front d)
 
+(* Pushes at the back, pops at either end: the scheduler's work-queue
+   discipline, against a list model, across ring-buffer growth and
+   wrap-around. *)
 let deque_model_prop =
   QCheck.Test.make ~name:"deque behaves like a list" ~count:300
-    QCheck.(list (pair bool small_int))
+    QCheck.(list (pair (int_range 0 2) small_int))
     (fun ops ->
       let d = Deque.create () in
       let model = ref [] in
-      List.iter
-        (fun (front, v) ->
-          if front then begin
-            Deque.push_front d v;
-            model := v :: !model
-          end
-          else begin
-            Deque.push_back d v;
-            model := !model @ [ v ]
-          end)
-        ops;
-      Deque.to_list d = !model)
+      List.for_all
+        (fun (op, v) ->
+          let popped_ok =
+            match (op, List.rev !model) with
+            | 1, _ :: _ ->
+                let x = List.hd !model in
+                model := List.tl !model;
+                Deque.first d = x && Deque.pop_front_exn d = x
+            | 2, x :: rest ->
+                model := List.rev rest;
+                Deque.last d = x && Deque.pop_back_exn d = x
+            | _ ->
+                Deque.push_back d v;
+                model := !model @ [ v ];
+                true
+          in
+          popped_ok && Deque.to_list d = !model)
+        ops)
+
+(* The allocation-free accessors raise on an empty deque, also once a
+   grown and wrapped ring buffer has been drained, and the drained deque
+   stays usable. *)
+let test_deque_empty_raises () =
+  let d = Deque.create () in
+  let check_empty label =
+    List.iter
+      (fun (name, f) ->
+        Alcotest.check_raises
+          (Printf.sprintf "%s: %s" label name)
+          (Invalid_argument (Printf.sprintf "Deque.%s: empty" name))
+          (fun () -> ignore (f d)))
+      [
+        ("first", Deque.first);
+        ("last", Deque.last);
+        ("pop_front_exn", Deque.pop_front_exn);
+        ("pop_back_exn", Deque.pop_back_exn);
+      ]
+  in
+  check_empty "fresh";
+  for i = 0 to 40 do
+    Deque.push_back d i;
+    if i mod 3 = 0 then ignore (Deque.pop_front_exn d)
+  done;
+  while not (Deque.is_empty d) do
+    ignore (Deque.pop_back_exn d)
+  done;
+  Alcotest.(check int) "drained" 0 (Deque.length d);
+  check_empty "drained";
+  Alcotest.(check (option int)) "pop front of drained" None (Deque.pop_front d);
+  Deque.push_back d 7;
+  Alcotest.(check (list int)) "reusable" [ 7 ] (Deque.to_list d)
 
 let test_srandom_deterministic () =
   let a = Srandom.create 7 in
@@ -497,17 +552,17 @@ let () =
           Alcotest.test_case "fill wakes readers" `Quick test_ivar_basic;
           Alcotest.test_case "double fill" `Quick test_ivar_double_fill;
           Alcotest.test_case "read after fill" `Quick test_ivar_read_after_fill;
+          Alcotest.test_case "lazy name" `Quick test_ivar_lazy_name;
         ] );
       ( "mailbox",
         [
           Alcotest.test_case "fifo" `Quick test_mailbox_fifo;
           Alcotest.test_case "buffered" `Quick test_mailbox_buffered;
         ] );
-      ( "resource",
-        [ Alcotest.test_case "serializes" `Quick test_resource_serializes ] );
       ( "deque",
         [
           Alcotest.test_case "ends" `Quick test_deque_ends;
+          Alcotest.test_case "empty raises" `Quick test_deque_empty_raises;
           qcheck deque_model_prop;
         ] );
       ( "srandom",

@@ -14,7 +14,7 @@ let test_dimension () =
       Alcotest.(check int)
         (Printf.sprintf "dim of %d nodes" n)
         d
-        (Topology.dimension (Topology.hypercube n)))
+        (Topology.broadcast_rounds (Topology.hypercube n)))
     [ (1, 0); (2, 1); (3, 2); (4, 2); (8, 3); (24, 5); (32, 5) ]
 
 let hops_prop =
@@ -25,27 +25,26 @@ let hops_prop =
       let a = a mod n and b = b mod n in
       Topology.hops t a b = popcount (a lxor b))
 
-let route_prop =
-  QCheck.Test.make ~name:"e-cube route flips one bit per step and ends at dst"
-    ~count:200
-    QCheck.(triple (int_range 1 64) small_int small_int)
-    (fun (n, a, b) ->
-      let t = Topology.hypercube n in
-      let a = a mod n and b = b mod n in
-      let route = Topology.route t a b in
-      let ok = ref true in
-      let cur = ref a in
-      List.iter
-        (fun next ->
-          if popcount (!cur lxor next) <> 1 then ok := false;
-          cur := next)
-        route;
-      !ok && !cur = b && List.length route = Topology.hops t a b)
-
-let test_neighbors () =
-  let t = Topology.hypercube 8 in
-  Alcotest.(check (list int)) "neighbors of 0" [ 1; 2; 4 ] (Topology.neighbors t 0);
-  Alcotest.(check (list int)) "neighbors of 5" [ 4; 7; 1 ] (Topology.neighbors t 5)
+(* A partial cube embeds its [n] nodes in the enclosing cube without
+   padding: ids at or past [n] are out of range, as is an empty cube. *)
+let test_node_range () =
+  let t = Topology.hypercube 6 in
+  Alcotest.(check int) "nodes" 6 (Topology.nodes t);
+  Alcotest.(check int) "farthest pair spans the enclosing cube" 3
+    (Topology.hops t 2 5);
+  List.iter
+    (fun (a, b) ->
+      Alcotest.check_raises
+        (Printf.sprintf "hops %d %d" a b)
+        (Invalid_argument "Topology: node out of range")
+        (fun () -> ignore (Topology.hops t a b)))
+    [ (6, 0); (0, 7); (-1, 2) ];
+  Alcotest.check_raises "broadcast root"
+    (Invalid_argument "Topology: node out of range") (fun () ->
+      ignore (Topology.broadcast_schedule t ~root:6));
+  Alcotest.check_raises "empty cube"
+    (Invalid_argument "Topology.hypercube: need at least one node") (fun () ->
+      ignore (Topology.hypercube 0))
 
 let broadcast_schedule_prop =
   QCheck.Test.make ~name:"broadcast schedule doubles coverage per round"
@@ -67,36 +66,6 @@ let broadcast_schedule_prop =
         if per_round.(r) > 1 lsl (r - 1) then ok := false
       done;
       !ok)
-
-(* ---------------- Bus topology ---------------- *)
-
-let test_bus_hops_and_routes () =
-  let t = Topology.bus 6 in
-  Alcotest.(check int) "nodes" 6 (Topology.nodes t);
-  Alcotest.(check int) "self hop" 0 (Topology.hops t 2 2);
-  Alcotest.(check int) "any pair is one hop" 1 (Topology.hops t 0 5);
-  Alcotest.(check int) "reverse too" 1 (Topology.hops t 5 0);
-  Alcotest.(check (list int)) "route is the single hop" [ 4 ] (Topology.route t 1 4);
-  Alcotest.(check (list int)) "self route empty" [] (Topology.route t 3 3);
-  Alcotest.(check (list int))
-    "everyone is a neighbor" [ 0; 1; 2; 4; 5 ] (Topology.neighbors t 3)
-
-let test_bus_broadcast () =
-  let t = Topology.bus 5 in
-  Alcotest.(check int) "one round" 1 (Topology.broadcast_rounds t);
-  let rounds = Topology.broadcast_schedule t ~root:2 in
-  Alcotest.(check (array int)) "root 0, listeners 1" [| 1; 1; 0; 1; 1 |] rounds;
-  Alcotest.(check int) "single node needs no rounds" 0
-    (Topology.broadcast_rounds (Topology.bus 1))
-
-let bus_invariants_prop =
-  QCheck.Test.make ~name:"bus: hops match routes at any size" ~count:100
-    QCheck.(triple (int_range 1 64) small_int small_int)
-    (fun (n, a, b) ->
-      let t = Topology.bus n in
-      let a = a mod n and b = b mod n in
-      List.length (Topology.route t a b) = Topology.hops t a b
-      && Topology.hops t a b <= 1)
 
 (* ---------------- Fabric ---------------- *)
 
@@ -271,13 +240,9 @@ let () =
       ( "topology",
         [
           Alcotest.test_case "dimension" `Quick test_dimension;
-          Alcotest.test_case "neighbors" `Quick test_neighbors;
           qcheck hops_prop;
-          qcheck route_prop;
+          Alcotest.test_case "node range" `Quick test_node_range;
           qcheck broadcast_schedule_prop;
-          Alcotest.test_case "bus hops/routes" `Quick test_bus_hops_and_routes;
-          Alcotest.test_case "bus broadcast" `Quick test_bus_broadcast;
-          qcheck bus_invariants_prop;
         ] );
       ( "fabric",
         [
