@@ -77,14 +77,37 @@ type ops = {
 (* Constant blocked-registry label, preallocated so waiting is free. *)
 let on_task_queue () = "task-queue"
 
-let run_body (c : core) (task : Taskrec.t) proc =
-  if not c.cfg.Config.work_free then task.Taskrec.body task proc
-
-let record_execution (c : core) (task : Taskrec.t) proc =
+(* Run [task] on [proc], every machine alike: occupy the processor for
+   [overhead] (dispatch, plus on DASH the steal and cache costs), run the
+   body, charge whatever compute the body did not already charge through
+   [Runtime.work] at [flops] (the common case charges it all here), and
+   account the time. [comm] is the part of [overhead] that is
+   communication: DASH's cache-model cost, zero on message-passing
+   machines, whose fetches happen before the task starts. *)
+let execute (c : core) (task : Taskrec.t) ~proc ~flops ~overhead ~comm =
   let m = c.metrics in
+  task.Taskrec.ran_on <- proc;
+  task.Taskrec.fl.Taskrec.started_at <- Engine.now c.eng;
+  task.Taskrec.state <- Taskrec.Running;
   m.Metrics.tasks_executed <- m.Metrics.tasks_executed + 1;
   if proc = task.Taskrec.target then
-    m.Metrics.tasks_on_target <- m.Metrics.tasks_on_target + 1
+    m.Metrics.tasks_on_target <- m.Metrics.tasks_on_target + 1;
+  let compute =
+    if c.cfg.Config.work_free then 0.0 else task.Taskrec.work /. flops
+  in
+  Mnode.occupy c.nodes.(proc) overhead;
+  task.Taskrec.fl.Taskrec.charged <- 0.0;
+  if not c.cfg.Config.work_free then task.Taskrec.body task proc;
+  let remaining =
+    Float.max 0.0 (compute -. (task.Taskrec.fl.Taskrec.charged /. flops))
+  in
+  if remaining > 0.0 then Mnode.occupy c.nodes.(proc) remaining;
+  let fl = m.Metrics.fl in
+  fl.Metrics.total_task_time <- fl.Metrics.total_task_time +. compute +. comm;
+  fl.Metrics.total_compute_time <- fl.Metrics.total_compute_time +. compute;
+  fl.Metrics.total_comm_time <- fl.Metrics.total_comm_time +. comm;
+  task.Taskrec.fl.Taskrec.finished_at <- Engine.now c.eng;
+  match c.trace with Some tr -> Tracing.record tr task | None -> ()
 
 let finish_now (c : core) =
   let max_avail =

@@ -121,31 +121,8 @@ let dispatcher b proc =
         Communicator.ensure_local b.comm task ~proc;
         Communicator.assert_coherent b.comm task ~proc;
         Communicator.note_accesses b.comm task ~proc;
-        task.Taskrec.ran_on <- proc;
-        task.Taskrec.fl.Taskrec.started_at <- Engine.now c.Backend.eng;
-        task.Taskrec.state <- Taskrec.Running;
-        Backend.record_execution c task proc;
-        let compute =
-          if c.Backend.cfg.Config.work_free then 0.0
-          else task.Taskrec.work /. costs.Costs.flops
-        in
-        Mnode.occupy c.Backend.nodes.(proc) costs.Costs.task_dispatch;
-        task.Taskrec.fl.Taskrec.charged <- 0.0;
-        Backend.run_body c task proc;
-        let remaining =
-          Float.max 0.0
-            (compute -. (task.Taskrec.fl.Taskrec.charged /. costs.Costs.flops))
-        in
-        if remaining > 0.0 then Mnode.occupy c.Backend.nodes.(proc) remaining;
-        let m = c.Backend.metrics in
-        m.Metrics.fl.Metrics.total_task_time <-
-          m.Metrics.fl.Metrics.total_task_time +. compute;
-        m.Metrics.fl.Metrics.total_compute_time <-
-          m.Metrics.fl.Metrics.total_compute_time +. compute;
-        task.Taskrec.fl.Taskrec.finished_at <- Engine.now c.Backend.eng;
-        (match c.Backend.trace with
-        | Some tr -> Tracing.record tr task
-        | None -> ());
+        Backend.execute c task ~proc ~flops:costs.Costs.flops
+          ~overhead:costs.Costs.task_dispatch ~comm:0.0;
         Fabric.send b.fabric ~src:proc ~dst:0 ~size:costs.Costs.small_msg
           ~tag:Tag.Done (Protocol.Done { task; proc });
         loop ()

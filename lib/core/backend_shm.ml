@@ -36,39 +36,14 @@ type t = {
 let execute b proc (task : Taskrec.t) =
   let c = b.core in
   let costs = b.costs in
-  task.Taskrec.ran_on <- proc;
-  task.Taskrec.fl.Taskrec.started_at <- Engine.now c.Backend.eng;
-  task.Taskrec.state <- Taskrec.Running;
-  Backend.record_execution c task proc;
   let steal_extra = if task.Taskrec.stolen then costs.Costs.steal_cost else 0.0 in
   let comm =
     if c.Backend.cfg.Config.work_free then 0.0
     else Shm_model.task_cost b.model task ~proc
   in
-  let compute =
-    if c.Backend.cfg.Config.work_free then 0.0
-    else task.Taskrec.work /. costs.Costs.flops_shm
-  in
-  Mnode.occupy c.Backend.nodes.(proc)
-    (costs.Costs.task_dispatch_shm +. steal_extra +. comm);
-  task.Taskrec.fl.Taskrec.charged <- 0.0;
-  Backend.run_body c task proc;
-  (* Charge whatever compute the body did not already charge through
-     [Runtime.work] (the common case charges it all here). *)
-  let remaining =
-    Float.max 0.0
-      (compute -. (task.Taskrec.fl.Taskrec.charged /. costs.Costs.flops_shm))
-  in
-  if remaining > 0.0 then Mnode.occupy c.Backend.nodes.(proc) remaining;
-  let m = c.Backend.metrics in
-  m.Metrics.fl.Metrics.total_task_time <-
-    m.Metrics.fl.Metrics.total_task_time +. compute +. comm;
-  m.Metrics.fl.Metrics.total_compute_time <-
-    m.Metrics.fl.Metrics.total_compute_time +. compute;
-  m.Metrics.fl.Metrics.total_comm_time <-
-    m.Metrics.fl.Metrics.total_comm_time +. comm;
-  task.Taskrec.fl.Taskrec.finished_at <- Engine.now c.Backend.eng;
-  (match c.Backend.trace with Some tr -> Tracing.record tr task | None -> ());
+  Backend.execute c task ~proc ~flops:costs.Costs.flops_shm
+    ~overhead:(costs.Costs.task_dispatch_shm +. steal_extra +. comm)
+    ~comm;
   Backend.complete_task c task ~proc
 
 (* Crash boundary: the dispatcher halts; the supervisor's watchdog

@@ -18,6 +18,7 @@ type deadlock_report = {
       (** (process, what it is blocked on), in blocking order *)
   dl_fetches : (int * int * int) list;
       (** per-processor (proc, in-flight fetches, retransmits) *)
+  dl_give_ups : int;  (** retransmit loops that hit the retry cap *)
 }
 
 exception Deadlock of deadlock_report
@@ -44,6 +45,11 @@ let deadlock_to_string r =
           (Printf.sprintf "\n  P%d: %d fetches in flight, %d retransmits" p
              inflight retrans))
     r.dl_fetches;
+  if r.dl_give_ups > 0 then
+    Buffer.add_string b
+      (Printf.sprintf
+         "\n  fetch give-ups: %d (retransmit loops that hit the retry cap)"
+         r.dl_give_ups);
   Buffer.contents b
 
 let () =
@@ -379,6 +385,7 @@ let run_with ?(config = Config.default) ?trace ?(kernels = true) ~machine
            dl_live = Engine.live_processes c.Backend.eng;
            dl_blocked = Engine.blocked_report c.Backend.eng;
            dl_fetches = t.backend.Backend.comm_stats ();
+           dl_give_ups = c.Backend.metrics.Metrics.fetch_give_ups;
          });
   c.Backend.metrics.Metrics.fl.Metrics.elapsed <- c.Backend.finish_time;
   c.Backend.metrics.Metrics.events <- Engine.events_processed c.Backend.eng;

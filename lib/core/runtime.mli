@@ -61,6 +61,11 @@ type deadlock_report = {
   dl_fetches : (int * int * int) list;
       (** per-processor (proc, in-flight fetches, retransmits) — which
           processors were still waiting on the network when the run hung *)
+  dl_give_ups : int;
+      (** chaos mode: retransmit loops (fetch requests and pushes) that
+          hit the retry cap and gave up ([Metrics.fetch_give_ups]) — a
+          fault plan that outlasts [max_retries] strands its tasks this
+          way *)
 }
 
 (** Raised by {!run} on deadlock. A printer is registered, so an uncaught

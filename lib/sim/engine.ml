@@ -10,8 +10,6 @@ let pname_string = function
   | Anon i -> "process-" ^ string_of_int i
   | Named s -> s
 
-let no_process = Named ""
-
 (* All-float record: the fields are stored flat, so advancing the clock
    (or stashing a pending delay) never allocates a float box — unlike a
    [mutable clock : float] field in the mixed record below. *)
@@ -20,24 +18,28 @@ type fl = { mutable clock : float; mutable pending : float }
 (* --- flat event descriptors ---------------------------------------------
 
    A far-lane event is one immediate int word: [(arg lsl op_bits) lor op].
-   [op] indexes the per-engine handler table [ops] (registered once at
-   construction by the fabric/backends); [arg] is the handler's operand —
-   a pooled-cell index, a processor number, whatever the handler's
-   registration decided. Committing an event is two array reads and an
-   indirect call: no closure environment is chased and nothing was
-   allocated to carry the event.
+   [op] indexes the per-engine handler table [ops] (the fabric registers
+   its delivery handler once at construction); [arg] is the handler's
+   operand — for the fabric, a pooled-cell index. Committing an event is
+   two array reads and an indirect call: nothing was allocated to carry
+   the event.
 
-   Opcode 0 is the escape hatch for genuinely closure-shaped events
-   (timers, watchdog scans, recovery pings, the [delay] resume path): the
-   closure parks in the [esc_fns] slab and the word carries its slot. The
-   slab recycles slots through a free stack and clears a slot the moment
-   its event fires, so a consumed escape event pins no environment. *)
+   Opcode 0 carries closure-shaped events (every [delay] resume, timers,
+   watchdog scans, recovery pings): the closure parks in the [esc_fns]
+   slab and the word carries its slot. This is a busy path — over half
+   of a regeneration's events — but a small population: the slab
+   recycles slots through a free stack and clears a slot the moment its
+   event fires, so a consumed escape event pins no environment. *)
 
 let op_bits = 6
 
 let op_mask = (1 lsl op_bits) - 1
 
 let max_ops = 1 lsl op_bits
+
+(* Blocked-waiter registry, keyed by each wait's token (unique, in
+   the order the waits began). *)
+module Tokens = Hashtbl.Make (Int)
 
 type t = {
   events : Heap.t;  (** the far lane, keyed by (time, seq) *)
@@ -50,55 +52,32 @@ type t = {
      dangles. *)
   ops : (int -> unit) array;
   mutable ops_n : int;
-  (* Escape slab: closures for rare-path events, indexed by the slot
-     carried in an opcode-0 word. A slot is cleared (and recycled) the
-     moment its event fires. *)
+  (* Escape slab: closures indexed by the slot carried in an opcode-0
+     word. A slot is cleared (and recycled) the moment its event fires. *)
   mutable esc_fns : (unit -> unit) array;
   mutable esc_free : int array;
   mutable esc_free_n : int;
   mutable esc_live : int;
   mutable esc_hwm : int;
-  (* Now lane: FIFO ring of events scheduled at exactly the current
+  (* Now lane: FIFO ring of thunks scheduled at exactly the current
      clock. They fire before any later far-lane entry, interleaved with
      same-time far-lane entries by seq, so delivery order is identical to
      a single queue — but the dominant zero-delay wakeup skips the
      far lane entirely. Capacity is always a power of two. Invariant:
      every entry's implied time is [fl.clock] (the lane is drained before
-     the clock advances).
-
-     An entry is an (fn, arg) pair, both stored as [Obj.t]: firing it
-     applies [fn] to [arg]. A plain thunk rides with [arg = ()] — the
-     application [f ()] and [f x] have the same calling convention, so
-     one lane carries both — which lets wakeups that deliver a value
-     (ivar fills, mailbox sends) schedule the waiter's resume function
-     directly instead of allocating a [fun () -> resume v] wrapper per
-     wakeup. Zero-delay flat events ride the same way: the handler from
-     [ops] is the fn and the immediate int operand the arg. *)
+     the clock advances). *)
   mutable now_seqs : int array;
-  mutable now_fns : Obj.t array;
-  mutable now_args : Obj.t array;
+  mutable now_fns : (unit -> unit) array;
   mutable now_head : int;
   mutable now_len : int;
   mutable live : int;
   mutable processed : int;
   mutable spawned : int;
   mutable block_seq : int;
-  (* Blocked-waiter slab: parallel arrays indexed by slot, plus a
-     free-slot stack. Registering/clearing a wait is a few stores into
-     preallocated arrays instead of a hashtable insert/remove; the
-     report (cold: deadlock only) orders live slots by token. A slot is
-     free iff its token is -1. *)
-  mutable bl_who : pname array;
-  mutable bl_what : (unit -> string) array;
-  mutable bl_tok : int array;
-  mutable bl_free : int array;
-  mutable bl_free_n : int;
-  (* Preallocated registration closures for [delay]: the zero-delay
-     resume and the [fl.pending]-delay resume. One closure each per
-     engine, not per event — and one preallocated effect value wrapping
-     each, so [delay] performs without building an [Await] box. *)
-  mutable reg_now : (unit -> unit) -> unit;
-  mutable reg_after : (unit -> unit) -> unit;
+  blocked : (pname * (unit -> string)) Tokens.t;
+  (* [delay]'s two suspensions — resume now, resume after [fl.pending] —
+     as preallocated effect values, so [delay] performs without building
+     an [Await] box. *)
   mutable eff_now : unit Effect.t;
   mutable eff_after : unit Effect.t;
 }
@@ -119,45 +98,25 @@ let waiter ?on register =
 
 let nop () = ()
 
-let no_what () = ""
-
-let nowhere : (unit -> unit) -> unit = fun _ -> ()
-
-let nop_fn = Obj.repr nop
-
-let unit_arg = Obj.repr ()
-
 let grow_now t =
   let cap = Array.length t.now_fns in
-  let cap' = 2 * cap in
-  let seqs = Array.make cap' 0 in
-  let fns = Array.make cap' nop_fn and args = Array.make cap' unit_arg in
+  let seqs = Array.make (2 * cap) 0 and fns = Array.make (2 * cap) nop in
   for i = 0 to t.now_len - 1 do
     let j = (t.now_head + i) land (cap - 1) in
     seqs.(i) <- t.now_seqs.(j);
-    fns.(i) <- t.now_fns.(j);
-    args.(i) <- t.now_args.(j)
+    fns.(i) <- t.now_fns.(j)
   done;
   t.now_seqs <- seqs;
   t.now_fns <- fns;
-  t.now_args <- args;
   t.now_head <- 0
 
-(* [push_call t f x] enqueues the application [f x]; [push_now t f] is
-   the thunk case, [push_call t f ()]. *)
-let push_call : 'a. t -> ('a -> unit) -> 'a -> unit =
- fun t f x ->
-  let cap = Array.length t.now_fns in
-  if t.now_len = cap then grow_now t;
-  let cap = Array.length t.now_fns in
+let push_now t f =
+  if t.now_len = Array.length t.now_fns then grow_now t;
   t.seq <- t.seq + 1;
-  let i = (t.now_head + t.now_len) land (cap - 1) in
+  let i = (t.now_head + t.now_len) land (Array.length t.now_fns - 1) in
   t.now_seqs.(i) <- t.seq;
-  t.now_fns.(i) <- Obj.repr f;
-  t.now_args.(i) <- Obj.repr x;
+  t.now_fns.(i) <- f;
   t.now_len <- t.now_len + 1
-
-let push_now t (f : unit -> unit) = push_call t f ()
 
 (* Far-lane push of a descriptor word at a time strictly after now. A
    non-finite time (an infinite delay, or a sum of delays that overflowed)
@@ -207,7 +166,6 @@ let far_word t f = esc_put t f lsl op_bits
 let exec_word t w = (Array.unsafe_get t.ops (w land op_mask)) (w asr op_bits)
 
 let create () =
-  let bl_cap = 16 in
   let esc_cap = 16 in
   let t =
     {
@@ -223,23 +181,16 @@ let create () =
       esc_live = 0;
       esc_hwm = 0;
       now_seqs = Array.make 64 0;
-      now_fns = Array.make 64 nop_fn;
-      now_args = Array.make 64 unit_arg;
+      now_fns = Array.make 64 nop;
       now_head = 0;
       now_len = 0;
       live = 0;
       processed = 0;
       spawned = 0;
       block_seq = 0;
-      bl_who = Array.make bl_cap no_process;
-      bl_what = Array.make bl_cap no_what;
-      bl_tok = Array.make bl_cap (-1);
-      bl_free = Array.init bl_cap (fun i -> bl_cap - 1 - i);
-      bl_free_n = bl_cap;
-      reg_now = nowhere;
-      reg_after = nowhere;
-      eff_now = Await nowhere;
-      eff_after = Await nowhere;
+      blocked = Tokens.create 16;
+      eff_now = Await ignore;
+      eff_after = Await ignore;
     }
   in
   (* Opcode 0: fire a parked closure, recycling its slot first so the
@@ -253,13 +204,12 @@ let create () =
       t.esc_free_n <- t.esc_free_n + 1;
       t.esc_live <- t.esc_live - 1;
       f ());
-  t.reg_now <- (fun resume -> push_now t resume);
-  t.reg_after <-
-    (fun resume ->
-      let w = far_word t resume in
-      push_far t (t.fl.clock +. t.fl.pending) w);
-  t.eff_now <- Await t.reg_now;
-  t.eff_after <- Await t.reg_after;
+  t.eff_now <- Await (fun resume -> push_now t resume);
+  t.eff_after <-
+    Await
+      (fun resume ->
+        let w = far_word t resume in
+        push_far t (t.fl.clock +. t.fl.pending) w);
   t
 
 let now t = t.fl.clock
@@ -273,8 +223,6 @@ let register_op t f =
   op
 
 let schedule_now t f = push_now t f
-
-let schedule_call t f x = push_call t f x
 
 let schedule_after t delay f =
   if not (delay >= 0.0) then
@@ -295,123 +243,52 @@ let schedule_at t time f =
   let tt = clock +. d in
   if tt = clock then push_now t f else push_far t tt (far_word t f)
 
-(* The allocation-free counterpart of {!schedule_at} for events
-   registered as opcodes: same float arithmetic, same seq assignment,
-   same lane choice — only the payload is a packed word, not a closure. *)
+(* The counterpart of {!schedule_at} for events registered as opcodes:
+   same float arithmetic, same seq assignment, same lane choice — only
+   the far-lane payload is a packed word, not a closure, so a timed flat
+   event allocates nothing. *)
 let schedule_op_at t ~op ~arg time =
   let clock = t.fl.clock in
   let d = if time > clock then time -. clock else 0.0 in
   let tt = clock +. d in
-  if tt = clock then push_call t (Array.unsafe_get t.ops op) arg
+  if tt = clock then begin
+    let handler = Array.unsafe_get t.ops op in
+    push_now t (fun () -> handler arg)
+  end
   else push_far t tt ((arg lsl op_bits) lor op)
 
-(* --- blocked-waiter slab --- *)
-
-let grow_blocked t =
-  let cap = Array.length t.bl_tok in
-  let cap' = 2 * cap in
-  let who = Array.make cap' no_process in
-  let what = Array.make cap' no_what in
-  let tok = Array.make cap' (-1) in
-  Array.blit t.bl_who 0 who 0 cap;
-  Array.blit t.bl_what 0 what 0 cap;
-  Array.blit t.bl_tok 0 tok 0 cap;
-  t.bl_who <- who;
-  t.bl_what <- what;
-  t.bl_tok <- tok;
-  let free = Array.make cap' 0 in
-  Array.blit t.bl_free 0 free 0 t.bl_free_n;
-  for i = 0 to cap - 1 do
-    free.(t.bl_free_n + i) <- cap' - 1 - i
-  done;
-  t.bl_free <- free;
-  t.bl_free_n <- t.bl_free_n + cap
-
-let block_slot t who what =
-  if t.bl_free_n = 0 then grow_blocked t;
-  t.bl_free_n <- t.bl_free_n - 1;
-  let slot = t.bl_free.(t.bl_free_n) in
-  t.bl_who.(slot) <- who;
-  t.bl_what.(slot) <- what;
-  t.bl_tok.(slot) <- t.block_seq;
-  t.block_seq <- t.block_seq + 1;
-  slot
-
-let unblock t slot =
-  t.bl_tok.(slot) <- -1;
-  t.bl_who.(slot) <- no_process;
-  t.bl_what.(slot) <- no_what;
-  t.bl_free.(t.bl_free_n) <- slot;
-  t.bl_free_n <- t.bl_free_n + 1
-
 let blocked_report t =
-  let acc = ref [] in
-  Array.iteri
-    (fun slot tok -> if tok >= 0 then acc := (tok, slot) :: !acc)
-    t.bl_tok;
-  List.sort compare !acc
-  |> List.map (fun (_, slot) ->
-         (pname_string t.bl_who.(slot), t.bl_what.(slot) ()))
+  Tokens.fold (fun tok entry acc -> (tok, entry) :: acc) t.blocked []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map (fun (_, (who, what)) -> (pname_string who, what ()))
 
 (* --- processes --- *)
 
-(* Per-process suspension cell. A process has at most one pending await
-   (it is suspended from the perform until its resume runs), so one cell
-   — allocated once at spawn, together with one resume closure and one
-   preallocated [Some handler] per await flavor — serves every
-   suspension of the process's lifetime. The old per-perform closures
-   (the [Some (fun k -> ...)] and its inner resume) were the engine's
-   dominant allocation; awaiting is now store-and-perform. *)
-type pcell = {
-  mutable pc_k : Obj.t;  (** the suspended continuation *)
-  mutable pc_reg : Obj.t;  (** the pending await's registration function *)
-  mutable pc_what : unit -> string;  (** blocked-report label (Await_on) *)
-  mutable pc_slot : int;  (** blocked-waiter slot (Await_on) *)
-}
-
+(* Each suspension's handler captures its own continuation in the resume
+   function it registers, so a resume called a second time — even after
+   the process has suspended again — raises [Continuation_already_resumed]
+   from [continue] instead of reaching a newer wait. A labelled wait also
+   holds its own registry token, so such a resume cannot clear another
+   wait's entry either. *)
 let run_process t ~name f =
-  let cell =
-    { pc_k = unit_arg; pc_reg = unit_arg; pc_what = no_what; pc_slot = -1 }
-  in
-  let resume (v : Obj.t) =
-    (* A second resume raises [Continuation_already_resumed] from
-       [continue] itself. *)
-    continue (Obj.magic cell.pc_k : (Obj.t, unit) continuation) v
-  in
-  let resume_on (v : Obj.t) =
-    unblock t cell.pc_slot;
-    resume v
-  in
-  let handle (k : (Obj.t, unit) continuation) =
-    cell.pc_k <- Obj.repr k;
-    (Obj.obj cell.pc_reg : (Obj.t -> unit) -> unit) resume
-  in
-  let handle_on (k : (Obj.t, unit) continuation) =
-    cell.pc_k <- Obj.repr k;
-    cell.pc_slot <- block_slot t name cell.pc_what;
-    (Obj.obj cell.pc_reg : (Obj.t -> unit) -> unit) resume_on
-  in
-  let some_handle = Obj.repr (Some handle) in
-  let some_handle_on = Obj.repr (Some handle_on) in
   match_with f ()
     {
       retc = (fun () -> t.live <- t.live - 1);
       exnc = raise;
       effc =
         (fun (type a) (eff : a Effect.t) ->
-          (* The returned handler is preallocated: values have a uniform
-             representation, so the [Some handle] built at ['a = Obj.t]
-             serves every instantiation. The effect's registration
-             function is passed through the cell. *)
           match eff with
           | Await register ->
-              cell.pc_reg <- Obj.repr register;
-              (Obj.magic some_handle : ((a, unit) continuation -> unit) option)
+              Some (fun (k : (a, unit) continuation) -> register (continue k))
           | Await_on (register, what) ->
-              cell.pc_reg <- Obj.repr register;
-              cell.pc_what <- what;
-              (Obj.magic some_handle_on
-                : ((a, unit) continuation -> unit) option)
+              Some
+                (fun (k : (a, unit) continuation) ->
+                  let tok = t.block_seq in
+                  t.block_seq <- tok + 1;
+                  Tokens.add t.blocked tok (name, what);
+                  register (fun v ->
+                      Tokens.remove t.blocked tok;
+                      continue k v))
           | _ -> None);
     }
 
@@ -457,12 +334,11 @@ let run t =
       if take_far then exec_word t (Heap.pop_min_value t.events)
       else begin
         let i = t.now_head in
-        let fn = t.now_fns.(i) and arg = t.now_args.(i) in
-        t.now_fns.(i) <- nop_fn;
-        t.now_args.(i) <- unit_arg;
+        let f = t.now_fns.(i) in
+        t.now_fns.(i) <- nop;
         t.now_head <- (i + 1) land (Array.length t.now_fns - 1);
         t.now_len <- t.now_len - 1;
-        (Obj.obj fn : Obj.t -> unit) arg
+        f ()
       end
     end
     else if not (Heap.is_empty t.events) then begin

@@ -30,9 +30,9 @@ val now : t -> float
     plus an operand — instead of closures. Handlers are registered once
     at construction; scheduling a flat event then allocates nothing and
     committing it chases no environment. Closure-based scheduling
-    ({!schedule_after}, {!schedule_at}, …) still works for rare-path events
-    (timers, watchdog scans): the closure parks in an internal escape
-    slab and the word carries its slot, cleared when the event fires. *)
+    ({!schedule_after}, {!schedule_at}, and every {!delay} resume) parks
+    the closure in an internal escape slab and the word carries its slot,
+    cleared when the event fires. *)
 
 (** [register_op t handler] claims the next opcode and installs
     [handler] for it, returning the opcode for use with
@@ -47,9 +47,10 @@ val register_op : t -> (int -> unit) -> int
     [time] is in the past) — {!schedule_at} without the closure: the
     event rides the far lane as one packed int word. [arg] must fit in
     57 bits (an index or a processor number; anything larger belongs in
-    a registry the handler indexes into). Allocation-free; this is the
-    fabric's message-delivery path. An infinite [time] raises
-    [Invalid_argument]. *)
+    a registry the handler indexes into). Allocation-free when [time] is
+    later than [now] (an event due now rides the now lane as a thunk);
+    this is the fabric's message-delivery path. An infinite [time]
+    raises [Invalid_argument]. *)
 val schedule_op_at : t -> op:int -> arg:int -> float -> unit
 
 (** [schedule_after t d f] runs plain callback [f] at [now + d], where
@@ -73,18 +74,10 @@ val schedule_at : t -> float -> (unit -> unit) -> unit
 
 (** [schedule_now t f] is [schedule_after t 0. f]: [f] fires at the current
     virtual time, after everything already scheduled for it. Zero-delay
-    events live in a FIFO "now lane" rather than the time-ordered heap,
-    so this is the engine's cheapest (allocation-free) scheduling path —
+    events live in a FIFO "now lane" of thunks rather than the
+    time-ordered heap, so this is the engine's cheapest scheduling path —
     it is the one wakeups (ivar fills, mailbox sends) ride. *)
 val schedule_now : t -> (unit -> unit) -> unit
-
-(** [schedule_call t f x] is [schedule_now t (fun () -> f x)] without the
-    wrapper closure: the function and its argument ride the now lane as a
-    preformed application. This is the wakeup path for suspensions that
-    resume with a value (ivar fills, mailbox sends) — the engine applies
-    [f] to [x] when the event fires, allocating nothing at schedule
-    time. *)
-val schedule_call : t -> ('a -> unit) -> 'a -> unit
 
 (** [spawn ?name t f] starts [f] as a simulation process at the current
     time. [f] may perform {!delay} / {!await}. [name] identifies the
@@ -100,7 +93,10 @@ val delay : t -> float -> unit
 (** [await ?on t register] suspends the calling process; [register]
     receives a resume function that must eventually be called exactly once
     with the result. The resumption runs at the virtual time at which the
-    resume function is invoked. When [on] is given, the wait is recorded in
+    resume function is invoked. Calling a resume function a second time
+    raises [Effect.Continuation_already_resumed], also when the process
+    has since suspended again: each resume belongs to one suspension and
+    never reaches a later one. When [on] is given, the wait is recorded in
     the blocked-waiter registry under the calling process's name until it
     resumes, so a drained heap can report exactly who is stuck on what.
     [on] is a thunk rendering what is being waited for; it is forced only
@@ -109,11 +105,12 @@ val delay : t -> float -> unit
 val await : ?on:(unit -> string) -> t -> (('a -> unit) -> unit) -> 'a
 
 (** A prebuilt suspension point: {!waiter} packages the registration (and
-    optional blocked-report label) once, and {!wait} performs it with no
-    per-call allocation. Suspensions taken many times over a run (ivar
-    reads, mailbox receives) build their waiter at construction and call
-    [wait eng w] on the hot path; [wait t w] is semantically
-    [await ?on t register] for the pair [w] was built from. *)
+    optional blocked-report label) once, and {!wait} performs it without
+    building an effect value per call. Suspensions taken many times over
+    a run (ivar reads, mailbox receives) build their waiter at
+    construction and call [wait eng w] on the hot path; [wait t w] is
+    semantically [await ?on t register] for the pair [w] was built
+    from. *)
 type 'a waiter
 
 val waiter : ?on:(unit -> string) -> (('a -> unit) -> unit) -> 'a waiter

@@ -31,11 +31,10 @@ let fill eng t v =
   | Full _ -> invalid_arg ("Ivar.fill: already filled: " ^ t.name ())
   | Empty ->
       t.state <- Full v;
-      (* Waiters resume in registration order; [schedule_call] carries the
-         resume function and the value as a preformed application, so a
-         fill allocates nothing per waiter. *)
+      (* Waiters resume in registration order, each as its own event. *)
       while not (Deque.is_empty t.waiters) do
-        Engine.schedule_call eng (Deque.pop_front_exn t.waiters) v
+        let resume = Deque.pop_front_exn t.waiters in
+        Engine.schedule_now eng (fun () -> resume v)
       done
 
 let read eng t =

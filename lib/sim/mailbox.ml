@@ -22,7 +22,10 @@ let name t = t.name
 
 let send eng t v =
   if Deque.is_empty t.waiters then Deque.push_back t.items v
-  else Engine.schedule_call eng (Deque.pop_front_exn t.waiters) v
+  else begin
+    let resume = Deque.pop_front_exn t.waiters in
+    Engine.schedule_now eng (fun () -> resume v)
+  end
 
 let recv eng t =
   if Deque.is_empty t.items then Engine.wait eng t.wtr

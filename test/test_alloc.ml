@@ -1,14 +1,16 @@
 (* Allocation-regression gate for the event-engine hot path.
 
-   The flat-descriptor far lane and the pooled message path exist to make
-   the steady-state simulation allocate almost nothing per event: a
-   schedule packs one immediate int word, a delivery resolves a pooled
-   cell by registry slot, a wakeup rides a preformed (fn, arg) pair in
-   the now lane, and process suspension reuses a preallocated
-   continuation cell. A change that quietly reboxes any of those — a
-   closure on the scheduling path, a tuple on the wakeup path, a boxed
-   float sneaking into a mixed record — multiplies the minor-word rate
-   and shows up here long before it shows up as wall-clock time.
+   The flat-descriptor far lane and the pooled message path keep the
+   steady-state simulation's allocation per event small: a timed
+   schedule packs one immediate int word and a delivery resolves a
+   pooled cell by registry slot. Suspensions pay a few small blocks
+   each: the handler closure, the resume closure that owns its
+   continuation (so a stale resume raises instead of reaching a later
+   wait), and a now-lane thunk per value-carrying wakeup. A change that
+   quietly adds to any of those — a closure on the timed-scheduling
+   path, a tuple on the wakeup path, a boxed float sneaking into a mixed
+   record — multiplies the minor-word rate and shows up here long before
+   it shows up as wall-clock time.
 
    Three gates, each asserting minor words per event under a named
    ceiling measured with [Gc.minor_words] deltas after a warm-up run:
@@ -24,10 +26,10 @@
      allocation — a single added float box (2-3 words) or closure (4-5)
      fails it;
    - the full simulator on repeated Water / iPSC-860 / 8-processor runs
-     at test scale: protocol pool, fabric delivery, and scheduler riding
-     on top. Each run is only ~900 events, so per-run setup (program
+     at test scale: fabric delivery, protocol and scheduler riding on
+     top. Each run is only ~900 events, so per-run setup (program
      construction, engine and backend creation) is a big share of the
-     ~70 words/event measured; the ceiling is a regression backstop,
+     ~68 words/event measured; the ceiling is a regression backstop,
      not a hot-path bound — the bench's steady-state figure at regen
      scale is the precise one. *)
 

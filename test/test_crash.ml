@@ -458,7 +458,8 @@ let test_reconstruction_from_producer () =
     (metrics.Jade.Metrics.fl.Jade.Metrics.recovery_time > 0.0)
 
 (* ------------------------------------------------------------------ *)
-(* Enriched hang diagnostics: per-processor fetch/retransmit counts *)
+(* Enriched hang diagnostics: per-processor fetch/retransmit counts and
+   the retransmit loops that gave up *)
 
 let lost_reply_program rt =
   let x =
@@ -468,29 +469,49 @@ let lost_reply_program rt =
     ~accesses:(fun s -> Jade.Spec.rd s x)
     (fun env -> ignore (R.rd env x))
 
+let contains_line r sub =
+  let rendered = R.deadlock_to_string r in
+  let n = String.length rendered and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub rendered i m = sub || go (i + 1)) in
+  go 0
+
+(* With [max_retries:0] the reliable protocol is off ({!Fault.reliable}):
+   the lost reply leaves its fetch in flight and no retransmit loop runs,
+   so nothing gives up. With one retry allowed and both replies lost, the
+   loop retransmits once and then gives up. *)
 let test_deadlock_report_fetches () =
-  let fault = F.spec ~drop_tagged:[ (Tag.Obj, 0) ] ~max_retries:0 () in
-  match
-    R.run ~config:(with_fault fault) ~machine:R.ipsc860 ~nprocs:2
-      lost_reply_program
-  with
-  | _ -> Alcotest.fail "expected a deadlock"
-  | exception R.Deadlock r ->
-      Alcotest.(check (list (triple int int int)))
-        "the stuck fetch is attributed to processor 1"
-        [ (0, 0, 0); (1, 1, 0) ]
-        r.R.dl_fetches;
-      let rendered = R.deadlock_to_string r in
-      let contains sub =
-        let n = String.length rendered and m = String.length sub in
-        let rec go i =
-          i + m <= n && (String.sub rendered i m = sub || go (i + 1))
-        in
-        go 0
-      in
-      Alcotest.(check bool)
-        "rendered report includes the in-flight fetch line" true
-        (contains "P1: 1 fetches in flight, 0 retransmits")
+  let deadlock ~max_retries ~lost =
+    let drop_tagged = List.init lost (fun i -> (Tag.Obj, i)) in
+    let fault = F.spec ~drop_tagged ~max_retries () in
+    match
+      R.run ~config:(with_fault fault) ~machine:R.ipsc860 ~nprocs:2
+        lost_reply_program
+    with
+    | _ -> Alcotest.fail "expected a deadlock"
+    | exception R.Deadlock r -> r
+  in
+  let give_up_line =
+    "\n  fetch give-ups: 1 (retransmit loops that hit the retry cap)"
+  in
+  let r = deadlock ~max_retries:0 ~lost:1 in
+  Alcotest.(check (list (triple int int int)))
+    "the stuck fetch is attributed to processor 1"
+    [ (0, 0, 0); (1, 1, 0) ]
+    r.R.dl_fetches;
+  Alcotest.(check bool)
+    "rendered report includes the in-flight fetch line" true
+    (contains_line r "P1: 1 fetches in flight, 0 retransmits");
+  Alcotest.(check int) "no retransmit loop, no give-up" 0 r.R.dl_give_ups;
+  Alcotest.(check bool) "no give-up line" false
+    (contains_line r "give-ups");
+  let r = deadlock ~max_retries:1 ~lost:2 in
+  Alcotest.(check (list (triple int int int)))
+    "one retransmit before the give-up"
+    [ (0, 0, 0); (1, 1, 1) ]
+    r.R.dl_fetches;
+  Alcotest.(check int) "the retransmit loop gave up" 1 r.R.dl_give_ups;
+  Alcotest.(check bool) "rendered report includes the give-up line" true
+    (contains_line r give_up_line)
 
 (* ------------------------------------------------------------------ *)
 (* Run cache: crashy runs never alias clean entries *)

@@ -1014,8 +1014,8 @@ let test_cli_rejects (args, named) () = check_rejected args ~want:124 ~named
 
 (* Failures a well-formed command can meet at run time exit 1 with one
    line naming the cause: a crash of the root processor, a fault plan
-   that drops every message, an unwritable trace path or cache
-   directory. *)
+   that drops every message or so many that a fetch gives up, an
+   unwritable trace path or cache directory. *)
 let named_error_cases =
   let run_app = "run --app water --size test" in
   [
@@ -1023,6 +1023,8 @@ let named_error_cases =
     ("all --size test --crash-at 0@0.01", "repro: Unrecoverable");
     ("digest --size test --crash-at 0@0.01", "repro: Unrecoverable");
     (run_app ^ " --drop-rate 1", "repro: Jade runtime: deadlock");
+    ( "run --app water --machine ipsc -p 4 --size test --drop-rate 0.5",
+      "repro: Jade runtime: deadlock" );
     ( run_app ^ " --trace /nonexistent/dir/x.json",
       "repro: /nonexistent/dir/x.json" );
     ("regen --size test --cache-dir /proc/nope", "repro: mkdir /proc/nope");

@@ -1,5 +1,5 @@
 (* Tests for the discrete-event simulation substrate: heap, engine,
-   ivars, mailboxes, resources, deques, RNG. *)
+   ivars, mailboxes, deques, RNG. *)
 
 open Jade_sim
 
@@ -236,6 +236,80 @@ let test_engine_infinite_time () =
     (Invalid_argument "Engine: non-finite event time") (fun () ->
       Engine.schedule_op_at eng ~op ~arg:1 infinity);
   Alcotest.(check int) "the finite event still runs" 1 (Engine.run eng)
+
+(* A resume belongs to one suspension. A process waits for an int, then
+   for a string; calling the first wait's resume again while the second
+   wait is pending raises [Continuation_already_resumed], leaves the
+   second wait registered, and the process still finishes when its own
+   resume arrives. The waits differ in type, so a resume that reached
+   the wrong one would hand the string wait an int. *)
+let test_engine_stale_resume () =
+  let eng = Engine.create () in
+  let first = ref (fun (_ : int) -> ()) in
+  let second = ref (fun (_ : string) -> ()) in
+  let got = ref None in
+  Engine.spawn ~name:"p" eng (fun () ->
+      let a = Engine.await ~on:(fun () -> "first") eng (( := ) first) in
+      let b = Engine.await ~on:(fun () -> "second") eng (( := ) second) in
+      got := Some (a, String.uppercase_ascii b));
+  Engine.schedule_after eng 1.0 (fun () -> !first 1);
+  Engine.schedule_after eng 2.0 (fun () ->
+      Alcotest.check_raises "a stale resume raises"
+        Effect.Continuation_already_resumed (fun () -> !first 2);
+      Alcotest.(check (list (pair string string)))
+        "the pending wait stays registered" [ ("p", "second") ]
+        (Engine.blocked_report eng));
+  Engine.schedule_after eng 3.0 (fun () -> !second "done");
+  ignore (Engine.run eng);
+  Alcotest.(check (option (pair int string)))
+    "the process finished" (Some (1, "DONE")) !got;
+  Alcotest.(check int) "no live processes" 0 (Engine.live_processes eng);
+  Alcotest.(check (list (pair string string)))
+    "no waits left" [] (Engine.blocked_report eng)
+
+(* [blocked_report] lists labelled waits in the order they began, not in
+   spawn order, and a wait leaves it once it resumes. Processes a, b, c
+   begin their waits at times 2, 0 and 1; they resume in the order b, a,
+   c, and a waits again, which puts it behind c. *)
+let test_engine_blocked_order () =
+  let eng = Engine.create () in
+  let resumes = Hashtbl.create 3 in
+  let proc name start =
+    Engine.spawn ~name eng (fun () ->
+        Engine.delay eng start;
+        for round = 1 to (if name = "a" then 2 else 1) do
+          let label = Printf.sprintf "%s-wait-%d" name round in
+          Engine.await ~on:(fun () -> label) eng (fun r ->
+              Hashtbl.replace resumes name r)
+        done)
+  in
+  proc "a" 2.0;
+  proc "b" 0.0;
+  proc "c" 1.0;
+  let snapshots = ref [] in
+  let at time f =
+    Engine.schedule_after eng time (fun () ->
+        f ();
+        snapshots := Engine.blocked_report eng :: !snapshots)
+  in
+  let resume name () = (Hashtbl.find resumes name) () in
+  at 3.0 ignore;
+  at 4.0 (resume "b");
+  at 5.0 (resume "a");
+  at 6.0 (resume "c");
+  at 7.0 (resume "a");
+  ignore (Engine.run eng);
+  Alcotest.(check (list (list (pair string string))))
+    "report after each step"
+    [
+      [ ("b", "b-wait-1"); ("c", "c-wait-1"); ("a", "a-wait-1") ];
+      [ ("c", "c-wait-1"); ("a", "a-wait-1") ];
+      [ ("c", "c-wait-1"); ("a", "a-wait-2") ];
+      [ ("a", "a-wait-2") ];
+      [];
+    ]
+    (List.rev !snapshots);
+  Alcotest.(check int) "no live processes" 0 (Engine.live_processes eng)
 
 let test_ivar_basic () =
   let eng = Engine.create () in
@@ -543,6 +617,10 @@ let () =
             test_engine_flat_past_clamps;
           Alcotest.test_case "opcode table full" `Quick
             test_engine_opcode_table_full;
+          Alcotest.test_case "stale resume raises" `Quick
+            test_engine_stale_resume;
+          Alcotest.test_case "blocked report order" `Quick
+            test_engine_blocked_order;
           qcheck engine_stress_prop;
           qcheck flat_closure_parity_prop;
           qcheck flat_order_prop;
