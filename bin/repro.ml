@@ -472,7 +472,9 @@ let run_cmd =
              message cells, far-lane event heap, now-lane capacity, \
              escape slab) and its idle traffic (DASH wake-up and \
              steal-patience probes, main-release polls), each out of \
-             the run's events. Forces a real \
+             the run's events, with the polls taken in place; under a \
+             fault plan, also the retransmit timers that fired and \
+             those dropped as dead. Forces a real \
              (uncached, every kernel executed) simulation, since cached \
              summaries do not carry them.")
   in
@@ -516,7 +518,9 @@ let run_cmd =
     (match occ with
     | Some o ->
         Format.printf "  occupancy: %a@." Jade.Metrics.pp_occupancy o;
-        Format.printf "  idle: %a@." Jade.Metrics.pp_idle o
+        Format.printf "  idle: %a@." Jade.Metrics.pp_idle o;
+        if fault <> None then
+          Format.printf "  timers: %a@." Jade.Metrics.pp_timers o
     | None -> ());
     match fault with
     | Some spec ->

@@ -137,15 +137,17 @@ let maybe_finish (c : core) =
 let main_owns_proc0 (c : core) = not (c.main_done || c.main_blocked)
 
 (* Call [k] at the first poll, every [poll] seconds from now, that finds
-   processor 0 released. Each poll is a callback, not a process resume. *)
+   processor 0 released. Each poll is an engine tick, not a process
+   resume, and one that finds processor 0 still owned usually skips the
+   far lane ({!Engine.poll}). *)
 let on_main_release (c : core) ~poll k =
+  let m = c.metrics in
   (* Clamp so a zero poll interval cannot respin at a fixed virtual time. *)
-  let poll = Float.max poll 1e-6 in
-  let rec tick () =
-    c.metrics.Metrics.main_polls <- c.metrics.Metrics.main_polls + 1;
-    if main_owns_proc0 c then Engine.schedule_after c.eng poll tick else k ()
-  in
-  Engine.schedule_after c.eng poll tick
+  Engine.poll c.eng (Float.max poll 1e-6)
+    (fun () ->
+      m.Metrics.main_polls <- m.Metrics.main_polls + 1;
+      not (main_owns_proc0 c))
+    k
 
 let wait_for_main_release (c : core) ~poll =
   if main_owns_proc0 c then Engine.await c.eng (on_main_release c ~poll)

@@ -21,8 +21,14 @@ type push = {
   push_version : int;
   push_tag : Tag.t;
   push_body : Protocol.t;  (** the body that was sent, re-posted as is *)
-  mutable push_attempt : int;
 }
+
+(* A retransmit timer: a fetch the requester is waiting on, or a push the
+   owner is waiting to see acknowledged. Its attempt is the level of the
+   lane it waits on. *)
+type timer =
+  | Fetch of { meta : Meta.t; p : pending; version : int; proc : int }
+  | Push of push
 
 type t = {
   eng : Engine.t;
@@ -48,6 +54,9 @@ type t = {
           stuck chaos run is read from *)
   trace : Tracing.t option;
       (** when set, every arriving object transfer is recorded as a flow *)
+  mutable lanes : timer Engine.lane array;
+      (** retransmit timers, one fixed-delay lane per attempt level [k]
+          (timeout [retry_timeout * 2^k]), made on first use *)
 }
 
 let create ?trace ~cfg ~costs ~nodes ~fabric ~metrics eng =
@@ -70,6 +79,7 @@ let create ?trace ~cfg ~costs ~nodes ~fabric ~metrics eng =
       | _ -> None);
     pushes = Hashtbl.create 64;
     retrans_by_proc = Array.make (Array.length nodes) 0;
+    lanes = [||];
   }
 
 let key t (meta : Meta.t) proc = (meta.Meta.id * t.nprocs) + proc
@@ -80,28 +90,57 @@ let post_request t (meta : Meta.t) ~version ~proc =
     (Protocol.Request
        { meta; version; requester = proc; sent_at = Engine.now t.eng })
 
-(* Requester-driven reliability for fetches: after [timeout] of silence,
+let push_key (pu : push) = (pu.push_id, pu.push_version, pu.push_dst)
+
+(* Whether a timer still has work. Monotone, as lanes require: a fetch
+   that completed or was superseded by a newer version (which armed its
+   own timer) stays so, and a push once acknowledged, given up or
+   re-tracked never returns to the table. *)
+let live t = function
+  | Fetch { p; version; _ } -> (not (Ivar.is_full p.ivar)) && p.version = version
+  | Push pu -> (
+      match Hashtbl.find_opt t.pushes (push_key pu) with
+      | Some q -> q == pu
+      | None -> false)
+
+(* Requester-driven reliability for fetches: after a timeout of silence,
    re-post the request (to the object's *current* owner — ownership may
-   have moved) and re-arm with exponential backoff, up to the retry cap.
-   The timer dies silently when the fetch completed or was superseded by a
-   newer version (which armed its own timer). *)
-let rec arm_fetch_timer t (meta : Meta.t) p ~version ~proc ~attempt ~timeout =
-  Engine.schedule_after t.eng timeout (fun () ->
-      if (not (Ivar.is_full p.ivar)) && p.version = version then
-        match t.reliable with
-        | None -> ()
-        | Some s ->
-            if attempt >= s.Fault.max_retries then
-              t.metrics.Metrics.fetch_give_ups <-
-                t.metrics.Metrics.fetch_give_ups + 1
-            else begin
-              t.metrics.Metrics.retransmits <-
-                t.metrics.Metrics.retransmits + 1;
-              t.retrans_by_proc.(proc) <- t.retrans_by_proc.(proc) + 1;
-              post_request t meta ~version ~proc;
-              arm_fetch_timer t meta p ~version ~proc ~attempt:(attempt + 1)
-                ~timeout:(timeout *. 2.0)
-            end)
+   have moved). Owner-driven reliability for pushes: re-post an
+   unacknowledged broadcast/eager copy; receivers install idempotently,
+   so a push whose ack — not the push itself — was lost is harmless.
+   Either re-arms on the next level's lane (exponential backoff) up to
+   the retry cap. [s] is the protocol's spec: timers are only armed when
+   the protocol is on. *)
+let rec arm t s level x =
+  if level = Array.length t.lanes then
+    t.lanes <-
+      Array.append t.lanes
+        [|
+          Engine.lane t.eng
+            (Float.ldexp s.Fault.retry_timeout level)
+            ~live:(live t) ~fire:(fire t s level);
+        |];
+  Engine.arm t.lanes.(level) x
+
+and fire t s level x =
+  if level >= s.Fault.max_retries then begin
+    t.metrics.Metrics.fetch_give_ups <- t.metrics.Metrics.fetch_give_ups + 1;
+    match x with
+    | Push pu -> Hashtbl.remove t.pushes (push_key pu)
+    | Fetch _ -> ()
+  end
+  else begin
+    t.metrics.Metrics.retransmits <- t.metrics.Metrics.retransmits + 1;
+    (match x with
+    | Fetch { meta; version; proc; _ } ->
+        t.retrans_by_proc.(proc) <- t.retrans_by_proc.(proc) + 1;
+        post_request t meta ~version ~proc
+    | Push pu ->
+        t.retrans_by_proc.(pu.push_dst) <- t.retrans_by_proc.(pu.push_dst) + 1;
+        Fabric.post t.fabric ~src:pu.push_src ~dst:pu.push_dst
+          ~size:pu.push_size ~tag:pu.push_tag pu.push_body);
+    arm t s (level + 1) x
+  end
 
 (* Issue a request message for (meta, version) on behalf of [proc]; dedups
    against an in-flight fetch of the same (or newer) version. Returns the
@@ -111,9 +150,7 @@ let issue t (meta : Meta.t) ~version ~proc =
     t.metrics.Metrics.object_fetches <- t.metrics.Metrics.object_fetches + 1;
     post_request t meta ~version ~proc;
     match t.reliable with
-    | Some s ->
-        arm_fetch_timer t meta p ~version ~proc ~attempt:0
-          ~timeout:s.Fault.retry_timeout
+    | Some s -> arm t s 0 (Fetch { meta; p; version; proc })
     | None -> ()
   in
   match Hashtbl.find_opt t.pending (key t meta proc) with
@@ -165,36 +202,6 @@ let installed t (meta : Meta.t) ~version ~proc =
       end
   | exception Not_found -> ()
 
-let push_key (pu : push) = (pu.push_id, pu.push_version, pu.push_dst)
-
-(* Owner-driven reliability for pushes: keep re-posting an unacknowledged
-   broadcast/eager copy with exponential backoff until the receiver's ack
-   removes it (or the retry cap is hit). Receivers install idempotently, so
-   a push whose ack — not the push itself — was lost is harmless. *)
-let rec arm_push_timer t pu ~timeout =
-  match t.reliable with
-  | None -> ()
-  | Some s ->
-      Engine.schedule_after t.eng timeout (fun () ->
-          match Hashtbl.find_opt t.pushes (push_key pu) with
-          | Some live when live == pu ->
-              if pu.push_attempt >= s.Fault.max_retries then begin
-                t.metrics.Metrics.fetch_give_ups <-
-                  t.metrics.Metrics.fetch_give_ups + 1;
-                Hashtbl.remove t.pushes (push_key pu)
-              end
-              else begin
-                pu.push_attempt <- pu.push_attempt + 1;
-                t.metrics.Metrics.retransmits <-
-                  t.metrics.Metrics.retransmits + 1;
-                t.retrans_by_proc.(pu.push_dst) <-
-                  t.retrans_by_proc.(pu.push_dst) + 1;
-                Fabric.post t.fabric ~src:pu.push_src ~dst:pu.push_dst
-                  ~size:pu.push_size ~tag:pu.push_tag pu.push_body;
-                arm_push_timer t pu ~timeout:(timeout *. 2.0)
-              end
-          | _ -> ())
-
 (* Keep the body just pushed from [meta]'s owner to [dst] until [dst]
    acknowledges it. *)
 let track_push t (meta : Meta.t) ~version ~dst ~tag body =
@@ -204,11 +211,10 @@ let track_push t (meta : Meta.t) ~version ~dst ~tag body =
       let pu =
         { push_src = meta.Meta.owner; push_dst = dst;
           push_size = meta.Meta.size; push_id = meta.Meta.id;
-          push_version = version; push_tag = tag; push_body = body;
-          push_attempt = 0 }
+          push_version = version; push_tag = tag; push_body = body }
       in
       Hashtbl.replace t.pushes (push_key pu) pu;
-      arm_push_timer t pu ~timeout:s.Fault.retry_timeout
+      arm t s 0 (Push pu)
 
 (* Tracing hook: an object transfer arrived. Mutates only the trace
    buffer — no engine events, so traced and untraced runs are identical. *)

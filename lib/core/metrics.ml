@@ -72,6 +72,13 @@ type t = {
   mutable wake_probes : int;
   mutable patience_probes : int;
   mutable main_polls : int;
+  (* Waits kept off the engine's far lane ([Engine.poll],
+     [Engine.arm]): main-release polls taken in place, and retransmit
+     timers that fired as events or were dropped as dead. Each counts in
+     [events]. Not in {!summary} for the reason above. *)
+  mutable ticks_in_place : int;
+  mutable timers_fired : int;
+  mutable timers_dropped : int;
 }
 
 let create () =
@@ -114,6 +121,9 @@ let create () =
     wake_probes = 0;
     patience_probes = 0;
     main_polls = 0;
+    ticks_in_place = 0;
+    timers_fired = 0;
+    timers_dropped = 0;
   }
 
 type summary = {
@@ -211,6 +221,9 @@ type occupancy = {
   wake_probes : int;
   patience_probes : int;
   main_polls : int;
+  ticks_in_place : int;  (** main-release polls taken in place *)
+  timers_fired : int;  (** retransmit timers that fired as events *)
+  timers_dropped : int;  (** retransmit timers dropped as dead *)
 }
 
 let occupancy m =
@@ -225,6 +238,9 @@ let occupancy m =
     wake_probes = m.wake_probes;
     patience_probes = m.patience_probes;
     main_polls = m.main_polls;
+    ticks_in_place = m.ticks_in_place;
+    timers_fired = m.timers_fired;
+    timers_dropped = m.timers_dropped;
   }
 
 let pp_occupancy fmt o =
@@ -232,10 +248,16 @@ let pp_occupancy fmt o =
     "msg-cells=%d far-lane-hwm=%d now-lane-cap=%d escape-hwm=%d"
     o.msg_cells o.cal_hwm o.now_cap o.esc_hwm
 
-(* Idle traffic, each count out of the run's events. *)
+(* Idle traffic, each count out of the run's events, and how many of the
+   main-release polls skipped the far lane. *)
 let pp_idle fmt o =
-  Format.fprintf fmt "wake-probes=%d/%d patience-probes=%d/%d main-polls=%d/%d"
+  Format.fprintf fmt
+    "wake-probes=%d/%d patience-probes=%d/%d main-polls=%d/%d in-place=%d"
     o.wake_probes o.events o.patience_probes o.events o.main_polls o.events
+    o.ticks_in_place
+
+let pp_timers fmt o =
+  Format.fprintf fmt "fired=%d dropped=%d" o.timers_fired o.timers_dropped
 
 let pp_summary fmt s =
   Format.fprintf fmt

@@ -397,6 +397,11 @@ let run_with ?(config = Config.default) ?trace ?(kernels = true) ~machine
     Engine.now_lane_capacity c.Backend.eng;
   c.Backend.metrics.Metrics.occ_esc_hwm <-
     Engine.escape_high_water c.Backend.eng;
+  c.Backend.metrics.Metrics.ticks_in_place <-
+    Engine.ticks_in_place c.Backend.eng;
+  c.Backend.metrics.Metrics.timers_fired <- Engine.timers_fired c.Backend.eng;
+  c.Backend.metrics.Metrics.timers_dropped <-
+    Engine.timers_dropped c.Backend.eng;
   t.backend.Backend.finalize ();
   let extra = inspect t c.Backend.metrics in
   (Metrics.summary c.Backend.metrics, extra)

@@ -76,15 +76,22 @@ type t = {
   mutable block_seq : int;
   blocked : (pname * (unit -> string)) Tokens.t;
   (* [delay]'s two suspensions — resume now, resume after [fl.pending] —
-     as preallocated effect values, so [delay] performs without building
-     an [Await] box. *)
+     as preallocated effect values carrying their own preallocated
+     handler, so [delay] performs without building an effect box and the
+     process's [effc] returns the handler without building one either. *)
   mutable eff_now : unit Effect.t;
   mutable eff_after : unit Effect.t;
+  (* Waits that decided nothing and skipped the far lane: poll ticks
+     taken in place ({!poll}), lane timers fired and dropped ({!arm}). *)
+  mutable ticks_in_place : int;
+  mutable timers_fired : int;
+  mutable timers_dropped : int;
 }
 
 type _ Effect.t +=
   | Await : (('a -> unit) -> unit) -> 'a Effect.t
   | Await_on : (('a -> unit) -> unit) * (unit -> string) -> 'a Effect.t
+  | Sleep : ((unit, unit) continuation -> unit) option -> unit Effect.t
 
 (* A waiter is a prebuilt effect value: suspension points that fire many
    times (ivar reads, mailbox receives) build it once and [wait] performs
@@ -189,8 +196,11 @@ let create () =
       spawned = 0;
       block_seq = 0;
       blocked = Tokens.create 16;
-      eff_now = Await ignore;
-      eff_after = Await ignore;
+      eff_now = Sleep None;
+      eff_after = Sleep None;
+      ticks_in_place = 0;
+      timers_fired = 0;
+      timers_dropped = 0;
     }
   in
   (* Opcode 0: fire a parked closure, recycling its slot first so the
@@ -204,12 +214,13 @@ let create () =
       t.esc_free_n <- t.esc_free_n + 1;
       t.esc_live <- t.esc_live - 1;
       f ());
-  t.eff_now <- Await (fun resume -> push_now t resume);
+  t.eff_now <- Sleep (Some (fun k -> push_now t (fun () -> continue k ())));
   t.eff_after <-
-    Await
-      (fun resume ->
-        let w = far_word t resume in
-        push_far t (t.fl.clock +. t.fl.pending) w);
+    Sleep
+      (Some
+         (fun k ->
+           let w = far_word t (fun () -> continue k ()) in
+           push_far t (t.fl.clock +. t.fl.pending) w));
   t
 
 let now t = t.fl.clock
@@ -257,6 +268,107 @@ let schedule_op_at t ~op ~arg time =
   end
   else push_far t tt ((arg lsl op_bits) lor op)
 
+(* --- waits that decide nothing ------------------------------------------
+
+   A tick whose condition is false only schedules the next tick. When
+   that next tick is provably the next event — the now lane is empty and
+   its time is strictly below the far-lane minimum, which bounds every
+   pending event (lane entries included) — the heap round trip would pop
+   it straight back. So take it here: advance the clock, the seq and the
+   event count exactly as the push and the pop would, and evaluate it.
+   A tie with the far-lane minimum is not taken: the pending event has
+   the lower seq and fires first. *)
+let poll t period cond k =
+  let rec tick () =
+    if cond () then k ()
+    else begin
+      let clock = t.fl.clock in
+      let next = clock +. period in
+      if
+        t.now_len = 0 && next > clock
+        && (if Heap.is_empty t.events then Float.is_finite next
+            else next < Heap.min_time t.events)
+      then begin
+        t.seq <- t.seq + 1;
+        t.fl.clock <- next;
+        t.processed <- t.processed + 1;
+        t.ticks_in_place <- t.ticks_in_place + 1;
+        tick ()
+      end
+      else schedule_after t period tick
+    end
+  in
+  schedule_after t period tick
+
+(* A fixed-delay lane: timers that all wait [l_after], in arming order.
+   Each entry takes its time (clock at arming + [l_after]) and its seq
+   when it is armed; float addition is monotone and the clock never goes
+   back, so arming order is (time, seq) order and only the head needs a
+   far-lane slot. Every other entry is later than its head, so the
+   far-lane minimum still bounds every pending event. *)
+type 'a entry = { e_at : float; e_seq : int; e_item : 'a }
+
+type 'a lane = {
+  l_eng : t;
+  l_after : float;
+  l_live : 'a -> bool;
+  l_fire : 'a -> unit;
+  l_entries : 'a entry Deque.t;
+  l_head_ev : unit -> unit;
+}
+
+(* The head's far-lane slot, under the key it reserved when armed. *)
+let push_head l =
+  let t = l.l_eng and e = Deque.first l.l_entries in
+  Heap.push t.events ~time:e.e_at ~seq:e.e_seq (far_word t l.l_head_ev);
+  let n = Heap.length t.events in
+  if n > t.far_hwm then t.far_hwm <- n
+
+(* The head fired. Entries behind it that are already dead would each
+   fire later as an event that does nothing: liveness is monotone, so
+   they are dead then too. Drop them now, counted as the events they
+   would have been, then give the next live entry its slot. *)
+let fire_head l =
+  let t = l.l_eng and q = l.l_entries in
+  let x = (Deque.pop_front_exn q).e_item in
+  t.timers_fired <- t.timers_fired + 1;
+  let n = Deque.length q in
+  while (not (Deque.is_empty q)) && not (l.l_live (Deque.first q).e_item) do
+    ignore (Deque.pop_front_exn q)
+  done;
+  let dropped = n - Deque.length q in
+  t.processed <- t.processed + dropped;
+  t.timers_dropped <- t.timers_dropped + dropped;
+  if not (Deque.is_empty q) then push_head l;
+  if l.l_live x then l.l_fire x
+
+let lane t after ~live ~fire =
+  if not (after >= 0.0) then invalid_arg "Engine.lane: negative or NaN delay";
+  let rec l =
+    {
+      l_eng = t;
+      l_after = after;
+      l_live = live;
+      l_fire = fire;
+      l_entries = Deque.create ();
+      l_head_ev = (fun () -> fire_head l);
+    }
+  in
+  l
+
+(* An entry due now (a zero or sub-ulp delay) also waits in the lane:
+   a far-lane event at the current time fires in the same (time, seq)
+   place as the now-lane event [schedule_after] would push, since [run]
+   interleaves the two by seq. *)
+let arm l x =
+  let t = l.l_eng in
+  let time = t.fl.clock +. l.l_after in
+  if not (Float.is_finite time) then
+    invalid_arg "Engine: non-finite event time";
+  t.seq <- t.seq + 1;
+  Deque.push_back l.l_entries { e_at = time; e_seq = t.seq; e_item = x };
+  if Deque.length l.l_entries = 1 then push_head l
+
 let blocked_report t =
   Tokens.fold (fun tok entry acc -> (tok, entry) :: acc) t.blocked []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
@@ -276,8 +388,10 @@ let run_process t ~name f =
       retc = (fun () -> t.live <- t.live - 1);
       exnc = raise;
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
           match eff with
+          | Sleep handler -> handler
           | Await register ->
               Some (fun (k : (a, unit) continuation) -> register (continue k))
           | Await_on (register, what) ->
@@ -364,3 +478,9 @@ let far_lane_high_water t = t.far_hwm
 let now_lane_capacity t = Array.length t.now_fns
 
 let escape_high_water t = t.esc_hwm
+
+let ticks_in_place t = t.ticks_in_place
+
+let timers_fired t = t.timers_fired
+
+let timers_dropped t = t.timers_dropped

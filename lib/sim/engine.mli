@@ -79,6 +79,50 @@ val schedule_at : t -> float -> (unit -> unit) -> unit
     it is the one wakeups (ivar fills, mailbox sends) ride. *)
 val schedule_now : t -> (unit -> unit) -> unit
 
+(** {2 Waits that decide nothing}
+
+    Two exact event-elision primitives. Each is equivalent to a chain of
+    {!schedule_after} events — the same virtual times, the same event
+    order, the same {!events_processed} — but skips the far lane's heap
+    round trip for the events that provably decide nothing. *)
+
+(** [poll t p cond k] evaluates [cond] as its own counted event at
+    [now + p], then [(now + p) + p], and so on, and calls [k] in the event
+    of the first tick where [cond] holds: exactly the chain
+    [let rec tick () = if cond () then k () else schedule_after t p tick
+    in schedule_after t p tick]. A tick that finds [cond] false and
+    whose successor is provably the next event (the now lane is empty
+    and the successor's time is strictly below every pending event's)
+    advances the clock, the event count and the sequence counter in
+    place instead of going through the far lane. [cond] must not
+    schedule events or perform effects. [p] must be non-negative (not
+    NaN); otherwise raises [Invalid_argument]. *)
+val poll : t -> float -> (unit -> bool) -> (unit -> unit) -> unit
+
+(** A fixed-delay lane: timers that all wait the same delay, each
+    carrying a payload of type ['a]. *)
+type 'a lane
+
+(** [lane t d ~live ~fire] makes an empty lane of delay [d]. [live x]
+    says whether the timer carrying [x] still has anything to do; it
+    must be monotone — once false for [x], false for [x] at every later
+    time — and must not schedule events. [fire x] is the timer's action.
+    [d] must be non-negative (not NaN); otherwise raises
+    [Invalid_argument]. *)
+val lane : t -> float -> live:('a -> bool) -> fire:('a -> unit) -> 'a lane
+
+(** [arm l x] is
+    [schedule_after t d (fun () -> if live x then fire x)]: the timer
+    takes its time and its sequence number now. Only the lane's first
+    pending timer occupies the far lane; when it fires, the timers
+    behind it that are already dead are dropped, each counted as the
+    event it would have been, and the next live one takes its place
+    under the key it reserved. A dropped timer never moves the clock, so
+    after {!run} drains, {!now} can be earlier than with the
+    [schedule_after] chain. [now + d] must be finite; otherwise raises
+    [Invalid_argument]. *)
+val arm : 'a lane -> 'a -> unit
+
 (** [spawn ?name t f] starts [f] as a simulation process at the current
     time. [f] may perform {!delay} / {!await}. [name] identifies the
     process in deadlock reports ({!blocked_report}); unnamed processes
@@ -147,3 +191,16 @@ val far_lane_high_water : t -> int
 val now_lane_capacity : t -> int
 
 val escape_high_water : t -> int
+
+(** {2 Elision counters}
+
+    Lifetime counts for {!poll} and {!arm}: poll ticks taken in place,
+    lane timers that fired as events, and lane timers dropped as dead
+    without an event of their own. Each is counted in
+    {!events_processed}, never in addition to it. *)
+
+val ticks_in_place : t -> int
+
+val timers_fired : t -> int
+
+val timers_dropped : t -> int

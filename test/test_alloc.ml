@@ -4,9 +4,10 @@
    steady-state simulation's allocation per event small: a timed
    schedule packs one immediate int word and a delivery resolves a
    pooled cell by registry slot. Suspensions pay a few small blocks
-   each: the handler closure, the resume closure that owns its
-   continuation (so a stale resume raises instead of reaching a later
-   wait), and a now-lane thunk per value-carrying wakeup. A change that
+   each: an await its handler closure and the resume closure that owns
+   its continuation (so a stale resume raises instead of reaching a
+   later wait), a value-carrying wakeup a now-lane thunk, and a delay
+   only its resume closure. A change that
    quietly adds to any of those — a closure on the timed-scheduling
    path, a tuple on the wakeup path, a boxed float sneaking into a mixed
    record — multiplies the minor-word rate and shows up here long before
@@ -19,17 +20,18 @@
      descriptor path, once with a single chain (the far lane never holds
      more than one event) and once with 256 chains at spread delays (the
      shape of the benchmark's engine probe), so the heap's sift-up and
-     sift-down paths run on every event. Both measure ~8 words/event,
-     all of it float boxing across non-inlined module boundaries (this
-     switch has no flambda: [now], [+.], the heap's time parameter each
-     box a float). The ceiling admits that but not one more per-event
+     sift-down paths run on every event. Both measure ~4 words/event in
+     the release profile the repository builds in (~8 under the dev
+     profile, whose -opaque keeps [now] and the heap's accessors from
+     inlining), all of it float boxing (this switch has no flambda).
+     The ceiling admits that but not one more per-event
      allocation — a single added float box (2-3 words) or closure (4-5)
      fails it;
    - the full simulator on repeated Water / iPSC-860 / 8-processor runs
      at test scale: fabric delivery, protocol and scheduler riding on
      top. Each run is only ~900 events, so per-run setup (program
      construction, engine and backend creation) is a big share of the
-     ~68 words/event measured; the ceiling is a regression backstop,
+     ~60 words/event measured; the ceiling is a regression backstop,
      not a hot-path bound — the bench's steady-state figure at regen
      scale is the precise one. *)
 

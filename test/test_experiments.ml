@@ -383,6 +383,27 @@ let check_event_counts machines () =
         Alcotest.(check int) name events s.Jade.Metrics.event_count)
     event_counts
 
+(* The waits that skip the far lane, pinned on one iPSC chaos cell: the
+   main-release polls taken in place and the retransmit timers that fired
+   or were dropped as dead are each part of the run's events, which stay
+   what they were before either elision. *)
+let test_chaos_cell_elisions () =
+  let fault =
+    Jade_net.Fault.spec ~seed:3 ~drop_rate:0.2 ~dup_rate:0.1 ~jitter:1e-4 ()
+  in
+  let r = Runner.create ~jobs:1 ~fault Runner.Test in
+  let s, o =
+    Runner.run_observed r ~app:Runner.Water ~machine:Runner.Ipsc ~nprocs:16
+      ~config:(Runner.config_of_level Runner.Loc) ~placed:false
+  in
+  let module M = Jade.Metrics in
+  Alcotest.(check (list int))
+    "events, main polls, in place, timers fired, timers dropped"
+    [ 2_210; 252; 71; 91; 103 ]
+    [ s.M.event_count; o.M.main_polls; o.M.ticks_in_place; o.M.timers_fired;
+      o.M.timers_dropped ];
+  Alcotest.(check int) "retransmits" 64 s.M.retransmit_count
+
 (* Every result of the cold test-size regeneration, every summary field
    included (floats as [%h], so no rounding hides a change), one line per
    cached record, sorted: the tables print only some of the fields. *)
@@ -1198,6 +1219,8 @@ let () =
             `Quick (check_event_counts [ Runner.Dash ]);
           Alcotest.test_case "iPSC and LAN event counts at 16 and 32 processors"
             `Quick (check_event_counts [ Runner.Ipsc; Runner.Lan ]);
+          Alcotest.test_case "iPSC chaos cell: polls in place, timers dropped"
+            `Quick test_chaos_cell_elisions;
           Alcotest.test_case "every summary of the regeneration" `Quick
             test_regen_summaries;
         ] );

@@ -591,6 +591,129 @@ let flat_closure_parity_prop =
       in
       trajectory ~flat:true = trajectory ~flat:false)
 
+(* [Engine.poll] against the chain of [schedule_after] ticks it replaces.
+   Competing events sit on an eighth-second grid and the periods are
+   multiples of an eighth, so ticks tie exactly with pending events
+   (where only the seq decides, and the pending event goes first); the
+   competing events also push same-instant now-lane events and flip the
+   condition. The firing sequence, each entry a (time, label) pair, and
+   the event count must be identical. *)
+let poll_chain_prop =
+  QCheck.Test.make ~name:"poll matches its schedule_after chain" ~count:300
+    QCheck.small_int
+    (fun seed ->
+      let trajectory ~fast =
+        let g = Srandom.create seed in
+        let eng = Engine.create () in
+        let log = ref [] in
+        let note label = log := (Engine.now eng, label) :: !log in
+        let flag = ref false in
+        let grid () = float_of_int (Srandom.int g 32) /. 8.0 in
+        let poll p cond k =
+          if fast then Engine.poll eng p cond k
+          else
+            let rec tick () =
+              if cond () then k () else Engine.schedule_after eng p tick
+            in
+            Engine.schedule_after eng p tick
+        in
+        let rec start_poll id =
+          let p = float_of_int (1 + Srandom.int g 3) /. 8.0 in
+          let ticks = ref 0 in
+          poll p
+            (fun () ->
+              incr ticks;
+              note (Printf.sprintf "tick%d" id);
+              (* The cap ends a poll that nothing would release. *)
+              !flag || !ticks >= 40)
+            (fun () ->
+              note (Printf.sprintf "release%d" id);
+              flag := false;
+              if id < 3 then start_poll (id + 1))
+        in
+        for i = 0 to 15 do
+          Engine.schedule_at eng (grid ()) (fun () ->
+              note (Printf.sprintf "ev%d" i);
+              (match Srandom.int g 4 with
+              | 0 -> flag := true
+              | 1 -> flag := false
+              | _ -> ());
+              if Srandom.bool g then
+                Engine.schedule_now eng (fun () ->
+                    note (Printf.sprintf "now%d" i);
+                    if Srandom.int g 3 = 0 then flag := true);
+              if Srandom.int g 3 = 0 then
+                Engine.schedule_after eng (grid ()) (fun () ->
+                    note (Printf.sprintf "late%d" i)))
+        done;
+        Engine.schedule_at eng (grid ()) (fun () -> start_poll 0);
+        let events = Engine.run eng in
+        (List.rev !log, events, Engine.events_processed eng)
+      in
+      trajectory ~fast:true = trajectory ~fast:false)
+
+(* A fixed-delay lane against one [schedule_after] timer per entry, under
+   random monotone liveness: entries die (never revive) at random, a fired
+   entry re-arms on the next lane as a retransmit timer does, and
+   competing events on the same grid tie with lane entries. The
+   zero-delay lane's entries, due at once, must fire where the now-lane
+   events [schedule_after] makes of them would. The firing
+   sequence and the event count must be identical, and the lane run must
+   account every armed timer as fired or dropped. *)
+let lane_timers_prop =
+  QCheck.Test.make ~name:"lanes match plain schedule_after timers" ~count:300
+    QCheck.small_int
+    (fun seed ->
+      let trajectory ~lanes =
+        let g = Srandom.create seed in
+        let eng = Engine.create () in
+        let log = ref [] in
+        let note label = log := (Engine.now eng, label) :: !log in
+        let dead = Array.make 64 false and next = ref 0 and armed = ref 0 in
+        let delays = [| 0.0; 0.125; 0.25; 0.5 |] in
+        let live x = not dead.(x) in
+        let kill () = dead.(Srandom.int g (max 1 !next)) <- true in
+        let ls = ref [||] in
+        let rec fire level x =
+          note (Printf.sprintf "fire%d@%d" x level);
+          if Srandom.int g 3 = 0 then kill ();
+          if level < 3 && Srandom.bool g then arm (level + 1) x
+        and arm level x =
+          incr armed;
+          if lanes then Engine.arm !ls.(level) x
+          else
+            Engine.schedule_after eng delays.(level) (fun () ->
+                if live x then fire level x)
+        in
+        ls :=
+          Array.mapi
+            (fun level d -> Engine.lane eng d ~live ~fire:(fire level))
+            delays;
+        let grid () = float_of_int (Srandom.int g 24) /. 8.0 in
+        for i = 0 to 23 do
+          Engine.schedule_at eng (grid ()) (fun () ->
+              note (Printf.sprintf "ev%d" i);
+              for _ = 1 to Srandom.int g 4 do
+                if !next < Array.length dead then begin
+                  arm (Srandom.int g 4) !next;
+                  incr next
+                end
+              done;
+              if Srandom.bool g then kill ();
+              if Srandom.bool g then
+                Engine.schedule_now eng (fun () ->
+                    note (Printf.sprintf "now%d" i);
+                    if Srandom.bool g then kill ()))
+        done;
+        let events = Engine.run eng in
+        let accounted =
+          (not lanes)
+          || Engine.timers_fired eng + Engine.timers_dropped eng = !armed
+        in
+        (List.rev !log, events, accounted)
+      in
+      trajectory ~lanes:true = trajectory ~lanes:false)
+
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -624,6 +747,8 @@ let () =
           qcheck engine_stress_prop;
           qcheck flat_closure_parity_prop;
           qcheck flat_order_prop;
+          qcheck poll_chain_prop;
+          qcheck lane_timers_prop;
         ] );
       ( "ivar",
         [
