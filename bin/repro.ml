@@ -339,7 +339,8 @@ let cache_cmd =
       required
       & pos 0 (some (enum [ ("stats", `Stats); ("clear", `Clear) ])) None
       & info [] ~docv:"ACTION"
-          ~doc:"$(b,stats) prints segment, entry and byte counts and the \
+          ~doc:"$(b,stats) prints the build identity, segment, entry \
+                and byte counts (entries of this build only) and the \
                 last run's hit rate; $(b,clear) removes every file the \
                 cache leaves.")
   in
@@ -351,6 +352,7 @@ let cache_cmd =
         let u = Runcache.usage c in
         Printf.printf "cache directory: %s\n" dir;
         Printf.printf "schema version: %d\n" Runcache.schema_version;
+        Printf.printf "build identity: %s\n" Runcache.build_id;
         Printf.printf "segments: %d\n" u.Runcache.segments;
         Printf.printf "entries: %d\n" u.Runcache.entries;
         Printf.printf "bytes: %d\n" u.Runcache.bytes;

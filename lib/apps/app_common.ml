@@ -6,6 +6,11 @@ let rr_skip_main ~nprocs i = if nprocs <= 1 then 0 else 1 + (i mod (nprocs - 1))
 
 let home ~kind mapped = match kind with Shm -> mapped | Mp -> 0
 
+let copy_name = Jade.Names.memo (fun (name, i) -> Printf.sprintf "%s.%d" name i)
+
+let reduce_name =
+  Jade.Names.memo (fun (name, i, g) -> Printf.sprintf "%s.reduce.%d+%d" name i g)
+
 type replicated = { copies : float array Jade.Shared.t array; len : int }
 
 let replicate rt ~name ~copies ~len =
@@ -15,7 +20,7 @@ let replicate rt ~name ~copies ~len =
        slice of runs that skip kernels, which never read the data. *)
     Jade.Runtime.create_object_deferred rt
       ~home:(rr ~nprocs i)
-      ~name:(Printf.sprintf "%s.%d" name i)
+      ~name:(copy_name (name, i))
       ~size:(8 * len)
       (fun () -> Array.make len 0.0)
   in
@@ -30,7 +35,7 @@ let tree_reduce rt r ~name =
     while !i + g < ncopies do
       let dst = r.copies.(!i) and src = r.copies.(!i + g) in
       Jade.Runtime.withonly rt
-        ~name:(Printf.sprintf "%s.reduce.%d+%d" name !i g)
+        ~name:(reduce_name (name, !i, g))
         ~work:(float_of_int r.len)
         ~accesses:(fun s ->
           Jade.Spec.rw s dst;

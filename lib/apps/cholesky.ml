@@ -218,6 +218,13 @@ let total_work p ~nprocs =
   done;
   !flops
 
+let panel_name = Jade.Names.memo (Printf.sprintf "panel.%d")
+
+let external_name =
+  Jade.Names.memo (fun (j, k) -> Printf.sprintf "external.%d.%d" j k)
+
+let internal_name = Jade.Names.memo (Printf.sprintf "internal.%d")
+
 let make_of_plan plan ~kind ~placed ~nprocs =
   let result = ref None in
   let program rt =
@@ -233,7 +240,7 @@ let make_of_plan plan ~kind ~placed ~nprocs =
       Array.init npanels (fun k ->
           R.create_object_deferred rt
             ~home:(App_common.home ~kind (proc_of k))
-            ~name:(Printf.sprintf "panel.%d" k)
+            ~name:(panel_name k)
             ~size:(max 8 plan.panels.Panel.row_bytes.(k))
             (fun () -> init_panel plan k))
     in
@@ -244,7 +251,7 @@ let make_of_plan plan ~kind ~placed ~nprocs =
       List.iter
         (fun j ->
           R.withonly rt ?placement
-            ~name:(Printf.sprintf "external.%d.%d" j k)
+            ~name:(external_name (j, k))
             ~work:(external_work plan ~j ~k)
             ~accesses:(fun s ->
               Jade.Spec.rw s panel_objs.(k);
@@ -255,7 +262,7 @@ let make_of_plan plan ~kind ~placed ~nprocs =
               external_update plan ~j ~k ~src ~dst))
         plan.deps.(k);
       R.withonly rt ?placement
-        ~name:(Printf.sprintf "internal.%d" k)
+        ~name:(internal_name k)
         ~work:(internal_work plan ~k)
         ~accesses:(fun s -> Jade.Spec.rw s panel_objs.(k))
         (fun env -> internal_update plan ~k ~arr:(R.wr env panel_objs.(k)))

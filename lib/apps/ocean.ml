@@ -195,6 +195,12 @@ let total_work p ~nprocs =
   done;
   float_of_int p.iters *. !per_iter
 
+let interior_name = Jade.Names.memo (Printf.sprintf "interior.%d")
+
+let boundary_name = Jade.Names.memo (Printf.sprintf "boundary.%d")
+
+let ocean_name = Jade.Names.memo (Printf.sprintf "ocean.%d")
+
 let make p ~kind ~placed ~nprocs =
   let result = ref None in
   let program rt =
@@ -214,7 +220,7 @@ let make p ~kind ~placed ~nprocs =
       Array.init lay.nb (fun k ->
           R.create_object_deferred rt
             ~home:(App_common.home ~kind (proc_of k))
-            ~name:(Printf.sprintf "interior.%d" k)
+            ~name:(interior_name k)
             ~size:(8 * lay.widths.(k) * lay.n)
             (fun () -> (Lazy.force data).interiors.(k)))
     in
@@ -224,7 +230,7 @@ let make p ~kind ~placed ~nprocs =
         (fun b ->
           R.create_object_deferred rt
             ~home:(App_common.home ~kind (proc_of b))
-            ~name:(Printf.sprintf "boundary.%d" b)
+            ~name:(boundary_name b)
             ~size:(8 * 2 * lay.n)
             (fun () -> (Lazy.force data).boundaries.(b)))
     in
@@ -232,7 +238,7 @@ let make p ~kind ~placed ~nprocs =
       for k = 0 to lay.nb - 1 do
         let placement = if placed then Some (App_common.rr_skip_main ~nprocs k) else None in
         R.withonly rt ?placement
-          ~name:(Printf.sprintf "ocean.%d" k)
+          ~name:(ocean_name k)
           ~work:(task_work lay k)
           ~accesses:(fun s ->
             Jade.Spec.rw s interior_objs.(k);

@@ -353,6 +353,8 @@ let total_work p ~nprocs =
   float_of_int p.iters
   *. (ray_work p p.nrays +. (float_of_int (cells p) *. 3.0))
 
+let trace_name = Jade.Names.memo (Printf.sprintf "trace.%d")
+
 let make p ~kind:_ ~placed:_ ~nprocs =
   let result = ref None in
   let program rt =
@@ -376,7 +378,7 @@ let make p ~kind:_ ~placed:_ ~nprocs =
         let lo = t * p.nrays / nprocs and hi = (t + 1) * p.nrays / nprocs in
         let copy = diffs.App_common.copies.(t) in
         R.withonly rt
-          ~name:(Printf.sprintf "trace.%d" t)
+          ~name:(trace_name t)
           ~work:(ray_work p (hi - lo))
           ~accesses:(fun s ->
             Jade.Spec.rw s copy;

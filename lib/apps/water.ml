@@ -427,6 +427,10 @@ let total_work p ~nprocs =
      +. energy_task_work p ~stride:1 ~offset:0
      +. (float_of_int p.n *. (integrate_flops +. 1.0)))
 
+let forces_name = Jade.Names.memo (Printf.sprintf "forces.%d")
+
+let energy_name = Jade.Names.memo (Printf.sprintf "energy.%d")
+
 let make p ~kind:_ ~placed:_ ~nprocs =
   let result = ref None in
   let program rt =
@@ -457,7 +461,7 @@ let make p ~kind:_ ~placed:_ ~nprocs =
       for t = 0 to nprocs - 1 do
         let copy = forces.App_common.copies.(t) in
         R.withonly rt
-          ~name:(Printf.sprintf "forces.%d" t)
+          ~name:(forces_name t)
           ~work:(force_task_work p ~stride:nprocs ~offset:t)
           ~accesses:(fun s ->
             Jade.Spec.rw s copy;
@@ -485,7 +489,7 @@ let make p ~kind:_ ~placed:_ ~nprocs =
       for t = 0 to nprocs - 1 do
         let copy = energies.App_common.copies.(t) in
         R.withonly rt
-          ~name:(Printf.sprintf "energy.%d" t)
+          ~name:(energy_name t)
           ~work:(energy_task_work p ~stride:nprocs ~offset:t)
           ~accesses:(fun s ->
             Jade.Spec.rw s copy;

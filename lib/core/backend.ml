@@ -77,6 +77,9 @@ type ops = {
 (* Constant blocked-registry label, preallocated so waiting is free. *)
 let on_task_queue () = "task-queue"
 
+(* Processor [p]'s dispatch process is "dispatcher-<p>". *)
+let dispatcher_name = Names.memo (Printf.sprintf "dispatcher-%d")
+
 (* Run [task] on [proc], every machine alike: occupy the processor for
    [overhead] (dispatch, plus on DASH the steal and cache costs), run the
    body, charge whatever compute the body did not already charge through

@@ -41,6 +41,8 @@ type t = {
           recovery re-enqueues from; only populated when [track] *)
 }
 
+let dispatch_box_name = Names.memo (Printf.sprintf "dispatch-box-%d")
+
 let send_assign b proc (task : Taskrec.t) =
   if b.track then Hashtbl.replace b.assigned.(proc) task.Taskrec.tid task;
   Fabric.send b.fabric ~src:0 ~dst:proc ~size:b.costs.Costs.small_msg
@@ -209,7 +211,7 @@ let restart b p ~was_detected =
         Scheduler_mp.mark_up b.sched p
       end;
       Engine.spawn
-        ~name:(Printf.sprintf "dispatcher-%d" p)
+        ~name:(Backend.dispatcher_name p)
         b.core.Backend.eng
         (fun () -> dispatcher b p)
     end
@@ -244,7 +246,7 @@ let start b () =
       scheduler_process b);
   for p = 0 to b.core.Backend.nprocs - 1 do
     Engine.spawn
-      ~name:(Printf.sprintf "dispatcher-%d" p)
+      ~name:(Backend.dispatcher_name p)
       b.core.Backend.eng
       (fun () -> dispatcher b p)
   done
@@ -300,7 +302,7 @@ let create (core : Backend.core) (costs : Costs.mp) : Backend.ops =
       sched_events = Mailbox.create ~name:"sched-events" ();
       dispatch_boxes =
         Array.init nprocs (fun p ->
-            Mailbox.create ~name:(Printf.sprintf "dispatch-box-%d" p) ());
+            Mailbox.create ~name:(dispatch_box_name p) ());
       track;
       doomed = Array.make nprocs false;
       assigned = Array.init nprocs (fun _ -> Hashtbl.create 16);

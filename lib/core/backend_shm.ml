@@ -172,7 +172,7 @@ let restart b p ~was_detected:_ =
     b.halted.(p) <- false;
     Scheduler_shm.mark_up b.sched p;
     Engine.spawn
-      ~name:(Printf.sprintf "dispatcher-%d" p)
+      ~name:(Backend.dispatcher_name p)
       b.core.Backend.eng
       (fun () -> dispatcher b p)
   end
@@ -196,7 +196,7 @@ let on_enable b (task : Taskrec.t) =
 let start b () =
   for p = 0 to b.core.Backend.nprocs - 1 do
     Engine.spawn
-      ~name:(Printf.sprintf "dispatcher-%d" p)
+      ~name:(Backend.dispatcher_name p)
       b.core.Backend.eng
       (fun () -> dispatcher b p)
   done

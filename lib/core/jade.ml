@@ -10,6 +10,7 @@
 module Access = Access
 module Config = Config
 module Meta = Meta
+module Names = Names
 module Shared = Shared
 module Spec = Spec
 module Taskrec = Taskrec

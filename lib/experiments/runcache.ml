@@ -1,4 +1,6 @@
-let schema_version = 9
+let schema_version = 10
+
+let build_id = Jade_buildinfo.Buildinfo.source_md5
 
 type value = Summary of Jade.Metrics.summary | Flops of float
 
@@ -67,23 +69,34 @@ let decode body off =
     else None
   with Failure _ | Invalid_argument _ -> None
 
-(* Segment layout: a header line "jade-runcache <schema> <record count>",
-   then per record the 16 raw MD5 bytes of its body, the body's length
-   (4 bytes, big-endian) and the body: the key's length (4 bytes,
-   big-endian), the key, then the marshalled [value]. The count catches a
-   cut that falls between records. Read from the channel record by
-   record: [(records, damage)], [damage] naming the first damage met. A
-   record whose MD5 or shape fails is skipped; a cut, or a length no
-   record can have, ends the read. *)
+(* Segment layout: a header line "jade-runcache <schema> <build id>
+   <record count>", then per record the 16 raw MD5 bytes of its body,
+   the body's length (4 bytes, big-endian) and the body: the key's length
+   (4 bytes, big-endian), the key, then the marshalled [value]. The count
+   catches a cut that falls between records. *)
+
+(* The record count a header announces, or why its segment is not read:
+   another schema, or another build's code. *)
+let header_count line =
+  Scanf.sscanf line "jade-runcache %d %[^\n]" @@ fun v rest ->
+  if v <> schema_version then Error "schema-stale"
+  else
+    Scanf.sscanf rest "%s %d%!" @@ fun build n ->
+    if build <> build_id then Error "other-build" else Ok n
+
+(* Read from the channel record by record: [(records, damage)], [damage]
+   naming the first damage met. A segment whose header fails is not
+   decoded at all. A record whose MD5 or shape fails is skipped; a cut,
+   or a length no record can have, ends the read. *)
 let read_segment file =
   In_channel.with_open_bin file @@ fun ic ->
   let size = in_channel_length ic in
   let records = ref [] and damage = ref None in
   let damaged reason = if !damage = None then damage := Some reason in
   (try
-     match Scanf.sscanf (input_line ic) "jade-runcache %d %d%!" (fun v n -> (v, n)) with
-     | v, _ when v <> schema_version -> damaged "schema-stale"
-     | _, n ->
+     match header_count (input_line ic) with
+     | Error reason -> damaged reason
+     | Ok n ->
          for _ = 1 to n do
            let sum = really_input_string ic 16 in
            let len = input_binary_int ic in
@@ -104,9 +117,10 @@ let read_segment file =
   (!records, !damage)
 
 (* Write [records] as one segment, atomically (temp file + rename), named
-   by the MD5 of its records' MD5s: a segment with the same name holds
-   the same records, so one replacing the other is harmless. [Some file]
-   once written; a failure warns and leaves nothing behind. *)
+   by the MD5 of the build identity and its records' MD5s: a segment with
+   the same name holds the same records for the same code, so one
+   replacing the other is harmless. [Some file] once written; a failure
+   warns and leaves nothing behind. *)
 let write_segment t records =
   let records =
     List.sort (fun (a, _) (b, _) -> String.compare a b) records
@@ -118,12 +132,15 @@ let write_segment t records =
            in
            (Digest.string body, body))
   in
-  let name = Digest.to_hex (Digest.string (String.concat "" (List.map fst records))) in
+  let name =
+    Digest.to_hex (Digest.string (String.concat "" (build_id :: List.map fst records)))
+  in
   let file = Filename.concat t.cache_dir (name ^ segment_suffix) in
   let tmp = Printf.sprintf "%s.%d.%d.tmp" file (Unix.getpid ()) (Domain.self () :> int) in
   try
     Out_channel.with_open_bin tmp (fun oc ->
-        Printf.fprintf oc "jade-runcache %d %d\n" schema_version (List.length records);
+        Printf.fprintf oc "jade-runcache %d %s %d\n" schema_version build_id
+          (List.length records);
         List.iter
           (fun (sum, body) ->
             output_string oc sum;

@@ -13,8 +13,8 @@
     directory therefore performs zero simulation.
 
     Results live in pack segments ([*.jrp]): one file per {!store}
-    batch, holding a header with the schema version and the record
-    count, then one self-verifying record per result (the MD5 of the
+    batch, holding a header with the schema version, the {!build_id} and
+    the record count, then one self-verifying record per result (the MD5 of the
     record's body, then the body: the key, length-prefixed, and the
     marshalled value). A segment is written to a temp file and renamed
     into place, so concurrent regenerations sharing a directory never
@@ -23,8 +23,8 @@
     The first {!find} reads the segments listed at {!create} once,
     record by record, into an in-memory index that every later lookup
     uses. A truncated record (cut mid-record or at a record boundary,
-    which the count catches), a corrupted, a schema-stale or an
-    undecodable one (bytes some other writer left behind a valid MD5) is
+    which the count catches), a corrupted, a schema-stale, another
+    build's ([other-build]) or an undecodable one (bytes some other writer left behind a valid MD5) is
     dropped with one named warning on stderr per segment and treated as
     a miss — the result is recomputed; {!find} never raises. A load that
     read more than one segment, or met damage, compacts: it writes every
@@ -36,9 +36,11 @@
     A [t] is not domain-safe: its user serializes {!find} and {!store}
     ({!Runner} does so under its lock, on the calling domain). *)
 
-(** Bump on any change to the cached value types, to the on-disk format
-    or to the simulation's observable numbers. A change in what the
-    runner puts in its keys needs no bump: records under the old keys
+(** Bump on any change to the cached value types or to the on-disk
+    format. A change to the simulation's numbers needs no bump: the
+    {!build_id} in each segment's header covers every change to the
+    code. A change in what the runner puts in its keys needs no bump
+    either: records under the old keys
     are never looked up again, so an existing cache directory misses
     once and refills, while the records themselves stay valid. A change
     to the shape of [Jade.Config.t] is such a change: the config is
@@ -52,8 +54,18 @@
 
     Version 9: a record holds its key itself (length-prefixed) instead
     of the key's 32-character hex MD5, so a lookup hashes the key string
-    and computes no digest. *)
+    and computes no digest.
+
+    Version 10: the header carries the {!build_id}. *)
 val schema_version : int
+
+(** The identity of the code that computes the results: the MD5 of every
+    library source ([lib/**/*.ml{,i}]), generated at build time. A
+    segment's header carries the identity of the build that wrote it; a
+    segment from another build is never decoded, but dropped whole with
+    one [other-build] warning and compacted away, so a cache directory
+    answers only for the code that filled it. *)
+val build_id : string
 
 type value =
   | Summary of Jade.Metrics.summary  (** result of a simulated work unit *)

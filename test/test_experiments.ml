@@ -642,6 +642,14 @@ let test_cache_corruption_recovers () =
     Printf.sprintf "jade-runcache %d" (Runcache.schema_version - 1)
     ^ String.sub raw (String.length version) (String.length raw - String.length version)
   in
+  (* The same records, stamped by the code of another build. *)
+  let other_build =
+    let at = String.length version + 1 and id = Runcache.build_id in
+    Alcotest.(check string) "the header names this build" id
+      (String.sub raw at (String.length id));
+    String.sub raw 0 at ^ String.make (String.length id) '0'
+    ^ String.sub raw (at + String.length id) (String.length raw - at - String.length id)
+  in
   List.iter
     (fun (name, bytes, reason, lost) ->
       List.iter Sys.remove (segment_files dir);
@@ -670,6 +678,7 @@ let test_cache_corruption_recovers () =
       ("cut at a record boundary", String.sub raw 0 half, "truncated", n - (n / 2));
       ("payload byte flipped", flip raw (String.length raw - 3), "corrupted", 1);
       ("stale header", stale, "schema-stale", n);
+      ("another build's header", other_build, "other-build", n);
     ]
 
 (* Unit tests of the segment format. *)
@@ -704,12 +713,13 @@ let test_runcache_roundtrip () =
     (let d = Runcache.create ~dir in
      List.for_all (fun (key, f) -> Runcache.find d ~key = Some (Runcache.Flops f)) prefixes)
 
-(* A segment built by hand: a header announcing [count] records (by
-   default as many as given), then each [(key, payload)] as a record
-   whose MD5 matches, its key length [key_len] (by default the key's). *)
-let segment_bytes ?count ?key_len records =
+(* A segment built by hand: a header naming the build [build] (by
+   default this one) and announcing [count] records (by default as many
+   as given), then each [(key, payload)] as a record whose MD5 matches,
+   its key length [key_len] (by default the key's). *)
+let segment_bytes ?(build = Runcache.build_id) ?count ?key_len records =
   let buf = Buffer.create 256 in
-  Printf.bprintf buf "jade-runcache %d %d\n" Runcache.schema_version
+  Printf.bprintf buf "jade-runcache %d %s %d\n" Runcache.schema_version build
     (Option.value count ~default:(List.length records));
   List.iter
     (fun (key, payload) ->
@@ -803,6 +813,13 @@ let test_runcache_named_failures () =
   Alcotest.(check (option (list string))) "stale header"
     (Some [ dropping "schema-stale" file ])
     (find_misses dir "jade-runcache 7 1\n");
+  (* Another build's segment is never decoded: its intact record of a
+     well-formed value is not returned. *)
+  Alcotest.(check (option (list string))) "another build's segment"
+    (Some [ dropping "other-build" file ])
+    (find_misses dir
+       (segment_bytes ~build:(String.make 32 'f')
+          [ (foreign_key, Marshal.to_string (Runcache.Flops 1.0) []) ]));
   Alcotest.(check (option (list string))) "cut at a record boundary"
     (Some [ dropping "truncated" file ])
     (find_misses dir
@@ -987,6 +1004,25 @@ let contains hay needle =
   let n = String.length needle in
   let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
   go 0
+
+(* Task and object names are memoised per process; each app's graph dump
+   (every task and object by name) stays the bytes it was when every
+   name was a fresh [Printf.sprintf]. *)
+let test_graph_dump_digests () =
+  List.iter
+    (fun (app, md5) ->
+      let code, out, err =
+        run_repro
+          (Printf.sprintf "graph dump --app %s --machine ipsc -p 8 --size test" app)
+      in
+      Alcotest.(check (pair int string)) (app ^ " exit") (0, "") (code, err);
+      Alcotest.(check string) (app ^ " dump md5") md5 Digest.(to_hex (string out)))
+    [
+      ("water", "d49e07f20bab0d8bff66ee4edd3dd856");
+      ("string", "ee19d084e71ee84695bb7599f16fc42e");
+      ("ocean", "1b28bb735b714daf7789a8796cda6828");
+      ("cholesky", "f822e8987806e8df2304cdf0f3c4dabc");
+    ]
 
 (* One test case per misuse, so a regression names the flag it broke. *)
 let cli_misuse_cases =
@@ -1221,6 +1257,8 @@ let () =
             `Quick (check_event_counts [ Runner.Ipsc; Runner.Lan ]);
           Alcotest.test_case "iPSC chaos cell: polls in place, timers dropped"
             `Quick test_chaos_cell_elisions;
+          Alcotest.test_case "graph dumps keep every name" `Quick
+            test_graph_dump_digests;
           Alcotest.test_case "every summary of the regeneration" `Quick
             test_regen_summaries;
         ] );

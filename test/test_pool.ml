@@ -130,6 +130,24 @@ let test_events_counted () =
     "simulated events accumulated" true
     (Runner.events_simulated r > 0)
 
+(* Two domains format the same names at once, each through its own
+   table: every string equals the [Printf.sprintf] it stands for, and a
+   domain asking again gets the string it formatted the first time. *)
+let test_names_domain_safe () =
+  let name = Jade.Names.memo (fun (stem, i) -> Printf.sprintf "%s.%d" stem i) in
+  let keys = List.init 2000 (fun i -> ((if i mod 2 = 0 then "a" else "b"), i / 2)) in
+  let format_twice () =
+    let first = List.map name keys in
+    (first, List.for_all2 ( == ) first (List.map name keys))
+  in
+  let d1 = Domain.spawn format_twice and d2 = Domain.spawn format_twice in
+  let (n1, same1), (n2, same2) = (Domain.join d1, Domain.join d2) in
+  let expected = List.map (fun (stem, i) -> Printf.sprintf "%s.%d" stem i) keys in
+  Alcotest.(check (list string)) "domain 1" expected n1;
+  Alcotest.(check (list string)) "domain 2" expected n2;
+  Alcotest.(check (pair bool bool)) "memoised on each domain" (true, true)
+    (same1, same2)
+
 let () =
   Alcotest.run "pool"
     [
@@ -152,5 +170,7 @@ let () =
           Alcotest.test_case "parallel matches direct" `Quick
             test_parallel_same_as_direct;
           Alcotest.test_case "event accounting" `Quick test_events_counted;
+          Alcotest.test_case "names are domain-safe" `Quick
+            test_names_domain_safe;
         ] );
     ]

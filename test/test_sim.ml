@@ -85,6 +85,51 @@ let heap_model_prop =
       done;
       !ok && Heap.is_empty h)
 
+(* The same model with keys in any order: times from a few integer
+   instants, so ties are common, and each push's seq drawn from a
+   shuffled range, as a lane's head pushes a seq reserved when it was
+   armed. Pushes land below the minimum, tie its time on either side of
+   its seq, and pops run down to empty, where every reader raises
+   [Not_found]. *)
+let heap_any_order_prop =
+  QCheck.Test.make ~name:"heap keeps (time, seq) order for keys in any order"
+    ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_range 0 200)
+           (frequency [ (2, return None); (3, map Option.some (int_bound 5)) ])
+         >>= fun ops ->
+         shuffle_l (List.init (List.length ops) Fun.id) >|= fun seqs ->
+         List.combine ops seqs))
+    (fun ops ->
+      let h = Heap.create () in
+      let model = ref [] and ok = ref true in
+      let pop_both () =
+        match !model with
+        | [] ->
+            let raises f = match f h with _ -> false | exception Not_found -> true in
+            ok := !ok && Heap.is_empty h && raises Heap.min_time && raises Heap.min_seq
+                  && raises Heap.pop_min_value
+        | (time, s) :: rest ->
+            model := rest;
+            ok := !ok && pop h = (time, s, s)
+      in
+      List.iter
+        (fun (op, seq) ->
+          (match op with
+          | None -> pop_both ()
+          | Some instant ->
+              let time = float_of_int instant in
+              Heap.push h ~time ~seq seq;
+              model := List.merge compare !model [ (time, seq) ]);
+          ok := !ok && Heap.length h = List.length !model)
+        ops;
+      while !model <> [] do
+        pop_both ()
+      done;
+      pop_both ();
+      !ok)
+
 let test_engine_delay_order () =
   let eng = Engine.create () in
   let log = ref [] in
@@ -725,6 +770,7 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           qcheck heap_sorted_prop;
           qcheck heap_model_prop;
+          qcheck heap_any_order_prop;
         ] );
       ( "engine",
         [
