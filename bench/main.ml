@@ -240,9 +240,9 @@ let write_json path ~size_name ~jobs ~(par : regen_stats)
   Printf.fprintf oc
     "  \"occupancy\": {\"scenario\": \"water/ipsc/8p/test\", \
      \"msg_cells\": %d, \"far_lane_hwm\": %d, \
-     \"now_lane_capacity\": %d, \"escape_hwm\": %d},\n"
+     \"now_lane_capacity\": %d},\n"
     occupancy.Jade.Metrics.msg_cells occupancy.Jade.Metrics.cal_hwm
-    occupancy.Jade.Metrics.now_cap occupancy.Jade.Metrics.esc_hwm;
+    occupancy.Jade.Metrics.now_cap;
   Printf.fprintf oc "  \"kernels\": [\n";
   let n = List.length par.kernel_ms in
   List.iteri

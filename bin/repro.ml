@@ -471,8 +471,8 @@ let run_cmd =
       & info [ "stats" ]
           ~doc:
             "Also print the run's occupancy high-water marks (fabric \
-             message cells, far-lane event heap, now-lane capacity, \
-             escape slab) and its idle traffic (DASH wake-up and \
+             messages in flight as $(b,msg-cells), far-lane event heap, \
+             now-lane capacity) and its idle traffic (DASH wake-up and \
              steal-patience probes, main-release polls), each out of \
              the run's events, with the polls taken in place; under a \
              fault plan, also the retransmit timers that fired and \

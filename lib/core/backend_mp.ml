@@ -260,7 +260,7 @@ let stop b () =
 let finalize b () =
   let m = b.core.Backend.metrics in
   m.Metrics.messages <- Fabric.message_count b.fabric;
-  m.Metrics.occ_msg_cells <- Fabric.cell_count b.fabric;
+  m.Metrics.occ_msg_cells <- Fabric.peak_in_flight b.fabric;
   match b.fault with
   | Some f ->
       m.Metrics.dropped_messages <- Fault.dropped f;
@@ -278,10 +278,9 @@ let create (core : Backend.core) (costs : Costs.mp) : Backend.ops =
     if costs.Costs.shared_bus then Some (Mnode.create eng (-1)) else None
   in
   let fabric =
-    Fabric.create ?bus ?fault eng ~dummy:(Protocol.Ping (-1))
-      ~nodes:core.Backend.nodes ~topology:(Topology.hypercube nprocs)
-      ~startup:costs.Costs.msg_startup ~bandwidth:costs.Costs.bandwidth
-      ~hop_latency:costs.Costs.hop_latency
+    Fabric.create ?bus ?fault eng ~nodes:core.Backend.nodes
+      ~topology:(Topology.hypercube nprocs) ~startup:costs.Costs.msg_startup
+      ~bandwidth:costs.Costs.bandwidth ~hop_latency:costs.Costs.hop_latency
   in
   let track =
     match core.Backend.cfg.Config.fault with

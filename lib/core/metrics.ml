@@ -54,17 +54,15 @@ type t = {
   mutable objects_reconstructed : int;
       (** crash mode: object replicas rebuilt from survivors or by
           deterministic re-execution *)
-  (* Occupancy high-water marks — cell and queue sizing observability
+  (* Occupancy high-water marks — message and queue sizing observability
      ([repro run --stats], BENCH_repro.json). Deliberately NOT part of
      {!summary}: the parity checks (kernel skipping, disk cache)
      compare summaries structurally, and peak occupancy legitimately
      differs across execution strategies that produce identical
      trajectories. *)
-  mutable occ_msg_cells : int;
-      (** fabric message cells ever allocated (= peak in flight) *)
+  mutable occ_msg_cells : int;  (** peak fabric messages in flight *)
   mutable occ_cal_hwm : int;  (** peak far-lane (event heap) population *)
   mutable occ_now_cap : int;  (** final now-lane ring capacity *)
-  mutable occ_esc_hwm : int;  (** peak escape-slab parked closures *)
   (* Idle traffic, in engine events: DASH dispatchers probing after a
      wake-up or after their steal patience, and processor 0 polling for
      the main program's release (every machine). Not in {!summary} for
@@ -117,7 +115,6 @@ let create () =
     occ_msg_cells = 0;
     occ_cal_hwm = 0;
     occ_now_cap = 0;
-    occ_esc_hwm = 0;
     wake_probes = 0;
     patience_probes = 0;
     main_polls = 0;
@@ -208,6 +205,9 @@ type occupancy = {
           Kept only because the benchmark probe ([perfbench/suite.ml])
           reads it. *)
   msg_cells : int;
+      (** peak fabric messages in flight. The name predates immutable
+          messages, when each rode a pooled cell; it stays because the
+          benchmark probe ([perfbench/suite.ml]) reads it. *)
   cal_hwm : int;
       (** peak far-lane (event heap) population. The name predates the
           heap far lane; it stays because the benchmark probe
@@ -217,6 +217,9 @@ type occupancy = {
           because the benchmark probe ([perfbench/suite.ml]) reads it. *)
   now_cap : int;
   esc_hwm : int;
+      (** equal to [cal_hwm]: every far-lane event parks in the engine's
+          slab. Kept only because the benchmark probe
+          ([perfbench/suite.ml]) reads it. *)
   events : int;  (** every engine event of the run *)
   wake_probes : int;
   patience_probes : int;
@@ -233,7 +236,7 @@ let occupancy m =
     cal_hwm = m.occ_cal_hwm;
     cal_rebuilds = 0;
     now_cap = m.occ_now_cap;
-    esc_hwm = m.occ_esc_hwm;
+    esc_hwm = m.occ_cal_hwm;
     events = m.events;
     wake_probes = m.wake_probes;
     patience_probes = m.patience_probes;
@@ -245,8 +248,8 @@ let occupancy m =
 
 let pp_occupancy fmt o =
   Format.fprintf fmt
-    "msg-cells=%d far-lane-hwm=%d now-lane-cap=%d escape-hwm=%d"
-    o.msg_cells o.cal_hwm o.now_cap o.esc_hwm
+    "msg-cells=%d far-lane-hwm=%d now-lane-cap=%d" o.msg_cells o.cal_hwm
+    o.now_cap
 
 (* Idle traffic, each count out of the run's events, and how many of the
    main-release polls skipped the far lane. *)

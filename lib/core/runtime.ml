@@ -395,8 +395,6 @@ let run_with ?(config = Config.default) ?trace ?(kernels = true) ~machine
     Engine.far_lane_high_water c.Backend.eng;
   c.Backend.metrics.Metrics.occ_now_cap <-
     Engine.now_lane_capacity c.Backend.eng;
-  c.Backend.metrics.Metrics.occ_esc_hwm <-
-    Engine.escape_high_water c.Backend.eng;
   c.Backend.metrics.Metrics.ticks_in_place <-
     Engine.ticks_in_place c.Backend.eng;
   c.Backend.metrics.Metrics.timers_fired <- Engine.timers_fired c.Backend.eng;

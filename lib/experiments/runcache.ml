@@ -155,24 +155,37 @@ let write_segment t records =
     (try Sys.remove tmp with Sys_error _ -> ());
     None
 
-(* Read the [listed] segments into one index. A load that read more than
-   one, or met damage, compacts: it writes what it read as one segment,
-   then deletes the files it read — never a segment written since the
-   listing, such as a concurrent run's. *)
+(* Read the [listed] segments into one index. Damage to records warns
+   once per segment; segments rejected whole warn once per reason, for
+   the directory: a build sees every segment of the build before it
+   rejected the same way. A load that read more than one segment, or met
+   damage, compacts: it writes what it read as one segment, then deletes
+   the files it read — never a segment written since the listing, such
+   as a concurrent run's. *)
 let load t listed =
   let index = Hashtbl.create 512 in
+  (* Segments [header_count] rejects whole, counted per reason. *)
+  let rejected = [ ("schema-stale", ref 0); ("other-build", ref 0) ] in
   let read =
     List.filter_map
       (fun file ->
         match read_segment file with
         | exception Sys_error _ -> None (* taken by a concurrent compaction *)
         | records, damage ->
-            Option.iter
-              (fun r -> warn "dropping %s records of %s (recomputing)" r file) damage;
+            (match damage with
+            | Some r when List.mem_assoc r rejected -> incr (List.assoc r rejected)
+            | Some r -> warn "dropping %s records of %s (recomputing)" r file
+            | None -> ());
             List.iter (fun (k, v) -> Hashtbl.replace index k v) records;
             Some (file, damage = None))
       listed
   in
+  List.iter
+    (fun (r, n) ->
+      if !n > 0 then
+        warn "dropping %s records in %s (%d segment%s, recomputing)" r t.cache_dir !n
+          (if !n = 1 then "" else "s"))
+    rejected;
   if List.length read > 1 || List.exists (fun (_, intact) -> not intact) read then
     Option.iter
       (fun kept ->

@@ -23,10 +23,13 @@
     The first {!find} reads the segments listed at {!create} once,
     record by record, into an in-memory index that every later lookup
     uses. A truncated record (cut mid-record or at a record boundary,
-    which the count catches), a corrupted, a schema-stale, another
-    build's ([other-build]) or an undecodable one (bytes some other writer left behind a valid MD5) is
-    dropped with one named warning on stderr per segment and treated as
-    a miss — the result is recomputed; {!find} never raises. A load that
+    which the count catches), a corrupted or an undecodable one (bytes
+    some other writer left behind a valid MD5) is dropped with one named
+    warning on stderr per segment. A segment whose header is
+    schema-stale or another build's ([other-build]) is dropped whole,
+    with one warning per reason for the directory that counts the
+    segments. Either way a dropped record is a miss — the result is
+    recomputed; {!find} never raises. A load that
     read more than one segment, or met damage, compacts: it writes every
     good record it read as one segment, then deletes the files it read —
     never a segment written since the listing. So after one cold and one
@@ -62,8 +65,9 @@ val schema_version : int
 (** The identity of the code that computes the results: the MD5 of every
     library source ([lib/**/*.ml{,i}]), generated at build time. A
     segment's header carries the identity of the build that wrote it; a
-    segment from another build is never decoded, but dropped whole with
-    one [other-build] warning and compacted away, so a cache directory
+    segment from another build is never decoded, but dropped whole
+    (one [other-build] warning covers every such segment of a load) and
+    compacted away, so a cache directory
     answers only for the code that filled it. *)
 val build_id : string
 

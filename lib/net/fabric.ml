@@ -1,24 +1,9 @@
 open Jade_sim
 open Jade_machines
 
-(* Message cells are pooled: a send pops a cell from the free list, fills
-   it, and schedules delivery as a flat engine event — the fabric's
-   delivery opcode plus the cell's registry slot, one immediate int word.
-   Delivery runs the destination handler and returns the cell to the
-   pool, so the steady-state send–deliver round trip allocates neither
-   the cell nor the event descriptor. Bodies are the client's values: the
-   fabric never copies or recycles them. *)
-type 'a msg = {
-  mutable src : int;
-  mutable dst : int;
-  mutable size : int;
-  mutable tag : Tag.t;
-  mutable body : 'a;
-  slot : int;
-      (** index into the owning fabric's cell registry, carried as the
-          operand of the delivery descriptor; -1 for standalone {!make}
-          records that no fabric owns *)
-}
+(* A message is an immutable record built per send. Its delivery is an
+   engine event that captures it, so a handler may keep it. *)
+type 'a msg = { src : int; dst : int; size : int; tag : Tag.t; body : 'a }
 
 type 'a t = {
   eng : Engine.t;
@@ -29,79 +14,40 @@ type 'a t = {
   hop_latency : float;
   bus : Mnode.t option;  (** shared medium all transfers serialize through *)
   fault : Fault.t option;  (** chaos plan for interrupt-context traffic *)
-  dummy : 'a;
-      (** inert body used to blank recycled cells, so a parked cell never
-          keeps a delivered body alive *)
   handlers : ('a msg -> unit) option array;
   tag_counts : int array;  (** messages per tag, indexed by [Tag.index] *)
   tag_bytes : int array;  (** payload bytes per tag *)
   down : bool array;  (** crashed nodes: their NIC neither sends nor receives *)
   mutable any_down : bool;  (** fast guard so clean runs never scan [down] *)
-  mutable cells : 'a msg array;
-      (** every cell this fabric ever allocated, indexed by [slot] — the
-          registry the delivery opcode resolves its operand against *)
-  mutable cells_n : int;
-  mutable deliver_op : int;  (** this fabric's opcode in the engine table *)
-  mutable free : 'a msg array;  (** free-list stack of recycled cells *)
-  mutable free_n : int;
+  mutable in_flight : int;  (** built, and neither handled nor lost *)
+  mutable peak : int;  (** largest [in_flight] so far *)
   mutable msgs : int;
   mutable bytes : int;
 }
 
-let make ~src ~dst ~size ~tag body = { src; dst; size; tag; body; slot = -1 }
-
-let release_cell t m =
-  m.body <- t.dummy;
-  if t.free_n = Array.length t.free then begin
-    let cap = max 64 (2 * t.free_n) in
-    let free = Array.make cap m in
-    Array.blit t.free 0 free 0 t.free_n;
-    t.free <- free
-  end;
-  t.free.(t.free_n) <- m;
-  t.free_n <- t.free_n + 1
-
-let deliver_cell t m =
-  (match t.handlers.(m.dst) with
-  | Some f -> f m
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Fabric: no handler on node %d (tag %S, src %d, %d bytes)" m.dst
-           (Tag.to_string m.tag) m.src m.size));
-  release_cell t m
-
-let create ?bus ?fault eng ~dummy ~nodes ~topology ~startup ~bandwidth
+let create ?bus ?fault ?dummy:_ eng ~nodes ~topology ~startup ~bandwidth
     ~hop_latency =
   if Array.length nodes <> Topology.nodes topology then
     invalid_arg "Fabric.create: node/topology size mismatch";
-  let t =
-    {
-      eng;
-      nodes;
-      topo = topology;
-      startup;
-      bandwidth;
-      hop_latency;
-      bus;
-      fault;
-      dummy;
-      handlers = Array.make (Array.length nodes) None;
-      tag_counts = Array.make Tag.count 0;
-      tag_bytes = Array.make Tag.count 0;
-      down = Array.make (Array.length nodes) false;
-      any_down = false;
-      cells = [||];
-      cells_n = 0;
-      deliver_op = 0;
-      free = [||];
-      free_n = 0;
-      msgs = 0;
-      bytes = 0;
-    }
-  in
-  t.deliver_op <- Engine.register_op eng (fun slot -> deliver_cell t t.cells.(slot));
-  t
+  {
+    eng;
+    nodes;
+    topo = topology;
+    startup;
+    bandwidth;
+    hop_latency;
+    bus;
+    fault;
+    handlers = Array.make (Array.length nodes) None;
+    tag_counts = Array.make Tag.count 0;
+    tag_bytes = Array.make Tag.count 0;
+    down = Array.make (Array.length nodes) false;
+    any_down = false;
+    in_flight = 0;
+    peak = 0;
+    msgs = 0;
+    bytes = 0;
+  }
 
 let set_handler t p f = t.handlers.(p) <- Some f
 
@@ -114,46 +60,41 @@ let record t msg =
   t.tag_counts.(i) <- t.tag_counts.(i) + 1;
   t.tag_bytes.(i) <- t.tag_bytes.(i) + msg.size
 
-let alloc t ~src ~dst ~size ~tag body =
-  if t.free_n = 0 then begin
-    let m = { src; dst; size; tag; body; slot = t.cells_n } in
-    (if t.cells_n = Array.length t.cells then begin
-       let cap = max 64 (2 * t.cells_n) in
-       let cells = Array.make cap m in
-       Array.blit t.cells 0 cells 0 t.cells_n;
-       t.cells <- cells
-     end);
-    t.cells.(t.cells_n) <- m;
-    t.cells_n <- t.cells_n + 1;
-    m
-  end
-  else begin
-    t.free_n <- t.free_n - 1;
-    let m = t.free.(t.free_n) in
-    m.src <- src;
-    m.dst <- dst;
-    m.size <- size;
-    m.tag <- tag;
-    m.body <- body;
-    m
-  end
+(* One more message in flight: each one built, and each duplicate the
+   chaos plan makes. *)
+let count_in t =
+  t.in_flight <- t.in_flight + 1;
+  if t.in_flight > t.peak then t.peak <- t.in_flight
+
+let build t ~src ~dst ~size ~tag body =
+  count_in t;
+  { src; dst; size; tag; body }
+
+let deliver t m =
+  (match t.handlers.(m.dst) with
+  | Some f -> f m
+  | None ->
+      invalid_arg
+        (Printf.sprintf
+           "Fabric: no handler on node %d (tag %S, src %d, %d bytes)" m.dst
+           (Tag.to_string m.tag) m.src m.size));
+  t.in_flight <- t.in_flight - 1
 
 (* Crash-stop: a down node's NIC is dark — anything it would send or
    receive is silently lost at schedule time. Checked before recording so
    the per-tag ledgers only count messages that actually hit the wire. *)
 let deliver_at t time m =
-  if t.any_down && (t.down.(m.src) || t.down.(m.dst)) then release_cell t m
+  if t.any_down && (t.down.(m.src) || t.down.(m.dst)) then
+    t.in_flight <- t.in_flight - 1
   else begin
     record t m;
-    Engine.schedule_op_at t.eng ~op:t.deliver_op ~arg:m.slot time
+    Engine.schedule_at t.eng time (fun () -> deliver t m)
   end
 
 (* Faultable delivery: interrupt-context traffic and broadcast copies go
    through the chaos plan (when one is installed). Dropped messages vanish
-   without reaching the per-tag ledgers — their cell recycles immediately;
-   duplicates are delivered — and counted — twice, riding a second cell
-   that carries the same body, so recycling the first delivery's cell
-   cannot touch the copy still in flight. *)
+   without reaching the per-tag ledgers; a duplicate is the same message
+   delivered — and counted — twice. *)
 let deliver_at_faulted t time m =
   match t.fault with
   | None -> deliver_at t time m
@@ -166,16 +107,11 @@ let deliver_at_faulted t time m =
       deliver_at t time m
   | Some f ->
       let d = Fault.next_decision f ~tag:m.tag in
-      if d.Fault.drop then release_cell t m
+      if d.Fault.drop then t.in_flight <- t.in_flight - 1
       else begin
-        if d.Fault.duplicate then begin
-          let c =
-            alloc t ~src:m.src ~dst:m.dst ~size:m.size ~tag:m.tag m.body
-          in
-          deliver_at t (time +. d.Fault.delay) m;
-          deliver_at t (time +. d.Fault.dup_delay) c
-        end
-        else deliver_at t (time +. d.Fault.delay) m
+        if d.Fault.duplicate then count_in t;
+        deliver_at t (time +. d.Fault.delay) m;
+        if d.Fault.duplicate then deliver_at t (time +. d.Fault.dup_delay) m
       end
 
 let wire t ~src ~dst = float_of_int (Topology.hops t.topo src dst) *. t.hop_latency
@@ -190,7 +126,7 @@ let bus_time t ~size ~earliest =
       Float.max earliest finish
 
 let send t ~src ~dst ~size ~tag body =
-  let m = alloc t ~src ~dst ~size ~tag body in
+  let m = build t ~src ~dst ~size ~tag body in
   if src = dst then deliver_at t (Engine.now t.eng) m
   else begin
     Mnode.occupy t.nodes.(src) (send_occupancy t ~size);
@@ -199,7 +135,7 @@ let send t ~src ~dst ~size ~tag body =
   end
 
 let post t ~src ~dst ~size ~tag body =
-  let m = alloc t ~src ~dst ~size ~tag body in
+  let m = build t ~src ~dst ~size ~tag body in
   if src = dst then deliver_at t (Engine.now t.eng) m
   else
     let done_at = Mnode.charge t.nodes.(src) (send_occupancy t ~size) in
@@ -220,7 +156,7 @@ let broadcast t ~src ~size ~tag body =
         let time = base +. (r *. (per_round +. t.hop_latency)) in
         deliver_at_faulted t
           (bus_time t ~size ~earliest:time)
-          (alloc t ~src ~dst ~size ~tag body)
+          (build t ~src ~dst ~size ~tag body)
       end
     done
   end
@@ -243,4 +179,4 @@ let bytes_with_tag t tag = t.tag_bytes.(Tag.index tag)
 
 let count_with_tag t tag = t.tag_counts.(Tag.index tag)
 
-let cell_count t = t.cells_n
+let peak_in_flight t = t.peak

@@ -11,31 +11,19 @@
     The payload type ['a] is chosen by the client (the Jade communicator
     instantiates it with its immutable protocol messages).
 
-    Message cells are pooled: the fabric recycles a cell as soon as the
-    delivery handler returns, so a steady-state send–deliver round trip
-    allocates no cell. A handler must not keep the cell (the {!msg} record)
-    beyond the call; it may keep the body, which the fabric never copies
-    or recycles. *)
+    Each send builds one immutable {!msg}, and its delivery is an engine
+    event that captures it, so a handler may keep the message as well as
+    its body. *)
 
-type 'a msg = {
-  mutable src : int;
-  mutable dst : int;
-  mutable size : int;
-  mutable tag : Tag.t;
-  mutable body : 'a;
-  slot : int;
-      (** internal: index into the owning fabric's cell registry — the
-          operand of the flat delivery event ({!Jade_sim.Engine.register_op});
-          [-1] for standalone {!make} records *)
-}
+type 'a msg = { src : int; dst : int; size : int; tag : Tag.t; body : 'a }
 
 type 'a t
 
 val create :
   ?bus:Jade_machines.Mnode.t ->
   ?fault:Fault.t ->
+  ?dummy:'a ->
   Jade_sim.Engine.t ->
-  dummy:'a ->
   nodes:Jade_machines.Mnode.t array ->
   topology:Topology.t ->
   startup:float ->
@@ -47,22 +35,15 @@ val create :
     is a chaos plan ({!Fault}): every {!post} to another node and every
     broadcast copy consults it and may be dropped, duplicated, or delayed.
     {!send} and node-local deliveries are never faulted. An inactive plan
-    ([Fault.active] false) leaves the trajectory identical to no plan.
+    ([Fault.active] false) leaves the trajectory identical to no plan. A
+    message the chaos plan duplicates is delivered twice.
 
-    Each message rides a pooled cell that is recycled when its handler
-    returns: a handler must not keep the cell, but it may keep the body.
-    A message the chaos plan duplicates rides a second cell carrying the
-    same body. [dummy] is an inert body that blanks a recycled cell, so a
-    parked cell never keeps a delivered body alive. *)
+    [dummy] is ignored. It is kept only because the benchmark probe
+    ([perfbench/suite.ml]) passes it. *)
 
 (** [set_handler t p f] installs the message handler for node [p]. [f] runs
     as a plain callback at delivery time (interrupt context). *)
 val set_handler : 'a t -> int -> ('a msg -> unit) -> unit
-
-(** [make ~src ~dst ~size ~tag body] builds a standalone message record
-    not owned by any fabric pool — for tests that feed handlers
-    directly. *)
-val make : src:int -> dst:int -> size:int -> tag:Tag.t -> 'a -> 'a msg
 
 (** Process-context send: blocks the caller until the sending node has
     worked off the send occupancy; delivery is scheduled after the wire
@@ -104,7 +85,8 @@ val bytes_with_tag : 'a t -> Tag.t -> int
 (** [count_with_tag t tag] counts messages carrying [tag]. *)
 val count_with_tag : 'a t -> Tag.t -> int
 
-(** Number of message cells ever allocated by this fabric — the size of
-    its cell registry, and (with pooling) the peak number of messages
-    simultaneously in flight. *)
-val cell_count : 'a t -> int
+(** The peak number of messages in flight. A message is in flight from
+    the send that builds it until its handler returns, or until the chaos
+    plan drops it or a down endpoint loses it; a duplicate counts as one
+    more message. *)
+val peak_in_flight : 'a t -> int

@@ -15,50 +15,22 @@ let pname_string = function
    [mutable clock : float] field in the mixed record below. *)
 type fl = { mutable clock : float; mutable pending : float }
 
-(* --- flat event descriptors ---------------------------------------------
-
-   A far-lane event is one immediate int word: [(arg lsl op_bits) lor op].
-   [op] indexes the per-engine handler table [ops] (the fabric registers
-   its delivery handler once at construction); [arg] is the handler's
-   operand — for the fabric, a pooled-cell index. Committing an event is
-   two array reads and an indirect call: nothing was allocated to carry
-   the event.
-
-   Opcode 0 carries closure-shaped events (every [delay] resume, timers,
-   watchdog scans, recovery pings): the closure parks in the [esc_fns]
-   slab and the word carries its slot. This is a busy path — over half
-   of a regeneration's events — but a small population: the slab
-   recycles slots through a free stack and clears a slot the moment its
-   event fires, so a consumed escape event pins no environment. *)
-
-let op_bits = 6
-
-let op_mask = (1 lsl op_bits) - 1
-
-let max_ops = 1 lsl op_bits
-
 (* Blocked-waiter registry, keyed by each wait's token (unique, in
    the order the waits began). *)
 module Tokens = Hashtbl.Make (Int)
 
 type t = {
-  events : Heap.t;  (** the far lane, keyed by (time, seq) *)
+  events : Heap.t;  (** the far lane: slab slots keyed by (time, seq) *)
   mutable far_hwm : int;  (** peak far-lane population *)
   fl : fl;
   mutable seq : int;
-  (* Flat-dispatch handler table, indexed by opcode. Slot 0 is the escape
-     handler; the rest are claimed by [register_op] at construction time.
-     Handlers live for the engine's lifetime, so a descriptor word never
-     dangles. *)
-  ops : (int -> unit) array;
-  mutable ops_n : int;
-  (* Escape slab: closures indexed by the slot carried in an opcode-0
-     word. A slot is cleared (and recycled) the moment its event fires. *)
-  mutable esc_fns : (unit -> unit) array;
-  mutable esc_free : int array;
-  mutable esc_free_n : int;
-  mutable esc_live : int;
-  mutable esc_hwm : int;
+  (* The slab: every far-lane event is a closure parked here, and the
+     heap carries its slot. Slots recycle through a free stack, and a
+     slot is cleared the moment its event fires, so a consumed event pins
+     no environment. *)
+  mutable slab : (unit -> unit) array;
+  mutable free : int array;
+  mutable free_n : int;
   (* Now lane: FIFO ring of thunks scheduled at exactly the current
      clock. They fire before any later far-lane entry, interleaved with
      same-time far-lane entries by seq, so delivery order is identical to
@@ -86,6 +58,7 @@ type t = {
   mutable ticks_in_place : int;
   mutable timers_fired : int;
   mutable timers_dropped : int;
+  mutable ops : (int -> unit) array;  (** {!register_op}'s handlers *)
 }
 
 type _ Effect.t +=
@@ -125,68 +98,58 @@ let push_now t f =
   t.now_fns.(i) <- f;
   t.now_len <- t.now_len + 1
 
-(* Far-lane push of a descriptor word at a time strictly after now. A
-   non-finite time (an infinite delay, or a sum of delays that overflowed)
-   would move the clock to +inf or NaN, where no later time is
-   meaningful; refuse it here. *)
-let push_far t time w =
-  if not (Float.is_finite time) then
-    invalid_arg "Engine: non-finite event time";
-  t.seq <- t.seq + 1;
-  Heap.push t.events ~time ~seq:t.seq w;
+(* --- the slab --- *)
+
+(* Called with every slot taken: double the slab, the new slots free. *)
+let grow_slab t =
+  let cap = Array.length t.slab in
+  let slab = Array.make (2 * cap) nop in
+  Array.blit t.slab 0 slab 0 cap;
+  t.slab <- slab;
+  t.free <- Array.init (2 * cap) (fun i -> (2 * cap) - 1 - i);
+  t.free_n <- cap
+
+(* Far-lane push of [f] under the key [(time, seq)]: [f] takes a free
+   slot, and the heap carries the slot. *)
+let push_keyed t time seq f =
+  if t.free_n = 0 then grow_slab t;
+  t.free_n <- t.free_n - 1;
+  let slot = t.free.(t.free_n) in
+  t.slab.(slot) <- f;
+  Heap.push t.events ~time ~seq slot;
   let n = Heap.length t.events in
   if n > t.far_hwm then t.far_hwm <- n
 
-(* --- escape slab --- *)
+(* Fire the event parked at [slot], recycling the slot first so the
+   closure can re-arm itself (timers) and a consumed slot pins no
+   environment. *)
+let fire_slot t slot =
+  let f = t.slab.(slot) in
+  t.slab.(slot) <- nop;
+  t.free.(t.free_n) <- slot;
+  t.free_n <- t.free_n + 1;
+  f ()
 
-let grow_esc t =
-  let cap = Array.length t.esc_fns in
-  let cap' = 2 * cap in
-  let fns = Array.make cap' nop in
-  Array.blit t.esc_fns 0 fns 0 cap;
-  t.esc_fns <- fns;
-  let free = Array.make cap' 0 in
-  Array.blit t.esc_free 0 free 0 t.esc_free_n;
-  for i = 0 to cap - 1 do
-    free.(t.esc_free_n + i) <- cap' - 1 - i
-  done;
-  t.esc_free <- free;
-  t.esc_free_n <- t.esc_free_n + cap
-
-let esc_put t f =
-  if t.esc_free_n = 0 then grow_esc t;
-  t.esc_free_n <- t.esc_free_n - 1;
-  let slot = t.esc_free.(t.esc_free_n) in
-  t.esc_fns.(slot) <- f;
-  t.esc_live <- t.esc_live + 1;
-  if t.esc_live > t.esc_hwm then t.esc_hwm <- t.esc_live;
-  slot
-
-(* Descriptor word for a closure-shaped event: opcode 0, operand the
-   slab slot. [esc_put] touches no engine ordering state, so building the
-   word before the seq increment of the push that carries it is safe. *)
-let far_word t f = esc_put t f lsl op_bits
-
-(* Commit one flat descriptor: decode and dispatch. [op] is always a
-   registered opcode by construction (words are only built from
-   [register_op] results or the escape path), so the reads are unsafe. *)
-let exec_word t w = (Array.unsafe_get t.ops (w land op_mask)) (w asr op_bits)
+(* Far-lane push at a time strictly after now. A non-finite time (an
+   infinite delay, or a sum of delays that overflowed) would move the
+   clock to +inf or NaN, where no later time is meaningful; refuse it
+   here. *)
+let push_far t time f =
+  if not (Float.is_finite time) then
+    invalid_arg "Engine: non-finite event time";
+  t.seq <- t.seq + 1;
+  push_keyed t time t.seq f
 
 let create () =
-  let esc_cap = 16 in
   let t =
     {
       events = Heap.create ();
       far_hwm = 0;
       fl = { clock = 0.0; pending = 0.0 };
       seq = 0;
-      ops = Array.make max_ops (fun (_ : int) -> ());
-      ops_n = 1;
-      esc_fns = Array.make esc_cap nop;
-      esc_free = Array.init esc_cap (fun i -> esc_cap - 1 - i);
-      esc_free_n = esc_cap;
-      esc_live = 0;
-      esc_hwm = 0;
+      slab = Array.make 16 nop;
+      free = Array.init 16 (fun i -> 15 - i);
+      free_n = 16;
       now_seqs = Array.make 64 0;
       now_fns = Array.make 64 nop;
       now_head = 0;
@@ -201,37 +164,18 @@ let create () =
       ticks_in_place = 0;
       timers_fired = 0;
       timers_dropped = 0;
+      ops = [||];
     }
   in
-  (* Opcode 0: fire a parked closure, recycling its slot first so the
-     closure can re-arm itself (timers) and a consumed slot pins no
-     environment. *)
-  t.ops.(0) <-
-    (fun slot ->
-      let f = t.esc_fns.(slot) in
-      t.esc_fns.(slot) <- nop;
-      t.esc_free.(t.esc_free_n) <- slot;
-      t.esc_free_n <- t.esc_free_n + 1;
-      t.esc_live <- t.esc_live - 1;
-      f ());
   t.eff_now <- Sleep (Some (fun k -> push_now t (fun () -> continue k ())));
   t.eff_after <-
     Sleep
       (Some
          (fun k ->
-           let w = far_word t (fun () -> continue k ()) in
-           push_far t (t.fl.clock +. t.fl.pending) w));
+           push_far t (t.fl.clock +. t.fl.pending) (fun () -> continue k ())));
   t
 
 let now t = t.fl.clock
-
-let register_op t f =
-  if t.ops_n >= max_ops then
-    invalid_arg "Engine.register_op: opcode table full";
-  let op = t.ops_n in
-  t.ops_n <- t.ops_n + 1;
-  t.ops.(op) <- f;
-  op
 
 let schedule_now t f = push_now t f
 
@@ -239,7 +183,7 @@ let schedule_after t delay f =
   if not (delay >= 0.0) then
     invalid_arg "Engine.schedule_after: negative or NaN delay";
   let time = t.fl.clock +. delay in
-  if time = t.fl.clock then push_now t f else push_far t time (far_word t f)
+  if time = t.fl.clock then push_now t f else push_far t time f
 
 let count_events t n = t.processed <- t.processed + n
 
@@ -252,21 +196,20 @@ let schedule_at t time f =
   let clock = t.fl.clock in
   let d = if time > clock then time -. clock else 0.0 in
   let tt = clock +. d in
-  if tt = clock then push_now t f else push_far t tt (far_word t f)
+  if tt = clock then push_now t f else push_far t tt f
 
-(* The counterpart of {!schedule_at} for events registered as opcodes:
-   same float arithmetic, same seq assignment, same lane choice — only
-   the far-lane payload is a packed word, not a closure, so a timed flat
-   event allocates nothing. *)
+(* A handler table over [schedule_at], kept only because the benchmark
+   probe ([perfbench/suite.ml]) calls it. Registration is rare, so the
+   table grows by one. *)
+let register_op t f =
+  t.ops <- Array.append t.ops [| f |];
+  Array.length t.ops - 1
+
 let schedule_op_at t ~op ~arg time =
-  let clock = t.fl.clock in
-  let d = if time > clock then time -. clock else 0.0 in
-  let tt = clock +. d in
-  if tt = clock then begin
-    let handler = Array.unsafe_get t.ops op in
-    push_now t (fun () -> handler arg)
-  end
-  else push_far t tt ((arg lsl op_bits) lor op)
+  if op < 0 || op >= Array.length t.ops then
+    invalid_arg "Engine.schedule_op_at: unregistered op";
+  let f = t.ops.(op) in
+  schedule_at t time (fun () -> f arg)
 
 (* --- waits that decide nothing ------------------------------------------
 
@@ -317,12 +260,10 @@ type 'a lane = {
   l_head_ev : unit -> unit;
 }
 
-(* The head's far-lane slot, under the key it reserved when armed. *)
+(* The head's far-lane event, under the key it reserved when armed. *)
 let push_head l =
-  let t = l.l_eng and e = Deque.first l.l_entries in
-  Heap.push t.events ~time:e.e_at ~seq:e.e_seq (far_word t l.l_head_ev);
-  let n = Heap.length t.events in
-  if n > t.far_hwm then t.far_hwm <- n
+  let e = Deque.first l.l_entries in
+  push_keyed l.l_eng e.e_at e.e_seq l.l_head_ev
 
 (* The head fired. Entries behind it that are already dead would each
    fire later as an event that does nothing: liveness is monotone, so
@@ -445,7 +386,7 @@ let run t =
         && Heap.min_seq t.events < t.now_seqs.(t.now_head)
       in
       t.processed <- t.processed + 1;
-      if take_far then exec_word t (Heap.pop_min_value t.events)
+      if take_far then fire_slot t (Heap.pop_min_value t.events)
       else begin
         let i = t.now_head in
         let f = t.now_fns.(i) in
@@ -459,9 +400,9 @@ let run t =
       let time = Heap.min_time t.events in
       if time < t.fl.clock then invalid_arg "Engine.run: time went backwards";
       t.fl.clock <- time;
-      let w = Heap.pop_min_value t.events in
+      let slot = Heap.pop_min_value t.events in
       t.processed <- t.processed + 1;
-      exec_word t w
+      fire_slot t slot
     end
     else continue_run := false
   done;
@@ -476,8 +417,6 @@ let events_processed t = t.processed
 let far_lane_high_water t = t.far_hwm
 
 let now_lane_capacity t = Array.length t.now_fns
-
-let escape_high_water t = t.esc_hwm
 
 let ticks_in_place t = t.ticks_in_place
 

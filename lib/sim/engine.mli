@@ -17,41 +17,14 @@
 type t
 
 (** [create ()] makes an engine at virtual time 0. Events at the current
-    instant ride a FIFO now lane; later ones ride a binary {!Heap} keyed
-    by [(time, seq)], which grows by doubling. *)
+    instant ride a FIFO now lane of thunks. A later event is a closure
+    parked in a slab of reusable slots, and a binary {!Heap} keyed by
+    [(time, seq)] carries its slot; both grow by doubling. A slot is
+    cleared the moment its event fires. *)
 val create : unit -> t
 
 (** Current virtual time in seconds. *)
 val now : t -> float
-
-(** {2 Flat event descriptors}
-
-    The far lane stores events as immediate int words — a 6-bit opcode
-    plus an operand — instead of closures. Handlers are registered once
-    at construction; scheduling a flat event then allocates nothing and
-    committing it chases no environment. Closure-based scheduling
-    ({!schedule_after}, {!schedule_at}, and every {!delay} resume) parks
-    the closure in an internal escape slab and the word carries its slot,
-    cleared when the event fires. *)
-
-(** [register_op t handler] claims the next opcode and installs
-    [handler] for it, returning the opcode for use with
-    {!schedule_op_at}. The table holds 63 client opcodes (opcode 0 is the
-    internal escape hatch); registration happens at construction time,
-    never on the hot path. Raises [Invalid_argument] when the table is
-    full. *)
-val register_op : t -> (int -> unit) -> int
-
-(** [schedule_op_at t ~op ~arg time] runs the handler registered for
-    [op] with operand [arg] at absolute virtual time [time] ([now] if
-    [time] is in the past) — {!schedule_at} without the closure: the
-    event rides the far lane as one packed int word. [arg] must fit in
-    57 bits (an index or a processor number; anything larger belongs in
-    a registry the handler indexes into). Allocation-free when [time] is
-    later than [now] (an event due now rides the now lane as a thunk);
-    this is the fabric's message-delivery path. An infinite [time]
-    raises [Invalid_argument]. *)
-val schedule_op_at : t -> op:int -> arg:int -> float -> unit
 
 (** [schedule_after t d f] runs plain callback [f] at [now + d], where
     [delay t d] would resume. [f] must not perform engine effects; use
@@ -78,6 +51,19 @@ val schedule_at : t -> float -> (unit -> unit) -> unit
     time-ordered heap, so this is the engine's cheapest scheduling path —
     it is the one wakeups (ivar fills, mailbox sends) ride. *)
 val schedule_now : t -> (unit -> unit) -> unit
+
+(** [register_op t handler] adds [handler] to the engine's handler table
+    and returns its index, counting from 0, for {!schedule_op_at}. Kept
+    only because the benchmark probe ([perfbench/suite.ml]) calls it; no
+    library module does. *)
+val register_op : t -> (int -> unit) -> int
+
+(** [schedule_op_at t ~op ~arg time] is
+    [schedule_at t time (fun () -> handler arg)] for the handler
+    registered as [op]. Raises [Invalid_argument] when [op] was not
+    returned by {!register_op} on [t], and when [time] is infinite. Kept
+    only for the benchmark probe, like {!register_op}. *)
+val schedule_op_at : t -> op:int -> arg:int -> float -> unit
 
 (** {2 Waits that decide nothing}
 
@@ -182,15 +168,12 @@ val events_processed : t -> int
 (** {2 Occupancy counters}
 
     Lifetime high-water marks for observability ([repro --stats],
-    BENCH_repro.json): peak far-lane (heap) population, the now lane's
-    final ring capacity, and the escape slab's peak population of parked
-    closures. *)
+    BENCH_repro.json): peak far-lane (heap) population, which is also the
+    slab's peak population, and the now lane's final ring capacity. *)
 
 val far_lane_high_water : t -> int
 
 val now_lane_capacity : t -> int
-
-val escape_high_water : t -> int
 
 (** {2 Elision counters}
 

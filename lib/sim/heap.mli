@@ -1,6 +1,6 @@
 (** Binary min-heap of [int] payloads keyed by [(time, seq)]: the far lane
-    of the discrete-event engine (payloads are its packed event words,
-    see {!Engine.register_op}).
+    of the discrete-event engine, whose payloads are the slots of the
+    slab where it parks each timed event's closure.
     Ties on [time] are broken by [seq], so the pop order is the exact
     total order on [(time, seq)] and simulations are deterministic.
 

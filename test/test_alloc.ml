@@ -1,37 +1,34 @@
 (* Allocation-regression gate for the event-engine hot path.
 
-   The flat-descriptor far lane and the pooled message path keep the
-   steady-state simulation's allocation per event small: a timed
-   schedule packs one immediate int word and a delivery resolves a
-   pooled cell by registry slot. Suspensions pay a few small blocks
+   A timed event is a closure parked in the engine's slab, with its slot
+   in the far-lane heap, and a fabric message is one immutable record
+   that its delivery closure captures. Suspensions pay a few small blocks
    each: an await its handler closure and the resume closure that owns
    its continuation (so a stale resume raises instead of reaching a
    later wait), a value-carrying wakeup a now-lane thunk, and a delay
-   only its resume closure. A change that
-   quietly adds to any of those — a closure on the timed-scheduling
-   path, a tuple on the wakeup path, a boxed float sneaking into a mixed
-   record — multiplies the minor-word rate and shows up here long before
-   it shows up as wall-clock time.
+   only its resume closure. A change that quietly adds to any of those
+   — a closure on the timed-scheduling path, a tuple on the wakeup path,
+   a boxed float sneaking into a mixed record — multiplies the
+   minor-word rate and shows up here long before it shows up as
+   wall-clock time.
 
    Three gates, each asserting minor words per event under a named
    ceiling measured with [Gc.minor_words] deltas after a warm-up run:
 
-   - the bare engine driving self-rescheduling flat ops: the pure
-     descriptor path, once with a single chain (the far lane never holds
-     more than one event) and once with 256 chains at spread delays (the
-     shape of the benchmark's engine probe), so the heap's sift-up and
-     sift-down paths run on every event. Both measure ~4 words/event in
-     the release profile the repository builds in (~8 under the dev
-     profile, whose -opaque keeps [now] and the heap's accessors from
-     inlining), all of it float boxing (this switch has no flambda).
-     The ceiling admits that but not one more per-event
-     allocation — a single added float box (2-3 words) or closure (4-5)
-     fails it;
+   - the bare engine driving self-rescheduling events through its
+     handler table ([register_op], [schedule_op_at]), once with a single
+     chain (the far lane never holds more than one event) and once with
+     256 chains at spread delays (the shape of the benchmark's engine
+     probe), so the heap's sift-up and sift-down paths run on every
+     event. Both measure 7 words/event in the release profile the
+     repository builds in: the closure over handler and operand (5) and
+     the boxed event time (2; this switch has no flambda). The ceiling
+     admits one more small block per event, not two;
    - the full simulator on repeated Water / iPSC-860 / 8-processor runs
      at test scale: fabric delivery, protocol and scheduler riding on
      top. Each run is only ~900 events, so per-run setup (program
      construction, engine and backend creation) is a big share of the
-     ~60 words/event measured; the ceiling is a regression backstop,
+     ~51 words/event measured; the ceiling is a regression backstop,
      not a hot-path bound — the bench's steady-state figure at regen
      scale is the precise one. *)
 
@@ -49,11 +46,11 @@ let check_per_event label ~ceiling ~events words =
     true
     (per_event <= ceiling)
 
-(* [chains] self-rescheduling flat events, [n] events in all. Each
+(* [chains] self-rescheduling op events, [n] events in all. Each
    reschedules at a delay set by its operand, which it scrambles on the
    way, so the chains interleave and the far lane holds [chains] events
    throughout. *)
-let flat_loop ~chains n =
+let op_loop ~chains n =
   let eng = Jade_sim.Engine.create () in
   let fired = ref 0 in
   let op = ref (-1) in
@@ -70,14 +67,14 @@ let flat_loop ~chains n =
   done;
   Jade_sim.Engine.run eng
 
-let test_engine_flat_path ~chains () =
-  ignore (flat_loop ~chains 1_000);
+let test_engine_op_path ~chains () =
+  ignore (op_loop ~chains 1_000);
   let n = 200_000 in
   let minor0 = Gc.minor_words () in
-  let events = flat_loop ~chains n in
+  let events = op_loop ~chains n in
   let words = Gc.minor_words () -. minor0 in
   check_per_event
-    (Printf.sprintf "flat op loop, %d chains" chains)
+    (Printf.sprintf "op loop, %d chains" chains)
     ~ceiling:engine_ceiling ~events words
 
 let water_run () =
@@ -104,12 +101,11 @@ let () =
     [
       ( "engine hot path",
         [
-          Alcotest.test_case "flat descriptor loop stays allocation-free"
-            `Quick (test_engine_flat_path ~chains:1);
+          Alcotest.test_case "op loop stays under ceiling" `Quick
+            (test_engine_op_path ~chains:1);
           Alcotest.test_case
-            "flat descriptor loop with a populated far lane stays \
-             allocation-free"
-            `Quick (test_engine_flat_path ~chains:256);
+            "op loop with a populated far lane stays under ceiling" `Quick
+            (test_engine_op_path ~chains:256);
           Alcotest.test_case "full simulator stays under ceiling" `Quick
             test_sim_path;
         ] );

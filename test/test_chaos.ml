@@ -373,7 +373,7 @@ let test_dup_reply_after_supersede () =
   let nodes = Array.init 2 (Jade_machines.Mnode.create eng) in
   let costs = C.ipsc860 in
   let fabric =
-    Jade_net.Fabric.create eng ~dummy:(Jade.Protocol.Ping (-1)) ~nodes
+    Jade_net.Fabric.create eng ~nodes
       ~topology:(Jade_net.Topology.hypercube 2)
       ~startup:costs.C.msg_startup ~bandwidth:costs.C.bandwidth
       ~hop_latency:costs.C.hop_latency
@@ -409,9 +409,13 @@ let test_dup_reply_after_supersede () =
     (* Hand-built reply fed straight to the handler, no fabric
        delivery. *)
     Jade.Communicator.handle comm
-      (Jade_net.Fabric.make ~src:0 ~dst:1 ~size:meta.Jade.Meta.size
-         ~tag:Tag.Obj
-         (Jade.Protocol.Obj { meta; version; sent_at = 0.0 }))
+      {
+        Jade_net.Fabric.src = 0;
+        dst = 1;
+        size = meta.Jade.Meta.size;
+        tag = Tag.Obj;
+        body = Jade.Protocol.Obj { meta; version; sent_at = 0.0 };
+      }
   in
   E.schedule_after eng 1e-6 (fun () ->
       (* Supersede the in-flight v1 fetch... *)

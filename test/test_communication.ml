@@ -212,7 +212,7 @@ let test_superseded_fetch_wakes_waiter () =
   let nodes = Array.init 2 (Jade_machines.Mnode.create eng) in
   let costs = C.ipsc860 in
   let fabric =
-    Jade_net.Fabric.create eng ~dummy:(Jade.Protocol.Ping (-1)) ~nodes
+    Jade_net.Fabric.create eng ~nodes
       ~topology:(Jade_net.Topology.hypercube 2)
       ~startup:costs.C.msg_startup ~bandwidth:costs.C.bandwidth
       ~hop_latency:costs.C.hop_latency

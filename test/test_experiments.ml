@@ -572,6 +572,14 @@ let dropping reason file =
   Printf.sprintf "runcache: warning: dropping %s records of %s (recomputing)"
     reason file
 
+(* The one warning for the [n] segments of [dir] whose header was
+   rejected for [reason]. *)
+let dropping_in reason dir n =
+  Printf.sprintf
+    "runcache: warning: dropping %s records in %s (%d segment%s, recomputing)"
+    reason dir n
+    (if n = 1 then "" else "s")
+
 let segment_files dir =
   Sys.readdir dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".jrp")
@@ -621,9 +629,21 @@ let test_regen_summaries () =
 let flip raw i =
   String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) raw
 
+(* [raw], a segment, with its header's build identity replaced by
+   another build's. *)
+let restamp raw =
+  let at = String.length (Printf.sprintf "jade-runcache %d " Runcache.schema_version)
+  and id = Runcache.build_id in
+  Alcotest.(check string) "the header names this build" id
+    (String.sub raw at (String.length id));
+  String.sub raw 0 at ^ String.make (String.length id) '0'
+  ^ String.sub raw (at + String.length id) (String.length raw - at - String.length id)
+
 (* Each kind of damage to a compacted segment gives one named warning,
    misses exactly the records it cost, recomputes them into identical
-   output, and leaves a cache whose next run is clean and one segment. *)
+   output, and leaves a cache whose next run is clean and one segment.
+   Damaged records are named by segment, a rejected header by
+   directory. *)
 let test_cache_corruption_recovers () =
   with_temp_dir "jade-test-cache" @@ fun dir ->
   let _, reference = repro_digest ~cache_dir:dir ~jobs:1 () in
@@ -642,16 +662,8 @@ let test_cache_corruption_recovers () =
     Printf.sprintf "jade-runcache %d" (Runcache.schema_version - 1)
     ^ String.sub raw (String.length version) (String.length raw - String.length version)
   in
-  (* The same records, stamped by the code of another build. *)
-  let other_build =
-    let at = String.length version + 1 and id = Runcache.build_id in
-    Alcotest.(check string) "the header names this build" id
-      (String.sub raw at (String.length id));
-    String.sub raw 0 at ^ String.make (String.length id) '0'
-    ^ String.sub raw (at + String.length id) (String.length raw - at - String.length id)
-  in
   List.iter
-    (fun (name, bytes, reason, lost) ->
+    (fun (name, bytes, warning, lost) ->
       List.iter Sys.remove (segment_files dir);
       write_bytes segment bytes;
       let err, (r, digest) =
@@ -659,7 +671,7 @@ let test_cache_corruption_recovers () =
       in
       Alcotest.(check string) (name ^ ": output identical") reference digest;
       Alcotest.(check (list string)) (name ^ ": one named warning")
-        [ dropping reason segment ] (warnings err);
+        [ warning ] (warnings err);
       let s = Runner.stats r in
       Alcotest.(check int) (name ^ ": lookups") n s.Runner.cache_lookups;
       Alcotest.(check int) (name ^ ": misses only what it lost") (n - lost)
@@ -674,12 +686,49 @@ let test_cache_corruption_recovers () =
       Alcotest.(check (list string)) (name ^ ": one segment left") [ segment ]
         (segment_files dir))
     [
-      ("cut mid-record", String.sub raw 0 (half + 30), "truncated", n - (n / 2));
-      ("cut at a record boundary", String.sub raw 0 half, "truncated", n - (n / 2));
-      ("payload byte flipped", flip raw (String.length raw - 3), "corrupted", 1);
-      ("stale header", stale, "schema-stale", n);
-      ("another build's header", other_build, "other-build", n);
+      ( "cut mid-record",
+        String.sub raw 0 (half + 30),
+        dropping "truncated" segment,
+        n - (n / 2) );
+      ( "cut at a record boundary",
+        String.sub raw 0 half,
+        dropping "truncated" segment,
+        n - (n / 2) );
+      ( "payload byte flipped",
+        flip raw (String.length raw - 3),
+        dropping "corrupted" segment,
+        1 );
+      ("stale header", stale, dropping_in "schema-stale" dir 1, n);
+      ("another build's header", restamp raw, dropping_in "other-build" dir 1, n);
     ]
+
+(* An edit under lib/ changes the build identity, and every segment the
+   old build wrote is rejected the same way: three such segments give one
+   warning for the directory, and every key they held is recomputed. *)
+let test_other_build_warns_once () =
+  with_temp_dir "jade-test-cache" @@ fun dir ->
+  let keys = [ "a"; "b"; "c" ] in
+  let evaluate () =
+    let r = Runner.create ~jobs:1 ~cache_dir:dir Runner.Test in
+    let computed = ref 0 in
+    List.iter
+      (fun key ->
+        ignore
+          (Runner.run_custom r ~key (fun () ->
+               incr computed;
+               1.0)))
+      keys;
+    (!computed, (Runner.stats r).Runner.cache_hits)
+  in
+  Alcotest.(check (pair int int)) "cold: every key computed" (3, 0) (evaluate ());
+  let segments = segment_files dir in
+  Alcotest.(check int) "one segment per key" 3 (List.length segments);
+  List.iter (fun file -> write_bytes file (restamp (read_bytes file))) segments;
+  let err, got = capturing_stderr evaluate in
+  Alcotest.(check (list string)) "one warning for the directory"
+    [ dropping_in "other-build" dir 3 ] (warnings err);
+  Alcotest.(check (pair int int)) "every key recomputed" (3, 0) got;
+  Alcotest.(check (pair int int)) "then every key hits" (0, 3) (evaluate ())
 
 (* Unit tests of the segment format. *)
 let test_runcache_roundtrip () =
@@ -811,12 +860,12 @@ let test_runcache_named_failures () =
               [ (foreign_key, Marshal.to_string (Runcache.Flops 1.0) []) ])))
     [ ("key length past the body", 1000); ("negative key length", -1) ];
   Alcotest.(check (option (list string))) "stale header"
-    (Some [ dropping "schema-stale" file ])
+    (Some [ dropping_in "schema-stale" dir 1 ])
     (find_misses dir "jade-runcache 7 1\n");
   (* Another build's segment is never decoded: its intact record of a
      well-formed value is not returned. *)
   Alcotest.(check (option (list string))) "another build's segment"
-    (Some [ dropping "other-build" file ])
+    (Some [ dropping_in "other-build" dir 1 ])
     (find_misses dir
        (segment_bytes ~build:(String.make 32 'f')
           [ (foreign_key, Marshal.to_string (Runcache.Flops 1.0) []) ]));
@@ -1022,6 +1071,31 @@ let test_graph_dump_digests () =
       ("string", "ee19d084e71ee84695bb7599f16fc42e");
       ("ocean", "1b28bb735b714daf7789a8796cda6828");
       ("cholesky", "f822e8987806e8df2304cdf0f3c4dabc");
+    ]
+
+(* The message path's trajectories: each machine's [repro digest] (every
+   app and level at 1-8 processors) clean, with processor 2 crashing,
+   and, on the two fabrics, under a drop/dup/jitter plan. CI compares
+   digests only across --jobs counts; these pin their bytes. *)
+let test_digest_pins () =
+  let chaos = "--fault-seed 1 --drop-rate 0.2 --dup-rate 0.1 --jitter 0.0001" in
+  List.iter
+    (fun (machine, flags, md5) ->
+      let args =
+        Printf.sprintf "digest --machine %s --size test --jobs 1 %s" machine flags
+      in
+      let code, out, _ = run_repro args in
+      Alcotest.(check int) (args ^ ": exit") 0 code;
+      Alcotest.(check string) (args ^ ": md5") md5 Digest.(to_hex (string out)))
+    [
+      ("dash", "", "41f1f19283fb3065b88b6801914d03a6");
+      ("dash", "--crash-at 2@0.01", "6066a526d3f66c6bd0567a904ed2d9d2");
+      ("ipsc", "", "d2116c436e4ccdb180ba673310ba6985");
+      ("ipsc", "--crash-at 2@0.01", "3702ad1fcdfe128f9bf0bd036ee64e4b");
+      ("ipsc", chaos, "1ed7dee129f61c34071d4b3cbef8f72a");
+      ("lan", "", "5d20f73118b71ae16fe417802e5a5dc3");
+      ("lan", "--crash-at 2@0.01", "a1ab544c4481cf409745275e1c918706");
+      ("lan", chaos, "acab48f08b4fe5219be98dce7df416a7");
     ]
 
 (* One test case per misuse, so a regression names the flag it broke. *)
@@ -1259,6 +1333,8 @@ let () =
             `Quick test_chaos_cell_elisions;
           Alcotest.test_case "graph dumps keep every name" `Quick
             test_graph_dump_digests;
+          Alcotest.test_case "digests of every machine, clean, crash, chaos"
+            `Quick test_digest_pins;
           Alcotest.test_case "every summary of the regeneration" `Quick
             test_regen_summaries;
         ] );
@@ -1270,6 +1346,8 @@ let () =
             test_equal_specs_share_cache;
           Alcotest.test_case "corruption recovery" `Quick
             test_cache_corruption_recovers;
+          Alcotest.test_case "another build's segments warn once" `Quick
+            test_other_build_warns_once;
           Alcotest.test_case "runcache entry format" `Quick
             test_runcache_roundtrip;
           Alcotest.test_case "runcache named decode failures" `Quick

@@ -13,7 +13,7 @@ let make_lan_fabric eng n =
   let nodes = Array.init n (Mnode.create eng) in
   let bus = Mnode.create eng (-1) in
   let fab =
-    Fabric.create ~bus eng ~dummy:() ~nodes ~topology:(Topology.hypercube n)
+    Fabric.create ~bus eng ~nodes ~topology:(Topology.hypercube n)
       ~startup:1e-3 ~bandwidth:1e6 ~hop_latency:1e-4
   in
   (nodes, fab)
@@ -45,7 +45,7 @@ let test_no_bus_transfers_overlap () =
   let eng = Engine.create () in
   let nodes = Array.init 4 (Mnode.create eng) in
   let fab =
-    Fabric.create eng ~dummy:() ~nodes ~topology:(Topology.hypercube 4) ~startup:1e-3
+    Fabric.create eng ~nodes ~topology:(Topology.hypercube 4) ~startup:1e-3
       ~bandwidth:1e6 ~hop_latency:1e-4
   in
   let arrivals = Hashtbl.create 4 in

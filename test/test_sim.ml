@@ -185,7 +185,7 @@ let test_engine_two_lane_interleave () =
     (List.rev !log);
   Alcotest.(check (float 0.0)) "clock stayed put" 1.0 (Engine.now eng)
 
-(* A flat event aimed at an instant already past fires at the current
+(* An op event aimed at an instant already past fires at the current
    instant, behind the events already queued for it — the same clamp
    [Engine.schedule_at] applies. *)
 let test_engine_flat_past_clamps () =
@@ -206,17 +206,40 @@ let test_engine_flat_past_clamps () =
     [ (1, 2.0); (2, 2.0); (3, 2.0); (4, 2.5) ]
     (List.rev !log)
 
-(* The opcode table holds 63 client handlers (opcode 0 is the engine's
-   escape hatch); the 64th registration is refused by name. *)
-let test_engine_opcode_table_full () =
+(* The handler table behind [schedule_op_at]: 100 handlers, each fired
+   with its own operand, in (time, seq) order — a stable sort by time of
+   the scheduling sequence, which runs from the last op to the first.
+   Times are multiples of 1/8 in [0, 1), so ties are common and time 0
+   rides the now lane. An op no registration returned is refused. *)
+let test_engine_op_registry () =
   let eng = Engine.create () in
-  let ops = List.init 63 (fun _ -> Engine.register_op eng ignore) in
-  Alcotest.(check (list int)) "opcodes 1..63" (List.init 63 succ) ops;
-  Alcotest.check_raises "64th registration"
-    (Invalid_argument "Engine.register_op: opcode table full") (fun () ->
-      ignore (Engine.register_op eng ignore))
+  let log = ref [] in
+  let ops =
+    List.init 100 (fun k ->
+        Engine.register_op eng (fun arg ->
+            log := (k, arg, Engine.now eng) :: !log))
+  in
+  Alcotest.(check (list int)) "ops 0..99" (List.init 100 Fun.id) ops;
+  let scheduled =
+    List.rev_map (fun k -> (k, 1000 + k, float_of_int (k mod 7) /. 8.0)) ops
+  in
+  List.iter
+    (fun (op, arg, time) -> Engine.schedule_op_at eng ~op ~arg time)
+    scheduled;
+  Alcotest.(check int) "events" 100 (Engine.run eng);
+  Alcotest.(check (list (triple int int (float 0.0))))
+    "each handler with its operand, in (time, seq) order"
+    (List.stable_sort (fun (_, _, a) (_, _, b) -> Float.compare a b) scheduled)
+    (List.rev !log);
+  List.iter
+    (fun op ->
+      Alcotest.check_raises
+        (Printf.sprintf "op %d refused" op)
+        (Invalid_argument "Engine.schedule_op_at: unregistered op")
+        (fun () -> Engine.schedule_op_at eng ~op ~arg:0 1.0))
+    [ -1; 100 ]
 
-(* Flat events scheduled before the run commit in (time, scheduling
+(* Op events scheduled before the run commit in (time, scheduling
    order): a stable sort by time of the scheduling sequence. Times are
    multiples of 1/16 in [0, 1), so ties are common and time 0 rides the
    now lane while the rest ride the far lane. *)
@@ -586,12 +609,11 @@ let engine_stress_prop =
       && Ivar.is_full root
       && List.length !completions >= 1)
 
-(* Flat descriptors vs closure scheduling: the identical random schedule
-   — processes with random delays, flat events, plain closure events —
-   must commit the identical trajectory whether each flat event is
-   scheduled as a packed word ([schedule_op_at]) or as the equivalent
-   closure riding the escape slab ([schedule_at eng t (fun () -> handler
-   arg)]). The log captures each commit's (kind, operand, virtual time) in
+(* The handler table vs closure scheduling: the identical random
+   schedule — processes with random delays, op events, plain closure
+   events — must commit the identical trajectory whether each op event
+   goes through the table ([schedule_op_at]) or is the equivalent closure
+   ([schedule_at eng t (fun () -> handler arg)]). The log captures each commit's (kind, operand, virtual time) in
    commit order, so any ordering or timing divergence flips the
    comparison; event count and final clock cover the run summary. *)
 let flat_closure_parity_prop =
@@ -624,7 +646,7 @@ let flat_closure_parity_prop =
                     schedule 0 ~arg (Engine.now eng +. d)
                 | 1 -> schedule 1 ~arg (Engine.now eng +. 0.25 +. d)
                 | 2 ->
-                    (* closure-shaped event riding the escape slab *)
+                    (* a plain closure event *)
                     Engine.schedule_at eng
                       (Engine.now eng +. d)
                       (fun () -> commit 2 arg)
@@ -784,8 +806,8 @@ let () =
             test_engine_infinite_time;
           Alcotest.test_case "flat event in the past fires now" `Quick
             test_engine_flat_past_clamps;
-          Alcotest.test_case "opcode table full" `Quick
-            test_engine_opcode_table_full;
+          Alcotest.test_case "op registry" `Quick
+            test_engine_op_registry;
           Alcotest.test_case "stale resume raises" `Quick
             test_engine_stale_resume;
           Alcotest.test_case "blocked report order" `Quick

@@ -72,7 +72,7 @@ let broadcast_schedule_prop =
 let make_fabric ?(n = 4) eng =
   let nodes = Array.init n (Mnode.create eng) in
   let fab =
-    Fabric.create eng ~dummy:() ~nodes ~topology:(Topology.hypercube n) ~startup:1e-3
+    Fabric.create eng ~nodes ~topology:(Topology.hypercube n) ~startup:1e-3
       ~bandwidth:1e6 ~hop_latency:1e-4
   in
   (nodes, fab)
@@ -164,23 +164,20 @@ let test_fabric_stats () =
   Alcotest.(check int) "count x" 2 (Fabric.count_with_tag fab Tag.Request);
   Alcotest.(check int) "count absent" 0 (Fabric.count_with_tag fab Tag.Ack)
 
-(* The fabric's cell pool: a message cell recycles the moment its delivery
-   handler returns, and a fault-duplicated message rides a cell of its
-   own, so delivering and recycling the original can never clobber the
-   copy still in flight. Bodies are plain ints; -1 blanks recycled
-   cells. *)
-let make_pool_fabric ?fault eng n =
+(* Messages are immutable records, each delivery carries its own, and the
+   fabric reports the peak number in flight. Bodies are plain ints. *)
+let make_int_fabric ?fault eng n =
   let nodes = Array.init n (Mnode.create eng) in
-  Fabric.create ?fault eng ~dummy:(-1) ~nodes ~topology:(Topology.hypercube n)
+  Fabric.create ?fault eng ~nodes ~topology:(Topology.hypercube n)
     ~startup:1e-5 ~bandwidth:1e8 ~hop_latency:1e-6
 
-let test_pool_recycles_cells () =
+let test_chain_peak_in_flight () =
   (* A 100-hop chain in which each delivery posts the next hop: the new
-     hop takes a cell while the delivering one is still held, and the
-     delivering one is recycled when its handler returns, so two cells
-     serve the whole chain. *)
+     hop is built while the delivering one is still being handled, and
+     the delivering one stops counting when its handler returns, so the
+     peak is two. *)
   let eng = Engine.create () in
-  let fab = make_pool_fabric eng 2 in
+  let fab = make_int_fabric eng 2 in
   let got = ref [] in
   for p = 0 to 1 do
     Fabric.set_handler fab p (fun m ->
@@ -195,16 +192,72 @@ let test_pool_recycles_cells () =
   Alcotest.(check (list int)) "every hop delivered"
     (List.init 100 (fun i -> 100 - i))
     !got;
-  Alcotest.(check int) "two cells" 2 (Fabric.cell_count fab)
+  Alcotest.(check int) "two in flight at the peak" 2
+    (Fabric.peak_in_flight fab)
 
-let test_duplicate_does_not_alias_recycled_original () =
-  (* A plan that duplicates every message: the duplicate must deliver the
-     original payload even though the original's cell was delivered,
-     blanked and possibly reused by a later send before the duplicate
-     fired. *)
+(* A 21-hop chain between two nodes; node 1 keeps every message it is
+   handed. Each kept message still reads as it was sent after all the
+   later sends: a fabric that recycled message records would show the
+   fields of a later hop. *)
+let test_kept_messages_unchanged () =
+  let eng = Engine.create () in
+  let fab = make_int_fabric eng 2 in
+  let tag_of hop = if hop mod 4 = 0 then Tag.Obj else Tag.Request in
+  let send_hop h =
+    let src = h mod 2 in
+    Fabric.post fab ~src ~dst:(1 - src) ~size:(8 + h) ~tag:(tag_of h) h
+  in
+  let handle m = if m.Fabric.body < 20 then send_hop (m.Fabric.body + 1) in
+  let kept = ref [] in
+  Fabric.set_handler fab 0 handle;
+  Fabric.set_handler fab 1 (fun m ->
+      kept := m :: !kept;
+      handle m);
+  Engine.spawn eng (fun () -> send_hop 0);
+  ignore (Engine.run eng);
+  let fields (m : int Fabric.msg) =
+    Printf.sprintf "%d->%d %s %dB body %d" m.src m.dst (Tag.to_string m.tag)
+      m.size m.body
+  in
+  Alcotest.(check (list string))
+    "each kept message as sent"
+    (List.init 11 (fun i ->
+         fields
+           { Fabric.src = 0; dst = 1; size = 8 + (2 * i); tag = tag_of (2 * i);
+             body = 2 * i }))
+    (List.rev_map fields !kept)
+
+(* Every post is duplicated, node 1 answers each delivery with a post to
+   node 2, and node 3 is down. A duplicate counts as one more message in
+   flight until its own delivery; a message to the down node stops
+   counting as soon as it is lost. 14 is the peak the fabric reported
+   when each message rode a pooled cell, as the number of cells. *)
+let test_peak_in_flight_dup_and_down () =
   let spec = Fault.spec ~seed:5 ~dup_rate:1.0 ~jitter:1e-3 () in
   let eng = Engine.create () in
-  let fab = make_pool_fabric ~fault:(Fault.create spec) eng 2 in
+  let fab = make_int_fabric ~fault:(Fault.create spec) eng 4 in
+  for p = 0 to 3 do
+    Fabric.set_handler fab p ignore
+  done;
+  Fabric.set_handler fab 1 (fun m ->
+      Fabric.post fab ~src:1 ~dst:2 ~size:8 ~tag:Tag.Ack m.Fabric.body);
+  Fabric.set_down fab 3;
+  Engine.spawn eng (fun () ->
+      for i = 1 to 5 do
+        Fabric.post fab ~src:0 ~dst:1 ~size:8 ~tag:Tag.Obj i;
+        Fabric.post fab ~src:0 ~dst:3 ~size:8 ~tag:Tag.Obj i
+      done);
+  ignore (Engine.run eng);
+  Alcotest.(check (pair int int)) "messages on the wire, peak in flight"
+    (30, 14)
+    (Fabric.message_count fab, Fabric.peak_in_flight fab)
+
+let test_duplicate_delivered_twice () =
+  (* A plan that duplicates every message: each payload arrives twice,
+     the duplicate being the same message delivered again. *)
+  let spec = Fault.spec ~seed:5 ~dup_rate:1.0 ~jitter:1e-3 () in
+  let eng = Engine.create () in
+  let fab = make_int_fabric ~fault:(Fault.create spec) eng 2 in
   let got = ref [] in
   Fabric.set_handler fab 1 (fun m -> got := m.Fabric.body :: !got);
   Engine.spawn eng (fun () ->
@@ -212,9 +265,8 @@ let test_duplicate_does_not_alias_recycled_original () =
         Fabric.post fab ~src:0 ~dst:1 ~size:8 ~tag:Tag.Obj i
       done);
   ignore (Engine.run eng);
-  (* Every payload arrives exactly twice, never the dummy -1. *)
   Alcotest.(check (list int))
-    "each payload twice, no aliasing"
+    "each payload twice"
     (List.concat_map (fun i -> [ i; i ]) [ 1; 2; 3; 4; 5 ])
     (List.sort compare !got)
 
@@ -252,10 +304,14 @@ let () =
           Alcotest.test_case "self-send immediate" `Quick test_fabric_self_send_immediate;
           Alcotest.test_case "broadcast reaches all" `Quick test_fabric_broadcast_reaches_all;
           Alcotest.test_case "stats by tag" `Quick test_fabric_stats;
-          Alcotest.test_case "cells recycle after delivery" `Quick
-            test_pool_recycles_cells;
-          Alcotest.test_case "fault duplicate survives original's recycling"
-            `Quick test_duplicate_does_not_alias_recycled_original;
+          Alcotest.test_case "two messages in flight along a chain" `Quick
+            test_chain_peak_in_flight;
+          Alcotest.test_case "a kept message stays as sent" `Quick
+            test_kept_messages_unchanged;
+          Alcotest.test_case "peak in flight with duplicates and a down node"
+            `Quick test_peak_in_flight_dup_and_down;
+          Alcotest.test_case "fault duplicate delivered twice" `Quick
+            test_duplicate_delivered_twice;
         ] );
       ("mnode", [ Alcotest.test_case "busy ledger" `Quick test_mnode_ledger ]);
     ]
