@@ -158,8 +158,9 @@ let fault_term =
       value & opt finite_non_negative 0.0
       & info [ "crash-restart" ] ~docv:"SEC"
           ~doc:
-            "When positive, a crashed processor restarts (cold caches, \
-             empty queue) this many virtual seconds after its crash.")
+            "When positive, a crashed processor rejoins with an empty \
+             queue this many virtual seconds after its crash or once it \
+             has been recovered, whichever is later.")
   in
   let make seed drop_rate dup_rate jitter crash_rate crash_at crash_seed
       crash_restart =

@@ -66,9 +66,9 @@ type ops = {
   comm_stats : unit -> (int * int * int) list;
       (** per-processor (proc, in-flight fetches, retransmits), for
           deadlock / unrecoverable reports; [[]] where meaningless *)
-  recovery_actions : Recovery.actions option;
-      (** crash-recovery mechanics, present when the fault plan is
-          crash-active and the backend supports recovery *)
+  recovery_actions : Recovery.actions;
+      (** crash-recovery mechanics, handed to the supervisor when the
+          fault plan is crash-active *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -76,6 +76,14 @@ type ops = {
 
 (* Constant blocked-registry label, preallocated so waiting is free. *)
 let on_task_queue () = "task-queue"
+
+(* A crash felled processor [p]: its dispatcher halts at this boundary. *)
+let doomed (c : core) p =
+  match c.recovery with Some r -> Recovery.doomed r p | None -> false
+
+(* Processor [p]'s dispatcher reached its halt boundary. *)
+let note_halted (c : core) p =
+  match c.recovery with Some r -> Recovery.note_stopped r p | None -> ()
 
 (* Processor [p]'s dispatch process is "dispatcher-<p>". *)
 let dispatcher_name = Names.memo (Printf.sprintf "dispatcher-%d")

@@ -33,18 +33,16 @@ type t = {
   comm : Communicator.t;
   sched_events : sched_event Mailbox.t;
   dispatch_boxes : dispatch_item Mailbox.t array;
-  track : bool;  (** crash plan active: maintain the assignment ledger *)
-  doomed : bool array;
-      (** crash injected; the dispatcher halts at its next boundary *)
   assigned : (int, Taskrec.t) Hashtbl.t array;
       (** per-processor unfinished assignments (tid -> task), the ledger
-          recovery re-enqueues from; only populated when [track] *)
+          recovery re-enqueues from; only populated under a crash plan *)
 }
 
 let dispatch_box_name = Names.memo (Printf.sprintf "dispatch-box-%d")
 
 let send_assign b proc (task : Taskrec.t) =
-  if b.track then Hashtbl.replace b.assigned.(proc) task.Taskrec.tid task;
+  if Option.is_some b.core.Backend.recovery then
+    Hashtbl.replace b.assigned.(proc) task.Taskrec.tid task;
   Fabric.send b.fabric ~src:0 ~dst:proc ~size:b.costs.Costs.small_msg
     ~tag:Tag.Assign (Protocol.Assign task)
 
@@ -61,8 +59,7 @@ let scheduler_process b =
         | `Assign p -> send_assign b p task
         | `Pooled -> ());
         loop ()
-    | Completed (proc, task)
-      when b.track && task.Taskrec.state = Taskrec.Completed ->
+    | Completed (proc, task) when task.Taskrec.state = Taskrec.Completed ->
         (* Duplicate completion: the task was already retired (it completed
            elsewhere after crash recovery reassigned it). Release the
            sender's load but skip retirement. *)
@@ -71,7 +68,8 @@ let scheduler_process b =
         List.iter (fun task -> send_assign b proc task) handed;
         loop ()
     | Completed (proc, task) ->
-        if b.track then Hashtbl.remove b.assigned.(proc) task.Taskrec.tid;
+        if Option.is_some c.Backend.recovery then
+          Hashtbl.remove b.assigned.(proc) task.Taskrec.tid;
         Mnode.occupy c.Backend.nodes.(0) b.costs.Costs.completion_handling;
         c.Backend.ctx_proc <- proc;
         Synchronizer.complete c.Backend.sync task;
@@ -89,28 +87,26 @@ let scheduler_process b =
    supervisor. Queued work stays in the assignment ledger for recovery. *)
 let halt b proc =
   Fabric.set_down b.fabric proc;
-  match b.core.Backend.recovery with
-  | Some r -> Recovery.note_stopped r proc
-  | None -> ()
+  Backend.note_halted b.core proc
 
 let dispatcher b proc =
   let c = b.core in
   let costs = b.costs in
   let rec loop () =
-    if b.track && b.doomed.(proc) then halt b proc
+    if Backend.doomed c proc then halt b proc
     else
       match Mailbox.recv c.Backend.eng b.dispatch_boxes.(proc) with
       | Stop_disp ->
-          if b.track && b.doomed.(proc) then halt b proc
+          if Backend.doomed c proc then halt b proc
           else if not c.Backend.stopped then
             (* Stale poison from a crash that a restart cancelled before
                the boundary was reached: ignore it. *)
             loop ()
-      | Exec _ when b.track && b.doomed.(proc) ->
+      | Exec _ when Backend.doomed c proc ->
           (* Crashed between enqueue and receive: the task stays in the
              assignment ledger for recovery; halt at this boundary. *)
           halt b proc
-      | Exec task when b.track && task.Taskrec.state = Taskrec.Completed ->
+      | Exec task when task.Taskrec.state = Taskrec.Completed ->
           (* Stale assignment: the task already completed elsewhere after
              crash recovery reassigned it. Send the completion so the
              scheduler unwinds this processor's load, but do not run the
@@ -163,9 +159,8 @@ let handler b proc (msg : Protocol.t Fabric.msg) =
 (* ---- crash-recovery actions (wired into the supervisor) -------------- *)
 
 let doom b p =
-  b.doomed.(p) <- true;
   (* Wake the dispatcher if it is idle so it reaches the halt boundary;
-     a busy dispatcher sees the flag when its current task finishes. *)
+     a busy dispatcher sees the crash when its current task finishes. *)
   Mailbox.send b.core.Backend.eng b.dispatch_boxes.(p) Stop_disp
 
 (* Detection-time recovery: exclude the victim from placement and re-route
@@ -193,32 +188,23 @@ let recover b p =
     tasks;
   !moved
 
-let restart b p ~was_detected =
-  if b.doomed.(p) then begin
-    b.doomed.(p) <- false;
-    if Fabric.is_down b.fabric p then begin
-      (* The dispatcher halted: revive the NIC and respawn it. If the
-         victim's queue was already recovered, purge the stale mailbox so
-         nothing runs twice; an undetected victim keeps its queue. *)
-      Fabric.clear_down b.fabric p;
-      if was_detected then begin
-        let rec drain () =
-          match Mailbox.try_recv b.dispatch_boxes.(p) with
-          | Some _ -> drain ()
-          | None -> ()
-        in
-        drain ();
-        Scheduler_mp.mark_up b.sched p
-      end;
-      Engine.spawn
-        ~name:(Backend.dispatcher_name p)
-        b.core.Backend.eng
-        (fun () -> dispatcher b p)
-    end
-    (* else: the crash was cancelled before the boundary — the dispatcher
-       never halted and simply keeps running; its stale poison message is
-       ignored on receipt. *)
-  end
+(* A halted victim rejoins after recovery re-routed its queue: revive
+   the NIC, purge the stale mailbox so nothing runs twice, and respawn
+   the dispatcher. (A crash cancelled before the boundary never gets
+   here: the dispatcher keeps running and ignores its stale poison.) *)
+let restart b p =
+  Fabric.clear_down b.fabric p;
+  let rec drain () =
+    match Mailbox.try_recv b.dispatch_boxes.(p) with
+    | Some _ -> drain ()
+    | None -> ()
+  in
+  drain ();
+  Scheduler_mp.mark_up b.sched p;
+  Engine.spawn
+    ~name:(Backend.dispatcher_name p)
+    b.core.Backend.eng
+    (fun () -> dispatcher b p)
 
 let ping b p =
   Fabric.post b.fabric ~src:0 ~dst:p ~size:b.costs.Costs.small_msg
@@ -282,11 +268,6 @@ let create (core : Backend.core) (costs : Costs.mp) : Backend.ops =
       ~topology:(Topology.hypercube nprocs) ~startup:costs.Costs.msg_startup
       ~bandwidth:costs.Costs.bandwidth ~hop_latency:costs.Costs.hop_latency
   in
-  let track =
-    match core.Backend.cfg.Config.fault with
-    | Some s -> Fault.crash_active s
-    | None -> false
-  in
   let b =
     {
       core;
@@ -302,8 +283,6 @@ let create (core : Backend.core) (costs : Costs.mp) : Backend.ops =
       dispatch_boxes =
         Array.init nprocs (fun p ->
             Mailbox.create ~name:(dispatch_box_name p) ());
-      track;
-      doomed = Array.make nprocs false;
       assigned = Array.init nprocs (fun _ -> Hashtbl.create 16);
     }
   in
@@ -317,14 +296,11 @@ let create (core : Backend.core) (costs : Costs.mp) : Backend.ops =
     finalize = finalize b;
     comm_stats = (fun () -> Communicator.stats b.comm);
     recovery_actions =
-      (if track then
-         Some
-           {
-             Recovery.act_doom = doom b;
-             act_recover = recover b;
-             act_restart = restart b;
-             act_ping = Some (ping b);
-             act_announce = Some (announce b);
-           }
-       else None);
+      {
+        Recovery.act_doom = doom b;
+        act_recover = recover b;
+        act_restart = restart b;
+        act_ping = Some (ping b);
+        act_announce = Some (announce b);
+      };
   }

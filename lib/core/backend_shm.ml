@@ -27,10 +27,6 @@ type t = {
   parked : bool array;  (** searched in vain; the next enable wakes it *)
   hand_off : (step -> unit) array;  (** resumes an idle dispatcher's fiber *)
   mutable waiting : int list;  (** this event's searchers, latest first *)
-  track : bool;  (** crash plan active *)
-  doomed : bool array;
-      (** crash injected; the dispatcher halts at its next boundary *)
-  halted : bool array;  (** dispatcher reached its halt boundary *)
 }
 
 let execute b proc (task : Taskrec.t) =
@@ -49,8 +45,7 @@ let execute b proc (task : Taskrec.t) =
 (* Crash boundary: the dispatcher halts; the supervisor's watchdog
    observes the halt (shared memory has no fabric to probe over). *)
 let halt b proc =
-  b.halted.(proc) <- true;
-  Option.iter (fun r -> Recovery.note_stopped r proc) b.core.Backend.recovery;
+  Backend.note_halted b.core proc;
   Quit
 
 (* Nothing local: spend the cyclic-search time before stealing — the
@@ -67,7 +62,7 @@ let probe b p =
 let steal b p =
   let m = b.core.Backend.metrics in
   m.Metrics.patience_probes <- m.Metrics.patience_probes + 1;
-  if b.track && b.doomed.(p) then halt b p
+  if Backend.doomed b.core p then halt b p
   else if b.core.Backend.stopped then Quit
   else
     match Scheduler_shm.next b.sched ~proc:p with
@@ -102,7 +97,7 @@ and carry b step ps =
 
 let search b p =
   let c = b.core in
-  if b.track && b.doomed.(p) then halt b p
+  if Backend.doomed c p then halt b p
   else if c.Backend.stopped then Quit
   else if p = 0 && Backend.main_owns_proc0 c then begin
     flush b;
@@ -152,10 +147,9 @@ let rec dispatcher b proc =
   | Quit | Idle -> ()
 
 (* Crash-recovery hooks (watchdog mode: no fabric, so the supervisor
-   relies on the doomed/halted handshake instead of heartbeat probes). *)
+   observes the halt directly instead of probing). *)
 
 let doom b p =
-  b.doomed.(p) <- true;
   (* Wake the victim if it is parked so it reaches its halt boundary
      instead of sleeping through the failure. *)
   if b.parked.(p) then herd b [ p ]
@@ -166,16 +160,13 @@ let recover b p =
   if moved > 0 then wake_idle b;
   moved
 
-let restart b p ~was_detected:_ =
-  b.doomed.(p) <- false;
-  if b.halted.(p) then begin
-    b.halted.(p) <- false;
-    Scheduler_shm.mark_up b.sched p;
-    Engine.spawn
-      ~name:(Backend.dispatcher_name p)
-      b.core.Backend.eng
-      (fun () -> dispatcher b p)
-  end
+(* A halted victim rejoins after recovery moved its queue away. *)
+let restart b p =
+  Scheduler_shm.mark_up b.sched p;
+  Engine.spawn
+    ~name:(Backend.dispatcher_name p)
+    b.core.Backend.eng
+    (fun () -> dispatcher b p)
 
 let on_enable b (task : Taskrec.t) =
   let c = b.core in
@@ -205,11 +196,6 @@ let finalize b () =
   b.core.Backend.metrics.Metrics.steals <- Scheduler_shm.steals b.sched
 
 let create (core : Backend.core) (costs : Costs.shm) : Backend.ops =
-  let track =
-    match core.Backend.cfg.Config.fault with
-    | Some s -> Jade_net.Fault.crash_active s
-    | None -> false
-  in
   let b =
     {
       core;
@@ -221,9 +207,6 @@ let create (core : Backend.core) (costs : Costs.shm) : Backend.ops =
       parked = Array.make core.Backend.nprocs false;
       hand_off = Array.make core.Backend.nprocs ignore;
       waiting = [];
-      track;
-      doomed = Array.make core.Backend.nprocs false;
-      halted = Array.make core.Backend.nprocs false;
     }
   in
   {
@@ -236,14 +219,11 @@ let create (core : Backend.core) (costs : Costs.shm) : Backend.ops =
     finalize = finalize b;
     comm_stats = (fun () -> []);
     recovery_actions =
-      (if track then
-         Some
-           {
-             Recovery.act_doom = doom b;
-             act_recover = recover b;
-             act_restart = restart b;
-             act_ping = None;
-             act_announce = None;
-           }
-       else None);
+      {
+        Recovery.act_doom = doom b;
+        act_recover = recover b;
+        act_restart = restart b;
+        act_ping = None;
+        act_announce = None;
+      };
   }

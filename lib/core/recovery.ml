@@ -53,14 +53,14 @@ open Jade_sim
     a processor. *)
 type actions = {
   act_doom : int -> unit;
-      (** crash injection: flag the processor doomed and wake its
+      (** crash injection: the processor is now {!doomed}; wake its
           dispatcher so it reaches the halt boundary *)
   act_recover : int -> int;
       (** detection: mark the processor down in the scheduler and
           re-enqueue its unfinished tasks; returns how many were moved *)
-  act_restart : int -> was_detected:bool -> unit;
-      (** optional restart: bring the processor back with an empty queue
-          (purged if its old queue was already recovered) *)
+  act_restart : int -> unit;
+      (** optional restart: bring a halted processor back with an empty
+          queue; called only once its old queue has been recovered *)
   act_ping : (int -> unit) option;
       (** heartbeat probe; [None] selects watchdog detection (DASH) *)
   act_announce : (Meta.t -> unit) option;
@@ -119,16 +119,19 @@ type t = {
   crashed : bool array;  (** injected and not yet restarted *)
   halted : bool array;  (** dispatcher reached its halt boundary *)
   detected : bool array;  (** supervisor declared it dead and recovered it *)
+  rejoin_due : bool array;
+      (** its restart came after the halt but before detection; it
+          rejoins once recovered *)
   last_pong : float array;  (** last heartbeat reply per processor *)
   suspect_since : float array;  (** watchdog: first observation of the halt *)
   producers : (int, producer) Hashtbl.t;  (** object id -> producing task *)
-  mutable all_objects : unit -> Meta.t list;
-  mutable should_stop : unit -> bool;
+  all_objects : unit -> Meta.t list;
+  should_stop : unit -> bool;
   mutable fatal : failure option;
 }
 
-let create ~spec ~nprocs ~period ~timeout ~flop_rate ~copy_cost ~actions eng
-    metrics =
+let create ~spec ~nprocs ~period ~timeout ~flop_rate ~copy_cost ~actions
+    ~objects ~should_stop eng metrics =
   if period <= 0.0 || timeout <= 0.0 then
     invalid_arg "Recovery.create: period and timeout must be positive";
   {
@@ -145,21 +148,21 @@ let create ~spec ~nprocs ~period ~timeout ~flop_rate ~copy_cost ~actions eng
     crashed = Array.make nprocs false;
     halted = Array.make nprocs false;
     detected = Array.make nprocs false;
+    rejoin_due = Array.make nprocs false;
     last_pong = Array.make nprocs 0.0;
     suspect_since = Array.make nprocs (-1.0);
     producers = Hashtbl.create 64;
-    all_objects = (fun () -> []);
-    should_stop = (fun () -> false);
+    all_objects = objects;
+    should_stop;
     fatal = None;
   }
-
-let set_objects t f = t.all_objects <- f
-
-let set_should_stop t f = t.should_stop <- f
 
 let fatal t = t.fatal
 
 let alive t p = not t.crashed.(p)
+
+(* The root's crash is whole-machine failure: no backend halts it. *)
+let doomed t p = p > 0 && t.crashed.(p)
 
 (* Lowest-index live processor; recovery targets land here when an
    object's home is dead. *)
@@ -254,6 +257,18 @@ let recover_objects t p =
 
 (* ---- detection and injection -------------------------------------------- *)
 
+(* Clear the processor's crash state; a halted one also rejoins through
+   its backend, which only ever happens once its queue was recovered. *)
+let revive t p =
+  let halted = t.halted.(p) in
+  t.crashed.(p) <- false;
+  t.halted.(p) <- false;
+  t.detected.(p) <- false;
+  t.rejoin_due.(p) <- false;
+  t.suspect_since.(p) <- -1.0;
+  t.last_pong.(p) <- Engine.now t.eng;
+  if halted then t.actions.act_restart p
+
 let detect t p =
   t.detected.(p) <- true;
   t.metrics.Metrics.crashes_detected <- t.metrics.Metrics.crashes_detected + 1;
@@ -264,7 +279,8 @@ let detect t p =
   recover_objects t p;
   let fl = t.metrics.Metrics.fl in
   fl.Metrics.recovery_time <-
-    fl.Metrics.recovery_time +. (Engine.now t.eng -. t0)
+    fl.Metrics.recovery_time +. (Engine.now t.eng -. t0);
+  if t.rejoin_due.(p) && not (t.should_stop ()) then revive t p
 
 (* Objects with no valid copy on a survivor — what a root crash takes with
    it. *)
@@ -278,16 +294,17 @@ let root_lost t =
       if !ok then None else Some (m.Meta.name, m.Meta.committed))
     (t.all_objects ())
 
+(* The restart timer fired. Before the halt boundary it cancels the
+   crash (the dispatcher never stopped), and after detection the victim
+   rejoins now. A victim that halted but is not yet detected rejoins when
+   [detect] has recovered it: its queue may hold tasks whose assignment
+   was lost at its dark NIC, and only recovery re-routes them. Detecting
+   it here instead would re-route tasks whose completion is still in
+   flight. *)
 let restart t p =
-  if (not (t.should_stop ())) && t.crashed.(p) then begin
-    let was_detected = t.detected.(p) in
-    t.crashed.(p) <- false;
-    t.halted.(p) <- false;
-    t.detected.(p) <- false;
-    t.suspect_since.(p) <- -1.0;
-    t.last_pong.(p) <- Engine.now t.eng;
-    t.actions.act_restart p ~was_detected
-  end
+  if (not (t.should_stop ())) && t.crashed.(p) then
+    if t.halted.(p) && not t.detected.(p) then t.rejoin_due.(p) <- true
+    else revive t p
 
 let inject t p =
   if (not (t.should_stop ())) && not t.crashed.(p) then begin

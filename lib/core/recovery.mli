@@ -17,14 +17,14 @@
 (** Backend-provided recovery actions; the supervisor is backend-agnostic. *)
 type actions = {
   act_doom : int -> unit;
-      (** crash injection: flag the processor doomed and wake its
+      (** crash injection: the processor is now {!doomed}; wake its
           dispatcher so it reaches the halt boundary *)
   act_recover : int -> int;
       (** detection: mark the processor down in the scheduler and
           re-enqueue its unfinished tasks; returns how many were moved *)
-  act_restart : int -> was_detected:bool -> unit;
-      (** optional restart: bring the processor back with an empty queue
-          (purged if its old queue was already recovered) *)
+  act_restart : int -> unit;
+      (** optional restart: bring a halted processor back with an empty
+          queue; called only once its old queue has been recovered *)
   act_ping : (int -> unit) option;
       (** heartbeat probe; [None] selects watchdog detection (DASH) *)
   act_announce : (Meta.t -> unit) option;
@@ -55,20 +55,22 @@ val create :
   flop_rate:float ->
   copy_cost:(int -> float) ->
   actions:actions ->
+  objects:(unit -> Meta.t list) ->
+  should_stop:(unit -> bool) ->
   Jade_sim.Engine.t ->
   Metrics.t ->
   t
 (** [period]/[timeout] are the heartbeat interval and suspicion threshold,
     tuned by the caller from the machine's latency floors. [flop_rate] and
     [copy_cost] price re-execution and replica reconstruction in virtual
-    time: a re-executed producer is charged its declared work. *)
+    time: a re-executed producer is charged its declared work. [objects]
+    is the shared-object registry (every {!Meta.t} the run created, in
+    creation order); the supervisor polls [should_stop] to exit once the
+    run has finished. *)
 
-val set_objects : t -> (unit -> Meta.t list) -> unit
-(** Install the shared-object registry (every {!Meta.t} the run created,
-    in creation order). *)
-
-val set_should_stop : t -> (unit -> bool) -> unit
-(** The supervisor polls this to exit once the run has finished. *)
+val doomed : t -> int -> bool
+(** A crash felled this non-root processor and it has not restarted:
+    its dispatcher halts at its next task boundary. *)
 
 val start : t -> unit
 (** Arm the plan: schedule every injection and spawn the supervisor

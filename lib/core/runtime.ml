@@ -169,27 +169,6 @@ let make ?trace ~kernels cfg machine nprocs =
     | Dash c -> Backend_shm.create core c
     | Ipsc c | Lan c -> Backend_mp.create core c
   in
-  (match (cfg.Config.fault, backend.Backend.recovery_actions) with
-  | Some spec, Some actions when Jade_net.Fault.crash_active spec ->
-      let period, timeout, flop_rate, copy_cost =
-        recovery_tuning machine ~nprocs
-      in
-      let r =
-        Recovery.create ~spec ~nprocs ~period ~timeout ~flop_rate ~copy_cost
-          ~actions eng metrics
-      in
-      Recovery.set_should_stop r (fun () -> core.Backend.stopped);
-      core.Backend.recovery <- Some r
-  | _ -> ());
-  enable_cell := backend.Backend.on_enable;
-  (commit_cell :=
-     match core.Backend.recovery with
-     | Some r ->
-         fun meta task ->
-           Recovery.note_commit r meta task;
-           backend.Backend.on_write_commit meta task
-     | None -> backend.Backend.on_write_commit);
-  core.Backend.stop_hook <- backend.Backend.stop;
   let t =
     {
       core;
@@ -202,9 +181,28 @@ let make ?trace ~kernels cfg machine nprocs =
       objects = [];
     }
   in
-  (match core.Backend.recovery with
-  | Some r -> Recovery.set_objects r (fun () -> List.rev t.objects)
-  | None -> ());
+  (match cfg.Config.fault with
+  | Some spec when Jade_net.Fault.crash_active spec ->
+      let period, timeout, flop_rate, copy_cost =
+        recovery_tuning machine ~nprocs
+      in
+      core.Backend.recovery <-
+        Some
+          (Recovery.create ~spec ~nprocs ~period ~timeout ~flop_rate
+             ~copy_cost ~actions:backend.Backend.recovery_actions
+             ~objects:(fun () -> List.rev t.objects)
+             ~should_stop:(fun () -> core.Backend.stopped)
+             eng metrics)
+  | _ -> ());
+  enable_cell := backend.Backend.on_enable;
+  (commit_cell :=
+     match core.Backend.recovery with
+     | Some r ->
+         fun meta task ->
+           Recovery.note_commit r meta task;
+           backend.Backend.on_write_commit meta task
+     | None -> backend.Backend.on_write_commit);
+  core.Backend.stop_hook <- backend.Backend.stop;
   t
 
 (* ------------------------------------------------------------------ *)

@@ -1,15 +1,3 @@
-type event = {
-  task_name : string;
-  tid : int;
-  proc : int;
-  target : int;
-  created_at : float;
-  enabled_at : float;
-  started_at : float;
-  finished_at : float;
-  stolen : bool;
-}
-
 type flow_kind = Fetch | Broadcast | Eager_update
 
 type flow = {
@@ -24,15 +12,24 @@ type flow = {
 module Ir = Jade_graph.Ir
 
 type t = {
-  mutable rev_events : event list;
+  mutable rev_tasks : Taskrec.t list;
   mutable n : int;
   mutable rev_flows : flow list;
   mutable n_flows : int;
-  mutable nodes : Ir.node list;
 }
 
-let create () =
-  { rev_events = []; n = 0; rev_flows = []; n_flows = 0; nodes = [] }
+let create () = { rev_tasks = []; n = 0; rev_flows = []; n_flows = 0 }
+
+(* A task executes once and nothing writes its record after it
+   completes, so the trace keeps the record itself. *)
+let record t (task : Taskrec.t) =
+  t.rev_tasks <- task :: t.rev_tasks;
+  t.n <- t.n + 1
+
+let record_flow t ~kind ~obj ~src ~dst ~sent_at ~arrived_at =
+  t.rev_flows <-
+    { flow_kind = kind; obj; src; dst; sent_at; arrived_at } :: t.rev_flows;
+  t.n_flows <- t.n_flows + 1
 
 (* Lift one completed task into its IR node: identity, declared access
    specification with the version chain the synchronizer resolved at
@@ -67,32 +64,7 @@ let node_of_task (task : Taskrec.t) =
     n_ops = Array.of_list (List.rev task.Taskrec.ops);
   }
 
-let record t (task : Taskrec.t) =
-  t.nodes <- node_of_task task :: t.nodes;
-  let open Taskrec in
-  t.rev_events <-
-    {
-      task_name = task.tname;
-      tid = task.tid;
-      proc = task.ran_on;
-      target = task.target;
-      created_at = task.fl.created_at;
-      enabled_at = task.fl.enabled_at;
-      started_at = task.fl.started_at;
-      finished_at = task.fl.finished_at;
-      stolen = task.stolen;
-    }
-    :: t.rev_events;
-  t.n <- t.n + 1
-
-let record_flow t ~kind ~obj ~src ~dst ~sent_at ~arrived_at =
-  t.rev_flows <-
-    { flow_kind = kind; obj; src; dst; sent_at; arrived_at } :: t.rev_flows;
-  t.n_flows <- t.n_flows + 1
-
-let events t = List.rev t.rev_events
-
-let graph t = Jade_graph.Build.make t.nodes
+let graph t = Jade_graph.Build.make (List.map node_of_task t.rev_tasks)
 
 let count t = t.n
 
@@ -125,7 +97,8 @@ let to_chrome_json t =
   Buffer.add_string buf "[\n";
   let first = ref true in
   List.iter
-    (fun e ->
+    (fun (task : Taskrec.t) ->
+      let fl = task.Taskrec.fl in
       if not !first then Buffer.add_string buf ",\n";
       first := false;
       Buffer.add_string buf
@@ -133,10 +106,12 @@ let to_chrome_json t =
            "{\"name\":\"%s\",\"cat\":\"task\",\"ph\":\"X\",\"ts\":%.3f,\
             \"dur\":%.3f,\"pid\":0,\"tid\":%d,\"args\":{\"task\":%d,\
             \"target\":%d,\"stolen\":%b,\"created\":%.3f,\"enabled\":%.3f}}"
-           (escape e.task_name) (us e.started_at)
-           (us (e.finished_at -. e.started_at))
-           e.proc e.tid e.target e.stolen (us e.created_at) (us e.enabled_at)))
-    (events t);
+           (escape task.Taskrec.tname) (us fl.Taskrec.started_at)
+           (us (fl.Taskrec.finished_at -. fl.Taskrec.started_at))
+           task.Taskrec.ran_on task.Taskrec.tid task.Taskrec.target
+           task.Taskrec.stolen (us fl.Taskrec.created_at)
+           (us fl.Taskrec.enabled_at)))
+    (List.rev t.rev_tasks);
   (* Object movement: one "comm" slice per transfer on the network pid
      (lane = destination processor), plus a Chrome flow-event pair binding
      source lane to destination lane, so Perfetto draws an arrow from the

@@ -1,21 +1,9 @@
-(** Task-lifecycle tracing: records per-task events during a run and
-    exports them in the Chrome trace-event format (load the file at
-    chrome://tracing or in Perfetto to see the schedule on a timeline,
-    one lane per simulated processor). The same record lifts each
-    completed task into its task-graph IR node, so one traced run yields
-    both the schedule and the DAG ({!graph}). *)
-
-type event = {
-  task_name : string;
-  tid : int;
-  proc : int;  (** processor the task executed on *)
-  target : int;  (** its target processor *)
-  created_at : float;
-  enabled_at : float;
-  started_at : float;
-  finished_at : float;
-  stolen : bool;
-}
+(** Task-lifecycle tracing: keeps each completed task's record during a
+    run and exports the schedule in the Chrome trace-event format (load
+    the file at chrome://tracing or in Perfetto to see it on a timeline,
+    one lane per simulated processor). The same records lift into the
+    task-graph IR when {!graph} is called, so one traced run yields both
+    the schedule and the DAG. *)
 
 (** One object transfer between processors (demand fetch reply, adaptive
     broadcast copy, or eager update push), recorded by the communicator
@@ -35,8 +23,9 @@ type t
 
 val create : unit -> t
 
-(** Record one completed task and its IR node (called by the runtime when
-    tracing is on). *)
+(** Keep one completed task's record (called by the runtime when tracing
+    is on). A task executes once and nothing writes its record after it
+    completes. *)
 val record : t -> Taskrec.t -> unit
 
 (** Record one object transfer (called by the communicator on arrival). *)
@@ -50,17 +39,14 @@ val record_flow :
   arrived_at:float ->
   unit
 
-val events : t -> event list
-(** In completion order. *)
-
 val count : t -> int
 
-(** The recorded tasks lifted into a task DAG ({!Jade_graph.Build.make}):
-    one node per completed task, carrying its declared accesses with their
-    resolved version chains, declared work and placement, the processor it
-    ran on and a staged body's op stream. Raises [Invalid_argument] if the
-    nodes violate the version-chain invariants, which the tasks of a
-    completed run never do. *)
+(** The recorded tasks lifted, on each call, into a task DAG
+    ({!Jade_graph.Build.make}): one node per completed task, carrying its
+    declared accesses with their resolved version chains, declared work
+    and placement, the processor it ran on and a staged body's op stream.
+    Raises [Invalid_argument] if the nodes violate the version-chain
+    invariants, which the tasks of a completed run never do. *)
 val graph : t -> Jade_graph.Ir.t
 
 val flows : t -> flow list

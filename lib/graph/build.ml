@@ -68,12 +68,3 @@ let make nodes =
     arr;
   Array.iteri (fun pos l -> succs.(pos) <- List.rev l) succs;
   { Ir.nodes = arr; index; preds; succs }
-
-(* Decode + build, for the CLI and tests. *)
-let of_string s =
-  match Ir.decode_nodes s with
-  | Error e -> Error e
-  | Ok nodes -> (
-      match make nodes with
-      | g -> Ok g
-      | exception Invalid_argument e -> Error e)

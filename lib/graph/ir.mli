@@ -13,7 +13,8 @@
 
     The IR is deliberately dependency-free (ints, floats, strings): the
     runtime's tracer lifts completed tasks into it ([Jade.Tracing.graph])
-    and [repro graph] dumps and summarizes it. *)
+    and [repro graph] dumps and summarizes it. It is write-only: there is
+    no parser for a dump. *)
 
 (** Access mode of one spec entry, mirroring [Jade.Access.mode]. *)
 type mode = Rd | Wr | Rw
@@ -78,13 +79,7 @@ val node_work : node -> float
 (** Total {!node_work} over the graph. *)
 val total_work : t -> float
 
-(** Structural equality on the node array (edges are derived, so two
-    graphs with equal nodes are equal graphs). *)
-val equal : t -> t -> bool
-
 (** Textual serialization of the node array, line-oriented and
-    version-headed. [decode_nodes] inverts it exactly ([Work] flops are
-    hex floats, so round-trips are bit-precise). *)
+    version-headed ([Work] flops are hex floats, exact to the bit). The IR
+    is write-only: nothing reads a dump back. *)
 val encode : t -> string
-
-val decode_nodes : string -> (node list, string) result

@@ -41,8 +41,9 @@ type spec = {
           works across processor counts without a typo passing as a clean
           run *)
   crash_restart : float;
-      (** when positive, a crashed processor restarts (with cold caches
-          and an empty queue) this many virtual seconds after its crash *)
+      (** when positive, a crashed processor rejoins with an empty queue
+          this many virtual seconds after its crash or once it has been
+          recovered, whichever is later *)
 }
 
 val spec :

@@ -174,9 +174,39 @@ module Conformance (B : BACKEND) = struct
             (String.length (R.deadlock_to_string r) > 0)
     end
 
-  (* Tracing must capture every executed task on any backend, and — on
-     fabric backends — the object transfers as flows, with a Chrome JSON
-     rendering that mentions them. Tracing must not perturb the result. *)
+  (* The tracing contract for a run of [tasks] tasks: each is recorded
+     exactly once — the graph lifts one node per task (a duplicate id
+     would not build) and the Chrome export has one task event per task
+     — and, on fabric backends, the object transfers are recorded and
+     rendered as flows. *)
+  let check_trace tr ~tasks =
+    Alcotest.(check int) "one record per task" tasks (Jade.Tracing.count tr);
+    Alcotest.(check int) "one graph node per task" tasks
+      (Jade_graph.Ir.node_count (Jade.Tracing.graph tr));
+    let json = Jade.Tracing.to_chrome_json tr in
+    let occurrences needle =
+      let nl = String.length needle and n = ref 0 in
+      for i = 0 to String.length json - nl do
+        if String.sub json i nl = needle then incr n
+      done;
+      !n
+    in
+    Alcotest.(check int) "one Chrome task event per task" tasks
+      (occurrences "\"cat\":\"task\"");
+    if B.message_passing then begin
+      Alcotest.(check bool)
+        "object movement recorded" true
+        (Jade.Tracing.flow_count tr > 0);
+      Alcotest.(check bool) "flow start events rendered" true
+        (occurrences "\"ph\":\"s\"" > 0);
+      Alcotest.(check bool) "flow finish events rendered" true
+        (occurrences "\"ph\":\"f\"" > 0)
+    end
+    else
+      Alcotest.(check int)
+        "shared memory moves no objects" 0 (Jade.Tracing.flow_count tr)
+
+  (* Tracing must not perturb the result. *)
   let test_tracing () =
     let tr = Jade.Tracing.create () in
     let result = ref 0.0 in
@@ -184,30 +214,38 @@ module Conformance (B : BACKEND) = struct
       R.run ~trace:tr ~machine:B.machine ~nprocs:4
         (pipeline_program 8 500 result)
     in
-    Alcotest.(check int) "one event per task" s.Jade.Metrics.tasks
-      (Jade.Tracing.count tr);
     Alcotest.(check (float 1e-6)) "traced run still correct" (expected 500)
       !result;
-    if B.message_passing then begin
-      Alcotest.(check bool)
-        "object movement recorded" true
-        (Jade.Tracing.flow_count tr > 0);
-      let json = Jade.Tracing.to_chrome_json tr in
-      let mentions needle =
-        let nl = String.length needle and jl = String.length json in
-        let rec go i =
-          i + nl <= jl && (String.sub json i nl = needle || go (i + 1))
-        in
-        go 0
+    check_trace tr ~tasks:s.Jade.Metrics.tasks
+
+  (* The same contract under a crash plan: processor 2 crashes, recovery
+     re-routes its queue, and it restarts between its halt and the
+     detection. Each task still executes once. *)
+  let test_tracing_crash () =
+    let kind =
+      if B.message_passing then Jade_apps.App_common.Mp
+      else Jade_apps.App_common.Shm
+    in
+    let run ?trace config =
+      let prog, _ =
+        Jade_apps.Water.make Jade_apps.Water.test_params ~kind ~placed:false
+          ~nprocs:4
       in
-      Alcotest.(check bool) "flow start events rendered" true
-        (mentions "\"ph\":\"s\"");
-      Alcotest.(check bool) "flow finish events rendered" true
-        (mentions "\"ph\":\"f\"")
-    end
-    else
-      Alcotest.(check int)
-        "shared memory moves no objects" 0 (Jade.Tracing.flow_count tr)
+      R.run ?trace ~config ~machine:B.machine ~nprocs:4 prog
+    in
+    let clean = run Jade.Config.default in
+    let tr = Jade.Tracing.create () in
+    let fault =
+      Jade_net.Fault.spec ~crash_at:[ (2, 0.01) ] ~crash_restart:0.01 ()
+    in
+    let s =
+      run ~trace:tr { Jade.Config.default with Jade.Config.fault = Some fault }
+    in
+    let tasks = clean.Jade.Metrics.tasks in
+    Alcotest.(check int) "the crash was detected" 1
+      s.Jade.Metrics.crash_detected_count;
+    Alcotest.(check int) "each task executed once" tasks s.Jade.Metrics.tasks;
+    check_trace tr ~tasks
 
   let suite =
     ( "conformance:" ^ B.name,
@@ -220,6 +258,8 @@ module Conformance (B : BACKEND) = struct
         Alcotest.test_case "work-free" `Quick test_work_free;
         Alcotest.test_case "deadlock report" `Quick test_deadlock_report;
         Alcotest.test_case "tracing" `Quick test_tracing;
+        Alcotest.test_case "tracing under a crash plan" `Quick
+          test_tracing_crash;
       ] )
 end
 

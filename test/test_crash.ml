@@ -278,6 +278,59 @@ let test_restart_rejoins () =
   Alcotest.(check bool) "results exact across a restart" true
     (clean_result = res ())
 
+(* A victim rejoins only once recovery has re-routed its queue. With a
+   restart 0.01 s after the crash, the timer fires after the victim
+   halted but before the supervisor detected it (the rejoin then waits
+   for the recovery); with the longer delay it fires after detection.
+   Either way the results equal the crash-free run. A restart that came
+   before detection used to leave the victim's lost assignment unsent on
+   iPSC and LAN, where the run never finished. *)
+let test_restart_around_detection ~mname ~machine ~kind ~after () =
+  List.iter
+    (fun app ->
+      let nprocs = 4 in
+      let prog, res = make_app app ~kind ~nprocs in
+      ignore (R.run ~config:Jade.Config.default ~machine ~nprocs prog);
+      let clean_result = res () in
+      List.iter
+        (fun delay ->
+          let name = Printf.sprintf "%s/%s, restart after %g s" mname app delay in
+          let prog, res = make_app app ~kind ~nprocs in
+          let s =
+            R.run
+              ~config:
+                (with_fault
+                   (F.spec ~crash_at:[ (2, 0.01) ] ~crash_restart:delay ()))
+              ~machine ~nprocs prog
+          in
+          Alcotest.(check int) (name ^ ": crash detected") 1
+            s.Jade.Metrics.crash_detected_count;
+          Alcotest.(check bool) (name ^ ": results equal the crash-free run")
+            true
+            (clean_result = res ()))
+        [ 0.01; after ])
+    [ "water"; "ocean" ]
+
+(* On DASH, Water's processor 2 is still running a task when a restart
+   0.002 s after its crash comes due: the restart cancels the crash
+   before the halt boundary, and nothing is detected or recovered. *)
+let test_restart_before_halt () =
+  let prog, res = make_app "water" ~kind:Jade_apps.App_common.Shm ~nprocs:4 in
+  let clean = R.run ~config:Jade.Config.default ~machine:R.dash ~nprocs:4 prog in
+  let clean_result = res () in
+  let prog, res = make_app "water" ~kind:Jade_apps.App_common.Shm ~nprocs:4 in
+  let s =
+    R.run
+      ~config:
+        (with_fault (F.spec ~crash_at:[ (2, 0.01) ] ~crash_restart:0.002 ()))
+      ~machine:R.dash ~nprocs:4 prog
+  in
+  Alcotest.(check int) "crash injected" 1 s.Jade.Metrics.crash_injected_count;
+  Alcotest.(check int) "nothing detected" 0 s.Jade.Metrics.crash_detected_count;
+  Alcotest.(check int) "all tasks completed" clean.Jade.Metrics.tasks
+    s.Jade.Metrics.tasks;
+  Alcotest.(check bool) "results exact" true (clean_result = res ())
+
 let test_crash_and_chaos_compose () =
   (* Message loss and a processor crash in the same run: the retransmit
      machinery and the recovery supervisor must not trip each other. *)
@@ -379,7 +432,7 @@ let test_lost_version_unrecoverable () =
     {
       Jade.Recovery.act_doom = (fun p -> doomed := p :: !doomed);
       act_recover = (fun _ -> 0);
-      act_restart = (fun _ ~was_detected:_ -> ());
+      act_restart = (fun _ -> ());
       act_ping = None;
       act_announce = None;
     }
@@ -389,9 +442,11 @@ let test_lost_version_unrecoverable () =
       ~spec:(F.spec ~crash_at:[ (1, 1e-6) ] ())
       ~nprocs:2 ~period:1e-5 ~timeout:2e-5 ~flop_rate:1e6
       ~copy_cost:(fun _ -> 1e-6)
-      ~actions eng metrics
+      ~actions
+      ~objects:(fun () -> [ meta ])
+      ~should_stop:(fun () -> false)
+      eng metrics
   in
-  Jade.Recovery.set_objects r (fun () -> [ meta ]);
   Jade.Recovery.start r;
   (* The backend's halt boundary, immediately after the doom flag. *)
   E.schedule_after eng 2e-6 (fun () -> Jade.Recovery.note_stopped r 1);
@@ -419,19 +474,23 @@ let test_reconstruction_from_producer () =
     {
       Jade.Recovery.act_doom = (fun _ -> ());
       act_recover = (fun _ -> 0);
-      act_restart = (fun _ ~was_detected:_ -> ());
+      act_restart = (fun _ -> ());
       act_ping = None;
       act_announce = None;
     }
   in
+  (* Successful recovery leaves no fatal report, so tell the supervisor
+     when it is done (the runtime wires this to the run's stop flag). *)
   let r =
     Jade.Recovery.create
       ~spec:(F.spec ~crash_at:[ (1, 1e-6) ] ())
       ~nprocs:2 ~period:1e-5 ~timeout:2e-5 ~flop_rate:1e6
       ~copy_cost:(fun _ -> 1e-6)
-      ~actions eng metrics
+      ~actions
+      ~objects:(fun () -> [ meta ])
+      ~should_stop:(fun () -> metrics.Jade.Metrics.objects_reconstructed > 0)
+      eng metrics
   in
-  Jade.Recovery.set_objects r (fun () -> [ meta ]);
   let producer =
     Jade.Taskrec.create ~tid:7 ~tname:"writer"
       ~spec:[| (meta, Jade.Access.Write) |]
@@ -439,10 +498,6 @@ let test_reconstruction_from_producer () =
       ~work:500.0 ~placement:None ~now:0.0
   in
   Jade.Recovery.note_commit r meta producer;
-  (* Successful recovery leaves no fatal report, so tell the supervisor
-     when it is done (the runtime wires this to the run's stop flag). *)
-  Jade.Recovery.set_should_stop r (fun () ->
-      metrics.Jade.Metrics.objects_reconstructed > 0);
   Jade.Recovery.start r;
   E.schedule_after eng 2e-6 (fun () -> Jade.Recovery.note_stopped r 1);
   ignore (E.run eng);
@@ -573,6 +628,17 @@ let () =
           Alcotest.test_case "rate mode recovers" `Quick
             test_rate_mode_recovers;
           Alcotest.test_case "restart rejoins" `Quick test_restart_rejoins;
+          Alcotest.test_case "dash: restart before and after detection" `Quick
+            (test_restart_around_detection ~mname:"dash" ~machine:R.dash
+               ~kind:Jade_apps.App_common.Shm ~after:0.05);
+          Alcotest.test_case "ipsc: restart before and after detection" `Quick
+            (test_restart_around_detection ~mname:"ipsc" ~machine:R.ipsc860
+               ~kind:Jade_apps.App_common.Mp ~after:0.05);
+          Alcotest.test_case "lan: restart before and after detection" `Quick
+            (test_restart_around_detection ~mname:"lan" ~machine:R.lan
+               ~kind:Jade_apps.App_common.Mp ~after:0.5);
+          Alcotest.test_case "dash: restart before the halt cancels the crash"
+            `Quick test_restart_before_halt;
           Alcotest.test_case "crash composes with chaos" `Quick
             test_crash_and_chaos_compose;
           Alcotest.test_case "crash plan finishes at 64 processors" `Quick

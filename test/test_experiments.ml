@@ -1033,13 +1033,16 @@ let test_poison_render_raises () =
 let repro_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/repro.exe"
 
-let run_repro args =
+let run_repro ?timeout args =
   let out = Filename.temp_file "repro" ".out" in
   let err = Filename.temp_file "repro" ".err" in
+  let limit =
+    match timeout with Some s -> Printf.sprintf "timeout %d " s | None -> ""
+  in
   let code =
     Sys.command
-      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote repro_exe) args
-         (Filename.quote out) (Filename.quote err))
+      (Printf.sprintf "%s%s %s > %s 2> %s" limit (Filename.quote repro_exe)
+         args (Filename.quote out) (Filename.quote err))
   in
   let read file =
     let text = In_channel.with_open_bin file In_channel.input_all in
@@ -1075,26 +1078,33 @@ let test_graph_dump_digests () =
 
 (* The message path's trajectories: each machine's [repro digest] (every
    app and level at 1-8 processors) clean, with processor 2 crashing,
-   and, on the two fabrics, under a drop/dup/jitter plan. CI compares
-   digests only across --jobs counts; these pin their bytes. *)
+   with processor 2 crashing and restarting before its detection, and,
+   on the two fabrics, under a drop/dup/jitter plan. CI compares digests
+   only across --jobs counts; these pin their bytes. Each run has a
+   minute: a restart that hangs a run fails here instead of hanging the
+   suite. *)
 let test_digest_pins () =
   let chaos = "--fault-seed 1 --drop-rate 0.2 --dup-rate 0.1 --jitter 0.0001" in
+  let restart = "--crash-at 2@0.01 --crash-restart 0.005" in
   List.iter
     (fun (machine, flags, md5) ->
       let args =
         Printf.sprintf "digest --machine %s --size test --jobs 1 %s" machine flags
       in
-      let code, out, _ = run_repro args in
+      let code, out, _ = run_repro ~timeout:60 args in
       Alcotest.(check int) (args ^ ": exit") 0 code;
       Alcotest.(check string) (args ^ ": md5") md5 Digest.(to_hex (string out)))
     [
       ("dash", "", "41f1f19283fb3065b88b6801914d03a6");
       ("dash", "--crash-at 2@0.01", "6066a526d3f66c6bd0567a904ed2d9d2");
+      ("dash", restart, "c92eab84232d8efd168bb9d6bcc5cd0a");
       ("ipsc", "", "d2116c436e4ccdb180ba673310ba6985");
       ("ipsc", "--crash-at 2@0.01", "3702ad1fcdfe128f9bf0bd036ee64e4b");
+      ("ipsc", restart, "36339da46f57763840ab70d1e3fd54d9");
       ("ipsc", chaos, "1ed7dee129f61c34071d4b3cbef8f72a");
       ("lan", "", "5d20f73118b71ae16fe417802e5a5dc3");
       ("lan", "--crash-at 2@0.01", "a1ab544c4481cf409745275e1c918706");
+      ("lan", restart, "e28dc22a9ed1409d94a1a04142d7dc90");
       ("lan", chaos, "acab48f08b4fe5219be98dce7df416a7");
     ]
 

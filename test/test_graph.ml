@@ -2,9 +2,8 @@
 
    Two layers:
 
-   1. Serialization: for random well-formed node sets, build -> encode ->
-      decode -> build is the identity (floats travel as hex literals, so
-      the round-trip is bit-exact).
+   1. Build: for random well-formed node sets, the derived edges are
+      exactly the version chains, and inconsistent chains are rejected.
    2. Identity: a traced run of a random program lifts into the IR with
       one node per task and the op stream each body produced, and neither
       tracing nor [~kernels:false] moves the metric summary of the
@@ -17,8 +16,7 @@ module Sr = Jade_sim.Srandom
 
 (* ------------------------------------------------------------------ *)
 (* Random well-formed node sets: per-object version counters keep the
-   access chains consistent (every required version has a producer), and
-   names include spaces and quotes to stress the string encoding. *)
+   access chains consistent (every required version has a producer). *)
 
 let gen_float g =
   match Sr.int g 6 with
@@ -80,76 +78,52 @@ let gen_nodes g =
         n_ops = ops;
       })
 
-let roundtrip_prop =
-  QCheck.Test.make ~name:"encode/decode round-trips bit-exactly" ~count:200
+(* For random well-formed node sets, [Build.make] accepts the nodes and
+   derives exactly the version-chain edges: each node's producers are the
+   nodes a direct scan finds producing its required versions, and the
+   consumer lists are their transpose. *)
+let build_edges_prop =
+  QCheck.Test.make ~name:"build derives the version-chain edges" ~count:200
     QCheck.small_int (fun seed ->
-      let g = Sr.create seed in
-      let nodes = gen_nodes g in
-      let graph = Build.make nodes in
-      match Ir.decode_nodes (Ir.encode graph) with
-      | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e
-      | Ok nodes' -> Ir.equal graph (Build.make nodes'))
-
-(* Decoder robustness: arbitrary strings (bare, and behind a valid
-   header so the line parser sees them) and single-line mutations of a
-   valid encoding — a line dropped, duplicated, truncated or replaced by
-   junk — decode to [Ok] or [Error], never an exception. *)
-let decode_never_raises_prop =
-  QCheck.Test.make ~name:"decode never raises on mutated input" ~count:500
-    QCheck.(pair small_int string)
-    (fun (seed, junk) ->
-      let g = Sr.create seed in
-      let lines =
-        Array.of_list
-          (String.split_on_char '\n' (Ir.encode (Build.make (gen_nodes g))))
+      let nodes = gen_nodes (Sr.create seed) in
+      let g = Build.make nodes in
+      let arr = g.Ir.nodes in
+      let producers (a : Ir.access) =
+        List.filter
+          (fun q ->
+            Array.exists
+              (fun b ->
+                b.Ir.a_obj = a.Ir.a_obj && b.Ir.a_produces = a.Ir.a_required)
+              arr.(q).Ir.n_accesses)
+          (List.init (Array.length arr) Fun.id)
       in
-      let i = Sr.int g (Array.length lines) in
-      let mutated =
-        List.concat
-          (List.mapi
-             (fun k line ->
-               if k <> i then [ line ]
-               else
-                 match Sr.int g 4 with
-                 | 0 -> []
-                 | 1 -> [ line; line ]
-                 | 2 ->
-                     [ String.sub line 0 (Sr.int g (String.length line + 1)) ]
-                 | _ -> [ junk ])
-             (Array.to_list lines))
-      in
-      let total s =
-        match Ir.decode_nodes s with
-        | Ok _ | Error _ -> true
-        | exception e ->
-            QCheck.Test.fail_reportf "decode raised %s on %S"
-              (Printexc.to_string e) s
-      in
-      total junk
-      && total ("jade-graph 1\n" ^ junk)
-      && total (String.concat "\n" mutated))
-
-let test_decode_rejects_garbage () =
-  let bad s =
-    match Ir.decode_nodes s with Ok _ -> false | Error _ -> true
-  in
-  Alcotest.(check bool) "empty" true (bad "");
-  Alcotest.(check bool) "wrong header" true (bad "jade-graph 99\n");
-  Alcotest.(check bool) "unterminated node" true
-    (bad "jade-graph 1\nn 1 0x1p0 -1 0 \"t\"\n");
-  Alcotest.(check bool) "junk line" true
-    (bad "jade-graph 1\nzzz\n");
-  (* The [c] segment-cut lines of older encodings are no longer part of
-     the format: a stale one is rejected by name, not skipped. *)
-  Alcotest.(check (option string))
-    "stale cut line" (Some "line 3: unrecognized line")
-    (match Ir.decode_nodes "jade-graph 1\nn 1 0x1p0 -1 0 \"t\"\nc 3\ne\n" with
-    | Ok _ -> None
-    | Error e -> Some e);
-  Alcotest.(check bool) "access outside node still builds nodes" true
-    (match Ir.decode_nodes "jade-graph 1\nn 1 0x1p0 -1 0 \"t\"\ne\n" with
-    | Ok [ n ] -> n.Ir.n_id = 1 && n.Ir.n_placement = None
-    | _ -> false)
+      if Ir.node_count g <> List.length nodes then
+        QCheck.Test.fail_reportf "built %d nodes from %d" (Ir.node_count g)
+          (List.length nodes);
+      Array.iteri
+        (fun pos n ->
+          let scanned =
+            Array.to_list n.Ir.n_accesses
+            |> List.filter (fun a -> a.Ir.a_required > 0)
+            |> List.concat_map producers
+            |> List.filter (( <> ) pos)
+            |> List.sort_uniq compare
+          in
+          if g.Ir.preds.(pos) <> scanned then
+            QCheck.Test.fail_reportf "task %d: preds [%s], scan finds [%s]"
+              n.Ir.n_id
+              (String.concat ";" (List.map string_of_int g.Ir.preds.(pos)))
+              (String.concat ";" (List.map string_of_int scanned));
+          let consumers =
+            List.filter
+              (fun q -> List.mem pos g.Ir.preds.(q))
+              (List.init (Array.length arr) Fun.id)
+          in
+          if g.Ir.succs.(pos) <> consumers then
+            QCheck.Test.fail_reportf "task %d: succs are not the transpose"
+              n.Ir.n_id)
+        arr;
+      true)
 
 let test_build_rejects_inconsistent () =
   let node ~id ~required ~produces =
@@ -321,12 +295,9 @@ let qcheck t = QCheck_alcotest.to_alcotest t
 let () =
   Alcotest.run "graph"
     [
-      ( "serialization",
+      ( "build",
         [
-          qcheck roundtrip_prop;
-          qcheck decode_never_raises_prop;
-          Alcotest.test_case "decode rejects garbage" `Quick
-            test_decode_rejects_garbage;
+          qcheck build_edges_prop;
           Alcotest.test_case "build rejects inconsistent chains" `Quick
             test_build_rejects_inconsistent;
         ] );
